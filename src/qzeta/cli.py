@@ -9,12 +9,12 @@ Exit status: 0 when every check in the report passed, 1 when at least one
 failed, 2 for invalid input (unknown command, malformed parameters, or a
 value outside an operation's domain).
 
-Computed cyclotomic polynomials and linear forms persist under a cache
-directory (--cache-dir, else $QZETA_CACHE, else ~/.cache/qzeta); writes go
-through a temp file and an atomic rename, so concurrent runs never see a
-torn file.  Reports themselves are deterministic: identical invocations
-give byte-identical output apart from the elapsed_ms field, no matter how
-warm the cache is.
+Each command gets one linforms.Store, which keeps linear forms under a
+cache directory (--cache-dir, else $QZETA_CACHE, else ~/.cache/qzeta) as
+forms/<kind>-<params>.json in format qzeta-form-v2; a file that fails
+verification on load is rebuilt and atomically overwritten.  Reports
+themselves are deterministic: identical invocations give byte-identical
+output apart from the elapsed_ms field, no matter how warm the cache is.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from fractions import Fraction
 
-from . import __version__, measures
+from . import __version__
 from .groups import (
     omega,
     stability_sweep,
@@ -40,13 +39,11 @@ from .groups import (
 )
 from .linforms import (
     FAMILIES,
-    LinearForm,
     ParamsZ1,
     ParamsZ2,
-    RatFunc,
+    Store,
     certify,
     cvector,
-    linform,
     verify_inclusion,
 )
 from .measures import (
@@ -100,6 +97,19 @@ def _check(name: str, ok: bool, witness: str) -> dict:
     return {"name": name, "pass": bool(ok), "witness": witness}
 
 
+def _sci(x: Fraction) -> str:
+    """x as d.ddde+XX, rounded exactly; float(x) would overflow past 1e308."""
+    if x == 0:
+        return "0.000e+00"
+    a = abs(x)
+    e = math.floor(math.log10(a.numerator) - math.log10(a.denominator))  # off by one at most
+    e += (a >= Fraction(10) ** (e + 1)) - (a < Fraction(10) ** e)
+    m = round(a / Fraction(10) ** (e - 3))
+    if m == 10000:  # rounded up to the next power of ten
+        m, e = 1000, e + 1
+    return f"{'-' * (x < 0)}{m // 1000}.{m % 1000:03d}e{e:+03d}"
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -117,124 +127,6 @@ def _emit(report: dict, fmt: str) -> None:
             out.writerow([section, key, val])
     for c in report["checks"]:
         out.writerow(["check", c["name"], "pass" if c["pass"] else f"FAIL: {c['witness']}"])
-
-
-# --------------------------------------------------------------------------
-# persistent cache
-
-
-class Cache:
-    """File-backed store for cyclotomic polynomials and linear forms.
-
-    Layout: <root>/cyclotomics.json holds {"l": [coeff strings]}, and
-    <root>/forms/<kind>-<params>.json holds one exact form each.  Files are
-    versioned by a format tag and silently recomputed on mismatch.
-    """
-
-    def __init__(self, root: str):
-        self.root = root
-        self.forms_dir = os.path.join(root, "forms")
-        self.cyc_path = os.path.join(root, "cyclotomics.json")
-
-    def _atomic_write(self, path: str, payload: dict) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    def _read(self, path: str, tag: str) -> dict | None:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return None
-        return data if data.get("format") == tag else None
-
-    # -- cyclotomic polynomials -------------------------------------------
-
-    def cyclotomic_coeffs(self, l: int) -> tuple[int, ...]:
-        data = self._read(self.cyc_path, "qzeta-cyclotomics-v1") or {
-            "format": "qzeta-cyclotomics-v1",
-            "polys": {},
-        }
-        key = str(l)
-        if key in data["polys"]:
-            return tuple(int(c) for c in data["polys"][key])
-        coeffs = cyclotomic(l).coeffs
-        data["polys"][key] = [str(c) for c in coeffs]
-        self._atomic_write(self.cyc_path, data)
-        return coeffs
-
-    # -- linear forms -------------------------------------------------------
-
-    @staticmethod
-    def _params_key(params) -> str:
-        kind = "zeta1" if isinstance(params, ParamsZ1) else "zeta2"
-        return f"{kind}-" + "-".join(str(v) for v in params.as_tuple())
-
-    @staticmethod
-    def _ratfunc_payload(f: RatFunc) -> dict:
-        return {
-            "num": [str(c) for c in f.num.coeffs],
-            "dpow": f.dpow,
-            "dphi": {str(l): e for l, e in sorted(f.dphi.items())},
-        }
-
-    @staticmethod
-    def _ratfunc_parse(d: dict) -> RatFunc:
-        return RatFunc(
-            PPoly(tuple(int(c) for c in d["num"])),
-            int(d["dpow"]),
-            {int(l): int(e) for l, e in d["dphi"].items()},
-        )
-
-    def load_form(self, params) -> LinearForm | None:
-        path = os.path.join(self.forms_dir, self._params_key(params) + ".json")
-        data = self._read(path, "qzeta-form-v1")
-        if data is None:
-            return None
-        kind = "zeta1" if isinstance(params, ParamsZ1) else "zeta2"
-        return LinearForm(
-            kind=kind,
-            params=params,
-            A=self._ratfunc_parse(data["A"]),
-            B=self._ratfunc_parse(data["B"]),
-            cvec=cvector(params),
-            M=int(data["M"]),
-        )
-
-    def save_form(self, params, form: LinearForm) -> None:
-        path = os.path.join(self.forms_dir, self._params_key(params) + ".json")
-        if os.path.exists(path):
-            return
-        self._atomic_write(
-            path,
-            {
-                "format": "qzeta-form-v1",
-                "params": [str(v) for v in params.as_tuple()],
-                "M": str(form.M),
-                "A": self._ratfunc_payload(form.A),
-                "B": self._ratfunc_payload(form.B),
-            },
-        )
-
-    def install(self) -> None:
-        measures.form_load = self.load_form
-        measures.form_save = self.save_form
-
-
-def _cached_linform(params, cache: Cache) -> LinearForm:
-    form = cache.load_form(params)
-    if form is None:
-        form = linform(params, certify_at=None)
-        cache.save_form(params, form)
-    return form
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +156,7 @@ def _family(name: str):
 # subcommands
 
 
-def cmd_series(args, cache):
+def cmd_series(args, store):
     reps = ("divisor-sum", "lambert", "rho")
     checks = []
     for k in range(1, args.k + 1):
@@ -278,7 +170,7 @@ def cmd_series(args, cache):
     return outputs, checks
 
 
-def cmd_rho(args, cache):
+def cmd_rho(args, store):
     checks = []
     for k in range(1, args.k + 1):
         val, want = rho(k)(1), math.factorial(k - 1)
@@ -287,8 +179,8 @@ def cmd_rho(args, cache):
     return {"k": args.k, "coefficients": r.coeffs, "degree": r.degree}, checks
 
 
-def cmd_cyclotomic(args, cache):
-    coeffs = cache.cyclotomic_coeffs(args.l)
+def cmd_cyclotomic(args, store):
+    coeffs = cyclotomic(args.l).coeffs
     p = args.p if args.p is not None else 2
     poly_val = PPoly(coeffs)(p)
     checks = [
@@ -308,12 +200,12 @@ def cmd_cyclotomic(args, cache):
     return outputs, checks
 
 
-def cmd_dnp(args, cache):
+def cmd_dnp(args, store):
     n = args.n
     d = dnp(n)
     expanded = PPoly((1,))
     for l in range(1, n + 1):
-        expanded = expanded * PPoly(cache.cyclotomic_coeffs(l))
+        expanded = expanded * cyclotomic(l)
     divisible = all(expanded.try_exact_div(gauss_number(v)) is not None for v in range(1, n + 1))
     orders_ok = all(expanded.ord_at(cyclotomic(l), cap=2) == 1 for l in range(2, n + 1))
     degree_ok = expanded.degree == sum(totient(l) for l in range(1, n + 1))
@@ -332,7 +224,7 @@ def cmd_dnp(args, cache):
     return outputs, checks
 
 
-def cmd_ord(args, cache):
+def cmd_ord(args, store):
     n = args.n
     if args.l is not None:
         ls = [args.l]
@@ -361,7 +253,7 @@ def cmd_ord(args, cache):
     return outputs, checks
 
 
-def cmd_mertens(args, cache):
+def cmd_mertens(args, store):
     ratio = mertens_ratio(args.n, args.p)
     target = 3 / math.pi**2
     ok = abs(ratio - target) <= 0.05
@@ -369,7 +261,7 @@ def cmd_mertens(args, cache):
     return outputs, [_check("within-0.05-of-density", ok, f"|{ratio:.6f} - {target:.6f}|")]
 
 
-def cmd_eq3(args, cache):
+def cmd_eq3(args, store):
     u, v = args.u, args.v
     lhs = phi_block_sum(args.n, args.p, u, v)
     rhs = 3 / math.pi**2 * (trigamma(u).value - trigamma(v).value)
@@ -384,9 +276,9 @@ def cmd_eq3(args, cache):
     return outputs, [_check("within-10-percent", ok, f"{lhs:.6f} vs {rhs:.6f}")]
 
 
-def cmd_linform(args, cache):
+def cmd_linform(args, store):
     params = _parse_params(args.kind, args.params)
-    form = _cached_linform(params, cache)
+    form = store.form(params)
     p = args.p if args.p is not None else 2
     cert = certify(form, p)
     outputs = {
@@ -403,12 +295,12 @@ def cmd_linform(args, cache):
         _check(
             f"certified-at-{p}",
             cert.ok,
-            f"residual {float(cert.residual):.3e} within {float(cert.bound):.3e}",
+            f"residual {_sci(cert.residual)} within {_sci(cert.bound)}",
         )
     ]
 
 
-def cmd_inclusion(args, cache):
+def cmd_inclusion(args, store):
     if args.params is not None:
         kind = args.kind or "zeta1"
         jobs = [(None, _parse_params(kind, args.params))]
@@ -421,13 +313,12 @@ def cmd_inclusion(args, cache):
         jobs += [(n, FAMILIES["theorem2"].params(n)) for n in range(1, 4)]
     checks, rows = [], []
     for n, params in jobs:
-        form = _cached_linform(params, cache)
+        form = store.form(params)
         res = verify_inclusion(form)
         tag = f"n{n}" if n is not None else "params"
-        kind = "zeta1" if isinstance(params, ParamsZ1) else "zeta2"
         checks.append(
             _check(
-                f"integrality-{kind}-{tag}",
+                f"integrality-{form.kind}-{tag}",
                 res.ok,
                 res.witness or "p^-M D / Omega clears A and B into Z[p]",
             )
@@ -436,7 +327,7 @@ def cmd_inclusion(args, cache):
     return {"forms": rows}, checks
 
 
-def cmd_group(args, cache):
+def cmd_group(args, store):
     table = {
         "zeta1": (zeta1_group, 12),
         "zeta1-arith": (zeta1_arith_group, 6),
@@ -455,7 +346,7 @@ def cmd_group(args, cache):
     return outputs, checks
 
 
-def cmd_omega(args, cache):
+def cmd_omega(args, store):
     params = _parse_params(args.kind, args.params)
     c = cvector(params)
     res = omega(c, group_for(args.kind))
@@ -472,7 +363,7 @@ def cmd_omega(args, cache):
     return outputs, [_check("exponents-nonnegative", ok, f"{len(nonzero)} nonzero exponents")]
 
 
-def cmd_stability(args, cache):
+def cmd_stability(args, store):
     if args.family is not None:
         fam = _family(args.family)
         jobs = [(fam.name, n) for n in range(1, (args.n or 1) + 1)]
@@ -501,9 +392,10 @@ def cmd_stability(args, cache):
     return outputs, checks
 
 
-def cmd_measure(args, cache):
+def cmd_measure(args, store):
     fam = _family(args.family)
-    rep = measure(fam, args.fit_n_max)
+    rep = measure(fam, args.fit_n_max, store)
+    fit = rep.M_fit
     outputs = {
         "family": fam.name,
         "alpha": rep.alpha,
@@ -513,6 +405,9 @@ def cmd_measure(args, cache):
         "kappa": rep.kappa,
         "lambda": rep.lambda_,
         "mu_bound": rep.mu_bound,
+        "M_values": fit.values,
+        "M_second_diffs": fit.second_diffs,
+        "M_fit_period": fit.period,
     }
     checks = []
     if fam.name in MU_TARGETS:
@@ -537,12 +432,20 @@ def cmd_measure(args, cache):
         )
     else:
         checks.append(_check("forms-decay", rep.lambda_ < 0, f"lambda = {rep.lambda_:.6f}"))
+    checks.append(
+        _check(
+            "M-fit-stable",
+            fit.stable,
+            fit.warning or f"second differences settle with period {fit.period}",
+        )
+    )
     return outputs, checks
 
 
-def cmd_empirical_mu(args, cache):
+def cmd_empirical_mu(args, store):
     fam = _family(args.family)
-    ests = empirical_mu(fam, args.p, args.n_max)
+    res = empirical_mu(fam, args.p, args.n_max, store=store)
+    ests, logs = res.estimates, res.log_residues
     checks = [
         _check(
             "estimates-finite",
@@ -551,8 +454,8 @@ def cmd_empirical_mu(args, cache):
         ),
         _check(
             "forms-nonzero-and-decaying",
-            True,
-            "verified exactly during computation",
+            res.decaying,
+            f"log|Delta F| from {logs[0]:.3f} at n=1 to {logs[-1]:.3f} at n={args.n_max}",
         ),
     ]
     if fam.name == "bv" and args.n_max >= 25:
@@ -566,24 +469,24 @@ def cmd_empirical_mu(args, cache):
     return {"family": fam.name, "p": args.p, "estimates": ests}, checks
 
 
-def cmd_apery(args, cache):
+def cmd_apery(args, store):
     if args.n_max > 4:
         raise ValueError("apery is cost-bounded to --n-max <= 4")
     oracle = apery_numbers(args.n_max)
     values, checks = [], []
     for n in range(args.n_max + 1):
-        values.append(_limit_value_at_one(family_form(FAMILIES["apery"], n)))
+        values.append(_limit_value_at_one(family_form(FAMILIES["apery"], n, store)))
         checks.append(
             _check(
                 f"limit-matches-A{n}",
-                apery_limit_check(n),
+                apery_limit_check(n, store),
                 f"{values[-1]} vs {oracle[n]} (up to sign)",
             )
         )
     return {"limit_values": values, "apery_numbers": oracle}, checks
 
 
-def cmd_jacobi(args, cache):
+def cmd_jacobi(args, store):
     ok = jacobi_check(args.order)
     return {"order": args.order}, [
         _check("four-square-identity", ok, f"coefficients agree to order {args.order}")
@@ -711,15 +614,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     started = time.perf_counter()
-    cache = Cache(_cache_root(args))
-    cache.install()
     try:
-        outputs, checks = args.fn(args, cache)
+        outputs, checks = args.fn(args, Store(_cache_root(args)))
     except ValueError as exc:
         print(f"qzeta: error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        measures.form_load = measures.form_save = None
     inputs = {
         k: _enc(v) for k, v in sorted(vars(args).items()) if k not in _ECHO_SKIP and v is not None
     }

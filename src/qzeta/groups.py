@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .dyadic import Interval
 from .linforms import (
@@ -251,20 +252,15 @@ def q_factorial_value(n: int, p: int) -> Fraction:
     return out
 
 
-_Q_CACHE: dict[tuple, Interval] = {}
-
-
+@cache
 def stable_quantity(params, p: int, terms: int = 120, prec: int = 320) -> Interval:
     """Certified enclosure of Q = F / prod_{j in S} [c_j]_q! at q = 1/p."""
-    key = (params.as_tuple(), type(params).__name__, p, terms, prec)
-    if key not in _Q_CACHE:
-        enc, _ = numeric_form_value(params, p, terms=terms, prec=prec)
-        cv = cvector(params)
-        pi = Fraction(1)
-        for j in cv.factorial_labels():
-            pi *= q_factorial_value(cv[j], p)
-        _Q_CACHE[key] = enc / Interval.exact(pi, prec)
-    return _Q_CACHE[key]
+    enc, _ = numeric_form_value(params, p, terms=terms, prec=prec)
+    cv = cvector(params)
+    pi = Fraction(1)
+    for j in cv.factorial_labels():
+        pi *= q_factorial_value(cv[j], p)
+    return enc / Interval.exact(pi, prec)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,14 @@ certification step, which itself runs on dyadic interval enclosures.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import tempfile
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .dyadic import Interval
 from .parith import FactoredPPoly, PPoly, cyclotomic, cyclotomic_value, divisors, prod_ppoly
@@ -622,27 +627,6 @@ def _poly_part_contribution(quot: list[_Laurent]) -> tuple[RatFunc, RatFunc]:
     return c0, RatFunc.sum(terms)
 
 
-_FORM_CACHE: dict[tuple, LinearForm] = {}
-_CERTIFIED: set[tuple] = set()
-
-
-def _cached(key, build, certify_at):
-    if key not in _FORM_CACHE:
-        _FORM_CACHE[key] = build()
-    form = _FORM_CACHE[key]
-    if certify_at is not None and key + (certify_at,) not in _CERTIFIED:
-        rep = certify(form, certify_at)
-        if not rep.ok:
-            raise AssertionError(f"numeric certification failed: {rep}")
-        _CERTIFIED.add(key + (certify_at,))
-    return form
-
-
-def linform_zeta1(params: ParamsZ1, certify_at: int | None = 2) -> LinearForm:
-    """Exact A, B with F(a,b) = A·zeta_q(1) − B, certified numerically."""
-    return _cached(("zeta1", params.as_tuple()), lambda: _build_zeta1(params), certify_at)
-
-
 def _build_zeta1(params: ParamsZ1) -> LinearForm:
     cv = cvector(params)  # also validates admissibility
     s = summand_z1(params)
@@ -667,11 +651,6 @@ def _build_zeta1(params: ParamsZ1) -> LinearForm:
     form = LinearForm("zeta1", params, A, B, cv)
     form.M = determine_M(form)
     return form
-
-
-def linform_zeta2(params: ParamsZ2, certify_at: int | None = 2) -> LinearForm:
-    """Exact A, B with F(a,b) = A·zeta_q(2) − B; zeta_q(1) terms must cancel."""
-    return _cached(("zeta2", params.as_tuple()), lambda: _build_zeta2(params), certify_at)
 
 
 def _build_zeta2(params: ParamsZ2) -> LinearForm:
@@ -709,11 +688,149 @@ def _build_zeta2(params: ParamsZ2) -> LinearForm:
     return form
 
 
-def linform(params, certify_at: int | None = 2) -> LinearForm:
-    if isinstance(params, ParamsZ1):
-        return linform_zeta1(params, certify_at)
-    return linform_zeta2(params, certify_at)
+# --------------------------------------------------------------------------
+# the form store
 
+
+FORM_FORMAT = "qzeta-form-v2"
+
+
+def _ratfunc_payload(f: RatFunc) -> dict:
+    return {
+        "num": [str(c) for c in f.num.coeffs],
+        "dpow": f.dpow,
+        "dphi": {str(l): e for l, e in sorted(f.dphi.items())},
+    }
+
+
+def _ratfunc_parse(d: dict) -> RatFunc:
+    return RatFunc(
+        PPoly(tuple(int(c) for c in d["num"])),
+        int(d["dpow"]),
+        {int(l): int(e) for l, e in d["dphi"].items()},
+    )
+
+
+def _checksum(body: dict) -> str:
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return f"{zlib.crc32(text.encode()):08x}"
+
+
+def form_to_json(form: LinearForm) -> str:
+    """Compact JSON of a form: format tag, params, A, B and a crc32 of those.
+
+    M is left out; form_from_json recomputes it from A and B.
+    """
+    body = {
+        "format": FORM_FORMAT,
+        "params": [str(v) for v in form.params.as_tuple()],
+        "A": _ratfunc_payload(form.A),
+        "B": _ratfunc_payload(form.B),
+    }
+    return json.dumps({**body, "crc32": _checksum(body)}, sort_keys=True, separators=(",", ":"))
+
+
+def form_from_json(text: str, params) -> LinearForm:
+    """The form at `params` read back from form_to_json's text.
+
+    Raises ValueError unless the text is a JSON object with this format tag,
+    a matching crc32, exactly these params and well-formed A and B.
+    """
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("form file is not a JSON object")
+    crc = data.pop("crc32", None)
+    if data.get("format") != FORM_FORMAT:
+        raise ValueError(f"form file format is not {FORM_FORMAT}")
+    if crc != _checksum(data):
+        raise ValueError("form file checksum mismatch")
+    if data.get("params") != [str(v) for v in params.as_tuple()]:
+        raise ValueError("form file holds other params")
+    try:
+        A, B = _ratfunc_parse(data["A"]), _ratfunc_parse(data["B"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed form field: {exc!r}") from exc
+    cv = cvector(params)
+    form = LinearForm(cv.kind, params, A, B, cv)
+    form.M = determine_M(form)
+    return form
+
+
+class Store:
+    """The linear forms of one run, in memory and, given a root, on disk.
+
+    form(params) answers from memory, else from <root>/forms/<kind>-<params>.json
+    when form_from_json accepts that file, else builds the form and writes
+    the file atomically (temp file + rename).  A file that fails verification
+    is rebuilt and overwritten, never served.  Certification at a given p is
+    run once per form and store.  <root>/forms is created with the store.
+    """
+
+    def __init__(self, root: str | None = None):
+        self.forms_dir = None if root is None else os.path.join(root, "forms")
+        self._forms: dict[object, LinearForm] = {}
+        self._certified: set[tuple[object, int]] = set()
+        if self.forms_dir is not None:
+            try:  # created up front, so a used cache dir is never empty
+                os.makedirs(self.forms_dir, exist_ok=True)
+            except OSError:
+                pass  # read-only root: only a command that saves a form fails
+
+    def form(self, params, certify_at: int | None = None) -> LinearForm:
+        form = self._forms.get(params)
+        if form is None:
+            form = self._load(params)
+            if form is None:
+                build = _build_zeta1 if isinstance(params, ParamsZ1) else _build_zeta2
+                form = build(params)
+                self._save(form)
+            self._forms[params] = form
+        if certify_at is not None and (params, certify_at) not in self._certified:
+            rep = certify(form, certify_at)
+            if not rep.ok:
+                raise AssertionError(f"numeric certification failed: {rep}")
+            self._certified.add((params, certify_at))
+        return form
+
+    def _path(self, params) -> str:
+        name = "-".join([cvector(params, check=False).kind, *map(str, params.as_tuple())])
+        return os.path.join(self.forms_dir, name + ".json")
+
+    def _load(self, params) -> LinearForm | None:
+        if self.forms_dir is None:
+            return None
+        try:
+            with open(self._path(params)) as fh:
+                return form_from_json(fh.read(), params)
+        except (OSError, ValueError):
+            return None
+
+    def _save(self, form: LinearForm) -> None:
+        if self.forms_dir is None:
+            return
+        fd, tmp = tempfile.mkstemp(dir=self.forms_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(form_to_json(form))
+            os.replace(tmp, self._path(form.params))
+        except BaseException:
+            os.unlink(tmp)  # still there: the rename is the last step
+            raise
+
+
+# the library default: a memory-only store shared within the process
+DEFAULT_STORE = Store()
+
+
+def linform(params, certify_at: int | None = 2, store: Store = DEFAULT_STORE) -> LinearForm:
+    """Exact A, B with F = A·zeta_q(k) − B, k = 1 for ParamsZ1 and 2 for ParamsZ2.
+
+    Certified numerically at p = certify_at unless that is None.
+    """
+    return store.form(params, certify_at)
+
+
+linform_zeta1 = linform_zeta2 = linform
 
 # --------------------------------------------------------------------------
 # M, inclusions, certification, growth
@@ -810,14 +927,9 @@ class Certification:
     ok: bool
 
 
-_ZETA_CACHE: dict[tuple[int, int, int], object] = {}
-
-
+@cache
 def _zeta_eval(k: int, p: int, terms: int):
-    key = (k, p, terms)
-    if key not in _ZETA_CACHE:
-        _ZETA_CACHE[key] = zeta_q_value(k, p, terms)
-    return _ZETA_CACHE[key]
+    return zeta_q_value(k, p, terms)
 
 
 def certify(form: LinearForm, p: int = 2, terms: int = 200) -> Certification:

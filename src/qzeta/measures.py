@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from .groups import Group, OmegaResult, omega, zeta1_arith_group, zeta2_group
 from .linforms import (
@@ -33,11 +32,12 @@ from .linforms import (
     FACTORIAL_LABELS,
     LABELS_Z1,
     LABELS_Z2,
+    DEFAULT_STORE,
     Family,
     LinearForm,
+    Store,
     _log_abs,
     cvector,
-    linform,
     numeric_form_value,
 )
 from .parith import PPoly, cyclotomic, trigamma
@@ -208,29 +208,9 @@ def d_exponent(d: Direction) -> float:
     return _DENSITY * (top[0] ** 2 + top[1] ** 2)
 
 
-@lru_cache(maxsize=None)
-def _cached_form(kind: str, rates: tuple, offsets: tuple, n: int) -> LinearForm:
-    fam = Family(kind, rates, offsets, "scan")
-    return linform(fam.params(n), certify_at=None)
-
-
-# Optional persistent layer, installed by the command-line front end:
-# form_load(params) -> LinearForm | None and form_save(params, form).
-form_load = None
-form_save = None
-
-
-def family_form(family: Family, n: int) -> LinearForm:
-    """Exact form at index n, cached per direction (certification skipped)."""
-    params = family.params(n)
-    if form_load is not None:
-        stored = form_load(params)
-        if stored is not None:
-            return stored
-    form = _cached_form(family.kind, family.rates, family.offsets, n)
-    if form_save is not None:
-        form_save(params, form)
-    return form
+def family_form(family: Family, n: int, store: Store = DEFAULT_STORE) -> LinearForm:
+    """Exact form at index n, from the store (certification skipped)."""
+    return store.form(family.params(n))
 
 
 @dataclass(frozen=True)
@@ -245,7 +225,7 @@ class MFit:
     warning: str = ""
 
 
-def fit_M_coeff(family: Family, n_max: int) -> MFit:
+def fit_M_coeff(family: Family, n_max: int, store: Store = DEFAULT_STORE) -> MFit:
     """Quadratic coefficient of n -> M(n) from exact forms at n = 1..n_max.
 
     Second differences of a quadratic are constant; the fit demands that on
@@ -255,7 +235,7 @@ def fit_M_coeff(family: Family, n_max: int) -> MFit:
     """
     if n_max < 6:
         raise ValueError("need n_max >= 6 to judge stabilization")
-    ms = tuple(family_form(family, n).M for n in range(1, n_max + 1))
+    ms = tuple(family_form(family, n, store).M for n in range(1, n_max + 1))
     d2 = tuple(ms[i + 2] - 2 * ms[i + 1] + ms[i] for i in range(len(ms) - 2))
     for r in (1, 2, 3, 4):
         if n_max < 4 * r:
@@ -303,6 +283,7 @@ class MeasureReport:
     lambda_: float
     mu_bound: float
     family: str = ""
+    M_fit: MFit | None = None
 
 
 def mu_bound(alpha, d_exp: float, omega_exp: float, M_coeff, family: str = "") -> MeasureReport:
@@ -340,27 +321,45 @@ MEASURE_BASES: dict[str, tuple[str, ...]] = {
 _FIT_RANGE = {"bv": 12}
 
 
-def measure(family: Family, fit_n_max: int | None = None) -> MeasureReport:
+def measure(
+    family: Family, fit_n_max: int | None = None, store: Store = DEFAULT_STORE
+) -> MeasureReport:
     """Full exponent report for a family.
 
     alpha comes from the parameter rates, d_exp from the top c-rates, omega
     from the gain profile over the family's measure base, and M_coeff from
-    the exact forms at n <= fit_n_max (default 6, BV 12).
+    the exact forms at n <= fit_n_max (default 6, BV 12); the report keeps
+    that fit as M_fit.
     """
     d = direction(family)
     prof = nu_profile(d, group_for(family.kind), MEASURE_BASES.get(family.name))
-    fit = fit_M_coeff(family, fit_n_max or _FIT_RANGE.get(family.name, 6))
-    return mu_bound(
+    fit = fit_M_coeff(family, fit_n_max or _FIT_RANGE.get(family.name, 6), store)
+    rep = mu_bound(
         alpha_exponent(family.rates, family.kind),
         d_exponent(d),
         omega_exponent(prof),
         fit.coeff,
         family.name,
     )
+    return replace(rep, M_fit=fit)
 
 
 # --------------------------------------------------------------------------
 # empirical estimates from the exact forms
+
+
+@dataclass(frozen=True)
+class EmpiricalMu:
+    """Exponent estimates for n = 1..n_max and the log|Delta_n F_n| behind them."""
+
+    estimates: tuple[float, ...]
+    log_residues: tuple[float, ...]
+
+    @property
+    def decaying(self) -> bool:
+        """|Delta F| ends below 1 and, past n = 1, below its value at n = 1."""
+        r = self.log_residues
+        return r[-1] < 0 and (len(r) == 1 or r[-1] < r[0])
 
 
 def empirical_mu(
@@ -369,7 +368,8 @@ def empirical_mu(
     n_max: int,
     terms: int = 200,
     prec: int = 320,
-) -> list[float]:
+    store: Store = DEFAULT_STORE,
+) -> EmpiricalMu:
     """Estimates 1 + log|a_n| / (-log|a_n zeta - b_n|) for n = 1..n_max.
 
     a_n = Delta A(p) and b_n = Delta B(p) are the exactly cleared integer
@@ -377,7 +377,8 @@ def empirical_mu(
     equals Delta times the form value, so it is evaluated as exact Delta
     times a certified enclosure of F — no cancellation, no extended
     precision in the logarithm.  Raises if a cleared coefficient fails to be
-    a nonzero integer or if |Delta F| does not shrink over the range.
+    a nonzero integer; whether |Delta F| shrinks over the range is left to
+    the caller, through EmpiricalMu.decaying.
     """
     if abs(p) < 2:
         raise ValueError("need |p| >= 2")
@@ -386,7 +387,7 @@ def empirical_mu(
     G = group_for(family.kind)
     estimates, decay = [], []
     for n in range(1, n_max + 1):
-        form = family_form(family, n)
+        form = family_form(family, n, store)
         gain = omega(form.cvec, G).omega.value_at(p)
         delta = Fraction(p) ** (-form.M) * form.d_value(p) / gain
         a_n = delta * form.A.value_at(p)
@@ -403,9 +404,7 @@ def empirical_mu(
         log_residue = _log_abs(delta) + log_mag
         estimates.append(1 + _log_abs(a_n) / (-log_residue))
         decay.append(log_residue)
-    if n_max >= 3 and not (decay[-1] < decay[0] and decay[-1] < 0):
-        raise ValueError("scaled forms |Delta F| do not tend to 0 over the range")
-    return estimates
+    return EmpiricalMu(tuple(estimates), tuple(decay))
 
 
 # --------------------------------------------------------------------------
@@ -448,7 +447,7 @@ def _limit_value_at_one(form: LinearForm) -> Fraction:
     return val
 
 
-def apery_limit_check(n: int) -> bool:
+def apery_limit_check(n: int, store: Store = DEFAULT_STORE) -> bool:
     """Does the p -> 1 limit of the coefficient reproduce the classical A_n?
 
     The family (n+1, n+1, n+1; 2n+2, 2n+2) degenerates, after removing the
@@ -461,7 +460,7 @@ def apery_limit_check(n: int) -> bool:
     targets = apery_numbers(max(n, 1))
 
     def ratio(m: int) -> Fraction:
-        return _limit_value_at_one(family_form(APERY, m)) / targets[m]
+        return _limit_value_at_one(family_form(APERY, m, store)) / targets[m]
 
     kappa = abs(ratio(1))
     r = abs(ratio(n))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 try:
     from gmpy2 import mpz as _mpz
@@ -429,9 +429,7 @@ def gauss_factorial(n: int) -> PPoly:
     return _GAUSS_FACT[n]
 
 
-_CYCLO: dict[int, PPoly] = {}
-
-
+@cache
 def cyclotomic(l: int) -> PPoly:
     """The l-th cyclotomic polynomial Phi_l(p).
 
@@ -440,19 +438,13 @@ def cyclotomic(l: int) -> PPoly:
     """
     if l < 1:
         raise ValueError("cyclotomic index must be positive")
-    got = _CYCLO.get(l)
-    if got is not None:
-        return got
     if l == 1:
-        phi = PPoly((-1, 1))
-    else:
-        lower = prod_ppoly(cyclotomic(d) for d in divisors(l)[:-1])
-        quot, rem = PPoly.p_power_minus_one(l).divrem(lower)
-        if not rem.is_zero():
-            raise AssertionError(f"cyclotomic division left a remainder at l={l}")
-        phi = quot
-    _CYCLO[l] = phi
-    return phi
+        return PPoly((-1, 1))
+    lower = prod_ppoly(cyclotomic(d) for d in divisors(l)[:-1])
+    quot, rem = PPoly.p_power_minus_one(l).divrem(lower)
+    if not rem.is_zero():
+        raise AssertionError(f"cyclotomic division left a remainder at l={l}")
+    return quot
 
 
 @lru_cache(maxsize=None)

@@ -7,20 +7,23 @@ expensive pipelines get exercised by the acceptance tests.
 
 import json
 import math
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qzeta import measures
-from qzeta.cli import Cache, main
-from qzeta.linforms import FAMILIES, linform
+from qzeta import cli, linforms, measures
+from qzeta.cli import _sci, main
+from qzeta.linforms import FAMILIES, ParamsZ1, Store, form_from_json, form_to_json, linform
+from qzeta.measures import EmpiricalMu, MFit, family_form
 
 
 @pytest.fixture(autouse=True)
 def _isolated_cache(tmp_path, monkeypatch):
-    """Point every invocation at a throwaway cache and reset the form hooks."""
+    """Point every invocation at a throwaway cache."""
     monkeypatch.setenv("QZETA_CACHE", str(tmp_path / "cache"))
-    yield
-    assert measures.form_load is None and measures.form_save is None
 
 
 def run_json(capsys, *argv):
@@ -104,27 +107,97 @@ class TestReportShape:
         assert any(line.startswith("check,rho3-at-1,pass") for line in lines)
 
 
+def _same_form(a, b):
+    assert a.params == b.params and a.kind == b.kind and a.M == b.M
+    for x, y in ((a.A, b.A), (a.B, b.B)):
+        assert (x.num.coeffs, x.dpow, x.dphi) == (y.num.coeffs, y.dpow, y.dphi)
+    assert a.cvec == b.cvec
+
+
+def _stripped(report):
+    report.pop("elapsed_ms")
+    return report
+
+
+SMALL = ParamsZ1(2, 2, 2, 4)
+SMALL_ARGV = ["linform", "--kind", "zeta1", "--params", "2,2,2,4"]
+
+
+def _edit_coefficient(text):
+    data = json.loads(text)
+    data["A"]["num"][-1] = str(int(data["A"]["num"][-1]) + 1)
+    return json.dumps(data)
+
+
+def _rewrite(text, **fields):
+    """The form file with some fields replaced and a valid checksum again."""
+    data = json.loads(text)
+    data.pop("crc32")
+    data.update(fields)
+    return json.dumps({**data, "crc32": linforms._checksum(data)})
+
+
+def _bad_digits(text):
+    A = json.loads(text)["A"]
+    return _rewrite(text, A={**A, "num": ["12x4"] + A["num"][1:]})
+
+
+def _v1(text):
+    """The file as the previous format wrote it: spaced JSON with M, no checksum."""
+    data = json.loads(text)
+    del data["crc32"]
+    data.update(format="qzeta-form-v1", M="5")
+    return json.dumps(data, sort_keys=True)
+
+
+CORRUPTIONS = {
+    "unreadable": lambda text: "not json{",
+    "edited-coefficient": _edit_coefficient,
+    "bad-digit-string": _bad_digits,
+    "non-object": lambda text: "[1, 2, 3]",
+    "missing-field": lambda text: _rewrite(text, B=None),
+    "params-mismatch": lambda text: form_to_json(linform(ParamsZ1(3, 3, 3, 6), None)),
+    "old-format": _v1,
+}
+
+
 class TestCache:
-    def test_form_round_trip(self, tmp_path):
-        cache = Cache(str(tmp_path))
+    def test_form_round_trip(self, tmp_path, monkeypatch):
         params = FAMILIES["bv"].params(4)
-        assert cache.load_form(params) is None
         fresh = linform(params, certify_at=None)
-        cache.save_form(params, fresh)
-        loaded = cache.load_form(params)
-        assert loaded.M == fresh.M
-        assert loaded.A.num.coeffs == fresh.A.num.coeffs
-        assert loaded.A.dphi == fresh.A.dphi
-        assert loaded.B.num.coeffs == fresh.B.num.coeffs
-        assert loaded.cvec.as_dict() == fresh.cvec.as_dict()
+        Store(str(tmp_path)).form(params)
+        monkeypatch.setattr(linforms, "_build_zeta1", None)  # a second store must load
+        _same_form(Store(str(tmp_path)).form(params), fresh)
+
+    def test_memory_store_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = Store()
+        form = store.form(SMALL)
+        assert store.form(SMALL) is form
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("corrupt", sorted(CORRUPTIONS))
+    def test_corrupt_form_file_is_rebuilt(self, corrupt, tmp_path, capsys):
+        argv = SMALL_ARGV + ["--cache-dir", str(tmp_path)]
+        code, cold = run_json(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "forms" / "zeta1-2-2-2-4.json"
+        good = path.read_text()
+        path.write_text(CORRUPTIONS[corrupt](good))
+        with pytest.raises(ValueError):
+            form_from_json(path.read_text(), SMALL)
+        code, again = run_json(capsys, *argv)
+        assert code == 0
+        assert _stripped(again) == _stripped(cold)
+        assert path.read_text() == good
 
     def test_unreadable_file_is_recomputed(self, tmp_path, capsys):
-        code, _ = run_json(capsys, "cyclotomic", "--l", "8", "--cache-dir", str(tmp_path))
+        code, cold = run_json(capsys, *SMALL_ARGV, "--cache-dir", str(tmp_path))
         assert code == 0
-        (tmp_path / "cyclotomics.json").write_text("not json{")
-        code, report = run_json(capsys, "cyclotomic", "--l", "8", "--cache-dir", str(tmp_path))
+        (tmp_path / "forms" / "zeta1-2-2-2-4.json").write_text("not json{")
+        code, report = run_json(capsys, *SMALL_ARGV, "--cache-dir", str(tmp_path))
         assert code == 0
-        assert report["outputs"]["coefficients"] == ["1", "0", "0", "0", "1"]
+        assert report["outputs"] == cold["outputs"]
 
     def test_env_var_cache_root(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QZETA_CACHE", str(tmp_path / "viaenv"))
@@ -134,12 +207,64 @@ class TestCache:
 
     def test_flag_overrides_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QZETA_CACHE", str(tmp_path / "loser"))
-        code, _ = run_json(
-            capsys, "cyclotomic", "--l", "5", "--cache-dir", str(tmp_path / "winner")
-        )
+        code, _ = run_json(capsys, *SMALL_ARGV, "--cache-dir", str(tmp_path / "winner"))
         assert code == 0
-        assert (tmp_path / "winner" / "cyclotomics.json").exists()
+        assert (tmp_path / "winner" / "forms" / "zeta1-2-2-2-4.json").exists()
         assert not (tmp_path / "loser").exists()
+
+    def test_unusable_cache_root_only_fails_commands_that_save(self, tmp_path, capsys):
+        root = tmp_path / "a-file"
+        root.write_text("")
+        assert main(["rho", "--k", "3", "--cache-dir", str(root)]) == 0
+
+    def test_file_is_compact_and_holds_no_M(self, tmp_path):
+        Store(str(tmp_path)).form(SMALL)
+        data = json.loads((tmp_path / "forms" / "zeta1-2-2-2-4.json").read_text())
+        assert sorted(data) == ["A", "B", "crc32", "format", "params"]
+        assert form_to_json(linform(SMALL, None)) == json.dumps(
+            data, sort_keys=True, separators=(",", ":")
+        )
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["bv", "apery"]), st.integers(1, 3))
+def test_serialize_parse_round_trip(name, n):
+    form = family_form(FAMILIES[name], n)
+    _same_form(form_from_json(form_to_json(form), form.params), form)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_any_changed_character_is_rejected(data):
+    text = form_to_json(family_form(FAMILIES["bv"], 2))
+    i = data.draw(st.integers(0, len(text) - 1))
+    c = data.draw(st.characters(codec="ascii").filter(lambda c: c != text[i]))
+    with pytest.raises(ValueError):
+        form_from_json(text[:i] + c + text[i + 1 :], FAMILIES["bv"].params(2))
+
+
+class TestWitnessNumbers:
+    @settings(max_examples=300)
+    @given(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+    def test_float_range_matches_float_formatting(self, x):
+        assert _sci(Fraction(x)) == f"{x:.3e}"
+        assert _sci(-Fraction(x)) == f"{-x:.3e}"
+
+    def test_beyond_float_range(self):
+        assert _sci(Fraction(0)) == "0.000e+00"
+        assert _sci(Fraction(10) ** 400) == "1.000e+400"
+        assert _sci(Fraction(99995 * 10**396)) == "1.000e+401"  # half-even up
+        assert _sci(Fraction(99985 * 10**396)) == "9.998e+400"  # half-even down
+        assert _sci(Fraction(1, 3 * 10**400)) == "3.333e-401"
+
+    def test_linform_beyond_float_range(self, capsys):
+        # theorem1 n=3: residual and bound both exceed 1e308
+        code, report = run_json(capsys, "linform", "--kind", "zeta1", "--params", "25,19,25,46")
+        assert code == 0
+        (check,) = report["checks"]
+        assert check["pass"]
+        num = r"\d\.\d{3}e\+\d{3}"
+        assert re.fullmatch(f"residual {num} within {num}", check["witness"])
 
 
 class TestCommands:
@@ -161,6 +286,37 @@ class TestCommands:
         target = 2 * math.pi**2 / (math.pi**2 - 2)
         assert abs(float(report["outputs"]["mu_bound"]) - target) < 1e-8
         assert report["outputs"]["M_coeff"] == "3/2"
+        assert report["outputs"]["M_values"][:4] == ["5", "12", "22", "35"]
+        assert set(report["outputs"]["M_second_diffs"]) == {"3"}
+        assert report["outputs"]["M_fit_period"] == "1"
+        assert {c["name"]: c["pass"] for c in report["checks"]}["M-fit-stable"]
+
+    def test_unstable_fit_fails_its_check(self, capsys, monkeypatch):
+        def unstable(family, n_max, store):
+            return MFit(Fraction(3, 2), (5, 12, 22, 36), (3, 4), False, 0, "did not settle")
+
+        monkeypatch.setattr(measures, "fit_M_coeff", unstable)
+        code, report = run_json(capsys, "measure", "--family", "bv")
+        assert code == 1
+        (check,) = [c for c in report["checks"] if c["name"] == "M-fit-stable"]
+        assert not check["pass"] and check["witness"] == "did not settle"
+
+    def test_empirical_mu_decay_witness(self, capsys):
+        code, report = run_json(capsys, "empirical-mu", "--family", "bv", "--n-max", "3")
+        assert code == 0
+        (check,) = [c for c in report["checks"] if c["name"] == "forms-nonzero-and-decaying"]
+        assert check["pass"]
+        assert re.fullmatch(r"log\|Delta F\| from -\S+ at n=1 to -\S+ at n=3", check["witness"])
+
+    def test_empirical_mu_without_decay_is_exit_one(self, capsys, monkeypatch):
+        def flat(family, p, n_max, store):
+            return EmpiricalMu((2.0, 2.0, 2.0), (-1.0, -0.5, 0.5))
+
+        monkeypatch.setattr(cli, "empirical_mu", flat)
+        code, report = run_json(capsys, "empirical-mu", "--family", "bv", "--n-max", "3")
+        assert code == 1
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert failed == ["forms-nonzero-and-decaying"]
 
     def test_omega_reports_exponents(self, capsys):
         code, report = run_json(

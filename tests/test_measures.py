@@ -10,6 +10,7 @@ from qzeta.linforms import APERY, BV, THEOREM1, THEOREM2, Family, cvector
 from qzeta.measures import (
     MEASURE_BASES,
     Direction,
+    EmpiricalMu,
     NuProfile,
     alpha_exponent,
     apery_limit_check,
@@ -218,6 +219,7 @@ class TestMeasure:
     def test_bv(self):
         rep = measure(BV)
         assert rep.M_coeff == Fraction(3, 2)
+        assert rep.M_fit == fit_M_coeff(BV, 12)
         assert rep.omega_exp == 0.0
         assert rep.mu_bound == pytest.approx(BV_MU, abs=1e-8)
 
@@ -240,7 +242,9 @@ class TestMeasure:
 
 class TestEmpiricalMu:
     def test_bv_drifts_toward_closed_form(self):
-        ests = empirical_mu(BV, 2, 10)
+        res = empirical_mu(BV, 2, 10)
+        ests = res.estimates
+        assert res.decaying
         assert all(e > 1 for e in ests)
         assert abs(ests[-1] - BV_MU) < 0.25
         # converging: the last oscillation is tighter than the first
@@ -248,12 +252,12 @@ class TestEmpiricalMu:
 
     def test_theorem1_exceeds_its_bound(self):
         bound = measure(THEOREM1).mu_bound
-        ests = empirical_mu(THEOREM1, 2, 4)
+        ests = empirical_mu(THEOREM1, 2, 4).estimates
         assert all(e > bound for e in ests)
         assert ests[-1] < 3.0
 
     def test_any_family_first_estimate_finite(self):
-        assert empirical_mu(APERY, 2, 1)[0] > 1
+        assert empirical_mu(APERY, 2, 1).estimates[0] > 1
 
     def test_bad_p(self):
         with pytest.raises(ValueError):
@@ -262,6 +266,19 @@ class TestEmpiricalMu:
     def test_empty_range(self):
         with pytest.raises(ValueError):
             empirical_mu(BV, 2, 0)
+
+    @pytest.mark.parametrize(
+        "logs, decaying",
+        [
+            ((-1.0,), True),
+            ((0.5,), False),
+            ((-1.0, -3.0, -2.0), True),
+            ((-3.0, -2.0, -1.0), False),
+            ((2.0, 1.0, 0.5), False),
+        ],
+    )
+    def test_decay_rule(self, logs, decaying):
+        assert EmpiricalMu((2.0,) * len(logs), logs).decaying is decaying
 
 
 class TestAperyLimit:
