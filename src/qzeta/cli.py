@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -56,7 +55,6 @@ from .measures import (
     _limit_value_at_one,
 )
 from .parith import (
-    PPoly,
     cyclotomic,
     cyclotomic_value,
     dnp,
@@ -180,9 +178,9 @@ def cmd_rho(args, store):
 
 
 def cmd_cyclotomic(args, store):
-    coeffs = cyclotomic(args.l).coeffs
+    phi = cyclotomic(args.l)
     p = args.p if args.p is not None else 2
-    poly_val = PPoly(coeffs)(p)
+    poly_val = phi(p)
     checks = [
         _check(
             "moebius-product-agrees",
@@ -192,8 +190,8 @@ def cmd_cyclotomic(args, store):
     ]
     outputs = {
         "l": args.l,
-        "degree": len(coeffs) - 1,
-        "coefficients": coeffs,
+        "degree": phi.degree,
+        "coefficients": phi.coeffs,
         "value_at_p": poly_val,
         "p": p,
     }
@@ -203,9 +201,7 @@ def cmd_cyclotomic(args, store):
 def cmd_dnp(args, store):
     n = args.n
     d = dnp(n)
-    expanded = PPoly((1,))
-    for l in range(1, n + 1):
-        expanded = expanded * cyclotomic(l)
+    expanded = d.expand()
     divisible = all(expanded.try_exact_div(gauss_number(v)) is not None for v in range(1, n + 1))
     orders_ok = all(expanded.ord_at(cyclotomic(l), cap=2) == 1 for l in range(2, n + 1))
     degree_ok = expanded.degree == sum(totient(l) for l in range(1, n + 1))

@@ -125,11 +125,3 @@ def _coerce(x, prec: int) -> Interval:
     if isinstance(x, Interval):
         return x
     return Interval.exact(Fraction(x), prec)
-
-
-def poly_eval(coeffs, x: Interval) -> Interval:
-    """Horner evaluation of an (ascending) integer coefficient list."""
-    acc = Interval.exact(0, x.prec)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc

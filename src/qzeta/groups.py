@@ -227,14 +227,12 @@ def nu_l(c: CVector, G: Group, l: int, base: tuple[str, ...] | None = None) -> i
 class OmegaResult:
     omega: FactoredPPoly
     nu: dict[int, int]
-    group_used: Group
-    c: CVector
 
 
 def omega(c: CVector, G: Group) -> OmegaResult:
     """Omega(p) = prod_{l=2}^m Phi_l(p)^{nu_l}; nu_1 = 0 by convention."""
     nu = {l: nu_l(c, G, l) for l in range(2, c.m + 1)}
-    return OmegaResult(FactoredPPoly({l: e for l, e in nu.items() if e}), nu, G, c)
+    return OmegaResult(FactoredPPoly(nu), nu)
 
 
 # --------------------------------------------------------------------------

@@ -11,8 +11,11 @@ in x over Q(p) (p = 1/q) turn the t-sum into A·zeta_q(1) − B (simple poles)
 or A·zeta_q(2) − B (double poles), with A, B exact rational functions of p
 whose denominators are products of cyclotomic polynomials and powers of p.
 
-Everything here is exact; the only floating point is in the optional
-certification step, which itself runs on dyadic interval enclosures.
+Residues and prefactors are products ±p^a·prod_l Phi_l(p)^e_l, held as
+parith.FactoredPPoly, the one factored type of the package (D_n and Omega
+use it too).  Everything here is exact; the only floating point is in the
+optional certification step, which itself runs on dyadic interval
+enclosures.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 
 from .dyadic import Interval
-from .parith import FactoredPPoly, PPoly, cyclotomic, cyclotomic_value, divisors, prod_ppoly
+from .parith import FactoredPPoly, PPoly, cyclotomic, divisors, prod_ppoly
 from .qseries import zeta_q_value
 
 
@@ -146,64 +149,6 @@ def cvector(params, check: bool = True) -> CVector:
 # rational functions of p with factored cyclotomic denominators
 
 
-def _phi_exponents(d: int) -> dict[int, int]:
-    return {l: 1 for l in divisors(d)}
-
-
-@dataclass(frozen=True)
-class UnitMono:
-    """A unit monomial ±p^a · prod_l Phi_l(p)^{e_l} with integer exponents."""
-
-    sign: int
-    ppow: int
-    phi: tuple[tuple[int, int], ...]  # sorted (l, exponent != 0)
-
-    @staticmethod
-    def make(sign: int, ppow: int = 0, phi: dict[int, int] | None = None) -> "UnitMono":
-        items = tuple(sorted((l, e) for l, e in (phi or {}).items() if e != 0))
-        return UnitMono(1 if sign > 0 else -1, ppow, items)
-
-    @staticmethod
-    def one() -> "UnitMono":
-        return UnitMono.make(1)
-
-    @staticmethod
-    def one_minus_q_power(j: int) -> "UnitMono":
-        """(1 - q^j) = (p^j - 1)/p^j as a unit monomial, j >= 1."""
-        return UnitMono.make(1, -j, _phi_exponents(j))
-
-    @staticmethod
-    def one_minus_p_power(d: int) -> "UnitMono":
-        """(1 - p^d) for d != 0."""
-        if d == 0:
-            raise ValueError("1 - p^0 = 0 is not a unit")
-        if d > 0:
-            return UnitMono.make(-1, 0, _phi_exponents(d))
-        return UnitMono.make(1, d, _phi_exponents(-d))
-
-    def __mul__(self, other: "UnitMono") -> "UnitMono":
-        phi = dict(self.phi)
-        for l, e in other.phi:
-            phi[l] = phi.get(l, 0) + e
-        return UnitMono.make(self.sign * other.sign, self.ppow + other.ppow, phi)
-
-    def inv(self) -> "UnitMono":
-        return UnitMono.make(self.sign, -self.ppow, {l: -e for l, e in self.phi})
-
-    def value_at(self, p: int) -> Fraction:
-        v = Fraction(self.sign) * Fraction(p) ** self.ppow
-        for l, e in self.phi:
-            v *= Fraction(cyclotomic_value(l, p)) ** e
-        return v
-
-
-def _unit_product(factors) -> UnitMono:
-    acc = UnitMono.one()
-    for f in factors:
-        acc = acc * f
-    return acc
-
-
 class RatFunc:
     """num(p) / (p^dpow · prod_l Phi_l(p)^dphi[l]), numerator an exact PPoly.
 
@@ -228,17 +173,12 @@ class RatFunc:
         return RatFunc(PPoly.zero())
 
     @staticmethod
-    def from_int(c: int) -> "RatFunc":
-        return RatFunc(PPoly.const(c))
-
-    @staticmethod
-    def from_unit(u: UnitMono) -> "RatFunc":
-        pos = {l: e for l, e in u.phi if e > 0}
-        neg = {l: -e for l, e in u.phi if e < 0}
-        num = prod_ppoly(cyclotomic(l).pow(e) for l, e in pos.items()) * u.sign
-        if u.ppow >= 0:
-            return RatFunc(num.shift(u.ppow), 0, neg)
-        return RatFunc(num, -u.ppow, neg)
+    def from_unit(u: FactoredPPoly) -> "RatFunc":
+        """u as a RatFunc: its negative exponents make up the denominator."""
+        pos = {l: e for l, e in u.exponents.items() if e > 0}
+        neg = {l: -e for l, e in u.exponents.items() if e < 0}
+        num = FactoredPPoly(pos, max(u.p_power, 0), u.unit).expand()
+        return RatFunc(num, max(-u.p_power, 0), neg)
 
     # -- ring operations ---------------------------------------------------
 
@@ -255,7 +195,7 @@ class RatFunc:
         return RatFunc.sum((self, -other))
 
     def __mul__(self, other) -> "RatFunc":
-        if isinstance(other, UnitMono):
+        if isinstance(other, FactoredPPoly):
             return self * RatFunc.from_unit(other)
         if isinstance(other, int):
             return RatFunc(self.num * other, self.dpow, self.dphi)
@@ -291,10 +231,7 @@ class RatFunc:
     # -- queries -----------------------------------------------------------
 
     def value_at(self, p: int) -> Fraction:
-        den = Fraction(p) ** self.dpow
-        for l, e in self.dphi.items():
-            den *= Fraction(cyclotomic_value(l, p)) ** e
-        return Fraction(self.num(p)) / den
+        return self.num(p) / FactoredPPoly(self.dphi, self.dpow).value_at(p)
 
     def ord_p(self) -> int:
         """p-adic order; by convention 0 for the zero function."""
@@ -331,16 +268,6 @@ class RatFunc:
             if e:
                 dphi[l] = e
         return RatFunc(num, dpow, dphi)
-
-    def equal(self, other: "RatFunc") -> bool:
-        # cross-multiplied comparison, exact
-        lhs = self.num * RatFunc.from_unit(
-            UnitMono.make(1, other.dpow, dict(other.dphi))
-        ).num
-        rhs = other.num * RatFunc.from_unit(
-            UnitMono.make(1, self.dpow, dict(self.dphi))
-        ).num
-        return lhs == rhs
 
     def __repr__(self):
         return f"RatFunc(num deg {self.num.degree}, dpow {self.dpow}, dphi {self.dphi})"
@@ -461,11 +388,10 @@ def summand_z2(params: ParamsZ2) -> Summand:
     )
 
 
-def _prefactor(s: Summand) -> UnitMono:
-    c = _unit_product(UnitMono.one_minus_q_power(j) for j in s.prefactor_num)
-    return c * _unit_product(
-        UnitMono.one_minus_q_power(j) for j in s.prefactor_den
-    ).inv()
+def _prefactor(s: Summand) -> FactoredPPoly:
+    num = math.prod(map(FactoredPPoly.one_minus_q_power, s.prefactor_num), start=FactoredPPoly())
+    den = math.prod(map(FactoredPPoly.one_minus_q_power, s.prefactor_den), start=FactoredPPoly())
+    return num * den.inv()
 
 
 def heine_terms(params: ParamsZ1, T: int, p: int) -> list[Fraction]:
@@ -553,21 +479,17 @@ class LinearForm:
         m1, m2 = self.m1m2
         return {l: (2 if l <= m2 else 1) for l in range(1, m1 + 1)}
 
-    def d_value(self, p: int) -> int:
-        v = 1
-        for l, e in self.d_exponents().items():
-            v *= cyclotomic_value(l, p) ** e
-        return v
+    def d_value(self, p: int) -> Fraction:
+        return FactoredPPoly(self.d_exponents()).value_at(p)
 
 
-def _residue_unit(s: Summand, j: int) -> UnitMono:
+def _residue_unit(s: Summand, j: int) -> FactoredPPoly:
     """N(p^j) / prod_{i != j} (1 - p^{j-i})^{m_i} with the pole's factor removed."""
-    parts = [UnitMono.make(1, s.expo * j)]
-    parts.extend(UnitMono.one_minus_p_power(j - i) for i in s.num_i)
+    parts = [FactoredPPoly.one_minus_p_power(j - i) for i in s.num_i]
     for i, m in s.mult:
         if i != j:
-            parts.extend([UnitMono.one_minus_p_power(j - i).inv()] * m)
-    return _unit_product(parts)
+            parts.extend([FactoredPPoly.one_minus_p_power(j - i).inv()] * m)
+    return math.prod(parts, start=FactoredPPoly(p_power=s.expo * j))
 
 
 def _log_derivative_at_pole(s: Summand, j: int) -> RatFunc:
@@ -580,8 +502,8 @@ def _log_derivative_at_pole(s: Summand, j: int) -> RatFunc:
 
     def simple(i: int, w: int) -> RatFunc:
         if i < j:
-            return RatFunc(PPoly.const(-w), i, _phi_exponents(j - i))
-        return RatFunc(PPoly.const(w), j, _phi_exponents(i - j))
+            return RatFunc(PPoly.const(-w), i, dict.fromkeys(divisors(j - i), 1))
+        return RatFunc(PPoly.const(w), j, dict.fromkeys(divisors(i - j), 1))
 
     terms = [RatFunc(PPoly.const(s.expo), j)]
     for i in s.num_i:
@@ -622,8 +544,8 @@ def _poly_part_contribution(quot: list[_Laurent]) -> tuple[RatFunc, RatFunc]:
         if c.is_zero():
             continue
         # c_i/(1-q^i) = c_i p^i/(p^i - 1)
-        shifted = _Laurent(c.num, c.shift + i)
-        terms.append(RatFunc(PPoly.const(1), 0, _phi_exponents(i)) * shifted.to_ratfunc())
+        r = _Laurent(c.num, c.shift + i).to_ratfunc()
+        terms.append(RatFunc(r.num, r.dpow, dict.fromkeys(divisors(i), 1)))
     return c0, RatFunc.sum(terms)
 
 
@@ -669,7 +591,7 @@ def _build_zeta2(params: ParamsZ2) -> LinearForm:
             g = _residue_unit(s, j)
             doubles_f[j] = RatFunc.from_unit(g)
             lam = _log_derivative_at_pole(s, j)
-            doubles_e[j] = -(lam * UnitMono.make(1, j) * g)
+            doubles_e[j] = -(lam * FactoredPPoly(p_power=j) * g)
         else:
             raise AssertionError("pole multiplicity above 2 is not supported")
     zeta1_coeff = RatFunc.sum(
@@ -829,8 +751,6 @@ def linform(params, certify_at: int | None = 2, store: Store = DEFAULT_STORE) ->
     """
     return store.form(params, certify_at)
 
-
-linform_zeta1 = linform_zeta2 = linform
 
 # --------------------------------------------------------------------------
 # M, inclusions, certification, growth

@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .groups import Group, OmegaResult, omega, zeta1_arith_group, zeta2_group
+from .groups import Group, omega, zeta1_arith_group, zeta2_group
 from .linforms import (
     APERY,
     FACTORIAL_LABELS,

@@ -5,6 +5,9 @@ function used for the totient-density constants.
 Polynomials live in Z[p] as dense coefficient tuples (ascending powers).
 Multiplication goes through Kronecker substitution on top of big integers
 (gmpy2 when available), which keeps degree-several-thousand products cheap.
+
+Products ±p^a·prod_l Phi_l(p)^e_l with signed exponents are FactoredPPoly,
+the one factored type used for D_n, Omega, residues and prefactors.
 """
 
 from __future__ import annotations
@@ -247,45 +250,21 @@ class PPoly:
 
     # -- division -----------------------------------------------------------
 
-    def divrem(self, g: "PPoly") -> tuple["PPoly", "PPoly"]:
-        """Quotient and remainder by a divisor with leading coefficient +-1."""
-        gc = g.coeffs
-        if not gc:
-            raise ZeroDivisionError("polynomial division by zero")
-        lead = gc[-1]
-        if lead not in (1, -1):
-            raise ValueError("divrem requires a unit leading coefficient")
-        rem = list(self.coeffs)
-        dg = len(gc) - 1
-        if len(rem) <= dg:
-            return PPoly(), self
-        quot = [0] * (len(rem) - dg)
-        for i in range(len(rem) - 1, dg - 1, -1):
-            c = rem[i]
-            if c:
-                c = c * lead  # lead is +-1, so this is exact
-                quot[i - dg] = c
-                for k in range(dg + 1):
-                    rem[i - dg + k] -= c * gc[k]
-        return PPoly(quot), PPoly(rem)
-
     def try_exact_div(self, g: "PPoly"):
         """Exact quotient self/g if it exists in Z[p], else None.
 
-        Works low-end first, so it only needs the constant coefficient of g
-        to be a unit (true for every cyclotomic polynomial and p^d - 1).
+        Works low-end first, so the constant coefficient of g must be a unit
+        (true for every cyclotomic polynomial and p^d - 1); raises ValueError
+        otherwise.
         """
         gc = g.coeffs
         if not gc:
             raise ZeroDivisionError("polynomial division by zero")
+        g0 = gc[0]
+        if g0 not in (1, -1):
+            raise ValueError("divisor needs a unit constant coefficient")
         if not self.coeffs:
             return PPoly()
-        if gc[0] not in (1, -1):
-            q, r = self.divrem(g) if gc[-1] in (1, -1) else (None, None)
-            if q is None:
-                raise ValueError("divisor needs a unit constant or leading coefficient")
-            return q if r.is_zero() else None
-        g0 = gc[0]
         rem = list(self.coeffs)
         nq = len(rem) - len(gc) + 1
         if nq <= 0:
@@ -372,7 +351,12 @@ def prod_ppoly(factors) -> PPoly:
 
 @dataclass
 class FactoredPPoly:
-    """A polynomial known in the form unit * p^p_power * prod Phi_l^e_l."""
+    """unit · p^p_power · prod_l Phi_l(p)^e_l with signed integer exponents.
+
+    The one factored type of the package: D_n, Omega, and the residues and
+    prefactors of the linear forms.  With a negative exponent it is a unit
+    of Z[p, 1/p, 1/Phi_l] rather than a polynomial.
+    """
 
     exponents: dict[int, int] = field(default_factory=dict)
     p_power: int = 0
@@ -381,11 +365,30 @@ class FactoredPPoly:
     def __post_init__(self):
         if self.unit not in (1, -1):
             raise ValueError("unit must be +-1")
-        if self.p_power < 0:
-            raise ValueError("p_power must be nonnegative")
-        self.exponents = {l: e for l, e in self.exponents.items() if e}
-        if any(e < 0 for e in self.exponents.values()):
-            raise ValueError("exponents must be nonnegative")
+        self.exponents = {l: e for l, e in sorted(self.exponents.items()) if e}
+
+    @staticmethod
+    def one_minus_q_power(j: int) -> "FactoredPPoly":
+        """(1 - q^j) = (p^j - 1)/p^j with q = 1/p, j >= 1."""
+        return FactoredPPoly(dict.fromkeys(divisors(j), 1), -j)
+
+    @staticmethod
+    def one_minus_p_power(d: int) -> "FactoredPPoly":
+        """(1 - p^d) for d != 0."""
+        if d == 0:
+            raise ValueError("1 - p^0 = 0 is not a unit")
+        if d < 0:
+            return FactoredPPoly.one_minus_q_power(-d)
+        return FactoredPPoly(dict.fromkeys(divisors(d), 1), 0, -1)
+
+    def __mul__(self, other: "FactoredPPoly") -> "FactoredPPoly":
+        exponents = dict(self.exponents)
+        for l, e in other.exponents.items():
+            exponents[l] = exponents.get(l, 0) + e
+        return FactoredPPoly(exponents, self.p_power + other.p_power, self.unit * other.unit)
+
+    def inv(self) -> "FactoredPPoly":
+        return FactoredPPoly({l: -e for l, e in self.exponents.items()}, -self.p_power, self.unit)
 
     @property
     def degree(self) -> int:
@@ -393,15 +396,15 @@ class FactoredPPoly:
 
     def expand(self) -> PPoly:
         """Multiply the factorization out to a dense polynomial."""
-        out = PPoly((self.unit,)).shift(self.p_power)
-        for l in sorted(self.exponents):
-            out = out * cyclotomic(l).pow(self.exponents[l])
-        return out
+        if self.p_power < 0 or any(e < 0 for e in self.exponents.values()):
+            raise ValueError("a negative exponent does not expand to a polynomial")
+        out = prod_ppoly(cyclotomic(l).pow(e) for l, e in self.exponents.items())
+        return out.shift(self.p_power) * self.unit
 
-    def value_at(self, p: int) -> int:
-        v = self.unit * p**self.p_power
+    def value_at(self, p: int) -> Fraction:
+        v = Fraction(self.unit) * Fraction(p) ** self.p_power
         for l, e in self.exponents.items():
-            v *= cyclotomic_value(l, p) ** e
+            v *= Fraction(cyclotomic_value(l, p)) ** e
         return v
 
 
@@ -441,8 +444,8 @@ def cyclotomic(l: int) -> PPoly:
     if l == 1:
         return PPoly((-1, 1))
     lower = prod_ppoly(cyclotomic(d) for d in divisors(l)[:-1])
-    quot, rem = PPoly.p_power_minus_one(l).divrem(lower)
-    if not rem.is_zero():
+    quot = PPoly.p_power_minus_one(l).try_exact_div(lower)
+    if quot is None:
         raise AssertionError(f"cyclotomic division left a remainder at l={l}")
     return quot
 
@@ -475,7 +478,7 @@ def dnp(n: int) -> FactoredPPoly:
     """D_n(p) = prod_{l<=n} Phi_l(p), the common multiple of [1]_p .. [n]_p."""
     if n < 1:
         raise ValueError("dnp needs n >= 1")
-    return FactoredPPoly({l: 1 for l in range(1, n + 1)})
+    return FactoredPPoly(dict.fromkeys(range(1, n + 1), 1))
 
 
 def ord_phi_factorial(l: int, n: int) -> int:

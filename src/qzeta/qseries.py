@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dyadic import Interval, poly_eval
+from .dyadic import Interval
 from .parith import PPoly
 
 
@@ -35,31 +35,16 @@ def sigma(k: int, n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RhoPoly:
-    """The degree k-1 numerator polynomial of sum_{m>=1} m^(k-1) x^m."""
-
-    k: int
-    coeffs: tuple[int, ...]  # ascending
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
 @lru_cache(maxsize=None)
-def rho(k: int) -> RhoPoly:
-    """rho_1 = 1 and rho_{k+1} = (1 + (k-1)x) rho_k + x(1-x) rho_k'."""
+def rho(k: int) -> PPoly:
+    """The degree k-1 numerator polynomial of sum_{m>=1} m^(k-1) x^m.
+
+    rho_1 = 1 and rho_{k+1} = (1 + (k-1)x) rho_k + x(1-x) rho_k'.
+    """
     if k < 1:
         raise ValueError("rho(k) needs k >= 1")
     if k == 1:
-        return RhoPoly(1, (1,))
+        return PPoly((1,))
     prev = rho(k - 1).coeffs
     j = k - 1  # stepping from rho_j to rho_{j+1}
     out = [0] * (len(prev) + 1)
@@ -68,9 +53,7 @@ def rho(k: int) -> RhoPoly:
         # x(1-x) rho_j' contributes ic at x^i and -ic at x^{i+1}.
         out[i] += (1 + i) * c
         out[i + 1] += (j - 1 - i) * c
-    while out and out[-1] == 0:
-        out.pop()
-    return RhoPoly(k, tuple(out))
+    return PPoly(out)
 
 
 @dataclass(frozen=True)
@@ -257,7 +240,7 @@ def limit_check(k: int, q_list, rel_tol: float = 1e-9, prec: int = 192) -> list[
     zlo, zhi = zeta_ref(k)
     fact = math.factorial(k - 1)
     target_lo, target_hi = fact * zlo, fact * zhi
-    r = rho(k).coeffs
+    r = rho(k)
     rows = []
     for q in q_list:
         q = Fraction(q)
@@ -273,7 +256,7 @@ def limit_check(k: int, q_list, rel_tol: float = 1e-9, prec: int = 192) -> list[
         acc = Interval.exact(0, prec)
         for _ in range(terms):
             power = power * qq
-            acc = acc + power * poly_eval(r, power) / (1 - power).pow(k)
+            acc = acc + power * r(power) / (1 - power).pow(k)
         tail = _tail_bound(k, q, terms)
         scaled = (acc.widen(tail)) * scale
         rows.append(LimitRow(q, scaled.lo, scaled.hi, target_lo, target_hi))

@@ -3,6 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_parith import points, units
 
 from qzeta.linforms import (
     APERY,
@@ -13,7 +16,6 @@ from qzeta.linforms import (
     ParamsZ1,
     ParamsZ2,
     RatFunc,
-    UnitMono,
     _tail_tables,
     certify,
     cvector,
@@ -21,8 +23,6 @@ from qzeta.linforms import (
     growth_scan,
     heine_terms,
     linform,
-    linform_zeta1,
-    linform_zeta2,
     numeric_form_value,
     summand_z1,
     summand_z2,
@@ -78,19 +78,21 @@ class TestCVector:
 
 
 class TestUnitMono:
+    """The unit monomials ±p^a·prod Phi_l^e_l of the residue bookkeeping (FactoredPPoly)."""
+
     @pytest.mark.parametrize("p", [2, 3, -2])
     def test_one_minus_q_power(self, p):
         q = Fraction(1, p)
         for j in range(1, 8):
-            assert UnitMono.one_minus_q_power(j).value_at(p) == 1 - q**j
+            assert FactoredPPoly.one_minus_q_power(j).value_at(p) == 1 - q**j
 
     @pytest.mark.parametrize("p", [2, 3, -2])
     def test_one_minus_p_power_both_signs(self, p):
         for d in (-5, -2, -1, 1, 2, 5):
-            assert UnitMono.one_minus_p_power(d).value_at(p) == 1 - Fraction(p) ** d
+            assert FactoredPPoly.one_minus_p_power(d).value_at(p) == 1 - Fraction(p) ** d
 
     def test_product_and_inverse(self):
-        u = UnitMono.one_minus_q_power(3) * UnitMono.one_minus_p_power(2).inv()
+        u = FactoredPPoly.one_minus_q_power(3) * FactoredPPoly.one_minus_p_power(2).inv()
         v = u.value_at(5)
         assert v == (1 - Fraction(1, 125)) / (1 - 25)
 
@@ -108,6 +110,11 @@ class TestRatFunc:
             )
             assert s.value_at(p) == expect
 
+    @settings(deadline=None)
+    @given(units, points)
+    def test_from_unit_keeps_the_value(self, u, p):
+        assert RatFunc.from_unit(u).value_at(p) == u.value_at(p)
+
     def test_ord_p_convention(self):
         assert RatFunc.zero().ord_p() == 0
         assert RatFunc(PPoly.monomial(3, 4), 1).ord_p() == 2
@@ -116,7 +123,7 @@ class TestRatFunc:
     def test_reduce_preserves_value(self):
         raw = RatFunc(PPoly.p_power_minus_one(6).shift(2), 1, {1: 1, 2: 1, 6: 1})
         red = raw.reduce()
-        assert red.equal(raw)
+        assert (red - raw).is_zero()
         for p in (2, 5):
             assert red.value_at(p) == raw.value_at(p)
         # (p^6-1)p^2 / (p (p-1)(p+1) Phi_6) = p Phi_3
@@ -183,7 +190,7 @@ class TestAnchors:
 
     @pytest.mark.parametrize("p", [2, 3, 5, -2])
     def test_simplest_form(self, p):
-        f = linform_zeta1(ParamsZ1(1, 1, 1, 2))
+        f = linform(ParamsZ1(1, 1, 1, 2))
         assert f.A.value_at(p) == p
         assert f.B.is_zero()
         assert f.M == 0
@@ -191,21 +198,21 @@ class TestAnchors:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_polynomial_part_form(self, p):
         # S(x) = x^2/(1-qx) has a nonzero polynomial part
-        f = linform_zeta1(ParamsZ1(2, 1, 1, 2))
+        f = linform(ParamsZ1(2, 1, 1, 2))
         assert f.A.value_at(p) == p * p
         assert f.B.value_at(p) == Fraction(p * p, p - 1)
         assert f.M == 2
 
     @pytest.mark.parametrize("p", [2, 3, 5, -2])
     def test_simplest_double_pole_form(self, p):
-        f = linform_zeta2(ParamsZ2(1, 1, 1, 2, 2))
+        f = linform(ParamsZ2(1, 1, 1, 2, 2))
         assert f.A.value_at(p) == p
         assert f.B.is_zero()
         assert f.M == 0
 
     def test_mixed_pole_orders(self):
         # denominators (1-qx)(1-q^2 x)^2: one simple and one double pole
-        f = linform_zeta2(ParamsZ2(1, 1, 2, 3, 3), certify_at=2)
+        f = linform(ParamsZ2(1, 1, 2, 3, 3), certify_at=2)
         assert f.A.value_at(2) == -8
         assert not f.B.is_zero()
 
@@ -216,13 +223,13 @@ class TestAnchors:
 
 class TestDenominatorData:
     def test_zeta1_exponents(self):
-        f = linform_zeta1(ParamsZ1(9, 7, 9, 16), certify_at=None)
+        f = linform(ParamsZ1(9, 7, 9, 16), certify_at=None)
         assert f.d_exponents() == {l: 1 for l in range(1, 9)}
         for p in (2, 3):
             assert f.d_value(p) == dnp(8).value_at(p)
 
     def test_zeta2_exponents(self):
-        f = linform_zeta2(ParamsZ2(6, 7, 8, 16, 17), certify_at=None)
+        f = linform(ParamsZ2(6, 7, 8, 16, 17), certify_at=None)
         exps = f.d_exponents()
         assert exps == {l: (2 if l <= 10 else 1) for l in range(1, 12)}
 
@@ -244,7 +251,7 @@ class TestInclusion:
         assert verify_inclusion(f)
 
     def test_oversized_omega_fails_with_witness(self):
-        f = linform_zeta1(ParamsZ1(9, 7, 9, 16), certify_at=None)
+        f = linform(ParamsZ1(9, 7, 9, 16), certify_at=None)
         # degree alone forbids three factors of Phi_101 in either numerator
         omega = FactoredPPoly({101: 3})
         r = verify_inclusion(f, omega)
@@ -252,7 +259,7 @@ class TestInclusion:
         assert "Phi_101" in r.witness
 
     def test_omega_with_p_power_rejected(self):
-        f = linform_zeta1(ParamsZ1(1, 1, 1, 2), certify_at=None)
+        f = linform(ParamsZ1(1, 1, 1, 2), certify_at=None)
         r = verify_inclusion(f, FactoredPPoly({}, p_power=1))
         assert not r and "power of p" in r.witness
 
@@ -286,7 +293,7 @@ class TestNumerics:
             for a1 in range(1, b):
                 for a2 in range(1, b - a1 + 1):
                     for a0 in range(max(1, b + 1 - a1 - a2), b + 1):
-                        f = linform_zeta1(ParamsZ1(a0, a1, a2, b), certify_at=None)
+                        f = linform(ParamsZ1(a0, a1, a2, b), certify_at=None)
                         assert certify(f, p, terms=90).ok
 
     def test_certification_zeta2_sample(self):
@@ -297,7 +304,7 @@ class TestNumerics:
             ParamsZ2(3, 3, 3, 5, 6),
             ParamsZ2(2, 3, 4, 8, 9),
         ):
-            f = linform_zeta2(params, certify_at=None)
+            f = linform(params, certify_at=None)
             assert certify(f, 2, terms=120).ok
             assert certify(f, 3, terms=120).ok
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qzeta.parith import (
     FactoredPPoly,
@@ -40,16 +42,6 @@ def test_kronecker_matches_schoolbook():
         assert (PPoly(a) * PPoly(b)).coeffs == PPoly(ref).coeffs
 
 
-def test_divrem_round_trip():
-    rng = random.Random(11)
-    for _ in range(30):
-        f = PPoly([rng.randrange(-50, 50) for _ in range(rng.randrange(1, 60))])
-        g = PPoly([rng.randrange(-50, 50) for _ in range(rng.randrange(1, 12))] + [1])
-        q, r = f.divrem(g)
-        assert q * g + r == f
-        assert r.degree < g.degree
-
-
 def test_try_exact_div():
     f = PPoly([1, 2, 2, 1])  # [3]_p!
     g = PPoly([1, 1])
@@ -58,12 +50,74 @@ def test_try_exact_div():
     assert gauss_factorial(6).ord_at(cyclotomic(2)) == 3
 
 
+@pytest.mark.parametrize("g", [PPoly([2, 1]), PPoly([0, 1]), PPoly([3])])
+def test_try_exact_div_rejects_non_unit_constant(g):
+    with pytest.raises(ValueError):
+        PPoly([1, 2, 1]).try_exact_div(g)
+
+
+_ints = st.lists(st.integers(-50, 50), min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ints, _ints, st.sampled_from([1, -1]))
+def test_try_exact_div_round_trip(f, g_rest, g0):
+    f, g = PPoly(f), PPoly([g0] + g_rest)
+    assert (f * g).try_exact_div(g) == f
+    if g.degree >= 1:  # g cannot divide f*g + 1
+        assert (f * g + PPoly.const(1)).try_exact_div(g) is None
+
+
 def test_prod_ppoly_balanced():
     parts = [PPoly([i, 1]) for i in range(1, 9)]
     direct = PPoly([1])
     for part in parts:
         direct = direct * part
     assert prod_ppoly(parts) == direct
+
+
+# ---------------------------------------------------------------------------
+# factored products of cyclotomics
+
+# unit·p^a·prod_{l<=30} Phi_l^e_l with signed exponents
+units = st.builds(
+    FactoredPPoly,
+    st.dictionaries(st.integers(1, 30), st.integers(-3, 3), max_size=6),
+    st.integers(-5, 5),
+    st.sampled_from([1, -1]),
+)
+polynomial_units = st.builds(
+    FactoredPPoly,
+    st.dictionaries(st.integers(1, 30), st.integers(0, 3), max_size=6),
+    st.integers(0, 5),
+    st.sampled_from([1, -1]),
+)
+points = st.sampled_from([2, 3, 5, -2, -3])
+
+
+class TestFactoredPPoly:
+    @settings(deadline=None)
+    @given(units, units, points)
+    def test_product_value_is_product_of_values(self, u, v, p):
+        assert (u * v).value_at(p) == u.value_at(p) * v.value_at(p)
+
+    @given(units)
+    def test_times_inverse_is_one(self, u):
+        assert u * u.inv() == FactoredPPoly()
+
+    @settings(deadline=None)
+    @given(polynomial_units, points)
+    def test_expand_agrees_with_value(self, u, p):
+        assert u.expand()(p) == u.value_at(p)
+
+    def test_expand_rejects_negative_exponents(self):
+        with pytest.raises(ValueError):
+            FactoredPPoly({3: -1}).expand()
+        with pytest.raises(ValueError):
+            FactoredPPoly({3: 1}, p_power=-1).expand()
+
+    def test_zero_exponents_are_dropped(self):
+        assert FactoredPPoly({2: 0, 3: 1}) == FactoredPPoly({3: 1})
 
 
 # ---------------------------------------------------------------------------
