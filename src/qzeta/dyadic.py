@@ -1,9 +1,19 @@
-"""Certified interval arithmetic on dyadic rationals.
+"""Certified interval arithmetic at a fixed binary precision.
 
-Endpoints are Fractions with power-of-two denominators, re-quantized after
-every operation with outward rounding, so enclosures stay rigorous while
-numerators stay bounded by the working precision.  Used wherever a series
-value needs a certified enclosure but exact rationals would blow up.
+An `Interval` at precision `prec` holds two int mantissas `a <= b` and
+stands for [a/2^prec, b/2^prec].  Sums, differences, negation and `abs` are
+exact on the mantissas; products and quotients round outward, the lower end
+with a floor shift and the upper end with a ceiling shift, so enclosures
+stay rigorous while mantissas stay bounded by the working precision.  This
+is the fixed-precision scheme behind Arb (Johansson, IEEE TC 2017).  Floor
+and ceiling are monotone, so every endpoint equals the exact rational
+result rounded outward to a multiple of 2^-prec.
+
+Both operands of a binary operation must have the same precision; an int
+operand is scaled exactly, any other number is rounded outward on entry.
+`lo`, `hi`, `width` and `midpoint()` read the endpoints back as Fractions.
+Used wherever a series value needs a certified enclosure but exact
+rationals would blow up.
 """
 
 from __future__ import annotations
@@ -11,100 +21,122 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def round_down(x: Fraction, prec: int) -> Fraction:
-    return Fraction((x.numerator << prec) // x.denominator, 1 << prec)
+def _floor_scaled(x: Fraction, prec: int) -> int:
+    """floor(x · 2^prec)."""
+    return (x.numerator << prec) // x.denominator
 
 
-def round_up(x: Fraction, prec: int) -> Fraction:
-    return Fraction(-((-x.numerator << prec) // x.denominator), 1 << prec)
+def _ceil_scaled(x: Fraction, prec: int) -> int:
+    """ceil(x · 2^prec)."""
+    return -((-x.numerator << prec) // x.denominator)
+
+
+def _make(a: int, b: int, prec: int) -> "Interval":
+    """An Interval straight from its mantissas, without the Fraction constructor."""
+    iv = object.__new__(Interval)
+    iv.a, iv.b, iv.prec = a, b, prec
+    return iv
 
 
 class Interval:
-    """Closed interval [lo, hi] with dyadic endpoints at a fixed precision."""
+    """Closed interval [a/2^prec, b/2^prec] with int mantissas a <= b."""
 
-    __slots__ = ("lo", "hi", "prec")
+    __slots__ = ("a", "b", "prec")
 
-    def __init__(self, lo, hi, prec: int, quantize: bool = True):
+    def __init__(self, lo, hi, prec: int):
         lo, hi = Fraction(lo), Fraction(hi)
-        if quantize:
-            lo, hi = round_down(lo, prec), round_up(hi, prec)
         if lo > hi:
             raise ValueError("empty interval")
-        self.lo, self.hi, self.prec = lo, hi, prec
+        self.a, self.b, self.prec = _floor_scaled(lo, prec), _ceil_scaled(hi, prec), prec
 
     @staticmethod
     def exact(x, prec: int) -> "Interval":
         return Interval(x, x, prec)
 
     def __repr__(self):
-        return f"Interval({float(self.lo)}, {float(self.hi)})"
+        scale = 1 << self.prec
+        return f"Interval({self.a / scale}, {self.b / scale})"
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.a, 1 << self.prec)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.b, 1 << self.prec)
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.b - self.a, 1 << self.prec)
 
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.a + self.b, 1 << (self.prec + 1))
 
     def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
+        n, d = x.as_integer_ratio()
+        return self.a * d <= n << self.prec <= self.b * d
 
     def overlaps(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
+        c, d = self._mantissas(other)
+        return self.a <= d and c <= self.b
+
+    def _mantissas(self, x) -> tuple[int, int]:
+        """Mantissas of an operand at this interval's precision."""
+        if isinstance(x, Interval):
+            if x.prec != self.prec:
+                raise ValueError(f"precision mismatch: {self.prec} vs {x.prec}")
+            return x.a, x.b
+        if isinstance(x, int):
+            m = x << self.prec
+            return m, m
+        x = Interval.exact(x, self.prec)
+        return x.a, x.b
 
     def __add__(self, other):
-        other = _coerce(other, self.prec)
-        return Interval(self.lo + other.lo, self.hi + other.hi, self.prec)
+        c, d = self._mantissas(other)
+        return _make(self.a + c, self.b + d, self.prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Interval(-self.hi, -self.lo, self.prec, quantize=False)
+        return _make(-self.b, -self.a, self.prec)
 
     def __sub__(self, other):
-        return self + (-_coerce(other, self.prec))
+        c, d = self._mantissas(other)
+        return _make(self.a - d, self.b - c, self.prec)
 
     def __rsub__(self, other):
-        return _coerce(other, self.prec) - self
+        c, d = self._mantissas(other)
+        return _make(c - self.b, d - self.a, self.prec)
 
     def __mul__(self, other):
-        other = _coerce(other, self.prec)
-        cands = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(cands), max(cands), self.prec)
+        c, d = self._mantissas(other)
+        a, b, prec = self.a, self.b, self.prec
+        cands = (a * c, a * d, b * c, b * d)
+        return _make(min(cands) >> prec, -(-max(cands) >> prec), prec)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other, self.prec)
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivisionError("interval division by interval containing 0")
-        cands = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
-        return Interval(min(cands), max(cands), self.prec)
+        c, d = self._mantissas(other)
+        return _divide(self.a, self.b, c, d, self.prec)
 
     def __rtruediv__(self, other):
-        return _coerce(other, self.prec) / self
+        c, d = self._mantissas(other)
+        return _divide(c, d, self.a, self.b, self.prec)
 
     def __abs__(self):
-        if self.lo >= 0:
+        if self.a >= 0:
             return self
-        if self.hi <= 0:
+        if self.b <= 0:
             return -self
-        return Interval(0, max(-self.lo, self.hi), self.prec, quantize=False)
+        return _make(0, max(-self.a, self.b), self.prec)
 
     def pow(self, e: int) -> "Interval":
         if e < 0:
-            return Interval.exact(1, self.prec) / self.pow(-e)
-        result = Interval.exact(1, self.prec)
+            return 1 / self.pow(-e)
+        one = 1 << self.prec
+        result = _make(one, one, self.prec)
         base = self
         while e:
             if e & 1:
@@ -118,10 +150,14 @@ class Interval:
         slack = Fraction(slack)
         if slack < 0:
             raise ValueError("slack must be nonnegative")
-        return Interval(self.lo - slack, self.hi + slack, self.prec)
+        s = _ceil_scaled(slack, self.prec)
+        return _make(self.a - s, self.b + s, self.prec)
 
 
-def _coerce(x, prec: int) -> Interval:
-    if isinstance(x, Interval):
-        return x
-    return Interval.exact(Fraction(x), prec)
+def _divide(a: int, b: int, c: int, d: int, prec: int) -> Interval:
+    """[a, b] / [c, d] on mantissas at scale 2^-prec, rounded outward."""
+    if c <= 0 <= d:
+        raise ZeroDivisionError("interval division by interval containing 0")
+    a, b = a << prec, b << prec
+    cands = (a, c), (a, d), (b, c), (b, d)
+    return _make(min(x // y for x, y in cands), max(-(-x // y) for x, y in cands), prec)

@@ -308,6 +308,19 @@ class TestNumerics:
             assert certify(f, 2, terms=120).ok
             assert certify(f, 3, terms=120).ok
 
+    @pytest.mark.parametrize("p", [2, 3, -2, -3])
+    @pytest.mark.parametrize(
+        "family, n",
+        [(BV, 1), (BV, 2), (BV, 3), (THEOREM1, 1), (THEOREM2, 1)],
+        ids=["bv1", "bv2", "bv3", "theorem1-1", "theorem2-1"],
+    )
+    def test_coarse_enclosure_contains_fine_midpoint(self, family, n, p):
+        params = family.params(n)
+        coarse, _ = numeric_form_value(params, p, terms=60, prec=256)
+        fine, _ = numeric_form_value(params, p, terms=200, prec=320)
+        assert coarse.contains(fine.midpoint())
+        assert coarse.width > fine.width
+
 
 class TestFamilies:
     def test_first_members(self):
