@@ -59,7 +59,6 @@ from .parith import (
     cyclotomic_value,
     dnp,
     gauss_factorial,
-    gauss_number,
     mertens_ratio,
     ord_phi_factorial,
     phi_block_sum,
@@ -202,8 +201,10 @@ def cmd_dnp(args, store):
     n = args.n
     d = dnp(n)
     expanded = d.expand()
-    divisible = all(expanded.try_exact_div(gauss_number(v)) is not None for v in range(1, n + 1))
-    orders_ok = all(expanded.ord_at(cyclotomic(l), cap=2) == 1 for l in range(2, n + 1))
+    # [v]_p | D_n  iff  (p^v - 1) | D_n·(p - 1)
+    shifted = expanded.mul_binomial(1)
+    divisible = all(shifted.div_binomial(v) is not None for v in range(1, n + 1))
+    orders_ok = all(expanded.ord_at(l, cap=2) == 1 for l in range(2, n + 1))
     degree_ok = expanded.degree == sum(totient(l) for l in range(1, n + 1))
     checks = [
         _check("divisible-by-every-q-integer", divisible, f"[v]_p | D_{n} for v <= {n}"),
@@ -224,6 +225,8 @@ def cmd_ord(args, store):
     n = args.n
     if args.l is not None:
         ls = [args.l]
+    elif n < 2:
+        raise ValueError("ord sweep needs n >= 2")
     else:
         ls = list(range(2, n + 1))
     fact = gauss_factorial(n)
@@ -231,7 +234,7 @@ def cmd_ord(args, store):
     rows = {}
     for l in ls:
         want = ord_phi_factorial(l, n)
-        got = fact.ord_at(cyclotomic(l), cap=want + 2)
+        got = fact.ord_at(l, cap=want + 2)
         rows[str(l)] = want
         if len(ls) == 1:
             checks.append(_check(f"division-count-l{l}", got == want, f"{got} vs floor {want}"))

@@ -245,7 +245,7 @@ class RatFunc:
             raise ValueError("zero has no Phi-order")
         own = self.dphi.get(l, 0)
         top = None if cap is None else cap + own
-        return self.num.ord_at(cyclotomic(l), cap=top) - own
+        return self.num.ord_at(l, cap=top) - own
 
     def reduce(self) -> "RatFunc":
         """Cancel all cyclotomic and p-power content shared with the numerator."""
@@ -259,9 +259,8 @@ class RatFunc:
             dpow -= t
         dphi = {}
         for l, e in sorted(self.dphi.items()):
-            phi = cyclotomic(l)
             while e > 0:
-                q = num.try_exact_div(phi)
+                q = num.div_cyclotomic(l)
                 if q is None:
                     break
                 num, e = q, e - 1
@@ -442,6 +441,8 @@ def _tail_tables(jmax: int) -> tuple[list[RatFunc], list[RatFunc]]:
         # V now includes all l <= j; the new term 1/(p^j - 1) has cofactor
         # V / (p^j - 1) = prod_{l <= j, l not dividing j} Phi_l
         cof = v.div_binomial(j)
+        if cof is None:
+            raise AssertionError(f"p^{j} - 1 does not divide prod_(l <= {j}) Phi_l")
         u = u * phi_j + cof
         x = x * (phi_j * phi_j) + (cof * cof).shift(j)
         t1.append(RatFunc(u, 0, vphi))
@@ -786,7 +787,7 @@ def verify_inclusion(form: LinearForm, omega: FactoredPPoly | None = None) -> In
             need = coeff.dphi.get(l, 0) + o_exp.get(l, 0) - d_exp.get(l, 0)
             if need <= 0:
                 continue
-            have = coeff.num.ord_at(cyclotomic(l), cap=need)
+            have = coeff.num.ord_at(l, cap=need)
             if have < need:
                 return InclusionResult(
                     False, f"Phi_{l} exponent deficit in {name}: need {need}, have {have}"

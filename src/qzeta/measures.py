@@ -40,7 +40,7 @@ from .linforms import (
     cvector,
     numeric_form_value,
 )
-from .parith import PPoly, cyclotomic, trigamma
+from .parith import cyclotomic, trigamma
 
 # density of l with a fixed fractional part {n/l}, per unit of log Phi_l
 _DENSITY = 3 / math.pi**2
@@ -429,10 +429,9 @@ def _limit_value_at_one(form: LinearForm) -> Fraction:
     num = form.A.num
     if num.is_zero():
         raise ValueError("zero coefficient has no limit value")
-    pm1 = PPoly((-1, 1))
     zeros = 0
     while True:
-        div = num.try_exact_div(pm1)
+        div = num.div_binomial(1)
         if div is None:
             break
         num, zeros = div, zeros + 1

@@ -6,6 +6,14 @@ Polynomials live in Z[p] as dense coefficient tuples (ascending powers).
 Multiplication goes through Kronecker substitution on top of big integers
 (gmpy2 when available), which keeps degree-several-thousand products cheap.
 
+The binomial p^d - 1 is the one kernel for cyclotomic-type factors:
+mul_binomial and div_binomial are single O(degree) passes, and exact
+division by Phi_l = prod_{d | l} (p^d - 1)^mu(l/d) is 2^omega(l) of them
+(div_cyclotomic, counted by ord_at).  Gaussian factorials grow by
+f·[v]_p = f·(p^v - 1)/(p - 1).  The dense exact division try_exact_div
+remains only inside cyclotomic(), which builds Phi_l independently of the
+Moebius form.
+
 Products ±p^a·prod_l Phi_l(p)^e_l with signed exponents are FactoredPPoly,
 the one factored type used for D_n, Omega, residues and prefactors.
 """
@@ -16,10 +24,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import accumulate, chain, repeat
+from operator import sub
 
 try:
     from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional `fast` extra; plain int is the tested path
     _mpz = int
 
 
@@ -281,37 +291,66 @@ class PPoly:
             return None
         return PPoly(quot)
 
-    def div_binomial(self, d: int) -> "PPoly":
-        """Exact quotient by p^d - 1 in a single O(degree) pass."""
+    def mul_binomial(self, d: int) -> "PPoly":
+        """self·(p^d - 1): one shift and one subtract, O(degree)."""
         if d < 1:
             raise ValueError("exponent must be positive")
         f = self.coeffs
         if not f:
-            return PPoly()
-        n = len(f) - 1
-        if n < d:
-            raise ValueError("not divisible by p^d - 1")
-        quot = [0] * (n - d + 1)
-        # f = q·(p^d - 1) means f_k = q_{k-d} - q_k
-        for k in range(n, d - 1, -1):
-            qk = quot[k] if k <= n - d else 0
-            quot[k - d] = f[k] + qk
-        for k in range(d):
-            qk = quot[k] if k <= n - d else 0
-            if f[k] != -qk:
-                raise ValueError("not divisible by p^d - 1")
+            return self
+        return PPoly(map(sub, chain(repeat(0, d), f), chain(f, repeat(0, d))))
+
+    def div_binomial(self, d: int):
+        """Exact quotient self/(p^d - 1) if it exists in Z[p], else None.
+
+        f = q·(p^d - 1) means q_j = f_{j+d} + f_{j+2d} + ..., so along each
+        residue class mod d the quotient is a suffix sum of f, and the class
+        divides out exactly when its full sum is 0.  O(degree).
+        """
+        if d < 1:
+            raise ValueError("exponent must be positive")
+        f = self.coeffs
+        if not f:
+            return self
+        if len(f) <= d:
+            return None
+        quot = [0] * (len(f) - d)
+        for r in range(d):
+            sums = list(accumulate(reversed(f[r::d])))
+            if sums[-1]:
+                return None
+            quot[r::d] = sums[-2::-1]
         return PPoly(quot)
 
-    def ord_at(self, g: "PPoly", cap: int | None = None) -> int:
-        """Multiplicity of the irreducible factor g in self (exact divisions)."""
+    def div_cyclotomic(self, l: int):
+        """Exact quotient self/Phi_l if it exists in Z[p], else None.
+
+        Phi_l = prod_{d | l} (p^d - 1)^mu(l/d): multiply by the binomials
+        with mu = -1, then divide by those with mu = +1, p^l - 1 first.
+        That first division already fails exactly when Phi_l does not
+        divide, since the multiplied binomials supply every other Phi_e,
+        e | l, it needs; the rest then always succeed.
+        """
+        up, down = _mobius_binomials(l)
+        cur = self
+        for d in up:
+            cur = cur.mul_binomial(d)
+        for d in down:
+            cur = cur.div_binomial(d)
+            if cur is None:
+                return None
+        return cur
+
+    def ord_at(self, l: int, cap: int | None = None) -> int:
+        """Multiplicity of Phi_l in self, by repeated exact division, at most cap."""
         if not self.coeffs:
             raise ValueError("ord of zero polynomial")
         n, cur = 0, self
         while cap is None or n < cap:
-            nxt = cur.try_exact_div(g)
-            if nxt is None:
+            cur = cur.div_cyclotomic(l)
+            if cur is None:
                 return n
-            cur, n = nxt, n + 1
+            n += 1
         return n
 
     # -- evaluation ----------------------------------------------------------
@@ -427,8 +466,12 @@ def gauss_factorial(n: int) -> PPoly:
     if n < 0:
         raise ValueError("gauss_factorial needs n >= 0")
     while len(_GAUSS_FACT) <= n:
+        # f·[v]_p = f·(p^v - 1)/(p - 1): two O(degree) passes
         v = len(_GAUSS_FACT)
-        _GAUSS_FACT.append(_GAUSS_FACT[-1] * gauss_number(v))
+        nxt = _GAUSS_FACT[-1].mul_binomial(v).div_binomial(1)
+        if nxt is None:
+            raise AssertionError(f"[{v}]_p! left a remainder")
+        _GAUSS_FACT.append(nxt)
     return _GAUSS_FACT[n]
 
 
@@ -448,6 +491,17 @@ def cyclotomic(l: int) -> PPoly:
     if quot is None:
         raise AssertionError(f"cyclotomic division left a remainder at l={l}")
     return quot
+
+
+@lru_cache(maxsize=None)
+def _mobius_binomials(l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The d | l with mu(l/d) = -1, and those with mu(l/d) = +1 descending."""
+    if l < 1:
+        raise ValueError("cyclotomic index must be positive")
+    ds = divisors(l)
+    up = tuple(d for d in ds if mobius(l // d) == -1)
+    down = tuple(d for d in reversed(ds) if mobius(l // d) == 1)
+    return up, down
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,6 @@ from qzeta.measures import (
 )
 from qzeta.parith import (
     PPoly,
-    cyclotomic,
     dnp,
     gauss_factorial,
     mertens_ratio,
@@ -74,7 +73,7 @@ def test_c03_factorial_orders_full_sweep():
         for l in range(2, n + 1):
             want = ord_phi_factorial(l, n)
             assert want == n // l
-            if fact.ord_at(cyclotomic(l), cap=want + 1) != want:
+            if fact.ord_at(l, cap=want + 1) != want:
                 ok = False
     elapsed = time.perf_counter() - t0
     _line(3, ok and elapsed < 1200, f"ord at Phi_l for 2 <= l <= n <= 60 in {elapsed:.1f}s")

@@ -42,6 +42,15 @@ class TestExitCodes:
     def test_domain_error_is_input_error(self, capsys):
         assert main(["ord", "--l", "1", "--n", "5"]) == 2
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_ord_sweep_without_moduli_is_input_error(self, capsys, n):
+        # l ranges over 2..n: an empty sweep would be a vacuous pass
+        assert main(["ord", "--n", n]) == 2
+        assert "ord sweep needs n >= 2" in capsys.readouterr().err
+        code, report = run_json(capsys, "ord", "--n", n, "--l", "2")
+        assert code == 0
+        assert report["outputs"]["order"] == "0"
+
     def test_malformed_params(self, capsys):
         assert main(["linform", "--kind", "zeta1", "--params", "1,2"]) == 2
 

@@ -47,7 +47,7 @@ def test_try_exact_div():
     g = PPoly([1, 1])
     assert f.try_exact_div(g) == PPoly([1, 1, 1])
     assert PPoly([1, 1, 1]).try_exact_div(g) is None
-    assert gauss_factorial(6).ord_at(cyclotomic(2)) == 3
+    assert gauss_factorial(6).ord_at(2) == 3
 
 
 @pytest.mark.parametrize("g", [PPoly([2, 1]), PPoly([0, 1]), PPoly([3])])
@@ -66,6 +66,61 @@ def test_try_exact_div_round_trip(f, g_rest, g0):
     assert (f * g).try_exact_div(g) == f
     if g.degree >= 1:  # g cannot divide f*g + 1
         assert (f * g + PPoly.const(1)).try_exact_div(g) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ints, st.integers(1, 30))
+def test_binomial_round_trip(f, d):
+    f = PPoly(f)
+    g = f.mul_binomial(d)
+    assert g == f * PPoly.p_power_minus_one(d)
+    assert g.div_binomial(d) == f
+    if not f.is_zero():  # p^d - 1 cannot divide f·(p^d - 1) + 1
+        assert (g + PPoly.const(1)).div_binomial(d) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ints, st.integers(1, 30))
+def test_div_binomial_matches_dense_division(f, d):
+    f = PPoly(f)
+    assert f.div_binomial(d) == f.try_exact_div(PPoly.p_power_minus_one(d))
+
+
+def test_binomial_rejects_nonpositive_exponent():
+    for op in (PPoly.mul_binomial, PPoly.div_binomial):
+        with pytest.raises(ValueError):
+            op(PPoly([1, 1]), 0)
+
+
+def _dense_ord(f, l, cap=None):
+    """ord at Phi_l by repeated dense division: the oracle for ord_at."""
+    n, phi = 0, cyclotomic(l)
+    while cap is None or n < cap:
+        q = f.try_exact_div(phi)
+        if q is None:
+            return n
+        f, n = q, n + 1
+    return n
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 60), st.integers(1, 3), max_size=4),
+    st.lists(st.integers(-20, 20), min_size=1, max_size=12).filter(any),
+    st.integers(1, 60),
+    st.integers(0, 3),
+    st.one_of(st.none(), st.integers(0, 4)),
+)
+def test_ord_at_matches_dense_division(exponents, cofactor, l, extra, cap):
+    f = FactoredPPoly(exponents).expand() * PPoly(cofactor) * cyclotomic(l).pow(extra)
+    assert f.ord_at(l, cap) == _dense_ord(f, l, cap)
+    q = f.div_cyclotomic(l)
+    assert q == f.try_exact_div(cyclotomic(l))
+
+
+def test_gauss_factorial_matches_product_of_gauss_numbers():
+    for n in range(41):
+        assert gauss_factorial(n) == prod_ppoly(gauss_number(v) for v in range(1, n + 1))
 
 
 def test_prod_ppoly_balanced():
@@ -268,20 +323,20 @@ def test_ord_formula_matches_division_small():
     for n in range(2, 21):
         f = gauss_factorial(n)
         for l in range(2, n + 1):
-            assert f.ord_at(cyclotomic(l)) == ord_phi_factorial(l, n) == n // l
+            assert f.ord_at(l) == ord_phi_factorial(l, n) == n // l
 
 
 def test_ord_formula_diagonal_n60():
     f = gauss_factorial(60)
     for l in (2, 3, 7, 12, 30, 59, 60):
-        assert f.ord_at(cyclotomic(l)) == 60 // l
+        assert f.ord_at(l) == 60 // l
 
 
 def test_ord_rejects_l_one():
     with pytest.raises(ValueError):
         ord_phi_factorial(1, 10)
     # Phi_1 = p - 1 indeed never divides a Gaussian factorial
-    assert gauss_factorial(12).ord_at(cyclotomic(1)) == 0
+    assert gauss_factorial(12).ord_at(1) == 0
 
 
 # ---------------------------------------------------------------------------
