@@ -6,8 +6,9 @@ exact rationals are rendered as strings ("123456...", "335/2") because
 they routinely exceed the range JSON numbers can carry losslessly.
 
 Exit status: 0 when every check in the report passed, 1 when at least one
-failed, 2 for invalid input (unknown command, malformed parameters, or a
-value outside an operation's domain).
+failed, 2 for invalid input (unknown command, malformed parameters, a
+value outside an operation's domain, or a range that leaves nothing to
+check).
 
 Each command gets one linforms.Store, which keeps linear forms under a
 cache directory (--cache-dir, else $QZETA_CACHE, else ~/.cache/qzeta) as
@@ -305,7 +306,7 @@ def cmd_inclusion(args, store):
         jobs = [(None, _parse_params(kind, args.params))]
     elif args.family is not None:
         fam = _family(args.family)
-        n_max = args.n_max or (6 if fam.kind == "zeta1" else 3)
+        n_max = (6 if fam.kind == "zeta1" else 3) if args.n_max is None else args.n_max
         jobs = [(n, fam.params(n)) for n in range(1, n_max + 1)]
     else:
         jobs = [(n, FAMILIES["theorem1"].params(n)) for n in range(1, 7)]
@@ -365,7 +366,8 @@ def cmd_omega(args, store):
 def cmd_stability(args, store):
     if args.family is not None:
         fam = _family(args.family)
-        jobs = [(fam.name, n) for n in range(1, (args.n or 1) + 1)]
+        n_top = 1 if args.n is None else args.n
+        jobs = [(fam.name, n) for n in range(1, n_top + 1)]
     else:
         jobs = [("theorem1", 1), ("theorem1", 2), ("theorem2", 1)]
     checks, outputs = [], {}
@@ -500,12 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--cache-dir", default=None, help="cache root (else $QZETA_CACHE)")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface stability; evaluation is single-threaded",
-    )
 
     parser = argparse.ArgumentParser(
         prog="qzeta",
@@ -600,7 +596,7 @@ def _cache_root(args) -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "qzeta")
 
 
-_ECHO_SKIP = {"command", "fn", "format", "cache_dir", "threads"}
+_ECHO_SKIP = {"command", "fn", "format", "cache_dir"}
 
 
 def main(argv=None) -> int:
@@ -617,6 +613,9 @@ def main(argv=None) -> int:
         outputs, checks = args.fn(args, Store(_cache_root(args)))
     except ValueError as exc:
         print(f"qzeta: error: {exc}", file=sys.stderr)
+        return 2
+    if not checks:  # an empty range would otherwise pass vacuously
+        print("qzeta: error: nothing was checked", file=sys.stderr)
         return 2
     inputs = {
         k: _enc(v) for k, v in sorted(vars(args).items()) if k not in _ECHO_SKIP and v is not None

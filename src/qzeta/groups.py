@@ -173,18 +173,6 @@ def zeta2_group() -> Group:
     return generate([_ROW12, _ROW23, _COLSWAP, _INVOL])
 
 
-def tau_params(params: ParamsZ1) -> ParamsZ1:
-    """(a0,a1,a2,b) -> (a1, b-a1, a0, a0+a2); the image may be inadmissible."""
-    a0, a1, a2, b = params.as_tuple()
-    return ParamsZ1(a1, b - a1, a0, a0 + a2)
-
-
-def sigma_params(params: ParamsZ1) -> ParamsZ1:
-    """(a0,a1,a2,b) -> (a0,a2,a1,b); always admissible with the input."""
-    a0, a1, a2, b = params.as_tuple()
-    return ParamsZ1(a0, a2, a1, b)
-
-
 def params_from_cvector(c: CVector):
     """Invert a c-vector back to parameters; None if no tuple realizes it."""
     try:

@@ -273,7 +273,7 @@ class RatFunc:
 
 
 # --------------------------------------------------------------------------
-# Laurent coefficients for the x-polynomial division
+# Laurent coefficients for the synthetic division in x
 
 
 class _Laurent:
@@ -291,9 +291,6 @@ class _Laurent:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __mul__(self, other: "_Laurent") -> "_Laurent":
-        return _Laurent(self.num * other.num, self.shift + other.shift)
-
     def __sub__(self, other: "_Laurent") -> "_Laurent":
         s = min(self.shift, other.shift)
         return _Laurent(
@@ -307,27 +304,6 @@ class _Laurent:
         if self.shift >= 0:
             return RatFunc(self.num.shift(self.shift))
         return RatFunc(self.num, -self.shift)
-
-
-def _poly_part(numx: list[_Laurent], denx: list[_Laurent]) -> list[_Laurent]:
-    """Quotient coefficients of the x-division numx / denx (ascending in x)."""
-    qdeg = len(numx) - len(denx)
-    if qdeg < 0:
-        return []
-    rem = list(numx)
-    dd = len(denx) - 1
-    lead = denx[dd]
-    if lead.num.degree != 0 or abs(lead.num.coeffs[0]) != 1:
-        raise AssertionError("divisor leading coefficient is not a unit monomial")
-    lead_inv = _Laurent(PPoly.const(lead.num.coeffs[0]), -lead.shift)
-    quot: list[_Laurent] = [_Laurent.const(0)] * (qdeg + 1)
-    for d in range(qdeg, -1, -1):
-        c = rem[d + dd] * lead_inv
-        quot[d] = c
-        if not c.is_zero():
-            for i in range(dd + 1):
-                rem[d + i] = rem[d + i] - c * denx[i]
-    return quot
 
 
 # --------------------------------------------------------------------------
@@ -391,34 +367,6 @@ def _prefactor(s: Summand) -> FactoredPPoly:
     num = math.prod(map(FactoredPPoly.one_minus_q_power, s.prefactor_num), start=FactoredPPoly())
     den = math.prod(map(FactoredPPoly.one_minus_q_power, s.prefactor_den), start=FactoredPPoly())
     return num * den.inv()
-
-
-def heine_terms(params: ParamsZ1, T: int, p: int) -> list[Fraction]:
-    """First T summands of the zeta_q(1) series at q = 1/p, exactly."""
-    if abs(p) < 2:
-        raise ValueError("need |p| >= 2")
-    if not params.admissible:
-        raise ValueError(f"inadmissible parameters {params.as_tuple()}")
-    return _exact_terms(summand_z1(params), T, p)
-
-
-def _exact_terms(s: Summand, T: int, p: int) -> list[Fraction]:
-    q = Fraction(1, p)
-    c = Fraction(1)
-    for j in s.prefactor_num:
-        c *= 1 - q**j
-    for j in s.prefactor_den:
-        c /= 1 - q**j
-    out = []
-    for t in range(T):
-        x = q**t
-        v = c * x**s.expo
-        for i in s.num_i:
-            v *= 1 - q**i * x
-        for j, m in s.mult:
-            v /= (1 - q**j * x) ** m
-        out.append(v)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -515,13 +463,25 @@ def _log_derivative_at_pole(s: Summand, j: int) -> RatFunc:
     return RatFunc.sum(terms)
 
 
-def _build_xpoly(s: Summand) -> tuple[list[_Laurent], list[_Laurent]]:
-    numx = [_Laurent.const(0)] * s.expo + _expand_factors(s.num_i)
-    den_factors: list[int] = []
+def _poly_part(s: Summand) -> list[_Laurent]:
+    """Polynomial part of S in x: floor(x^e·N(x) / D(x)), ascending in x.
+
+    Floor quotients compose, so D is divided out one factor 1 − q^j x at a
+    time, m_j times per pole.  The factor's leading coefficient −q^j is a
+    unit monomial, so synthetic division needs no products: from the top,
+    Q_{i−1} = p^j·(Q_i − N_i) with Q_d = 0 for a dividend N of degree d.
+    Empty when S is a proper rational function.
+    """
+    quot = [_Laurent.const(0)] * s.expo + _expand_factors(s.num_i)
     for j, m in s.mult:
-        den_factors.extend([j] * m)
-    denx = _expand_factors(den_factors)
-    return numx, denx
+        for _ in range(m):
+            acc = _Laurent.const(0)
+            out = []
+            for c in reversed(quot[1:]):
+                acc = (acc - c).times_q_power(-j)
+                out.append(acc)
+            quot = out[::-1]
+    return quot
 
 
 def _expand_factors(indices) -> list[_Laurent]:
@@ -558,9 +518,7 @@ def _build_zeta1(params: ParamsZ1) -> LinearForm:
     c_unit = _prefactor(s)
     poles = [j for j, _ in s.mult]
     res = {j: _residue_unit(s, j) for j in poles}
-    numx, denx = _build_xpoly(s)
-    quot = _poly_part(numx, denx)
-    c0, poly_sum = _poly_part_contribution(quot)
+    c0, poly_sum = _poly_part_contribution(_poly_part(s))
     total_res = RatFunc.sum([RatFunc.from_unit(res[j]) for j in poles])
     if not (c0 + total_res).is_zero():
         raise AssertionError(
@@ -745,16 +703,8 @@ class Store:
 DEFAULT_STORE = Store()
 
 
-def linform(params, certify_at: int | None = 2, store: Store = DEFAULT_STORE) -> LinearForm:
-    """Exact A, B with F = A·zeta_q(k) − B, k = 1 for ParamsZ1 and 2 for ParamsZ2.
-
-    Certified numerically at p = certify_at unless that is None.
-    """
-    return store.form(params, certify_at)
-
-
 # --------------------------------------------------------------------------
-# M, inclusions, certification, growth
+# M, inclusions, certification
 
 
 def determine_M(form: LinearForm) -> int:
@@ -865,28 +815,6 @@ def certify(form: LinearForm, p: int = 2, terms: int = 200) -> Certification:
     residual = abs(mid - predicted)
     bound = 10 * (tail_f + (enc.hi - enc.lo) / 2 + abs(a_val) * zv.tail_bound)
     return Certification(residual, bound, terms, residual < bound)
-
-
-def growth_scan(family, n_max: int, p: int) -> list[dict]:
-    """Per-n growth exponents log|A_n| and log|F_n| against n² log|p|."""
-    if abs(p) < 2:
-        raise ValueError("need |p| >= 2")
-    rows = []
-    for n in range(1, n_max + 1):
-        form = linform(family.params(n), certify_at=None)
-        a_val = form.A.value_at(p)
-        enc, _ = numeric_form_value(form.params, p, terms=40 + 8 * n)
-        mid = enc.midpoint()
-        denom = n * n * math.log(abs(p))
-        rows.append(
-            {
-                "n": n,
-                "a_exponent": _log_abs(a_val) / denom,
-                "f_exponent": (_log_abs(mid) / denom) if mid else float("-inf"),
-                "M": form.M,
-            }
-        )
-    return rows
 
 
 def _log_abs(x) -> float:

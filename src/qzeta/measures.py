@@ -333,7 +333,9 @@ def measure(
     """
     d = direction(family)
     prof = nu_profile(d, group_for(family.kind), MEASURE_BASES.get(family.name))
-    fit = fit_M_coeff(family, fit_n_max or _FIT_RANGE.get(family.name, 6), store)
+    if fit_n_max is None:
+        fit_n_max = _FIT_RANGE.get(family.name, 6)
+    fit = fit_M_coeff(family, fit_n_max, store)
     rep = mu_bound(
         alpha_exponent(family.rates, family.kind),
         d_exponent(d),

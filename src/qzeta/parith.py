@@ -451,13 +451,6 @@ class FactoredPPoly:
 # Gaussian integers and factorials
 
 
-def gauss_number(n: int) -> PPoly:
-    """[n]_p = (p^n - 1)/(p - 1) = 1 + p + ... + p^(n-1)."""
-    if n < 1:
-        raise ValueError("gauss_number needs n >= 1")
-    return PPoly((1,) * n)
-
-
 _GAUSS_FACT: list[PPoly] = [PPoly((1,))]
 
 

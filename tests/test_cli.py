@@ -13,10 +13,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_linforms import linform
 
 from qzeta import cli, linforms, measures
 from qzeta.cli import _sci, main
-from qzeta.linforms import FAMILIES, ParamsZ1, Store, form_from_json, form_to_json, linform
+from qzeta.linforms import FAMILIES, ParamsZ1, Store, form_from_json, form_to_json
 from qzeta.measures import EmpiricalMu, MFit, family_form
 
 
@@ -50,6 +51,33 @@ class TestExitCodes:
         code, report = run_json(capsys, "ord", "--n", n, "--l", "2")
         assert code == 0
         assert report["outputs"]["order"] == "0"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["inclusion", "--family", "bv", "--n-max", "-1"], "nothing was checked"),
+            (["inclusion", "--family", "bv", "--n-max", "0"], "nothing was checked"),
+            (["stability", "--family", "bv", "--n", "-1"], "nothing was checked"),
+            (["stability", "--family", "bv", "--n", "0"], "nothing was checked"),
+            (["apery", "--n-max", "-1"], "nothing was checked"),
+            (["measure", "--family", "bv", "--fit-n-max", "0"], "need n_max >= 6"),
+        ],
+        ids=[
+            "inclusion-n-max-neg",
+            "inclusion-n-max-zero",
+            "stability-n-neg",
+            "stability-n-zero",
+            "apery-n-max-neg",
+            "measure-fit-n-max-zero",
+        ],
+    )
+    def test_empty_or_zero_range_is_input_error(self, capsys, argv, message):
+        # a zero must not fall back to the default range, an empty range must
+        # not pass vacuously
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_malformed_params(self, capsys):
         assert main(["linform", "--kind", "zeta1", "--params", "1,2"]) == 2
@@ -104,10 +132,10 @@ class TestReportShape:
         warm = snapshot()  # second call loads it
         assert cold == warm
 
-    def test_threads_flag_accepted_and_not_echoed(self, capsys):
-        code, report = run_json(capsys, "rho", "--k", "2", "--threads", "4")
-        assert code == 0
-        assert "threads" not in report["inputs"]
+    def test_threads_flag_is_rejected(self, capsys):
+        # evaluation is single-threaded; no flag pretends otherwise
+        assert main(["rho", "--k", "2", "--threads", "4"]) == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_csv_has_check_rows(self, capsys):
         assert main(["rho", "--k", "3", "--format", "csv"]) == 0

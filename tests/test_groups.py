@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from test_linforms import linform
 
 from qzeta.groups import (
     SIGMA,
@@ -14,11 +15,9 @@ from qzeta.groups import (
     omega,
     params_from_cvector,
     q_factorial_value,
-    sigma_params,
     stability_check,
     stability_sweep,
     stable_quantity,
-    tau_params,
     zeta1_arith_group,
     zeta1_group,
     zeta2_group,
@@ -31,10 +30,21 @@ from qzeta.linforms import (
     ParamsZ1,
     ParamsZ2,
     cvector,
-    linform,
     verify_inclusion,
 )
 from qzeta.parith import gauss_factorial, prod_ppoly
+
+
+def tau_params(params: ParamsZ1) -> ParamsZ1:
+    """(a0,a1,a2,b) -> (a1, b-a1, a0, a0+a2); the image may be inadmissible."""
+    a0, a1, a2, b = params.as_tuple()
+    return ParamsZ1(a1, b - a1, a0, a0 + a2)
+
+
+def sigma_params(params: ParamsZ1) -> ParamsZ1:
+    """(a0,a1,a2,b) -> (a0,a2,a1,b); always admissible with the input."""
+    a0, a1, a2, b = params.as_tuple()
+    return ParamsZ1(a0, a2, a1, b)
 
 
 class TestPerm:

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a qzeta module imports is used in that module."""
+"""Source hygiene: every name a qzeta module imports is used in that module,
+and every public top-level name is used by library code or kept on purpose."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,37 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+# Public top-level names kept in the library although no library code calls
+# them, each a reproduction of a result of the paper.
+KEPT_FOR_THE_PAPER = {
+    "log2_q_series": "the paper's q-analogue of log 2, both Lambert groupings",
+    "limit_check": "the classical limit (1-q)^k zeta_q(k) -> (k-1)! zeta(k) as q -> 1",
+}
+
+
+def _unused_public_names():
+    """Public top-level defs and classes in src/qzeta that no other top-level
+    statement in src/qzeta reads."""
+    defs, readers = [], {}
+    for path in SRC:
+        for i, node in enumerate(ast.parse(path.read_text(), filename=str(path)).body):
+            for name in _used(node):
+                readers.setdefault(name, set()).add((path.name, i))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defs.append((path.name, node.name, i))
+    return {name for module, name, i in defs if not readers.get(name, set()) - {(module, i)}}
+
+
+def test_no_test_only_library_names():
+    unused = sorted(_unused_public_names() - set(KEPT_FOR_THE_PAPER))
+    assert not unused, (
+        "public names no library code uses (move them into the tests, or keep "
+        f"them in KEPT_FOR_THE_PAPER with a reason): {', '.join(unused)}"
+    )
+
+
+def test_kept_names_are_still_unused_library_names():
+    stale = sorted(set(KEPT_FOR_THE_PAPER) - _unused_public_names())
+    assert not stale, f"KEPT_FOR_THE_PAPER lists names now gone or used: {', '.join(stale)}"

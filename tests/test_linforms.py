@@ -1,34 +1,93 @@
 """Linear-form tests: exact A, B, c-vectors, inclusions, certification."""
 
+import hashlib
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_parith import points, units
 
 from qzeta.linforms import (
     APERY,
     BV,
+    DEFAULT_STORE,
     THEOREM1,
     THEOREM2,
     CVector,
     ParamsZ1,
     ParamsZ2,
     RatFunc,
+    Store,
+    Summand,
+    _expand_factors,
+    _Laurent,
+    _log_abs,
+    _poly_part,
     _tail_tables,
     certify,
     cvector,
     determine_M,
-    growth_scan,
-    heine_terms,
-    linform,
+    form_to_json,
     numeric_form_value,
     summand_z1,
     summand_z2,
     verify_inclusion,
 )
 from qzeta.parith import FactoredPPoly, PPoly, cyclotomic_value, dnp
+
+
+def linform(params, certify_at=2):
+    """The form at params from the shared memory store, certified at p = certify_at."""
+    return DEFAULT_STORE.form(params, certify_at)
+
+
+def heine_terms(params: ParamsZ1, T: int, p: int) -> list[Fraction]:
+    """First T summands of the zeta_q(1) series at q = 1/p, exactly."""
+    if abs(p) < 2:
+        raise ValueError("need |p| >= 2")
+    if not params.admissible:
+        raise ValueError(f"inadmissible parameters {params.as_tuple()}")
+    s = summand_z1(params)
+    q = Fraction(1, p)
+    c = Fraction(1)
+    for j in s.prefactor_num:
+        c *= 1 - q**j
+    for j in s.prefactor_den:
+        c /= 1 - q**j
+    out = []
+    for t in range(T):
+        x = q**t
+        v = c * x**s.expo
+        for i in s.num_i:
+            v *= 1 - q**i * x
+        for j, m in s.mult:
+            v /= (1 - q**j * x) ** m
+        out.append(v)
+    return out
+
+
+def growth_scan(family, n_max: int, p: int) -> list[dict]:
+    """Per-n growth exponents log|A_n| and log|F_n| against n² log|p|."""
+    if abs(p) < 2:
+        raise ValueError("need |p| >= 2")
+    rows = []
+    for n in range(1, n_max + 1):
+        form = linform(family.params(n), certify_at=None)
+        a_val = form.A.value_at(p)
+        enc, _ = numeric_form_value(form.params, p, terms=40 + 8 * n)
+        mid = enc.midpoint()
+        denom = n * n * math.log(abs(p))
+        rows.append(
+            {
+                "n": n,
+                "a_exponent": _log_abs(a_val) / denom,
+                "f_exponent": (_log_abs(mid) / denom) if mid else float("-inf"),
+                "M": form.M,
+            }
+        )
+    return rows
 
 
 class TestParams:
@@ -170,6 +229,86 @@ class TestSummand:
         mult = dict(s.mult)
         assert mult[7] == 1 and mult[16] == 1
         assert all(mult[j] == 2 for j in range(8, 16))
+
+
+def _dense_poly_part(s: Summand) -> list[_Laurent]:
+    """Oracle: long division of x^e·N(x) by the expanded D(x), one product per step."""
+
+    def mul(a, b):
+        return _Laurent(a.num * b.num, a.shift + b.shift)
+
+    numx = [_Laurent.const(0)] * s.expo + _expand_factors(s.num_i)
+    denx = _expand_factors([j for j, m in s.mult for _ in range(m)])
+    qdeg = len(numx) - len(denx)
+    if qdeg < 0:
+        return []
+    rem = list(numx)
+    dd = len(denx) - 1
+    lead = denx[dd]
+    assert lead.num.degree == 0 and abs(lead.num.coeffs[0]) == 1
+    lead_inv = _Laurent(PPoly.const(lead.num.coeffs[0]), -lead.shift)
+    quot = [_Laurent.const(0)] * (qdeg + 1)
+    for d in range(qdeg, -1, -1):
+        c = mul(rem[d + dd], lead_inv)
+        quot[d] = c
+        if not c.is_zero():
+            for i in range(dd + 1):
+                rem[d + i] = rem[d + i] - mul(c, denx[i])
+    return quot
+
+
+def _laurent_key(c: _Laurent):
+    """num·p^shift with the p-power of num moved into the shift; None for zero."""
+    if c.is_zero():
+        return None
+    t = c.num.trailing_zeros()
+    return c.num.coeffs[t:], c.shift + t
+
+
+def _summand(expo, num_i, mult):
+    return Summand(expo, tuple(sorted(num_i)), tuple(sorted(mult.items())), (), ())
+
+
+class TestPolyPart:
+    """Synthetic division, one pole factor at a time, against dense long division."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 6),
+        st.sets(st.integers(1, 8)),
+        st.dictionaries(st.integers(1, 8), st.integers(1, 2), min_size=1, max_size=5),
+    )
+    @example(0, set(), {1: 1})  # qdeg < 0: a proper rational function
+    @example(1, set(), {1: 1})  # qdeg = 0: a constant polynomial part
+    @example(2, {1, 3}, {2: 2, 5: 1, 7: 1})  # qdeg = 0 through a double pole
+    def test_matches_dense_division(self, expo, num_i, mult):
+        s = _summand(expo, num_i, mult)
+        got, want = _poly_part(s), _dense_poly_part(s)
+        assert len(got) == len(want) == max(0, expo + len(num_i) - sum(mult.values()) + 1)
+        assert [_laurent_key(c) for c in got] == [_laurent_key(c) for c in want]
+
+    def test_empty_and_constant_parts(self):
+        assert _poly_part(_summand(0, {2}, {1: 1, 3: 1})) == []
+        (c0,) = _poly_part(_summand(1, set(), {1: 1}))
+        # x / (1 - q x) = -p + p / (1 - q x)
+        assert _laurent_key(c0) == ((-1,), 1)
+
+
+# sha256 of form_to_json for forms whose bytes must not change
+PINNED_FORMS = {
+    "theorem1-1": (THEOREM1, 1, "1a59bbe748b013afd56b3ca655961a19f864cba87eb0a3e0ae8210c3ce927249"),
+    "theorem1-2": (THEOREM1, 2, "7b54f3b4ef528dd5274d19c5b8157f42714af83a13b6aee2cda63384015467e6"),
+    "theorem1-3": (THEOREM1, 3, "e03a27a3dd14fc765f8c7c0dc9887a9b772eec2320e4dffe4873607397a108a8"),
+    "bv-10": (BV, 10, "95fb3cb72902dfbce74330ac380fe70b1b8e7f540670102bf327f234165c3a40"),
+    "bv-14": (BV, 14, "f00a257d95a0588b4ac2ce795e3e3000ee9a42ea451ac944e05722889e55990a"),
+    "theorem2-1": (THEOREM2, 1, "0cc9614421bd72803764e0eb63a4ce2358bdd2a7224a6b74949f5c531b95b280"),
+}
+
+
+@pytest.mark.parametrize("family, n, digest", PINNED_FORMS.values(), ids=list(PINNED_FORMS))
+def test_pinned_form_bytes(family, n, digest):
+    text = form_to_json(Store().form(family.params(n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestHeineTerms:
