@@ -301,6 +301,12 @@ def cmd_linform(args, store):
 
 
 def cmd_inclusion(args, store):
+    if args.params is not None and args.family is not None:
+        raise ValueError("--params and --family exclude each other")
+    if args.kind is not None and args.params is None:
+        raise ValueError("--kind needs --params")
+    if args.n_max is not None and args.family is None:
+        raise ValueError("--n-max needs --family")
     if args.params is not None:
         kind = args.kind or "zeta1"
         jobs = [(None, _parse_params(kind, args.params))]
@@ -364,6 +370,8 @@ def cmd_omega(args, store):
 
 
 def cmd_stability(args, store):
+    if args.n is not None and args.family is None:
+        raise ValueError("--n needs --family")
     if args.family is not None:
         fam = _family(args.family)
         n_top = 1 if args.n is None else args.n

@@ -13,9 +13,11 @@ whose denominators are products of cyclotomic polynomials and powers of p.
 
 Residues and prefactors are products ±p^a·prod_l Phi_l(p)^e_l, held as
 parith.FactoredPPoly, the one factored type of the package (D_n and Omega
-use it too).  Everything here is exact; the only floating point is in the
-optional certification step, which itself runs on dyadic interval
-enclosures.
+use it too).  RatFunc sums merge pairwise in a balanced tree; they and the
+tail tables multiply by Phi_l products through the O(degree) binomials
+p^d - 1 (PPoly.times_cyclotomics), never through a dense cofactor.
+Everything here is exact; the only floating point is in the optional
+certification step, which itself runs on dyadic interval enclosures.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 from functools import cache
 
 from .dyadic import Interval
-from .parith import FactoredPPoly, PPoly, cyclotomic, divisors, prod_ppoly
+from .parith import FactoredPPoly, PPoly, divisors
 from .qseries import zeta_q_value
 
 
@@ -207,26 +209,39 @@ class RatFunc:
     __rmul__ = __mul__
 
     @staticmethod
+    def _merge(a: "RatFunc", b: "RatFunc") -> "RatFunc":
+        """a + b over the lcm of their denominators, each side lifted through binomials."""
+        dpow = max(a.dpow, b.dpow)
+        dphi = {l: max(a.dphi.get(l, 0), b.dphi.get(l, 0)) for l in a.dphi | b.dphi}
+        num = PPoly.zero()
+        for t in (a, b):
+            cof = {l: e - t.dphi.get(l, 0) for l, e in dphi.items()}
+            num = num + t.num.times_cyclotomics(cof).shift(dpow - t.dpow)
+        return RatFunc(num, dpow, dphi)
+
+    @staticmethod
     def sum(terms) -> "RatFunc":
-        """Single common-denominator sum of many RatFuncs."""
-        terms = [t for t in terms if not t.is_zero()]
-        if not terms:
+        """Sum over p^dpow·prod_l Phi_l^dphi[l], each exponent the max over the nonzero terms.
+
+        Numerators over one denominator are added first.  The groups are then
+        merged pairwise in a balanced tree (the sum tree of Bernstein, "Fast
+        multiplication and its applications", 2008): each merge lifts both
+        sides to their common denominator through PPoly.times_cyclotomics,
+        O(degree) per binomial p^d - 1.  A group whose numerators cancel
+        keeps its denominator, so the root already has the full one.
+        """
+        groups: dict[tuple, PPoly] = {}
+        for t in terms:
+            if not t.is_zero():
+                key = (t.dpow, tuple(sorted(t.dphi.items())))
+                groups[key] = groups[key] + t.num if key in groups else t.num
+        if not groups:
             return RatFunc.zero()
-        dpow = max(t.dpow for t in terms)
-        dphi: dict[int, int] = {}
-        for t in terms:
-            for l, e in t.dphi.items():
-                if e > dphi.get(l, 0):
-                    dphi[l] = e
-        total = PPoly.zero()
-        for t in terms:
-            cof = prod_ppoly(
-                cyclotomic(l).pow(dphi.get(l, 0) - t.dphi.get(l, 0))
-                for l in dphi
-                if dphi.get(l, 0) > t.dphi.get(l, 0)
-            )
-            total = total + (t.num * cof).shift(dpow - t.dpow)
-        return RatFunc(total, dpow, dphi)
+        level = [RatFunc(num, dpow, dict(dphi)) for (dpow, dphi), num in groups.items()]
+        while len(level) > 1:
+            merged = [RatFunc._merge(a, b) for a, b in zip(level[::2], level[1::2])]
+            level = merged + level[len(merged) * 2 :]
+        return level[0]
 
     # -- queries -----------------------------------------------------------
 
@@ -382,8 +397,7 @@ def _tail_tables(jmax: int) -> tuple[list[RatFunc], list[RatFunc]]:
     v = PPoly.const(1)  # V itself
     vphi: dict[int, int] = {}
     for j in range(1, jmax):
-        phi_j = cyclotomic(j)
-        v = v * phi_j
+        v = v.times_cyclotomics({j: 1})
         vphi = dict(vphi)
         vphi[j] = 1
         # V now includes all l <= j; the new term 1/(p^j - 1) has cofactor
@@ -391,8 +405,8 @@ def _tail_tables(jmax: int) -> tuple[list[RatFunc], list[RatFunc]]:
         cof = v.div_binomial(j)
         if cof is None:
             raise AssertionError(f"p^{j} - 1 does not divide prod_(l <= {j}) Phi_l")
-        u = u * phi_j + cof
-        x = x * (phi_j * phi_j) + (cof * cof).shift(j)
+        u = u.times_cyclotomics({j: 1}) + cof
+        x = x.times_cyclotomics({j: 2}) + (cof * cof).shift(j)
         t1.append(RatFunc(u, 0, vphi))
         t2.append(RatFunc(x, 0, {l: 2 * e for l, e in vphi.items()}))
     return t1, t2

@@ -9,7 +9,10 @@ Multiplication goes through Kronecker substitution on top of big integers
 The binomial p^d - 1 is the one kernel for cyclotomic-type factors:
 mul_binomial and div_binomial are single O(degree) passes, and exact
 division by Phi_l = prod_{d | l} (p^d - 1)^mu(l/d) is 2^omega(l) of them
-(div_cyclotomic, counted by ord_at).  Gaussian factorials grow by
+(div_cyclotomic, counted by ord_at).  Multiplication by a product
+prod_l Phi_l^e_l nets those Moebius forms into one power of each p^d - 1
+(times_cyclotomics); it lifts the terms of linforms' RatFunc sums to a
+common denominator.  Gaussian factorials grow by
 f·[v]_p = f·(p^v - 1)/(p - 1).  The dense exact division try_exact_div
 remains only inside cyclotomic(), which builds Phi_l independently of the
 Moebius form.
@@ -339,6 +342,29 @@ class PPoly:
             cur = cur.div_binomial(d)
             if cur is None:
                 return None
+        return cur
+
+    def times_cyclotomics(self, exps: dict[int, int]) -> "PPoly":
+        """self·prod_l Phi_l^e_l (every e_l >= 0) through the binomials p^d - 1.
+
+        The Moebius forms Phi_l = prod_{d | l} (p^d - 1)^mu(l/d) are netted
+        into one exponent per d first; the positive powers are multiplied
+        in, then the negative ones divided out, each division exact because
+        the whole product is a polynomial.  O(degree) per binomial.
+        """
+        net: dict[int, int] = {}
+        for l, e in exps.items():
+            for d in divisors(l):
+                net[d] = net.get(d, 0) + mobius(l // d) * e
+        cur = self
+        for d, n in net.items():
+            for _ in range(n):
+                cur = cur.mul_binomial(d)
+        for d, n in net.items():
+            for _ in range(-n):
+                cur = cur.div_binomial(d)
+                if cur is None:
+                    raise AssertionError(f"p^{d} - 1 left a remainder in a Phi product")
         return cur
 
     def ord_at(self, l: int, cap: int | None = None) -> int:

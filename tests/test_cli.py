@@ -79,6 +79,26 @@ class TestExitCodes:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["inclusion", "--n-max", "1"], "--n-max needs --family"),
+            (["inclusion", "--kind", "zeta1"], "--kind needs --params"),
+            (
+                ["inclusion", "--params", "3,3,3,6", "--family", "bv"],
+                "--params and --family exclude each other",
+            ),
+            (["stability", "--n", "3"], "--n needs --family"),
+        ],
+        ids=["inclusion-n-max-alone", "inclusion-kind-alone", "inclusion-params-and-family", "stability-n-alone"],
+    )
+    def test_ignored_option_is_input_error(self, capsys, argv, message):
+        # an option the command would not use must not be echoed as if it had run
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_malformed_params(self, capsys):
         assert main(["linform", "--kind", "zeta1", "--params", "1,2"]) == 2
 

@@ -35,7 +35,7 @@ from qzeta.linforms import (
     summand_z2,
     verify_inclusion,
 )
-from qzeta.parith import FactoredPPoly, PPoly, cyclotomic_value, dnp
+from qzeta.parith import FactoredPPoly, PPoly, cyclotomic, cyclotomic_value, dnp, prod_ppoly
 
 
 def linform(params, certify_at=2):
@@ -195,7 +195,99 @@ class TestRatFunc:
         assert r.phi_order(3) == 0
 
 
+def _flat_sum(terms) -> RatFunc:
+    """Oracle: one pass over the terms, each cofactor a dense product of Phi_l powers."""
+    terms = [t for t in terms if not t.is_zero()]
+    if not terms:
+        return RatFunc.zero()
+    dpow = max(t.dpow for t in terms)
+    dphi: dict[int, int] = {}
+    for t in terms:
+        for l, e in t.dphi.items():
+            if e > dphi.get(l, 0):
+                dphi[l] = e
+    total = PPoly.zero()
+    for t in terms:
+        cof = prod_ppoly(
+            cyclotomic(l).pow(dphi.get(l, 0) - t.dphi.get(l, 0))
+            for l in dphi
+            if dphi.get(l, 0) > t.dphi.get(l, 0)
+        )
+        total = total + (t.num * cof).shift(dpow - t.dpow)
+    return RatFunc(total, dpow, dphi)
+
+
+@st.composite
+def ratfunc_lists(draw):
+    """Small RatFuncs over a few shared denominators, with zero and cancelling terms."""
+    denominators = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.dictionaries(st.integers(1, 12), st.integers(0, 2), max_size=4),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    terms = []
+    for _ in range(draw(st.integers(0, 9))):
+        dpow, dphi = draw(st.sampled_from(denominators))
+        t = RatFunc(PPoly(draw(st.lists(st.integers(-4, 4), max_size=5))), dpow, dphi)
+        terms.append(t)
+        cancel = draw(st.sampled_from(["none", "same", "other"]))
+        if cancel == "same":  # the same value with the opposite sign
+            terms.append(-t)
+        elif cancel == "other":  # ... over a larger denominator
+            l = draw(st.integers(1, 12))
+            terms.append(-t * RatFunc(cyclotomic(l), 1, {l: 1}) * RatFunc(PPoly.monomial(1)))
+    return terms
+
+
+class TestRatFuncSum:
+    """The pairwise sum tree against the flat common-denominator loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ratfunc_lists())
+    def test_matches_flat_sum(self, terms):
+        got, want = RatFunc.sum(terms), _flat_sum(terms)
+        assert (got.num, got.dpow, got.dphi) == (want.num, want.dpow, want.dphi)
+
+    def test_cancelling_terms_keep_the_denominator(self):
+        # 3/(p^2·Phi_4) cancels, 1/Phi_1 comes back over p^2·Phi_1·Phi_4
+        t = RatFunc(PPoly.const(3), 2, {4: 1})
+        s = RatFunc.sum([t, RatFunc(PPoly.const(1), 0, {1: 1}), -t, RatFunc.zero()])
+        assert (s.num, s.dpow, s.dphi) == (PPoly([0, 0, 1, 0, 1]), 2, {1: 1, 4: 1})
+        assert RatFunc.sum([t, -t]).dphi == {4: 1}
+        assert RatFunc.sum([RatFunc.zero()] * 3).dphi == {}
+
+
+def _dense_tail_tables(jmax: int) -> tuple[list[RatFunc], list[RatFunc]]:
+    """Oracle: _tail_tables with every Phi_j applied as a dense product."""
+    t1: list[RatFunc] = [RatFunc.zero(), RatFunc.zero()]
+    t2: list[RatFunc] = [RatFunc.zero(), RatFunc.zero()]
+    u, x, v = PPoly.zero(), PPoly.zero(), PPoly.const(1)
+    vphi: dict[int, int] = {}
+    for j in range(1, jmax):
+        phi_j = cyclotomic(j)
+        v = v * phi_j
+        vphi = {**vphi, j: 1}
+        cof = v.div_binomial(j)
+        u = u * phi_j + cof
+        x = x * (phi_j * phi_j) + (cof * cof).shift(j)
+        t1.append(RatFunc(u, 0, vphi))
+        t2.append(RatFunc(x, 0, {l: 2 * e for l, e in vphi.items()}))
+    return t1, t2
+
+
 class TestTailTables:
+    def test_matches_dense_tables(self):
+        for got, want in zip(_tail_tables(40), _dense_tail_tables(40)):
+            assert len(got) == len(want) == 41
+            assert [(r.num, r.dpow, r.dphi) for r in got] == [
+                (r.num, r.dpow, r.dphi) for r in want
+            ]
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_partial_sums_exact(self, p):
         t1, t2 = _tail_tables(9)
@@ -302,6 +394,8 @@ PINNED_FORMS = {
     "bv-10": (BV, 10, "95fb3cb72902dfbce74330ac380fe70b1b8e7f540670102bf327f234165c3a40"),
     "bv-14": (BV, 14, "f00a257d95a0588b4ac2ce795e3e3000ee9a42ea451ac944e05722889e55990a"),
     "theorem2-1": (THEOREM2, 1, "0cc9614421bd72803764e0eb63a4ce2358bdd2a7224a6b74949f5c531b95b280"),
+    "theorem2-2": (THEOREM2, 2, "faede86ad81504a4bfe1b52b563ac5022cbf6e577a73ebfa7f408fc556f1b554"),
+    "theorem2-3": (THEOREM2, 3, "46477b6b8e9c2ee6a44b5fcb62588b3589721feb7210e13850d7ec5a6bef2447"),
 }
 
 

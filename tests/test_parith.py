@@ -117,6 +117,17 @@ def test_ord_at_matches_dense_division(exponents, cofactor, l, extra, cap):
     assert q == f.try_exact_div(cyclotomic(l))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    _ints,
+    st.dictionaries(st.integers(1, 60), st.integers(0, 3), max_size=5),
+)
+def test_times_cyclotomics_matches_dense_product(f, exps):
+    f = PPoly(f)
+    want = prod_ppoly([f] + [cyclotomic(l).pow(e) for l, e in exps.items()])
+    assert f.times_cyclotomics(exps) == want
+
+
 def gauss_number(n: int) -> PPoly:
     """[n]_p = (p^n - 1)/(p - 1) = 1 + p + ... + p^(n-1), the oracle's factor."""
     if n < 1:
