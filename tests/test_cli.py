@@ -90,7 +90,12 @@ class TestExitCodes:
             ),
             (["stability", "--n", "3"], "--n needs --family"),
         ],
-        ids=["inclusion-n-max-alone", "inclusion-kind-alone", "inclusion-params-and-family", "stability-n-alone"],
+        ids=[
+            "inclusion-n-max-alone",
+            "inclusion-kind-alone",
+            "inclusion-params-and-family",
+            "stability-n-alone",
+        ],
     )
     def test_ignored_option_is_input_error(self, capsys, argv, message):
         # an option the command would not use must not be echoed as if it had run
