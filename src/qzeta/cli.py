@@ -10,18 +10,19 @@ failed, 2 for invalid input (unknown command, malformed parameters, a
 value outside an operation's domain, or a range that leaves nothing to
 check).
 
-Each command gets one linforms.Store, which keeps linear forms under a
-cache directory (--cache-dir, else $QZETA_CACHE, else ~/.cache/qzeta) as
-forms/<kind>-<params>.json in format qzeta-form-v2; a file that fails
-verification on load is rebuilt and atomically overwritten.  Reports
-themselves are deterministic: identical invocations give byte-identical
-output apart from the elapsed_ms field, no matter how warm the cache is.
+Each command imports only the library modules it runs, so it pays start-up
+time for its own code alone.  Each gets one store.Store, which keeps linear
+forms under a cache directory (--cache-dir, else $QZETA_CACHE, else
+~/.cache/qzeta) as forms/<kind>-<params>.json in format qzeta-form-v2; a
+file that fails verification on load is rebuilt and atomically overwritten.
+Reports themselves are deterministic: identical invocations give
+byte-identical output apart from the elapsed_ms field, no matter how warm
+the cache is.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -30,43 +31,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .groups import (
-    omega,
-    stability_sweep,
-    zeta1_arith_group,
-    zeta1_group,
-    zeta2_group,
-)
-from .linforms import (
-    FAMILIES,
-    ParamsZ1,
-    ParamsZ2,
-    Store,
-    certify,
-    cvector,
-    verify_inclusion,
-)
-from .measures import (
-    apery_limit_check,
-    apery_numbers,
-    empirical_mu,
-    family_form,
-    group_for,
-    measure,
-    _limit_value_at_one,
-)
-from .parith import (
-    cyclotomic,
-    cyclotomic_value,
-    dnp,
-    gauss_factorial,
-    mertens_ratio,
-    ord_phi_factorial,
-    phi_block_sum,
-    totient,
-    trigamma,
-)
-from .qseries import jacobi_check, rho, zeta_q_series
+from .store import Store
 
 BV_CONSTANT = 2 * math.pi**2 / (math.pi**2 - 2)
 MU_TARGETS = {"theorem1": (2.42343562, 1e-6), "theorem2": (4.07869374, 1e-6)}
@@ -112,6 +77,8 @@ def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
         return
+    import csv
+
     out = csv.writer(sys.stdout)
     out.writerow(["section", "key", "value"])
     out.writerow(["meta", "command", report["command"]])
@@ -132,6 +99,8 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def _parse_params(kind: str, text: str):
+    from .linforms import ParamsZ1, ParamsZ2
+
     parts = [s.strip() for s in text.split(",")]
     want = 4 if kind == "zeta1" else 5
     if len(parts) != want:
@@ -145,6 +114,8 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _family(name: str):
+    from .linforms import FAMILIES
+
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; choose from {sorted(FAMILIES)}")
     return FAMILIES[name]
@@ -155,6 +126,8 @@ def _family(name: str):
 
 
 def cmd_series(args, store):
+    from .qseries import zeta_q_series
+
     reps = ("divisor-sum", "lambert", "rho")
     checks = []
     for k in range(1, args.k + 1):
@@ -169,6 +142,8 @@ def cmd_series(args, store):
 
 
 def cmd_rho(args, store):
+    from .qseries import rho
+
     checks = []
     for k in range(1, args.k + 1):
         val, want = rho(k)(1), math.factorial(k - 1)
@@ -178,6 +153,8 @@ def cmd_rho(args, store):
 
 
 def cmd_cyclotomic(args, store):
+    from .parith import cyclotomic, cyclotomic_value
+
     phi = cyclotomic(args.l)
     p = args.p if args.p is not None else 2
     poly_val = phi(p)
@@ -199,6 +176,8 @@ def cmd_cyclotomic(args, store):
 
 
 def cmd_dnp(args, store):
+    from .parith import dnp, totient
+
     n = args.n
     d = dnp(n)
     expanded = d.expand()
@@ -223,6 +202,8 @@ def cmd_dnp(args, store):
 
 
 def cmd_ord(args, store):
+    from .parith import gauss_factorial, ord_phi_factorial
+
     n = args.n
     if args.l is not None:
         ls = [args.l]
@@ -254,6 +235,8 @@ def cmd_ord(args, store):
 
 
 def cmd_mertens(args, store):
+    from .parith import mertens_ratio
+
     ratio = mertens_ratio(args.n, args.p)
     target = 3 / math.pi**2
     ok = abs(ratio - target) <= 0.05
@@ -262,6 +245,8 @@ def cmd_mertens(args, store):
 
 
 def cmd_eq3(args, store):
+    from .parith import phi_block_sum, trigamma
+
     u, v = args.u, args.v
     lhs = phi_block_sum(args.n, args.p, u, v)
     rhs = 3 / math.pi**2 * (trigamma(u).value - trigamma(v).value)
@@ -277,6 +262,8 @@ def cmd_eq3(args, store):
 
 
 def cmd_linform(args, store):
+    from .linforms import certify
+
     params = _parse_params(args.kind, args.params)
     form = store.form(params)
     p = args.p if args.p is not None else 2
@@ -301,6 +288,8 @@ def cmd_linform(args, store):
 
 
 def cmd_inclusion(args, store):
+    from .linforms import FAMILIES, verify_inclusion
+
     if args.params is not None and args.family is not None:
         raise ValueError("--params and --family exclude each other")
     if args.kind is not None and args.params is None:
@@ -334,6 +323,8 @@ def cmd_inclusion(args, store):
 
 
 def cmd_group(args, store):
+    from .groups import zeta1_arith_group, zeta1_group, zeta2_group
+
     table = {
         "zeta1": (zeta1_group, 12),
         "zeta1-arith": (zeta1_arith_group, 6),
@@ -353,6 +344,9 @@ def cmd_group(args, store):
 
 
 def cmd_omega(args, store):
+    from .groups import group_for, omega
+    from .linforms import cvector
+
     params = _parse_params(args.kind, args.params)
     c = cvector(params)
     res = omega(c, group_for(args.kind))
@@ -370,8 +364,12 @@ def cmd_omega(args, store):
 
 
 def cmd_stability(args, store):
+    from .groups import group_for, stability_sweep
+
     if args.n is not None and args.family is None:
         raise ValueError("--n needs --family")
+    if abs(args.p) < 2 or args.prec < 1:
+        raise ValueError("stability needs |p| >= 2 and prec >= 1")
     if args.family is not None:
         fam = _family(args.family)
         n_top = 1 if args.n is None else args.n
@@ -384,8 +382,9 @@ def cmd_stability(args, store):
         G = group_for(fam.kind)
         rows = stability_sweep(fam.params(n), G, p=args.p, terms=args.terms, prec=args.prec)
         admissible = [r for r in rows if r["status"] != "skipped (inadmissible image)"]
-        ok = all(r["status"] == "ok" for r in admissible) and all(
-            r["width"] < Fraction(1, 10**20) for r in admissible
+        # the identity is always admissible, so an empty list means the sweep failed
+        ok = bool(admissible) and all(
+            r["status"] == "ok" and r["width"] < Fraction(1, 10**20) for r in admissible
         )
         worst = max((float(r["width"]) for r in admissible), default=0.0)
         checks.append(
@@ -402,6 +401,8 @@ def cmd_stability(args, store):
 
 
 def cmd_measure(args, store):
+    from .measures import measure
+
     fam = _family(args.family)
     rep = measure(fam, args.fit_n_max, store)
     fit = rep.M_fit
@@ -452,6 +453,8 @@ def cmd_measure(args, store):
 
 
 def cmd_empirical_mu(args, store):
+    from .measures import empirical_mu
+
     fam = _family(args.family)
     res = empirical_mu(fam, args.p, args.n_max, store=store)
     ests, logs = res.estimates, res.log_residues
@@ -479,6 +482,9 @@ def cmd_empirical_mu(args, store):
 
 
 def cmd_apery(args, store):
+    from .linforms import FAMILIES
+    from .measures import _limit_value_at_one, apery_limit_check, apery_numbers, family_form
+
     if args.n_max > 4:
         raise ValueError("apery is cost-bounded to --n-max <= 4")
     oracle = apery_numbers(args.n_max)
@@ -496,6 +502,8 @@ def cmd_apery(args, store):
 
 
 def cmd_jacobi(args, store):
+    from .qseries import jacobi_check
+
     ok = jacobi_check(args.order)
     return {"order": args.order}, [
         _check("four-square-identity", ok, f"coefficients agree to order {args.order}")

@@ -12,7 +12,7 @@ divided out of the linear forms on top of the usual common denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -33,16 +33,18 @@ from .parith import FactoredPPoly
 # permutations of a label set
 
 
-@dataclass(frozen=True)
-class Perm:
-    """Bijection of a label tuple; acts on c-vectors by (g·c)_j = c_{g(j)}."""
+class Perm(namedtuple("Perm", "labels images")):
+    """Bijection of a label tuple; acts on c-vectors by (g·c)_j = c_{g(j)}.
 
-    labels: tuple[str, ...]
-    images: tuple[str, ...]  # images[i] = g(labels[i])
+    images[i] = g(labels[i]).
+    """
 
-    def __post_init__(self):
-        if sorted(self.images) != sorted(self.labels):
+    __slots__ = ()
+
+    def __new__(cls, labels, images):
+        if sorted(images) != sorted(labels):
             raise ValueError("not a bijection of the label set")
+        return super().__new__(cls, labels, images)
 
     @staticmethod
     def identity(labels: tuple[str, ...]) -> "Perm":
@@ -103,12 +105,13 @@ class Perm:
         return "Perm(id)" if not cyc else "Perm" + "".join(str(c) for c in cyc)
 
 
-@dataclass(frozen=True)
 class Group:
     """Closure of a generator list, in deterministic breadth-first order."""
 
-    elements: tuple[Perm, ...]
-    generators: tuple[Perm, ...]
+    __slots__ = ("elements", "generators")
+
+    def __init__(self, elements: tuple[Perm, ...], generators: tuple[Perm, ...]):
+        self.elements, self.generators = elements, generators
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -173,6 +176,11 @@ def zeta2_group() -> Group:
     return generate([_ROW12, _ROW23, _COLSWAP, _INVOL])
 
 
+def group_for(kind: str) -> Group:
+    """The label group under which the denominator gain is maximized."""
+    return zeta1_arith_group() if kind == "zeta1" else zeta2_group()
+
+
 def params_from_cvector(c: CVector):
     """Invert a c-vector back to parameters; None if no tuple realizes it."""
     try:
@@ -211,10 +219,7 @@ def nu_l(c: CVector, G: Group, l: int, base: tuple[str, ...] | None = None) -> i
     return best
 
 
-@dataclass(frozen=True)
-class OmegaResult:
-    omega: FactoredPPoly
-    nu: dict[int, int]
+OmegaResult = namedtuple("OmegaResult", "omega nu")
 
 
 def omega(c: CVector, G: Group) -> OmegaResult:
@@ -249,11 +254,10 @@ def stable_quantity(params, p: int, terms: int = 120, prec: int = 320) -> Interv
     return enc / Interval.exact(pi, prec)
 
 
-@dataclass(frozen=True)
-class StabilityResult:
-    ok: bool
-    width: Fraction
-    image: object  # the image parameter tuple
+class StabilityResult(namedtuple("StabilityResult", "ok width image")):
+    """Overlap verdict, widest enclosure, and the image parameter tuple."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

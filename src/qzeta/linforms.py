@@ -24,10 +24,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 import zlib
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -40,18 +38,15 @@ from .qseries import zeta_q_value
 # parameter tuples and c-vectors
 
 
-@dataclass(frozen=True)
-class ParamsZ1:
+class ParamsZ1(namedtuple("ParamsZ1", "a0 a1 a2 b")):
     """Parameters (a0, a1, a2, b) of the zeta_q(1) series."""
 
-    a0: int
-    a1: int
-    a2: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.a0, self.a1, self.a2, self.b) < 1:
+    def __new__(cls, a0, a1, a2, b):
+        if min(a0, a1, a2, b) < 1:
             raise ValueError("parameters must be positive integers")
+        return super().__new__(cls, a0, a1, a2, b)
 
     @property
     def admissible(self) -> bool:
@@ -59,22 +54,18 @@ class ParamsZ1:
         return self.a1 + self.a2 <= self.b and self.a0 + self.a1 + self.a2 >= self.b + 1
 
     def as_tuple(self):
-        return (self.a0, self.a1, self.a2, self.b)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class ParamsZ2:
+class ParamsZ2(namedtuple("ParamsZ2", "a1 a2 a3 b2 b3")):
     """Parameters (a1, a2, a3, b2, b3) of the zeta_q(2) series."""
 
-    a1: int
-    a2: int
-    a3: int
-    b2: int
-    b3: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.as_tuple()) < 1:
+    def __new__(cls, a1, a2, a3, b2, b3):
+        if min(a1, a2, a3, b2, b3) < 1:
             raise ValueError("parameters must be positive integers")
+        return super().__new__(cls, a1, a2, a3, b2, b3)
 
     @property
     def admissible(self) -> bool:
@@ -83,7 +74,7 @@ class ParamsZ2:
         return all(aj < bk for aj in a for bk in b) and sum(a) < sum(b)
 
     def as_tuple(self):
-        return (self.a1, self.a2, self.a3, self.b2, self.b3)
+        return tuple(self)
 
 
 LABELS_Z1 = ("00", "01", "11", "21", "12", "22")
@@ -93,12 +84,10 @@ LABELS_Z2 = ("00", "11", "12", "13", "21", "22", "23", "31", "32", "33")
 FACTORIAL_LABELS = {"zeta1": ("01", "21", "22"), "zeta2": ("00", "21", "22", "33", "31")}
 
 
-@dataclass(frozen=True)
-class CVector:
+class CVector(namedtuple("CVector", "kind values")):
     """The labeled parameter differences acted on by the transformation groups."""
 
-    kind: str
-    values: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -325,15 +314,9 @@ class _Laurent:
 # the summand in product form
 
 
-@dataclass(frozen=True)
-class Summand:
-    """S(x) = x^expo · prod_{i in num_i}(1 - q^i x) / prod_j (1 - q^j x)^{mult[j]}."""
-
-    expo: int
-    num_i: tuple[int, ...]
-    mult: tuple[tuple[int, int], ...]  # sorted (pole j, multiplicity)
-    prefactor_num: tuple[int, ...]  # C = prod (1-q^j) over these j ...
-    prefactor_den: tuple[int, ...]  # ... divided by these
+# S(x) = x^expo · prod_{i in num_i}(1 - q^i x) / prod_j (1 - q^j x)^{m_j}; mult holds
+# the sorted (pole j, m_j), and C = prod (1-q^j) over prefactor_num / over prefactor_den
+Summand = namedtuple("Summand", "expo num_i mult prefactor_num prefactor_den")
 
 
 def _cancel(num: list[int], den: dict[int, int]) -> tuple[list[int], dict[int, int]]:
@@ -416,16 +399,13 @@ def _tail_tables(jmax: int) -> tuple[list[RatFunc], list[RatFunc]]:
 # the linear form itself
 
 
-@dataclass
 class LinearForm:
     """A·zeta_q(k) − B with exact coefficients and its arithmetic data."""
 
-    kind: str
-    params: object
-    A: RatFunc
-    B: RatFunc
-    cvec: CVector
-    M: int = 0
+    __slots__ = ("kind", "params", "A", "B", "cvec", "M")
+
+    def __init__(self, kind: str, params, A: RatFunc, B: RatFunc, cvec: CVector, M: int = 0):
+        self.kind, self.params, self.A, self.B, self.cvec, self.M = kind, params, A, B, cvec, M
 
     @property
     def m(self) -> int:
@@ -584,7 +564,7 @@ def _build_zeta2(params: ParamsZ2) -> LinearForm:
 
 
 # --------------------------------------------------------------------------
-# the form store
+# the form file (qzeta.store.Store reads and writes it)
 
 
 FORM_FORMAT = "qzeta-form-v2"
@@ -651,72 +631,6 @@ def form_from_json(text: str, params) -> LinearForm:
     return form
 
 
-class Store:
-    """The linear forms of one run, in memory and, given a root, on disk.
-
-    form(params) answers from memory, else from <root>/forms/<kind>-<params>.json
-    when form_from_json accepts that file, else builds the form and writes
-    the file atomically (temp file + rename).  A file that fails verification
-    is rebuilt and overwritten, never served.  Certification at a given p is
-    run once per form and store.  <root>/forms is created with the store.
-    """
-
-    def __init__(self, root: str | None = None):
-        self.forms_dir = None if root is None else os.path.join(root, "forms")
-        self._forms: dict[object, LinearForm] = {}
-        self._certified: set[tuple[object, int]] = set()
-        if self.forms_dir is not None:
-            try:  # created up front, so a used cache dir is never empty
-                os.makedirs(self.forms_dir, exist_ok=True)
-            except OSError:
-                pass  # read-only root: only a command that saves a form fails
-
-    def form(self, params, certify_at: int | None = None) -> LinearForm:
-        form = self._forms.get(params)
-        if form is None:
-            form = self._load(params)
-            if form is None:
-                build = _build_zeta1 if isinstance(params, ParamsZ1) else _build_zeta2
-                form = build(params)
-                self._save(form)
-            self._forms[params] = form
-        if certify_at is not None and (params, certify_at) not in self._certified:
-            rep = certify(form, certify_at)
-            if not rep.ok:
-                raise AssertionError(f"numeric certification failed: {rep}")
-            self._certified.add((params, certify_at))
-        return form
-
-    def _path(self, params) -> str:
-        name = "-".join([cvector(params, check=False).kind, *map(str, params.as_tuple())])
-        return os.path.join(self.forms_dir, name + ".json")
-
-    def _load(self, params) -> LinearForm | None:
-        if self.forms_dir is None:
-            return None
-        try:
-            with open(self._path(params)) as fh:
-                return form_from_json(fh.read(), params)
-        except (OSError, ValueError):
-            return None
-
-    def _save(self, form: LinearForm) -> None:
-        if self.forms_dir is None:
-            return
-        fd, tmp = tempfile.mkstemp(dir=self.forms_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(form_to_json(form))
-            os.replace(tmp, self._path(form.params))
-        except BaseException:
-            os.unlink(tmp)  # still there: the rename is the last step
-            raise
-
-
-# the library default: a memory-only store shared within the process
-DEFAULT_STORE = Store()
-
-
 # --------------------------------------------------------------------------
 # M, inclusions, certification
 
@@ -726,10 +640,8 @@ def determine_M(form: LinearForm) -> int:
     return min(form.A.ord_p(), form.B.ord_p())
 
 
-@dataclass(frozen=True)
-class InclusionResult:
-    ok: bool
-    witness: str | None = None
+class InclusionResult(namedtuple("InclusionResult", "ok witness", defaults=(None,))):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -804,12 +716,7 @@ def numeric_form_value(
     return acc.widen(tail_bound), tail_bound
 
 
-@dataclass(frozen=True)
-class Certification:
-    residual: Fraction
-    bound: Fraction
-    terms: int
-    ok: bool
+Certification = namedtuple("Certification", "residual bound terms ok")
 
 
 @cache
@@ -839,14 +746,10 @@ def _log_abs(x) -> float:
     return math.log(abs(x.numerator)) - math.log(x.denominator)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "kind rates offsets name")):
     """A one-parameter direction n -> params(n) through parameter space."""
 
-    kind: str
-    rates: tuple[int, ...]
-    offsets: tuple[int, ...]
-    name: str
+    __slots__ = ()
 
     def params(self, n: int):
         vals = tuple(r * n + o for r, o in zip(self.rates, self.offsets))

@@ -23,24 +23,23 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
-from .groups import Group, omega, zeta1_arith_group, zeta2_group
+from .groups import Group, group_for, omega
 from .linforms import (
     APERY,
     FACTORIAL_LABELS,
     LABELS_Z1,
     LABELS_Z2,
-    DEFAULT_STORE,
     Family,
     LinearForm,
-    Store,
     _log_abs,
     cvector,
     numeric_form_value,
 )
 from .parith import cyclotomic, trigamma
+from .store import DEFAULT_STORE, Store
 
 # density of l with a fixed fractional part {n/l}, per unit of log Phi_l
 _DENSITY = 3 / math.pi**2
@@ -50,12 +49,10 @@ _DENSITY = 3 / math.pi**2
 # directions and profiles
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(namedtuple("Direction", "kind eta")):
     """Per-n growth rates of the labeled c-values along a family."""
 
-    kind: str
-    eta: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -79,13 +76,7 @@ def direction(family: Family) -> Direction:
     return Direction(family.kind, eta)
 
 
-def group_for(kind: str) -> Group:
-    """The label group under which the denominator gain is maximized."""
-    return zeta1_arith_group() if kind == "zeta1" else zeta2_group()
-
-
-@dataclass(frozen=True)
-class NuProfile:
+class NuProfile(namedtuple("NuProfile", "kind base breakpoints values lattice")):
     """The cyclotomic gain at modulus l, as a step function of x = {n/l}.
 
     For l in the bulk (both l and n/l large) the exact gain depends on n
@@ -93,14 +84,11 @@ class NuProfile:
     it become sums of floor(eta_j x).  The profile stores that limit
     function — right-continuous, piecewise constant between breakpoints
     k/eta_j, zero near 0, and >= 0 everywhere because the group contains
-    the identity.
+    the identity.  values has len(breakpoints) + 1 entries; lattice holds
+    every k/eta_j, whether or not phi jumps there.
     """
 
-    kind: str
-    base: tuple[str, ...]
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[int, ...]  # len(breakpoints) + 1 entries
-    lattice: tuple[Fraction, ...]  # every k/eta_j, whether or not phi jumps
+    __slots__ = ()
 
     def phi(self, x) -> int:
         """Profile value at x, reduced mod 1."""
@@ -213,16 +201,8 @@ def family_form(family: Family, n: int, store: Store = DEFAULT_STORE) -> LinearF
     return store.form(family.params(n))
 
 
-@dataclass(frozen=True)
-class MFit:
-    """Fitted leading coefficient of M(n), with the evidence."""
-
-    coeff: Fraction
-    values: tuple[int, ...]
-    second_diffs: tuple[int, ...]
-    stable: bool
-    period: int = 1
-    warning: str = ""
+# fitted leading coefficient of M(n), with the evidence
+MFit = namedtuple("MFit", "coeff values second_diffs stable period warning", defaults=(1, ""))
 
 
 def fit_M_coeff(family: Family, n_max: int, store: Store = DEFAULT_STORE) -> MFit:
@@ -266,24 +246,15 @@ def fit_M_coeff(family: Family, n_max: int, store: Store = DEFAULT_STORE) -> MFi
 # assembly
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """All four exponents and the bound they imply.
-
-    lambda_ = -M_coeff + d_exp - omega_exp is the decay exponent of the
-    scaled form, kappa = lambda_ + alpha the growth exponent of the scaled
-    coefficients, and mu_bound = -alpha/lambda_ the resulting bound.
-    """
-
-    alpha: Fraction
-    d_exp: float
-    omega_exp: float
-    M_coeff: Fraction
-    kappa: float
-    lambda_: float
-    mu_bound: float
-    family: str = ""
-    M_fit: MFit | None = None
+# All four exponents and the bound they imply.  lambda_ = -M_coeff + d_exp -
+# omega_exp is the decay exponent of the scaled form, kappa = lambda_ + alpha
+# the growth exponent of the scaled coefficients, and mu_bound = -alpha/lambda_
+# the resulting bound.
+MeasureReport = namedtuple(
+    "MeasureReport",
+    "alpha d_exp omega_exp M_coeff kappa lambda_ mu_bound family M_fit",
+    defaults=("", None),
+)
 
 
 def mu_bound(alpha, d_exp: float, omega_exp: float, M_coeff, family: str = "") -> MeasureReport:
@@ -343,19 +314,17 @@ def measure(
         fit.coeff,
         family.name,
     )
-    return replace(rep, M_fit=fit)
+    return rep._replace(M_fit=fit)
 
 
 # --------------------------------------------------------------------------
 # empirical estimates from the exact forms
 
 
-@dataclass(frozen=True)
-class EmpiricalMu:
+class EmpiricalMu(namedtuple("EmpiricalMu", "estimates log_residues")):
     """Exponent estimates for n = 1..n_max and the log|Delta_n F_n| behind them."""
 
-    estimates: tuple[float, ...]
-    log_residues: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def decaying(self) -> bool:

@@ -24,7 +24,7 @@ the one factored type used for D_n, Omega, residues and prefactors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, chain, repeat
@@ -414,23 +414,34 @@ def prod_ppoly(factors) -> PPoly:
 # factored products of cyclotomics
 
 
-@dataclass
 class FactoredPPoly:
     """unit · p^p_power · prod_l Phi_l(p)^e_l with signed integer exponents.
 
     The one factored type of the package: D_n, Omega, and the residues and
     prefactors of the linear forms.  With a negative exponent it is a unit
-    of Z[p, 1/p, 1/Phi_l] rather than a polynomial.
+    of Z[p, 1/p, 1/Phi_l] rather than a polynomial.  Zero exponents are
+    dropped and the rest kept sorted, so equal products compare equal.
     """
 
-    exponents: dict[int, int] = field(default_factory=dict)
-    p_power: int = 0
-    unit: int = 1
+    __slots__ = ("exponents", "p_power", "unit")
 
-    def __post_init__(self):
-        if self.unit not in (1, -1):
+    def __init__(self, exponents: dict[int, int] | None = None, p_power: int = 0, unit: int = 1):
+        if unit not in (1, -1):
             raise ValueError("unit must be +-1")
-        self.exponents = {l: e for l, e in sorted(self.exponents.items()) if e}
+        self.exponents = {l: e for l, e in sorted((exponents or {}).items()) if e}
+        self.p_power = p_power
+        self.unit = unit
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = self.exponents == other.exponents and self.p_power == other.p_power
+        return same and self.unit == other.unit
+
+    def __repr__(self):
+        return (
+            f"FactoredPPoly(exponents={self.exponents}, p_power={self.p_power}, unit={self.unit})"
+        )
 
     @staticmethod
     def one_minus_q_power(j: int) -> "FactoredPPoly":
@@ -604,18 +615,18 @@ def phi_block_sum(n: int, p: int, u: Fraction, v: Fraction) -> float:
 # trigamma
 
 
-@dataclass
-class Trigamma:
-    """Certified trigamma value: float approximation with absolute error bound."""
+class Trigamma(namedtuple("Trigamma", "x value abs_err exact")):
+    """Certified trigamma value: float approximation with absolute error bound.
 
-    x: Fraction
-    value: float
-    abs_err: float
-    exact: Fraction  # the rational approximant that `value` rounds
+    exact is the rational approximant that value rounds.
+    """
 
-    def __post_init__(self):
-        if self.abs_err > 1e-13:
+    __slots__ = ()
+
+    def __new__(cls, x, value, abs_err, exact):
+        if abs_err > 1e-13:
             raise ValueError("trigamma certification exceeded 1e-13")
+        return super().__new__(cls, x, value, abs_err, exact)
 
 
 # Bernoulli numbers B_2 .. B_14 for the asymptotic series.

@@ -11,7 +11,7 @@ check (1-q)^k zeta_q(k) -> (k-1)! zeta(k) as q -> 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -56,16 +56,15 @@ def rho(k: int) -> PPoly:
     return PPoly(out)
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(namedtuple("QSeries", "coeffs order")):
     """Truncated power series in q: coefficient of q^n for 0 <= n < order."""
 
-    coeffs: tuple
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.order:
+    def __new__(cls, coeffs, order):
+        if len(coeffs) != order:
             raise ValueError("coefficient list does not match truncation order")
+        return super().__new__(cls, coeffs, order)
 
     def __getitem__(self, n: int):
         return self.coeffs[n]
@@ -158,13 +157,10 @@ def jacobi_check(order: int) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(namedtuple("EvalResult", "value tail_bound terms_used")):
     """Exact partial sum of a convergent series plus a proven tail bound."""
 
-    value: Fraction
-    tail_bound: Fraction
-    terms_used: int
+    __slots__ = ()
 
     @property
     def lo(self) -> Fraction:
@@ -218,15 +214,8 @@ def zeta_ref(k: int, terms: int = 1500) -> tuple[Fraction, Fraction]:
     return s + lo_tail, s + hi_tail
 
 
-@dataclass(frozen=True)
-class LimitRow:
-    """One row of the q -> 1 limit table: enclosure of (1-q)^k zeta_q(k)."""
-
-    q: Fraction
-    lo: Fraction
-    hi: Fraction
-    target_lo: Fraction
-    target_hi: Fraction
+# one row of the q -> 1 limit table: enclosure of (1-q)^k zeta_q(k)
+LimitRow = namedtuple("LimitRow", "q lo hi target_lo target_hi")
 
 
 def limit_check(k: int, q_list, rel_tol: float = 1e-9, prec: int = 192) -> list[LimitRow]:

@@ -1,0 +1,85 @@
+"""The form store: linear forms in memory and, given a root, on disk.
+
+Importing this module loads no other qzeta module; a Store reaches into
+linforms only when it is asked for a form, so commands that never touch a
+linear form do not pay for loading one.
+"""
+
+from __future__ import annotations
+
+import os
+import tempfile
+
+
+class Store:
+    """The linear forms of one run, in memory and, given a root, on disk.
+
+    form(params) answers from memory, else from <root>/forms/<kind>-<params>.json
+    when form_from_json accepts that file, else builds the form and writes
+    the file atomically (temp file + rename).  A file that fails verification
+    is rebuilt and overwritten, never served.  Certification at a given p is
+    run once per form and store.  <root>/forms is created with the store.
+    """
+
+    def __init__(self, root: str | None = None):
+        self.forms_dir = None if root is None else os.path.join(root, "forms")
+        self._forms: dict = {}
+        self._certified: set = set()
+        if self.forms_dir is not None:
+            try:  # created up front, so a used cache dir is never empty
+                os.makedirs(self.forms_dir, exist_ok=True)
+            except OSError:
+                pass  # read-only root: only a command that saves a form fails
+
+    def form(self, params, certify_at: int | None = None):
+        from .linforms import ParamsZ1, _build_zeta1, _build_zeta2, certify
+
+        form = self._forms.get(params)
+        if form is None:
+            form = self._load(params)
+            if form is None:
+                build = _build_zeta1 if isinstance(params, ParamsZ1) else _build_zeta2
+                form = build(params)
+                self._save(form)
+            self._forms[params] = form
+        if certify_at is not None and (params, certify_at) not in self._certified:
+            rep = certify(form, certify_at)
+            if not rep.ok:
+                raise AssertionError(f"numeric certification failed: {rep}")
+            self._certified.add((params, certify_at))
+        return form
+
+    def _path(self, params) -> str:
+        from .linforms import cvector
+
+        name = "-".join([cvector(params, check=False).kind, *map(str, params.as_tuple())])
+        return os.path.join(self.forms_dir, name + ".json")
+
+    def _load(self, params):
+        from .linforms import form_from_json
+
+        if self.forms_dir is None:
+            return None
+        try:
+            with open(self._path(params)) as fh:
+                return form_from_json(fh.read(), params)
+        except (OSError, ValueError):
+            return None
+
+    def _save(self, form) -> None:
+        from .linforms import form_to_json
+
+        if self.forms_dir is None:
+            return
+        fd, tmp = tempfile.mkstemp(dir=self.forms_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(form_to_json(form))
+            os.replace(tmp, self._path(form.params))
+        except BaseException:
+            os.unlink(tmp)  # still there: the rename is the last step
+            raise
+
+
+# the library default: a memory-only store shared within the process
+DEFAULT_STORE = Store()

@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_linforms import linform
 
-from qzeta import cli, linforms, measures
+from qzeta import groups, linforms, measures
 from qzeta.cli import _sci, main
-from qzeta.linforms import FAMILIES, ParamsZ1, Store, form_from_json, form_to_json
+from qzeta.linforms import FAMILIES, ParamsZ1, form_from_json, form_to_json
 from qzeta.measures import EmpiricalMu, MFit, family_form
+from qzeta.store import Store
 
 
 @pytest.fixture(autouse=True)
@@ -103,6 +104,34 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--family", "theorem1", "--n", "1", "--p", "1"],
+            ["--family", "theorem1", "--n", "1", "--p", "0"],
+            ["--family", "theorem1", "--n", "1", "--p", "-1"],
+            ["--p", "1"],
+            ["--family", "bv", "--prec", "-1"],
+            ["--family", "bv", "--prec", "0"],
+        ],
+        ids=["p1", "p0", "p-neg1", "default-p1", "prec-neg", "prec-zero"],
+    )
+    def test_stability_outside_domain_is_input_error(self, capsys, extra):
+        # every enclosure would fail, so every image would read as skipped
+        assert main(["stability", *extra]) == 2
+        captured = capsys.readouterr()
+        assert "stability needs |p| >= 2 and prec >= 1" in captured.err
+        assert captured.out == ""
+
+    def test_stability_without_admissible_image_fails(self, capsys, monkeypatch):
+        def none_admissible(params, G, p, terms, prec):
+            return [{"g": repr(g), "status": "skipped (inadmissible image)"} for g in G]
+
+        monkeypatch.setattr(groups, "stability_sweep", none_admissible)
+        code, report = run_json(capsys, "stability", "--family", "bv")
+        assert code == 1
+        assert report["checks"][0]["witness"].startswith("0 admissible images")
 
     def test_malformed_params(self, capsys):
         assert main(["linform", "--kind", "zeta1", "--params", "1,2"]) == 2
@@ -374,7 +403,7 @@ class TestCommands:
         def flat(family, p, n_max, store):
             return EmpiricalMu((2.0, 2.0, 2.0), (-1.0, -0.5, 0.5))
 
-        monkeypatch.setattr(cli, "empirical_mu", flat)
+        monkeypatch.setattr(measures, "empirical_mu", flat)
         code, report = run_json(capsys, "empirical-mu", "--family", "bv", "--n-max", "3")
         assert code == 1
         failed = [c["name"] for c in report["checks"] if not c["pass"]]

@@ -12,14 +12,12 @@ from test_parith import points, units
 from qzeta.linforms import (
     APERY,
     BV,
-    DEFAULT_STORE,
     THEOREM1,
     THEOREM2,
     CVector,
     ParamsZ1,
     ParamsZ2,
     RatFunc,
-    Store,
     Summand,
     _expand_factors,
     _Laurent,
@@ -36,6 +34,7 @@ from qzeta.linforms import (
     verify_inclusion,
 )
 from qzeta.parith import FactoredPPoly, PPoly, cyclotomic, cyclotomic_value, dnp, prod_ppoly
+from qzeta.store import DEFAULT_STORE, Store
 
 
 def linform(params, certify_at=2):
