@@ -364,12 +364,11 @@ def cmd_omega(args, store):
 
 
 def cmd_stability(args, store):
-    from .groups import group_for, stability_sweep
+    from .groups import check_stability_domain, group_for, stability_sweep
 
     if args.n is not None and args.family is None:
         raise ValueError("--n needs --family")
-    if abs(args.p) < 2 or args.prec < 1:
-        raise ValueError("stability needs |p| >= 2 and prec >= 1")
+    check_stability_domain(args.p, args.prec)
     if args.family is not None:
         fam = _family(args.family)
         n_top = 1 if args.n is None else args.n

@@ -254,6 +254,16 @@ def stable_quantity(params, p: int, terms: int = 120, prec: int = 320) -> Interv
     return enc / Interval.exact(pi, prec)
 
 
+def check_stability_domain(p: int, prec: int) -> None:
+    """Raise ValueError unless |p| >= 2 and prec >= 1."""
+    if abs(p) < 2 or prec < 1:
+        raise ValueError("stability needs |p| >= 2 and prec >= 1")
+
+
+class InadmissibleImage(ValueError):
+    """A group element maps the parameters outside the admissible region."""
+
+
 class StabilityResult(namedtuple("StabilityResult", "ok width image")):
     """Overlap verdict, widest enclosure, and the image parameter tuple."""
 
@@ -268,24 +278,30 @@ def stability_check(
 ) -> StabilityResult:
     """Do the enclosures of Q(c) and Q(gc) overlap?  Exact-image arithmetic.
 
-    Raises ValueError when g maps the parameters outside the admissible
-    region (sweeps catch this and report the element as skipped).
+    Raises InadmissibleImage when g maps the parameters outside the
+    admissible region (sweeps catch this and report the element as skipped).
     """
     image = params_from_cvector(g.apply(cvector(params)))
     if image is None or not image.admissible:
-        raise ValueError(f"image of {params.as_tuple()} under {g} is not admissible")
+        raise InadmissibleImage(f"image of {params.as_tuple()} under {g} is not admissible")
     lhs = stable_quantity(params, p, terms, prec)
     rhs = stable_quantity(image, p, terms, prec)
     return StabilityResult(lhs.overlaps(rhs), max(lhs.width, rhs.width), image)
 
 
 def stability_sweep(params, G: Group, p: int = 2, terms: int = 120, prec: int = 320):
-    """stability_check across a whole group; inadmissible images are reported."""
+    """stability_check across a whole group; inadmissible images are reported.
+
+    Raises ValueError outside the domain |p| >= 2, prec >= 1, and for
+    inadmissible params; only an image that is not realizable or not
+    admissible makes a skipped row.
+    """
+    check_stability_domain(p, prec)
     rows = []
     for g in G:
         try:
             res = stability_check(params, g, p, terms, prec)
-        except ValueError:
+        except InadmissibleImage:
             rows.append({"g": repr(g), "status": "skipped (inadmissible image)"})
         else:
             rows.append(

@@ -13,9 +13,11 @@ whose denominators are products of cyclotomic polynomials and powers of p.
 
 Residues and prefactors are products ±p^a·prod_l Phi_l(p)^e_l, held as
 parith.FactoredPPoly, the one factored type of the package (D_n and Omega
-use it too).  RatFunc sums merge pairwise in a balanced tree; they and the
-tail tables multiply by Phi_l products through the O(degree) binomials
-p^d - 1 (PPoly.times_cyclotomics), never through a dense cofactor.
+use it too).  RatFunc sums merge pairwise in a balanced tree; they, the
+tail tables and every product RatFunc × FactoredPPoly (a residue or the
+prefactor times a tail sum) multiply by Phi_l products through the
+O(degree) binomials p^d - 1 (PPoly.times_cyclotomics), never through a
+dense cofactor.  Only the double-pole terms Lambda_j·g·T1 multiply densely.
 Everything here is exact; the only floating point is in the optional
 certification step, which itself runs on dyadic interval enclosures.
 """
@@ -163,14 +165,6 @@ class RatFunc:
     def zero() -> "RatFunc":
         return RatFunc(PPoly.zero())
 
-    @staticmethod
-    def from_unit(u: FactoredPPoly) -> "RatFunc":
-        """u as a RatFunc: its negative exponents make up the denominator."""
-        pos = {l: e for l, e in u.exponents.items() if e > 0}
-        neg = {l: -e for l, e in u.exponents.items() if e < 0}
-        num = FactoredPPoly(pos, max(u.p_power, 0), u.unit).expand()
-        return RatFunc(num, max(-u.p_power, 0), neg)
-
     # -- ring operations ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -187,7 +181,15 @@ class RatFunc:
 
     def __mul__(self, other) -> "RatFunc":
         if isinstance(other, FactoredPPoly):
-            return self * RatFunc.from_unit(other)
+            # positive exponents through the binomials, negative ones into the denominator
+            pos, dphi = {}, dict(self.dphi)
+            for l, e in other.exponents.items():
+                if e > 0:
+                    pos[l] = e
+                else:
+                    dphi[l] = dphi.get(l, 0) - e
+            num = (self.num * other.unit).times_cyclotomics(pos).shift(max(other.p_power, 0))
+            return RatFunc(num, self.dpow + max(-other.p_power, 0), dphi)
         if isinstance(other, int):
             return RatFunc(self.num * other, self.dpow, self.dphi)
         dphi = dict(self.dphi)
@@ -274,6 +276,9 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc(num deg {self.num.degree}, dpow {self.dpow}, dphi {self.dphi})"
+
+
+_ONE = RatFunc(PPoly.const(1))  # _ONE * u turns a FactoredPPoly u into a RatFunc
 
 
 # --------------------------------------------------------------------------
@@ -513,16 +518,16 @@ def _build_zeta1(params: ParamsZ1) -> LinearForm:
     poles = [j for j, _ in s.mult]
     res = {j: _residue_unit(s, j) for j in poles}
     c0, poly_sum = _poly_part_contribution(_poly_part(s))
-    total_res = RatFunc.sum([RatFunc.from_unit(res[j]) for j in poles])
+    total_res = RatFunc.sum([_ONE * res[j] for j in poles])
     if not (c0 + total_res).is_zero():
         raise AssertionError(
             "constant term does not cancel the residue sum; the series would diverge"
         )
     t1, _ = _tail_tables(max(poles) + 1)
-    b_terms = [RatFunc.from_unit(res[j]) * t1[j] for j in poles]
+    b_terms = [t1[j] * res[j] for j in poles]
     b_terms.append(-poly_sum)
-    A = RatFunc.from_unit(c_unit) * total_res
-    B = RatFunc.from_unit(c_unit) * RatFunc.sum(b_terms)
+    A = total_res * c_unit
+    B = RatFunc.sum(b_terms) * c_unit
     form = LinearForm("zeta1", params, A, B, cv)
     form.M = determine_M(form)
     return form
@@ -534,30 +539,32 @@ def _build_zeta2(params: ParamsZ2) -> LinearForm:
     c_unit = _prefactor(s)
     if s.expo + len(s.num_i) >= sum(m for _, m in s.mult):
         raise AssertionError("zeta_q(2) summand is not a proper rational function")
-    singles = {}
+    singles = {}  # residues, kept factored
     doubles_f = {}
-    doubles_e = {}
+    doubles_e = {}  # RatFuncs (Lambda_j·g is no Phi product): e·T1 stays dense
     for j, m in s.mult:
+        g = _residue_unit(s, j)
         if m == 1:
-            singles[j] = RatFunc.from_unit(_residue_unit(s, j))
+            singles[j] = g
         elif m == 2:
-            g = _residue_unit(s, j)
-            doubles_f[j] = RatFunc.from_unit(g)
+            doubles_f[j] = g
             lam = _log_derivative_at_pole(s, j)
-            doubles_e[j] = -(lam * FactoredPPoly(p_power=j) * g)
+            doubles_e[j] = -(lam * (FactoredPPoly(p_power=j) * g))
         else:
             raise AssertionError("pole multiplicity above 2 is not supported")
+    f_terms = [_ONE * f for f in doubles_f.values()]
     zeta1_coeff = RatFunc.sum(
-        list(singles.values()) + list(doubles_e.values()) + list(doubles_f.values())
+        [_ONE * g for g in singles.values()] + list(doubles_e.values()) + f_terms
     )
     if not zeta1_coeff.is_zero():
         raise AssertionError("zeta_q(1) contribution failed to cancel")
     jmax = max(j for j, _ in s.mult)
     t1, t2 = _tail_tables(jmax + 1)
-    b_terms = [e * t1[j] for j, e in [*singles.items(), *doubles_e.items()]]
-    b_terms.extend(f * (t1[j] + t2[j]) for j, f in doubles_f.items())
-    A = RatFunc.from_unit(c_unit) * RatFunc.sum(list(doubles_f.values()))
-    B = RatFunc.from_unit(c_unit) * RatFunc.sum(b_terms)
+    b_terms = [t1[j] * g for j, g in singles.items()]
+    b_terms.extend(e * t1[j] for j, e in doubles_e.items())
+    b_terms.extend((t1[j] + t2[j]) * f for j, f in doubles_f.items())
+    A = RatFunc.sum(f_terms) * c_unit
+    B = RatFunc.sum(b_terms) * c_unit
     form = LinearForm("zeta2", params, A, B, cv)
     form.M = determine_M(form)
     return form

@@ -11,11 +11,9 @@ mul_binomial and div_binomial are single O(degree) passes, and exact
 division by Phi_l = prod_{d | l} (p^d - 1)^mu(l/d) is 2^omega(l) of them
 (div_cyclotomic, counted by ord_at).  Multiplication by a product
 prod_l Phi_l^e_l nets those Moebius forms into one power of each p^d - 1
-(times_cyclotomics); it lifts the terms of linforms' RatFunc sums to a
-common denominator.  Gaussian factorials grow by
-f·[v]_p = f·(p^v - 1)/(p - 1).  The dense exact division try_exact_div
-remains only inside cyclotomic(), which builds Phi_l independently of the
-Moebius form.
+(times_cyclotomics); it builds Phi_l itself (cyclotomic), expands a
+FactoredPPoly and lifts the terms of linforms' RatFunc sums to a common
+denominator.  Gaussian factorials grow by f·[v]_p = f·(p^v - 1)/(p - 1).
 
 Products ±p^a·prod_l Phi_l(p)^e_l with signed exponents are FactoredPPoly,
 the one factored type used for D_n, Omega, residues and prefactors.
@@ -26,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import sub
 
@@ -181,15 +179,6 @@ class PPoly:
     def const(c: int) -> "PPoly":
         return PPoly((c,))
 
-    @staticmethod
-    def monomial(k: int, c: int = 1) -> "PPoly":
-        return PPoly((0,) * k + (c,))
-
-    @staticmethod
-    def p_power_minus_one(d: int) -> "PPoly":
-        """p^d - 1."""
-        return PPoly((-1,) + (0,) * (d - 1) + (1,))
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -258,41 +247,7 @@ class PPoly:
             i += 1
         return i
 
-    def content(self) -> int:
-        return math.gcd(*self.coeffs) if self.coeffs else 0
-
-    # -- division -----------------------------------------------------------
-
-    def try_exact_div(self, g: "PPoly"):
-        """Exact quotient self/g if it exists in Z[p], else None.
-
-        Works low-end first, so the constant coefficient of g must be a unit
-        (true for every cyclotomic polynomial and p^d - 1); raises ValueError
-        otherwise.
-        """
-        gc = g.coeffs
-        if not gc:
-            raise ZeroDivisionError("polynomial division by zero")
-        g0 = gc[0]
-        if g0 not in (1, -1):
-            raise ValueError("divisor needs a unit constant coefficient")
-        if not self.coeffs:
-            return PPoly()
-        rem = list(self.coeffs)
-        nq = len(rem) - len(gc) + 1
-        if nq <= 0:
-            return None
-        quot = [0] * nq
-        for i in range(nq):
-            c = rem[i]
-            if c:
-                c = c * g0
-                quot[i] = c
-                for k, gk in enumerate(gc):
-                    rem[i + k] -= c * gk
-        if any(rem[nq:]) or any(rem[:nq]):
-            return None
-        return PPoly(quot)
+    # -- the binomial kernel p^d - 1 ------------------------------------------
 
     def mul_binomial(self, d: int) -> "PPoly":
         """self·(p^d - 1): one shift and one subtract, O(degree)."""
@@ -387,28 +342,6 @@ class PPoly:
             acc = acc * x + c
         return acc
 
-    def pow(self, e: int) -> "PPoly":
-        result, base = PPoly((1,)), self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-
-def prod_ppoly(factors) -> PPoly:
-    """Product of an iterable of PPoly, balanced for Kronecker efficiency."""
-    items = [f for f in factors]
-    if not items:
-        return PPoly((1,))
-    while len(items) > 1:
-        items = [
-            items[i] * items[i + 1] if i + 1 < len(items) else items[i]
-            for i in range(0, len(items), 2)
-        ]
-    return items[0]
-
 
 # ---------------------------------------------------------------------------
 # factored products of cyclotomics
@@ -471,11 +404,10 @@ class FactoredPPoly:
         return self.p_power + sum(totient(l) * e for l, e in self.exponents.items())
 
     def expand(self) -> PPoly:
-        """Multiply the factorization out to a dense polynomial."""
+        """Multiply the factorization out to a dense polynomial, through the binomials."""
         if self.p_power < 0 or any(e < 0 for e in self.exponents.values()):
             raise ValueError("a negative exponent does not expand to a polynomial")
-        out = prod_ppoly(cyclotomic(l).pow(e) for l, e in self.exponents.items())
-        return out.shift(self.p_power) * self.unit
+        return PPoly((self.unit,)).times_cyclotomics(self.exponents).shift(self.p_power)
 
     def value_at(self, p: int) -> Fraction:
         v = Fraction(self.unit) * Fraction(p) ** self.p_power
@@ -505,22 +437,12 @@ def gauss_factorial(n: int) -> PPoly:
     return _GAUSS_FACT[n]
 
 
-@cache
 def cyclotomic(l: int) -> PPoly:
-    """The l-th cyclotomic polynomial Phi_l(p).
-
-    Computed by exact division of p^l - 1 by the product of Phi_d over the
-    proper divisors d of l; results are memoized.
-    """
+    """The l-th cyclotomic polynomial Phi_l(p), as the Moebius product of the
+    binomials p^d - 1, d | l (times_cyclotomics)."""
     if l < 1:
         raise ValueError("cyclotomic index must be positive")
-    if l == 1:
-        return PPoly((-1, 1))
-    lower = prod_ppoly(cyclotomic(d) for d in divisors(l)[:-1])
-    quot = PPoly.p_power_minus_one(l).try_exact_div(lower)
-    if quot is None:
-        raise AssertionError(f"cyclotomic division left a remainder at l={l}")
-    return quot
+    return PPoly((1,)).times_cyclotomics({l: 1})
 
 
 @lru_cache(maxsize=None)
@@ -538,8 +460,8 @@ def _mobius_binomials(l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def cyclotomic_value(l: int, p: int) -> int:
     """Phi_l(p) as an exact integer, via the Moebius product over p^(l/d) - 1.
 
-    Independent of the polynomial construction in cyclotomic(); the two are
-    cross-checked in the test suite.
+    Integer arithmetic only, no polynomial; cross-checked against
+    cyclotomic() in the test suite.
     """
     if l < 1:
         raise ValueError("cyclotomic index must be positive")

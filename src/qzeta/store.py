@@ -17,22 +17,21 @@ class Store:
     form(params) answers from memory, else from <root>/forms/<kind>-<params>.json
     when form_from_json accepts that file, else builds the form and writes
     the file atomically (temp file + rename).  A file that fails verification
-    is rebuilt and overwritten, never served.  Certification at a given p is
-    run once per form and store.  <root>/forms is created with the store.
+    is rebuilt and overwritten, never served.  <root>/forms is created with
+    the store.
     """
 
     def __init__(self, root: str | None = None):
         self.forms_dir = None if root is None else os.path.join(root, "forms")
         self._forms: dict = {}
-        self._certified: set = set()
         if self.forms_dir is not None:
             try:  # created up front, so a used cache dir is never empty
                 os.makedirs(self.forms_dir, exist_ok=True)
             except OSError:
                 pass  # read-only root: only a command that saves a form fails
 
-    def form(self, params, certify_at: int | None = None):
-        from .linforms import ParamsZ1, _build_zeta1, _build_zeta2, certify
+    def form(self, params):
+        from .linforms import ParamsZ1, _build_zeta1, _build_zeta2
 
         form = self._forms.get(params)
         if form is None:
@@ -42,11 +41,6 @@ class Store:
                 form = build(params)
                 self._save(form)
             self._forms[params] = form
-        if certify_at is not None and (params, certify_at) not in self._certified:
-            rep = certify(form, certify_at)
-            if not rep.ok:
-                raise AssertionError(f"numeric certification failed: {rep}")
-            self._certified.add((params, certify_at))
         return form
 
     def _path(self, params) -> str:

@@ -15,7 +15,7 @@ import math
 import time
 from fractions import Fraction
 
-from test_parith import _frac_divrem, _frac_gcd
+from test_parith import _frac_divrem, _frac_gcd, binomial
 
 from qzeta.groups import stability_sweep, zeta1_arith_group, zeta1_group, zeta2_group
 from qzeta.linforms import BV, FAMILIES, THEOREM1, THEOREM2, verify_inclusion
@@ -28,7 +28,6 @@ from qzeta.measures import (
     _limit_value_at_one,
 )
 from qzeta.parith import (
-    PPoly,
     dnp,
     gauss_factorial,
     mertens_ratio,
@@ -85,7 +84,7 @@ def test_c04_dnp_matches_gcd_based_lcm():
     lcm = [Fraction(1)]
     ok = True
     for v in range(1, 41):
-        f = [Fraction(c) for c in PPoly.p_power_minus_one(v).coeffs]
+        f = [Fraction(c) for c in binomial(v).coeffs]
         g = _frac_gcd(lcm, f)
         prod = [Fraction(0)] * (len(lcm) + len(f) - 1)
         for i, a in enumerate(lcm):

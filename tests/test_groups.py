@@ -1,5 +1,6 @@
 """Group-side tests: permutation actions, orders, Omega, stability."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from qzeta.linforms import (
     cvector,
     verify_inclusion,
 )
-from qzeta.parith import gauss_factorial, prod_ppoly
+from qzeta.parith import PPoly, gauss_factorial
 
 
 def tau_params(params: ParamsZ1) -> ParamsZ1:
@@ -185,7 +186,7 @@ class TestNu:
         S = cv.factorial_labels()
 
         def pi_p(c):
-            return prod_ppoly(gauss_factorial(c[j]) for j in S)
+            return math.prod((gauss_factorial(c[j]) for j in S), start=PPoly.const(1))
 
         base = pi_p(cv)
         for l in range(2, cv.m + 1):
@@ -198,7 +199,7 @@ class TestNu:
         S = cv.factorial_labels()
 
         def pi_p(c):
-            return prod_ppoly(gauss_factorial(c[j]) for j in S)
+            return math.prod((gauss_factorial(c[j]) for j in S), start=PPoly.const(1))
 
         base = pi_p(cv)
         for l in (2, 7, 13, 20):
@@ -259,6 +260,12 @@ class TestStability:
         by_status = [r["status"] for r in rows]
         assert by_status.count("ok") == 6
         assert sum("skipped" in s for s in by_status) == 6
+
+    @pytest.mark.parametrize("p, prec", [(1, 320), (0, 320), (-1, 320), (2, 0), (2, -1)])
+    def test_sweep_refuses_points_outside_the_domain(self, p, prec):
+        # a domain error is not an inadmissible image: no skipped rows
+        with pytest.raises(ValueError, match=r"stability needs \|p\| >= 2 and prec >= 1"):
+            stability_sweep(THEOREM1.params(1), zeta1_group(), p=p, prec=prec)
 
     def test_zeta2_single_elements(self):
         x = ParamsZ2(6, 7, 8, 16, 17)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_parith import points, units
+from test_parith import _dense_cyclotomic, _dense_expand, _dense_power, binomial, points, units
 
 from qzeta.linforms import (
     APERY,
@@ -33,13 +33,19 @@ from qzeta.linforms import (
     summand_z2,
     verify_inclusion,
 )
-from qzeta.parith import FactoredPPoly, PPoly, cyclotomic, cyclotomic_value, dnp, prod_ppoly
+from qzeta.parith import FactoredPPoly, PPoly, cyclotomic, cyclotomic_value, dnp
 from qzeta.store import DEFAULT_STORE, Store
 
 
 def linform(params, certify_at=2):
-    """The form at params from the shared memory store, certified at p = certify_at."""
-    return DEFAULT_STORE.form(params, certify_at)
+    """The form at params from the shared memory store, certified at p = certify_at
+    unless that is None."""
+    form = DEFAULT_STORE.form(params)
+    if certify_at is not None:
+        rep = certify(form, certify_at)
+        if not rep.ok:
+            raise AssertionError(f"numeric certification failed: {rep}")
+    return form
 
 
 def heine_terms(params: ParamsZ1, T: int, p: int) -> list[Fraction]:
@@ -160,7 +166,7 @@ class TestRatFunc:
         # 1/(p-1) + 1/(p^2-1) - p/(p^3-1), common denominator assembled exactly
         t1 = RatFunc(PPoly.const(1), 0, {1: 1})
         t2 = RatFunc(PPoly.const(1), 0, {1: 1, 2: 1})
-        t3 = RatFunc(PPoly.monomial(1, -1), 0, {1: 1, 3: 1})
+        t3 = RatFunc(PPoly([0, -1]), 0, {1: 1, 3: 1})
         s = RatFunc.sum([t1, t2, t3])
         for p in (2, 3, 7, -3):
             expect = (
@@ -170,16 +176,28 @@ class TestRatFunc:
 
     @settings(deadline=None)
     @given(units, points)
-    def test_from_unit_keeps_the_value(self, u, p):
-        assert RatFunc.from_unit(u).value_at(p) == u.value_at(p)
+    def test_times_unit_keeps_the_value(self, u, p):
+        assert (RatFunc(PPoly.const(1)) * u).value_at(p) == u.value_at(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9), max_size=8),
+        st.integers(0, 3),
+        st.dictionaries(st.integers(1, 30), st.integers(1, 2), max_size=3),
+        units,
+    )
+    def test_times_unit_matches_dense_product(self, num, dpow, dphi, u):
+        r = RatFunc(PPoly(num), dpow, dphi)
+        got, want = r * u, _dense_times_unit(r, u)
+        assert (got.num, got.dpow, got.dphi) == (want.num, want.dpow, want.dphi)
 
     def test_ord_p_convention(self):
         assert RatFunc.zero().ord_p() == 0
-        assert RatFunc(PPoly.monomial(3, 4), 1).ord_p() == 2
+        assert RatFunc(PPoly([0, 0, 0, 4]), 1).ord_p() == 2
         assert RatFunc(PPoly.const(7), 5).ord_p() == -5
 
     def test_reduce_preserves_value(self):
-        raw = RatFunc(PPoly.p_power_minus_one(6).shift(2), 1, {1: 1, 2: 1, 6: 1})
+        raw = RatFunc(binomial(6).shift(2), 1, {1: 1, 2: 1, 6: 1})
         red = raw.reduce()
         assert (red - raw).is_zero()
         for p in (2, 5):
@@ -188,10 +206,18 @@ class TestRatFunc:
         assert red.dpow == 0 and red.dphi == {}
 
     def test_phi_order(self):
-        r = RatFunc(PPoly.p_power_minus_one(4), 0, {1: 1})
+        r = RatFunc(binomial(4), 0, {1: 1})
         assert r.phi_order(4) == 1
         assert r.phi_order(1) == 0
         assert r.phi_order(3) == 0
+
+
+def _dense_times_unit(r: RatFunc, u: FactoredPPoly) -> RatFunc:
+    """Oracle for RatFunc × FactoredPPoly: u's polynomial part expanded densely."""
+    pos = {l: e for l, e in u.exponents.items() if e > 0}
+    neg = {l: -e for l, e in u.exponents.items() if e < 0}
+    num = _dense_expand(FactoredPPoly(pos, max(u.p_power, 0), u.unit))
+    return r * RatFunc(num, max(-u.p_power, 0), neg)
 
 
 def _flat_sum(terms) -> RatFunc:
@@ -207,10 +233,9 @@ def _flat_sum(terms) -> RatFunc:
                 dphi[l] = e
     total = PPoly.zero()
     for t in terms:
-        cof = prod_ppoly(
-            cyclotomic(l).pow(dphi.get(l, 0) - t.dphi.get(l, 0))
-            for l in dphi
-            if dphi.get(l, 0) > t.dphi.get(l, 0)
+        cof = math.prod(
+            (_dense_power(_dense_cyclotomic(l), e - t.dphi.get(l, 0)) for l, e in dphi.items()),
+            start=PPoly.const(1),
         )
         total = total + (t.num * cof).shift(dpow - t.dpow)
     return RatFunc(total, dpow, dphi)
@@ -239,7 +264,7 @@ def ratfunc_lists(draw):
             terms.append(-t)
         elif cancel == "other":  # ... over a larger denominator
             l = draw(st.integers(1, 12))
-            terms.append(-t * RatFunc(cyclotomic(l), 1, {l: 1}) * RatFunc(PPoly.monomial(1)))
+            terms.append(-t * RatFunc(cyclotomic(l), 1, {l: 1}) * RatFunc(PPoly([0, 1])))
     return terms
 
 
@@ -268,7 +293,7 @@ def _dense_tail_tables(jmax: int) -> tuple[list[RatFunc], list[RatFunc]]:
     u, x, v = PPoly.zero(), PPoly.zero(), PPoly.const(1)
     vphi: dict[int, int] = {}
     for j in range(1, jmax):
-        phi_j = cyclotomic(j)
+        phi_j = _dense_cyclotomic(j)
         v = v * phi_j
         vphi = {**vphi, j: 1}
         cof = v.div_binomial(j)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from qzeta.parith import (
     mobius,
     ord_phi_factorial,
     phi_block_sum,
-    prod_ppoly,
     totient,
     trigamma,
 )
@@ -41,18 +41,79 @@ def test_kronecker_matches_schoolbook():
         assert (PPoly(a) * PPoly(b)).coeffs == PPoly(ref).coeffs
 
 
+# ---------------------------------------------------------------------------
+# dense reference implementations (oracles) for the binomial kernel
+
+
+def binomial(d: int) -> PPoly:
+    """p^d - 1 as a dense polynomial."""
+    return PPoly((-1,) + (0,) * (d - 1) + (1,))
+
+
+def _try_exact_div(f: PPoly, g: PPoly):
+    """Exact quotient f/g if it exists in Z[p], else None, by dense long division.
+
+    Works low-end first, so the constant coefficient of g must be a unit
+    (true for every cyclotomic polynomial and p^d - 1); raises ValueError
+    otherwise.
+    """
+    gc = g.coeffs
+    if not gc:
+        raise ZeroDivisionError("polynomial division by zero")
+    g0 = gc[0]
+    if g0 not in (1, -1):
+        raise ValueError("divisor needs a unit constant coefficient")
+    if not f.coeffs:
+        return PPoly()
+    rem = list(f.coeffs)
+    nq = len(rem) - len(gc) + 1
+    if nq <= 0:
+        return None
+    quot = [0] * nq
+    for i in range(nq):
+        c = rem[i]
+        if c:
+            c = c * g0
+            quot[i] = c
+            for k, gk in enumerate(gc):
+                rem[i + k] -= c * gk
+    if any(rem[nq:]) or any(rem[:nq]):
+        return None
+    return PPoly(quot)
+
+
+@cache
+def _dense_cyclotomic(l: int) -> PPoly:
+    """Phi_l as p^l - 1 over the product of the lower Phi_d, d | l, by dense division."""
+    lower = math.prod(map(_dense_cyclotomic, divisors(l)[:-1]), start=PPoly.const(1))
+    quot = _try_exact_div(binomial(l), lower)
+    if quot is None:
+        raise AssertionError(f"cyclotomic division left a remainder at l={l}")
+    return quot
+
+
+def _dense_power(f: PPoly, e: int) -> PPoly:
+    return math.prod([f] * e, start=PPoly.const(1))
+
+
+def _dense_expand(u: FactoredPPoly) -> PPoly:
+    """FactoredPPoly.expand by dense products of the dense Phi_l."""
+    phis = [_dense_power(_dense_cyclotomic(l), e) for l, e in u.exponents.items()]
+    return math.prod(phis, start=PPoly.const(u.unit)).shift(u.p_power)
+
+
 def test_try_exact_div():
     f = PPoly([1, 2, 2, 1])  # [3]_p!
     g = PPoly([1, 1])
-    assert f.try_exact_div(g) == PPoly([1, 1, 1])
-    assert PPoly([1, 1, 1]).try_exact_div(g) is None
+    assert _try_exact_div(f, g) == PPoly([1, 1, 1])
+    assert _try_exact_div(PPoly([1, 1, 1]), g) is None
     assert gauss_factorial(6).ord_at(2) == 3
 
 
 @pytest.mark.parametrize("g", [PPoly([2, 1]), PPoly([0, 1]), PPoly([3])])
 def test_try_exact_div_rejects_non_unit_constant(g):
     with pytest.raises(ValueError):
-        PPoly([1, 2, 1]).try_exact_div(g)
+        _try_exact_div(PPoly([1, 2, 1]), g)
 
 
 _ints = st.lists(st.integers(-50, 50), min_size=1, max_size=40)
@@ -62,9 +123,9 @@ _ints = st.lists(st.integers(-50, 50), min_size=1, max_size=40)
 @given(_ints, _ints, st.sampled_from([1, -1]))
 def test_try_exact_div_round_trip(f, g_rest, g0):
     f, g = PPoly(f), PPoly([g0] + g_rest)
-    assert (f * g).try_exact_div(g) == f
+    assert _try_exact_div(f * g, g) == f
     if g.degree >= 1:  # g cannot divide f*g + 1
-        assert (f * g + PPoly.const(1)).try_exact_div(g) is None
+        assert _try_exact_div(f * g + PPoly.const(1), g) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,7 +133,7 @@ def test_try_exact_div_round_trip(f, g_rest, g0):
 def test_binomial_round_trip(f, d):
     f = PPoly(f)
     g = f.mul_binomial(d)
-    assert g == f * PPoly.p_power_minus_one(d)
+    assert g == f * binomial(d)
     assert g.div_binomial(d) == f
     if not f.is_zero():  # p^d - 1 cannot divide f·(p^d - 1) + 1
         assert (g + PPoly.const(1)).div_binomial(d) is None
@@ -82,7 +143,7 @@ def test_binomial_round_trip(f, d):
 @given(_ints, st.integers(1, 30))
 def test_div_binomial_matches_dense_division(f, d):
     f = PPoly(f)
-    assert f.div_binomial(d) == f.try_exact_div(PPoly.p_power_minus_one(d))
+    assert f.div_binomial(d) == _try_exact_div(f, binomial(d))
 
 
 def test_binomial_rejects_nonpositive_exponent():
@@ -93,9 +154,9 @@ def test_binomial_rejects_nonpositive_exponent():
 
 def _dense_ord(f, l, cap=None):
     """ord at Phi_l by repeated dense division: the oracle for ord_at."""
-    n, phi = 0, cyclotomic(l)
+    n, phi = 0, _dense_cyclotomic(l)
     while cap is None or n < cap:
-        q = f.try_exact_div(phi)
+        q = _try_exact_div(f, phi)
         if q is None:
             return n
         f, n = q, n + 1
@@ -111,10 +172,10 @@ def _dense_ord(f, l, cap=None):
     st.one_of(st.none(), st.integers(0, 4)),
 )
 def test_ord_at_matches_dense_division(exponents, cofactor, l, extra, cap):
-    f = FactoredPPoly(exponents).expand() * PPoly(cofactor) * cyclotomic(l).pow(extra)
+    f = FactoredPPoly(exponents).expand() * PPoly(cofactor) * _dense_power(cyclotomic(l), extra)
     assert f.ord_at(l, cap) == _dense_ord(f, l, cap)
     q = f.div_cyclotomic(l)
-    assert q == f.try_exact_div(cyclotomic(l))
+    assert q == _try_exact_div(f, _dense_cyclotomic(l))
 
 
 @settings(max_examples=100, deadline=None)
@@ -124,7 +185,7 @@ def test_ord_at_matches_dense_division(exponents, cofactor, l, extra, cap):
 )
 def test_times_cyclotomics_matches_dense_product(f, exps):
     f = PPoly(f)
-    want = prod_ppoly([f] + [cyclotomic(l).pow(e) for l, e in exps.items()])
+    want = math.prod([_dense_power(_dense_cyclotomic(l), e) for l, e in exps.items()], start=f)
     assert f.times_cyclotomics(exps) == want
 
 
@@ -137,15 +198,8 @@ def gauss_number(n: int) -> PPoly:
 
 def test_gauss_factorial_matches_product_of_gauss_numbers():
     for n in range(41):
-        assert gauss_factorial(n) == prod_ppoly(gauss_number(v) for v in range(1, n + 1))
-
-
-def test_prod_ppoly_balanced():
-    parts = [PPoly([i, 1]) for i in range(1, 9)]
-    direct = PPoly([1])
-    for part in parts:
-        direct = direct * part
-    assert prod_ppoly(parts) == direct
+        want = math.prod(map(gauss_number, range(1, n + 1)), start=PPoly.const(1))
+        assert gauss_factorial(n) == want
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +235,16 @@ class TestFactoredPPoly:
     @given(polynomial_units, points)
     def test_expand_agrees_with_value(self, u, p):
         assert u.expand()(p) == u.value_at(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(st.integers(1, 60), st.integers(0, 4), max_size=5),
+        st.integers(0, 6),
+        st.sampled_from([1, -1]),
+    )
+    def test_expand_matches_dense_product(self, exponents, p_power, unit):
+        u = FactoredPPoly(exponents, p_power, unit)
+        assert u.expand() == _dense_expand(u)
 
     def test_expand_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
@@ -219,8 +283,8 @@ def test_gauss_factorial_degree_and_value():
 def test_factorial_vs_unnormalized_product():
     # [n]_p! * (p-1)^n = prod_{v<=n} (p^v - 1)
     for n in range(1, 21):
-        lhs = gauss_factorial(n) * PPoly([-1, 1]).pow(n)
-        rhs = prod_ppoly(PPoly.p_power_minus_one(v) for v in range(1, n + 1))
+        lhs = gauss_factorial(n) * _dense_power(PPoly([-1, 1]), n)
+        rhs = math.prod(map(binomial, range(1, n + 1)), start=PPoly.const(1))
         assert lhs == rhs
 
 
@@ -237,8 +301,14 @@ def test_cyclotomic_small_values():
 
 def test_cyclotomic_product_identity():
     for l in list(range(1, 41)) + [48, 60, 105]:
-        prod = prod_ppoly(cyclotomic(d) for d in divisors(l))
-        assert prod == PPoly.p_power_minus_one(l)
+        prod = math.prod(map(cyclotomic, divisors(l)), start=PPoly.const(1))
+        assert prod == binomial(l)
+
+
+def test_cyclotomic_matches_dense_division():
+    # 210 and 2310 have omega(l) = 4 and 5: 16 and 32 binomials
+    for l in [*range(1, 121), 210, 2310]:
+        assert cyclotomic(l) == _dense_cyclotomic(l)
 
 
 def test_cyclotomic_degree_and_palindrome():
@@ -305,7 +375,7 @@ def _lcm_of_q_numbers(n):
     """gcd-based lcm of p^v - 1 for v = 1..n, monic over Q."""
     lcm = [Fraction(1)]
     for v in range(1, n + 1):
-        f = [Fraction(c) for c in PPoly.p_power_minus_one(v).coeffs]
+        f = [Fraction(c) for c in binomial(v).coeffs]
         g = _frac_gcd(lcm, f)
         prod = [Fraction(0)] * (len(lcm) + len(f) - 1)
         for i, a in enumerate(lcm):
