@@ -60,17 +60,10 @@ def _check(name: str, ok: bool, witness: str) -> dict:
     return {"name": name, "pass": bool(ok), "witness": witness}
 
 
-def _sci(x: Fraction) -> str:
-    """x as d.ddde+XX, rounded exactly; float(x) would overflow past 1e308."""
-    if x == 0:
-        return "0.000e+00"
-    a = abs(x)
-    e = math.floor(math.log10(a.numerator) - math.log10(a.denominator))  # off by one at most
-    e += (a >= Fraction(10) ** (e + 1)) - (a < Fraction(10) ** e)
-    m = round(a / Fraction(10) ** (e - 3))
-    if m == 10000:  # rounded up to the next power of ten
-        m, e = 1000, e + 1
-    return f"{'-' * (x < 0)}{m // 1000}.{m % 1000:03d}e{e:+03d}"
+def _log2(x: Fraction) -> int:
+    """floor(log2 x) for x > 0, exactly; float(x) would overflow past 2^1024."""
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    return e - (x < Fraction(2) ** e)
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -270,7 +263,7 @@ def cmd_linform(args, store):
     cert = certify(form, p)
     outputs = {
         "kind": form.kind,
-        "params": list(params.as_tuple()),
+        "params": list(params),
         "M": form.M,
         "max_c": form.m,
         "A_at_p": form.A.value_at(p),
@@ -282,7 +275,8 @@ def cmd_linform(args, store):
         _check(
             f"certified-at-{p}",
             cert.ok,
-            f"residual {_sci(cert.residual)} within {_sci(cert.bound)}",
+            f"gap {'0' if cert.gap == 0 else f'>= 2^{_log2(cert.gap)}'},"
+            f" widths < 2^{_log2(cert.width) + 1}, need < 2^-{cert.target}",
         )
     ]
 
@@ -318,7 +312,7 @@ def cmd_inclusion(args, store):
                 res.witness or "p^-M D / Omega clears A and B into Z[p]",
             )
         )
-        rows.append({"params": list(params.as_tuple()), "M": form.M})
+        rows.append({"params": list(params), "M": form.M})
     return {"forms": rows}, checks
 
 
@@ -352,7 +346,7 @@ def cmd_omega(args, store):
     res = omega(c, group_for(args.kind))
     nonzero = {str(l): e for l, e in sorted(res.nu.items()) if e}
     outputs = {
-        "params": list(params.as_tuple()),
+        "params": list(params),
         "c_values": c.as_dict(),
         "nu": nonzero,
     }

@@ -11,7 +11,7 @@ result rounded outward to a multiple of 2^-prec.
 
 Both operands of a binary operation must have the same precision; an int
 operand is scaled exactly, any other number is rounded outward on entry.
-`lo`, `hi`, `width` and `midpoint()` read the endpoints back as Fractions.
+`lo`, `hi` and `width` read the endpoints back as Fractions.
 Used wherever a series value needs a certified enclosure but exact
 rationals would blow up.
 """
@@ -68,9 +68,6 @@ class Interval:
     @property
     def width(self) -> Fraction:
         return Fraction(self.b - self.a, 1 << self.prec)
-
-    def midpoint(self) -> Fraction:
-        return Fraction(self.a + self.b, 1 << (self.prec + 1))
 
     def contains(self, x) -> bool:
         n, d = x.as_integer_ratio()

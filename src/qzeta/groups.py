@@ -75,17 +75,6 @@ class Perm(namedtuple("Perm", "labels images")):
             raise ValueError("label sets differ")
         return Perm(self.labels, tuple(other(self(l)) for l in self.labels))
 
-    def inverse(self) -> "Perm":
-        inv = {g: l for l, g in zip(self.labels, self.images)}
-        return Perm(self.labels, tuple(inv[l] for l in self.labels))
-
-    def order(self) -> int:
-        power, n = self, 1
-        ident = Perm.identity(self.labels)
-        while power != ident:
-            power, n = power * self, n + 1
-        return n
-
     def cycles(self) -> tuple[tuple[str, ...], ...]:
         seen, out = set(), []
         for start in self.labels:
@@ -283,7 +272,7 @@ def stability_check(
     """
     image = params_from_cvector(g.apply(cvector(params)))
     if image is None or not image.admissible:
-        raise InadmissibleImage(f"image of {params.as_tuple()} under {g} is not admissible")
+        raise InadmissibleImage(f"image of {tuple(params)} under {g} is not admissible")
     lhs = stable_quantity(params, p, terms, prec)
     rhs = stable_quantity(image, p, terms, prec)
     return StabilityResult(lhs.overlaps(rhs), max(lhs.width, rhs.width), image)
@@ -309,7 +298,7 @@ def stability_sweep(params, G: Group, p: int = 2, terms: int = 120, prec: int = 
                     "g": repr(g),
                     "status": "ok" if res.ok else "UNSTABLE",
                     "width": res.width,
-                    "image": res.image.as_tuple(),
+                    "image": tuple(res.image),
                 }
             )
     return rows

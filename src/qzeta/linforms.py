@@ -18,8 +18,8 @@ tail tables and every product RatFunc × FactoredPPoly (a residue or the
 prefactor times a tail sum) multiply by Phi_l products through the
 O(degree) binomials p^d - 1 (PPoly.times_cyclotomics), never through a
 dense cofactor.  Only the double-pole terms Lambda_j·g·T1 multiply densely.
-Everything here is exact; the only floating point is in the optional
-certification step, which itself runs on dyadic interval enclosures.
+Everything here is exact.  certify() checks a form against a dyadic
+interval enclosure of the series, sized from the form's own denominators.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ import math
 import zlib
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
 
 from .dyadic import Interval
 from .parith import FactoredPPoly, PPoly, divisors
-from .qseries import zeta_q_value
+from .qseries import zeta_q_terms, zeta_q_value
 
 
 # --------------------------------------------------------------------------
@@ -55,9 +54,6 @@ class ParamsZ1(namedtuple("ParamsZ1", "a0 a1 a2 b")):
         # convergence region plus nonnegativity of every c-label
         return self.a1 + self.a2 <= self.b and self.a0 + self.a1 + self.a2 >= self.b + 1
 
-    def as_tuple(self):
-        return tuple(self)
-
 
 class ParamsZ2(namedtuple("ParamsZ2", "a1 a2 a3 b2 b3")):
     """Parameters (a1, a2, a3, b2, b3) of the zeta_q(2) series."""
@@ -74,9 +70,6 @@ class ParamsZ2(namedtuple("ParamsZ2", "a1 a2 a3 b2 b3")):
         a = (self.a1, self.a2, self.a3)
         b = (self.b2, self.b3)
         return all(aj < bk for aj in a for bk in b) and sum(a) < sum(b)
-
-    def as_tuple(self):
-        return tuple(self)
 
 
 LABELS_Z1 = ("00", "01", "11", "21", "12", "22")
@@ -122,13 +115,13 @@ def cvector(params, check: bool = True) -> CVector:
     """
     if isinstance(params, ParamsZ1):
         if check and not params.admissible:
-            raise ValueError(f"inadmissible parameters {params.as_tuple()}")
-        a0, a1, a2, b = params.as_tuple()
+            raise ValueError(f"inadmissible parameters {tuple(params)}")
+        a0, a1, a2, b = params
         vals = (a0 + a1 + a2 - b - 1, a0 - 1, a1 - 1, a2 - 1, b - a1 - 1, b - a2 - 1)
         return CVector("zeta1", vals)
     if isinstance(params, ParamsZ2):
         if check and not params.admissible:
-            raise ValueError(f"inadmissible parameters {params.as_tuple()}")
+            raise ValueError(f"inadmissible parameters {tuple(params)}")
         a = (params.a1, params.a2, params.a3)
         bs = (params.b2, params.b3)
         vals = [sum(bs) - sum(a) - 1]
@@ -145,8 +138,8 @@ def cvector(params, check: bool = True) -> CVector:
 class RatFunc:
     """num(p) / (p^dpow · prod_l Phi_l(p)^dphi[l]), numerator an exact PPoly.
 
-    Denominators are kept factored and are not reduced against the numerator
-    unless reduce() is called; p-order and Phi-order queries work either way.
+    Denominators are kept factored and are never reduced against the
+    numerator; ord_p() does not need them reduced.
     """
 
     __slots__ = ("num", "dpow", "dphi")
@@ -245,35 +238,6 @@ class RatFunc:
             return 0
         return self.num.trailing_zeros() - self.dpow
 
-    def phi_order(self, l: int, cap: int | None = None) -> int:
-        """ord at Phi_l, capped from above if requested (saves division work)."""
-        if self.is_zero():
-            raise ValueError("zero has no Phi-order")
-        own = self.dphi.get(l, 0)
-        top = None if cap is None else cap + own
-        return self.num.ord_at(l, cap=top) - own
-
-    def reduce(self) -> "RatFunc":
-        """Cancel all cyclotomic and p-power content shared with the numerator."""
-        if self.is_zero():
-            return RatFunc.zero()
-        num = self.num
-        dpow = self.dpow
-        t = min(num.trailing_zeros(), dpow)
-        if t:
-            num = PPoly(num.coeffs[t:])
-            dpow -= t
-        dphi = {}
-        for l, e in sorted(self.dphi.items()):
-            while e > 0:
-                q = num.div_cyclotomic(l)
-                if q is None:
-                    break
-                num, e = q, e - 1
-            if e:
-                dphi[l] = e
-        return RatFunc(num, dpow, dphi)
-
     def __repr__(self):
         return f"RatFunc(num deg {self.num.degree}, dpow {self.dpow}, dphi {self.dphi})"
 
@@ -335,7 +299,7 @@ def _cancel(num: list[int], den: dict[int, int]) -> tuple[list[int], dict[int, i
 
 
 def summand_z1(params: ParamsZ1) -> Summand:
-    a0, a1, a2, b = params.as_tuple()
+    a0, a1, a2, b = params
     num = list(range(1, a1))
     den = {j: 1 for j in range(a2, b)}
     num, den = _cancel(num, den)
@@ -349,7 +313,7 @@ def summand_z1(params: ParamsZ1) -> Summand:
 
 
 def summand_z2(params: ParamsZ2) -> Summand:
-    a1, a2, a3, b2, b3 = params.as_tuple()
+    a1, a2, a3, b2, b3 = params
     num = list(range(1, a1))
     den: dict[int, int] = {}
     for j in range(a2, b2):
@@ -605,7 +569,7 @@ def form_to_json(form: LinearForm) -> str:
     """
     body = {
         "format": FORM_FORMAT,
-        "params": [str(v) for v in form.params.as_tuple()],
+        "params": [str(v) for v in form.params],
         "A": _ratfunc_payload(form.A),
         "B": _ratfunc_payload(form.B),
     }
@@ -626,7 +590,7 @@ def form_from_json(text: str, params) -> LinearForm:
         raise ValueError(f"form file format is not {FORM_FORMAT}")
     if crc != _checksum(data):
         raise ValueError("form file checksum mismatch")
-    if data.get("params") != [str(v) for v in params.as_tuple()]:
+    if data.get("params") != [str(v) for v in params]:
         raise ValueError("form file holds other params")
     try:
         A, B = _ratfunc_parse(data["A"]), _ratfunc_parse(data["B"])
@@ -723,26 +687,44 @@ def numeric_form_value(
     return acc.widen(tail_bound), tail_bound
 
 
-Certification = namedtuple("Certification", "residual bound terms ok")
+# gap: distance between the two enclosures (0 when they meet); width: the
+# wider of the two; ok: they meet and both are narrower than 2^-target
+Certification = namedtuple("Certification", "target gap width ok")
 
 
-@cache
-def _zeta_eval(k: int, p: int, terms: int):
-    return zeta_q_value(k, p, terms)
+def certify(form: LinearForm, p: int = 2) -> Certification:
+    """Check exact A·zeta_q(k) − B at q = 1/p against a direct summation of the series.
 
-
-def certify(form: LinearForm, p: int = 2, terms: int = 200) -> Certification:
-    """Compare exact A·zeta_q(k) − B against a direct summation of the series."""
+    target is 64 plus the bit length of the larger stored denominator
+    p^dpow·prod Phi_l^e at p, so a unit in one numerator coefficient moves
+    B(p) by at least 2^(64-target), and A(p)·zeta_q(k) by that times
+    |zeta_q(k)|.  Both enclosures, A(p)·Z − B(p) ± |A(p)|·tail from
+    zeta_q_value and the summed series from numeric_form_value, are sized
+    below 2^-target, so they meet only if the form is right to that unit.
+    """
+    if abs(p) < 2:
+        raise ValueError("need |p| >= 2")
     k = 1 if form.kind == "zeta1" else 2
-    enc, tail_f = numeric_form_value(form.params, p, terms=terms)
-    zv = _zeta_eval(k, p, terms)
-    a_val = form.A.value_at(p)
-    b_val = form.B.value_at(p)
-    predicted = a_val * zv.value - b_val
-    mid = (enc.lo + enc.hi) / 2
-    residual = abs(mid - predicted)
-    bound = 10 * (tail_f + (enc.hi - enc.lo) / 2 + abs(a_val) * zv.tail_bound)
-    return Certification(residual, bound, terms, residual < bound)
+    den_bits = max(
+        abs(FactoredPPoly(f.dphi, f.dpow).value_at(p)).numerator.bit_length()
+        for f in (form.A, form.B)
+    )
+    target = 64 + den_bits
+    eps = Fraction(1, 1 << target)
+    a_val, b_val = form.A.value_at(p), form.B.value_at(p)
+    q = Fraction(1, p)
+    zeta, tail = zeta_q_value(k, q, zeta_q_terms(k, q, eps / (4 * max(abs(a_val), 1))))
+    value, spread = a_val * zeta - b_val, abs(a_val) * tail
+    lo, hi = value - spread, value + spread
+    # the summand shrinks by |q|^expo per term and its factors stay within a
+    # few bits of 1, so 64 guard bits cover both the tail and the rounding;
+    # (p^16).bit_length() - 1 is floor(16·log2|p|)
+    s = summand_z1(form.params) if k == 1 else summand_z2(form.params)
+    terms = 16 * (target + 64) // (s.expo * ((p**16).bit_length() - 1)) + 1
+    enc, _ = numeric_form_value(form.params, p, terms=terms, prec=target + 64)
+    gap = max(lo - enc.hi, enc.lo - hi, Fraction(0))
+    width = max(hi - lo, enc.width)
+    return Certification(target, gap, width, gap == 0 and width < eps)
 
 
 def _log_abs(x) -> float:

@@ -61,9 +61,6 @@ class Direction(namedtuple("Direction", "kind eta")):
     def __getitem__(self, label: str) -> int:
         return self.eta[self.labels.index(label)]
 
-    def scaled(self, t: int) -> "Direction":
-        return Direction(self.kind, tuple(t * e for e in self.eta))
-
 
 def direction(family: Family) -> Direction:
     """Growth-rate vector of a family's c-values (the offsets drop out)."""
@@ -100,15 +97,6 @@ class NuProfile(namedtuple("NuProfile", "kind base breakpoints values lattice"))
         """(lo, hi, value) triples covering [0, 1)."""
         pts = (Fraction(0), *self.breakpoints, Fraction(1))
         return tuple(zip(pts, pts[1:], self.values))
-
-    def is_breakpoint(self, x) -> bool:
-        """Whether some floor in the defining sum jumps at x.
-
-        Finite-n offsets can tip the exact gain off the profile exactly at
-        these points; phi itself may or may not jump there.
-        """
-        x = Fraction(x) % 1
-        return x == 0 or x in self.lattice
 
 
 def nu_profile(d: Direction, G: Group, base: tuple[str, ...] | None = None) -> NuProfile:
@@ -197,7 +185,7 @@ def d_exponent(d: Direction) -> float:
 
 
 def family_form(family: Family, n: int, store: Store = DEFAULT_STORE) -> LinearForm:
-    """Exact form at index n, from the store (certification skipped)."""
+    """Exact form at index n, from the store."""
     return store.form(family.params(n))
 
 

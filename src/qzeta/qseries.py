@@ -4,7 +4,7 @@ A q-zeta value is the number zeta_q(k) = sum_{n>=1} sigma_{k-1}(n) q^n for
 0 < |q| < 1.  This module provides the series itself (three structurally
 different expansions that must agree coefficient by coefficient), the
 Eulerian-type polynomials rho_k driving the third expansion, exact rational
-evaluation at q = 1/p with a certified tail bound, and the classical-limit
+partial sums at a rational q with a proven tail bound, and the classical-limit
 check (1-q)^k zeta_q(k) -> (k-1)! zeta(k) as q -> 1.
 """
 
@@ -15,7 +15,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .dyadic import Interval
 from .parith import PPoly
 
 
@@ -157,38 +156,23 @@ def jacobi_check(order: int) -> bool:
     return lhs == rhs
 
 
-class EvalResult(namedtuple("EvalResult", "value tail_bound terms_used")):
-    """Exact partial sum of a convergent series plus a proven tail bound."""
-
-    __slots__ = ()
-
-    @property
-    def lo(self) -> Fraction:
-        return self.value - self.tail_bound
-
-    @property
-    def hi(self) -> Fraction:
-        return self.value + self.tail_bound
+def _tail_bound(k: int, aq: Fraction, terms: int) -> Fraction | None:
+    # sigma_{k-1}(n) <= n^k, and the ratio ((n+1)/n)^k |q| of consecutive
+    # n^k |q|^n falls with n, so past n = T+1 the tail is geometric
+    ratio = Fraction(terms + 2, terms + 1) ** k * aq
+    if ratio >= 1:
+        return None
+    return (terms + 1) ** k * aq ** (terms + 1) / (1 - ratio)
 
 
-def _tail_bound(k: int, aq: Fraction, terms: int) -> Fraction:
-    # |sum_{nu>T} q^nu rho(q^nu)/(1-q^nu)^k| <= sum_{nu>T} y_nu rho(y_nu)/(1-y_nu)^k
-    # with y_nu = |q|^nu, and each summand is <= the nu = T+1 summand times
-    # |q|^(nu-T-1), hence the closed form below.
-    y = aq ** (terms + 1)
-    r = rho(k)
-    return y * r(y) / ((1 - y) ** k * (1 - aq))
+def zeta_q_value(k: int, q, terms: int) -> tuple[Fraction, Fraction]:
+    """Exact partial sum of zeta_q(k) at a rational q with 0 < |q| < 1, and a tail bound.
 
-
-def zeta_q_value(k: int, p: int, terms: int) -> EvalResult:
-    """Exact rational partial sum of zeta_q(k) at q = 1/p with tail bound."""
-    if abs(p) < 2:
-        raise ValueError("need |p| >= 2 so that |q| = 1/|p| < 1")
-    return zeta_q_value_at(k, Fraction(1, p), terms)
-
-
-def zeta_q_value_at(k: int, q: Fraction, terms: int) -> EvalResult:
-    """Same as zeta_q_value but at an arbitrary rational q with |q| < 1."""
+    The partial sum sum_{n<=T} sigma_{k-1}(n) q^n (T = terms) is one Fraction
+    over den(q)^T, built by integer Horner from the zeta_q_series
+    coefficients.  The tail is at most sum_{n>T} n^k |q|^n, which is at most
+    (T+1)^k |q|^(T+1) / (1 - ((T+2)/(T+1))^k |q|); T must make that ratio < 1.
+    """
     if k < 1:
         raise ValueError("zeta_q(k) needs k >= 1")
     q = Fraction(q)
@@ -196,12 +180,35 @@ def zeta_q_value_at(k: int, q: Fraction, terms: int) -> EvalResult:
         raise ValueError("need 0 < |q| < 1")
     if terms < 1:
         raise ValueError("need at least one term")
-    r = rho(k)
-    value = Fraction(0)
-    for nu in range(1, terms + 1):
-        y = q**nu
-        value += y * r(y) / (1 - y) ** k
-    return EvalResult(value, _tail_bound(k, abs(q), terms), terms)
+    tail = _tail_bound(k, abs(q), terms)
+    if tail is None:
+        raise ValueError(f"{terms} terms are too few to bound the tail at q = {q}")
+    coeffs = zeta_q_series(k, terms + 1, "lambert").coeffs  # the divisor sums, by sieve
+    num, den = q.numerator, q.denominator
+    acc, power = 0, 1
+    for c in coeffs[1:]:
+        power *= num
+        acc = acc * den + c * power
+    return Fraction(acc, den**terms), tail
+
+
+def zeta_q_terms(k: int, q, eps) -> int:
+    """Fewest terms for which zeta_q_value's tail bound at q is at most eps > 0."""
+    aq, eps = abs(Fraction(q)), Fraction(eps)
+    if not 0 < aq < 1 or eps <= 0:
+        raise ValueError("need 0 < |q| < 1 and eps > 0")
+
+    def enough(t):
+        tail = _tail_bound(k, aq, t)
+        return tail is not None and tail <= eps
+
+    lo, hi = 0, 1  # invariant: not enough(lo) (or lo = 0), enough(hi)
+    while not enough(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi
 
 
 def zeta_ref(k: int, terms: int = 1500) -> tuple[Fraction, Fraction]:
@@ -218,35 +225,30 @@ def zeta_ref(k: int, terms: int = 1500) -> tuple[Fraction, Fraction]:
 LimitRow = namedtuple("LimitRow", "q lo hi target_lo target_hi")
 
 
-def limit_check(k: int, q_list, rel_tol: float = 1e-9, prec: int = 192) -> list[LimitRow]:
+def limit_check(k: int, q_list, rel_tol: float = 1e-9) -> list[LimitRow]:
     """Table of certified (1-q)^k zeta_q(k) enclosures against (k-1)! zeta(k).
 
-    Evaluation runs in dyadic interval arithmetic so that q close to 1 (where
-    thousands of terms are needed) stays cheap; the enclosures are rigorous.
+    Each enclosure is zeta_q_value's exact partial sum plus or minus its tail
+    bound, with enough terms that its width is at most rel_tol times the
+    lower end of the (k-1)! zeta(k) enclosure (plus the outward rounding).
     """
     if k < 2:
         raise ValueError("the classical limit needs k >= 2")
     zlo, zhi = zeta_ref(k)
     fact = math.factorial(k - 1)
     target_lo, target_hi = fact * zlo, fact * zhi
-    r = rho(k)
+    # the exact ends run to thousands of digits near q = 1; rounding them
+    # outward to 2^-prec, 64 bits finer than rel_tol, keeps rows printable
+    prec = 64 + math.ceil(1 / Fraction(rel_tol)).bit_length()
     rows = []
     for q in q_list:
         q = Fraction(q)
         if not 0 < q < 1:
             raise ValueError("limit_check expects 0 < q < 1")
         scale = (1 - q) ** k
-        # number of terms so that the scaled tail is comfortably below rel_tol
-        fq = float(q)
-        bound = rel_tol * float(scale) * (1.0 - fq) / (4.0 * math.factorial(k))
-        terms = max(8, int(math.log(bound) / math.log(fq)) + 2)
-        qq = Interval.exact(q, prec)
-        power = Interval.exact(1, prec)
-        acc = Interval.exact(0, prec)
-        for _ in range(terms):
-            power = power * qq
-            acc = acc + power * r(power) / (1 - power).pow(k)
-        tail = _tail_bound(k, q, terms)
-        scaled = (acc.widen(tail)) * scale
-        rows.append(LimitRow(q, scaled.lo, scaled.hi, target_lo, target_hi))
+        terms = zeta_q_terms(k, q, Fraction(rel_tol) * target_lo / (2 * scale))
+        value, tail = zeta_q_value(k, q, terms)
+        lo = Fraction(math.floor(scale * (value - tail) * 2**prec), 2**prec)
+        hi = Fraction(math.ceil(scale * (value + tail) * 2**prec), 2**prec)
+        rows.append(LimitRow(q, lo, hi, target_lo, target_hi))
     return rows

@@ -46,7 +46,7 @@ class Store:
     def _path(self, params) -> str:
         from .linforms import cvector
 
-        name = "-".join([cvector(params, check=False).kind, *map(str, params.as_tuple())])
+        name = "-".join([cvector(params, check=False).kind, *map(str, params)])
         return os.path.join(self.forms_dir, name + ".json")
 
     def _load(self, params):

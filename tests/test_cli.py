@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from test_linforms import linform
 
 from qzeta import groups, linforms, measures
-from qzeta.cli import _sci, main
+from qzeta.cli import _log2, main
 from qzeta.linforms import FAMILIES, ParamsZ1, form_from_json, form_to_json
 from qzeta.measures import EmpiricalMu, MFit, family_form
 from qzeta.store import Store
@@ -338,24 +338,26 @@ class TestWitnessNumbers:
     @settings(max_examples=300)
     @given(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
     def test_float_range_matches_float_formatting(self, x):
-        assert _sci(Fraction(x)) == f"{x:.3e}"
-        assert _sci(-Fraction(x)) == f"{-x:.3e}"
+        # floor(log2 x) is the exponent of x's binary float form, frexp's minus one
+        assert _log2(Fraction(x)) == math.frexp(x)[1] - 1
 
     def test_beyond_float_range(self):
-        assert _sci(Fraction(0)) == "0.000e+00"
-        assert _sci(Fraction(10) ** 400) == "1.000e+400"
-        assert _sci(Fraction(99995 * 10**396)) == "1.000e+401"  # half-even up
-        assert _sci(Fraction(99985 * 10**396)) == "9.998e+400"  # half-even down
-        assert _sci(Fraction(1, 3 * 10**400)) == "3.333e-401"
+        assert _log2(Fraction(2) ** 2000) == 2000
+        assert _log2(Fraction(2**2000 - 1)) == 1999
+        assert _log2(Fraction(1, 2**3000)) == -3000
+        assert _log2(Fraction(3, 2**1200)) == -1199
+        assert _log2(Fraction(2**1200 - 1, 2**2400)) == -1201
 
     def test_linform_beyond_float_range(self, capsys):
-        # theorem1 n=3: residual and bound both exceed 1e308
-        code, report = run_json(capsys, "linform", "--kind", "zeta1", "--params", "25,19,25,46")
+        # theorem1 n=3 at p=3: |A(3)| > 2^1700 and the widths < 2^-1074, both past floats
+        code, report = run_json(
+            capsys, "linform", "--kind", "zeta1", "--params", "25,19,25,46", "--p", "3"
+        )
         assert code == 0
         (check,) = report["checks"]
         assert check["pass"]
-        num = r"\d\.\d{3}e\+\d{3}"
-        assert re.fullmatch(f"residual {num} within {num}", check["witness"])
+        m = re.fullmatch(r"gap 0, widths < 2\^-(\d+), need < 2\^-(\d+)", check["witness"])
+        assert m and int(m[1]) >= int(m[2]) > 1074
 
 
 class TestCommands:

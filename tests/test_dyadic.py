@@ -258,7 +258,7 @@ def test_overlaps_and_readback_match(xy):
     (x, xo), (y, yo) = xy
     assert x.overlaps(y) == xo.overlaps(yo)
     assert x.overlaps(x)
-    assert x.width == xo.width and x.midpoint() == xo.midpoint()
+    assert (x.lo, x.hi, x.width) == (xo.lo, xo.hi, xo.width)
     assert repr(x) == repr(xo)
 
 

@@ -38,14 +38,26 @@ from qzeta.parith import PPoly, gauss_factorial
 
 def tau_params(params: ParamsZ1) -> ParamsZ1:
     """(a0,a1,a2,b) -> (a1, b-a1, a0, a0+a2); the image may be inadmissible."""
-    a0, a1, a2, b = params.as_tuple()
+    a0, a1, a2, b = params
     return ParamsZ1(a1, b - a1, a0, a0 + a2)
 
 
 def sigma_params(params: ParamsZ1) -> ParamsZ1:
     """(a0,a1,a2,b) -> (a0,a2,a1,b); always admissible with the input."""
-    a0, a1, a2, b = params.as_tuple()
+    a0, a1, a2, b = params
     return ParamsZ1(a0, a2, a1, b)
+
+
+def _inverse(g: Perm) -> Perm:
+    inv = {image: label for label, image in zip(g.labels, g.images)}
+    return Perm(g.labels, tuple(inv[label] for label in g.labels))
+
+
+def _order(g: Perm) -> int:
+    power, n, ident = g, 1, Perm.identity(g.labels)
+    while power != ident:
+        power, n = power * g, n + 1
+    return n
 
 
 class TestPerm:
@@ -59,12 +71,12 @@ class TestPerm:
 
     def test_compose_and_inverse(self):
         ident = Perm.identity(LABELS_Z1)
-        assert TAU * TAU.inverse() == ident
-        assert (TAU * SIGMA).inverse() == SIGMA.inverse() * TAU.inverse()
+        assert TAU * _inverse(TAU) == ident
+        assert _inverse(TAU * SIGMA) == _inverse(SIGMA) * _inverse(TAU)
 
     def test_orders(self):
-        assert TAU.order() == 6
-        assert SIGMA.order() == 2
+        assert _order(TAU) == 6
+        assert _order(SIGMA) == 2
 
     def test_apply_is_action(self):
         cv = cvector(ParamsZ1(9, 7, 9, 16))
@@ -87,7 +99,7 @@ class TestGroups:
         G = zeta1_group()
         els = set(G.elements)
         for g in G:
-            assert g.inverse() in els
+            assert _inverse(g) in els
             assert g * TAU in els
 
     def test_arith_subgroup(self):
@@ -97,14 +109,14 @@ class TestGroups:
 
 class TestParameterMaps:
     def test_tau_example(self):
-        assert tau_params(ParamsZ1(9, 7, 9, 16)).as_tuple() == (7, 9, 9, 18)
+        assert tau_params(ParamsZ1(9, 7, 9, 16)) == (7, 9, 9, 18)
 
     def test_tau_fixed_point(self):
-        assert tau_params(ParamsZ1(1, 1, 1, 2)).as_tuple() == (1, 1, 1, 2)
+        assert tau_params(ParamsZ1(1, 1, 1, 2)) == (1, 1, 1, 2)
 
     def test_sigma_swap_and_involution(self):
         x = ParamsZ1(9, 7, 9, 16)
-        assert sigma_params(x).as_tuple() == (9, 9, 7, 16)
+        assert sigma_params(x) == (9, 9, 7, 16)
         assert sigma_params(sigma_params(x)) == x
 
     @pytest.mark.parametrize(
@@ -245,7 +257,7 @@ class TestStability:
     def test_sigma_tight_width(self):
         r = stability_check(ParamsZ1(9, 7, 9, 16), SIGMA, 2)
         assert r.ok
-        assert r.image.as_tuple() == (9, 9, 7, 16)
+        assert r.image == (9, 9, 7, 16)
         assert r.width < Fraction(1, 10**25)
 
     def test_tau_squared(self):
@@ -278,5 +290,5 @@ class TestStability:
         q = stable_quantity(ParamsZ1(1, 1, 1, 2), 2)
         from qzeta.qseries import zeta_q_value
 
-        z = zeta_q_value(1, 2, 200)
-        assert q.lo <= 2 * z.value <= q.hi + z.tail_bound * 2
+        z, tail = zeta_q_value(1, Fraction(1, 2), 200)
+        assert q.lo <= 2 * z <= q.hi + tail * 2

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from qzeta.qseries import (
-    EvalResult,
     QSeries,
     jacobi_check,
     limit_check,
@@ -14,14 +13,32 @@ from qzeta.qseries import (
     rho,
     sigma,
     zeta_q_series,
+    zeta_q_terms,
     zeta_q_value,
-    zeta_q_value_at,
     zeta_ref,
 )
 
 
 def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def rho_lambert(k, q, terms):
+    """sum_{nu<=T} q^nu rho_k(q^nu) / (1-q^nu)^k in Fractions, and its tail bound.
+
+    The Lambert-series evaluator of zeta_q(k), kept as an oracle for
+    zeta_q_value: its denominators are products of (p^nu - 1)^k, not powers
+    of den(q).  Past nu = T each summand is at most the nu = T+1 one times
+    |q|^(nu-T-1), hence the closed-form tail.
+    """
+    r = rho(k)
+    value = Fraction(0)
+    for nu in range(1, terms + 1):
+        y = q**nu
+        value += y * r(y) / (1 - y) ** k
+    aq = abs(q)
+    y = aq ** (terms + 1)
+    return value, y * r(y) / ((1 - y) ** k * (1 - aq))
 
 
 class TestSigma:
@@ -127,28 +144,52 @@ class TestJacobi:
 
 class TestZetaQValue:
     def test_worked_example(self):
-        r = zeta_q_value(1, 2, 4)
-        assert r.value == Fraction(54, 35)
-        assert r.tail_bound == Fraction(2, 31)
-        assert r.tail_bound < Fraction(7, 100)
+        # 1/2 + 2/4 + 2/8 + 3/16, tail 5 (1/2)^5 / (1 - (6/5)(1/2))
+        assert zeta_q_value(1, Fraction(1, 2), 4) == (Fraction(23, 16), Fraction(25, 64))
+        assert rho_lambert(1, Fraction(1, 2), 4) == (Fraction(54, 35), Fraction(2, 31))
 
     def test_single_term_k2(self):
-        assert zeta_q_value(2, 2, 1).value == 2
+        assert zeta_q_value(2, Fraction(1, 3), 1)[0] == Fraction(1, 3)
+        assert rho_lambert(2, Fraction(1, 2), 1)[0] == 2
 
     def test_enclosures_nest_and_shrink(self):
-        results = [zeta_q_value(3, 2, t) for t in (5, 10, 20, 40, 80)]
-        for a, b in zip(results, results[1:]):
-            assert a.lo <= b.lo and b.hi <= a.hi
-            assert b.tail_bound < a.tail_bound
-        assert results[-1].tail_bound < Fraction(1, 10**20)
+        results = [zeta_q_value(3, Fraction(1, 2), t) for t in (5, 10, 20, 40, 80)]
+        for (a, ta), (b, tb) in zip(results, results[1:]):
+            assert a - ta <= b - tb and b + tb <= a + ta
+            assert tb < ta
+        assert results[-1][1] < Fraction(1, 10**17)
 
     def test_rho_route_matches_divisor_sum_route(self):
         # same number from a structurally different series, at q = -1/2
-        ev = zeta_q_value(2, -2, 60)
         q = Fraction(-1, 2)
-        direct = sum(sigma(2, n) * q**n for n in range(1, 300))
-        direct_tail = Fraction(2 * 300**2, 2**300)
-        assert abs(ev.value - direct) <= ev.tail_bound + direct_tail
+        a, ta = rho_lambert(2, q, 60)
+        b, tb = zeta_q_value(2, q, 300)
+        assert abs(a - b) <= ta + tb
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("q", ["1/2", "-1/2", "1/3", "-1/3", "9/10"])
+    def test_matches_rho_lambert_oracle(self, q, k):
+        q = Fraction(q)
+        a, ta = rho_lambert(k, q, 200 if q == Fraction(9, 10) else 60)
+        b, tb = zeta_q_value(k, q, zeta_q_terms(k, q, Fraction(1, 10**30)))
+        assert ta < Fraction(1, 10**8) and tb <= Fraction(1, 10**30)
+        assert abs(a - b) <= ta + tb
+
+    def test_tail_bound_holds(self):
+        for k, q in ((1, Fraction(1, 2)), (4, Fraction(-1, 3)), (3, Fraction(9, 10))):
+            value, tail = zeta_q_value(k, q, 60)
+            longer, longer_tail = zeta_q_value(k, q, 900)
+            assert abs(longer - value) <= tail - longer_tail
+
+    def test_terms_are_the_fewest_for_the_bound(self):
+        for k, q, eps in ((1, Fraction(1, 2), Fraction(1, 2**200)), (3, Fraction(9, 10), Fraction(1, 10**6))):
+            t = zeta_q_terms(k, q, eps)
+            assert zeta_q_value(k, q, t)[1] <= eps
+            try:
+                fewer = zeta_q_value(k, q, t - 1)[1]
+            except ValueError:  # t - 1 terms bound no tail at all
+                continue
+            assert fewer > eps
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
@@ -156,10 +197,15 @@ class TestZetaQValue:
         with pytest.raises(ValueError):
             zeta_q_value(2, 0, 5)
 
+    def test_rejects_too_few_terms_for_a_tail_bound(self):
+        # one term at q = 1/2, k = 2: the ratio (3/2)^2 / 2 of n^2 2^-n is >= 1
+        with pytest.raises(ValueError):
+            zeta_q_value(2, Fraction(1, 2), 1)
+
     def test_arbitrary_rational_point(self):
-        ev = zeta_q_value_at(2, Fraction(1, 3), 40)
+        value, tail = zeta_q_value(2, Fraction(1, 3), 40)
         direct = sum(sigma(2, n) * Fraction(1, 3) ** n for n in range(1, 200))
-        assert abs(ev.value - direct) <= ev.tail_bound + Fraction(200**2, 3**200)
+        assert abs(value - direct) <= tail + Fraction(200**2, 3**200)
 
 
 class TestClassicalLimit:
@@ -185,9 +231,9 @@ class TestClassicalLimit:
     def test_enclosure_agrees_with_exact_evaluation(self):
         q = Fraction(1, 2)
         (row,) = limit_check(3, [q])
-        ev = zeta_q_value_at(3, q, 120)
+        value, tail = rho_lambert(3, q, 120)
         scale = (1 - q) ** 3
-        assert row.lo <= scale * ev.value <= row.hi
+        assert row.lo <= scale * (value + tail) and scale * (value - tail) <= row.hi
 
     def test_rejects_k1(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from qzeta.groups import Perm
 from qzeta.linforms import BV, LABELS_Z1, CVector, ParamsZ1, ParamsZ2
 from qzeta.measures import MFit
 from qzeta.parith import FactoredPPoly, Trigamma
-from qzeta.qseries import EvalResult, QSeries
+from qzeta.qseries import QSeries
 from qzeta.store import Store
 
 
@@ -38,10 +38,9 @@ def test_validation_raises_value_error(make):
         (Perm.identity(LABELS_Z1), "images"),
         (BV, "rates"),
         (QSeries((1,), 1), "order"),
-        (EvalResult(Fraction(1), Fraction(0), 1), "value"),
         (MFit(Fraction(3, 2), (5,), (), True), "stable"),
     ],
-    ids=["ParamsZ1", "ParamsZ2", "CVector", "Perm", "Family", "QSeries", "EvalResult", "MFit"],
+    ids=["ParamsZ1", "ParamsZ2", "CVector", "Perm", "Family", "QSeries", "MFit"],
 )
 def test_frozen_fields_reject_assignment(record, field):
     with pytest.raises(AttributeError):
