@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
 
 from .dyadic import Interval
 from .linforms import (
@@ -232,10 +231,9 @@ def q_factorial_value(n: int, p: int) -> Fraction:
     return out
 
 
-@cache
-def stable_quantity(params, p: int, terms: int = 120, prec: int = 320) -> Interval:
+def stable_quantity(params, p: int, terms: int, prec: int) -> Interval:
     """Certified enclosure of Q = F / prod_{j in S} [c_j]_q! at q = 1/p."""
-    enc, _ = numeric_form_value(params, p, terms=terms, prec=prec)
+    enc, _ = numeric_form_value(params, p, terms, prec)
     cv = cvector(params)
     pi = Fraction(1)
     for j in cv.factorial_labels():
@@ -243,10 +241,12 @@ def stable_quantity(params, p: int, terms: int = 120, prec: int = 320) -> Interv
     return enc / Interval.exact(pi, prec)
 
 
-def check_stability_domain(p: int, prec: int) -> None:
-    """Raise ValueError unless |p| >= 2 and prec >= 1."""
+def check_stability_domain(p: int, terms: int, prec: int) -> None:
+    """Raise ValueError unless |p| >= 2, prec >= 1 and terms >= 0."""
     if abs(p) < 2 or prec < 1:
         raise ValueError("stability needs |p| >= 2 and prec >= 1")
+    if terms < 0:
+        raise ValueError("stability needs terms >= 0")
 
 
 class InadmissibleImage(ValueError):
@@ -263,33 +263,40 @@ class StabilityResult(namedtuple("StabilityResult", "ok width image")):
 
 
 def stability_check(
-    params, g: Perm, p: int = 2, terms: int = 120, prec: int = 320
+    params, g: Perm, p: int, terms: int, prec: int, enclosures: dict | None = None
 ) -> StabilityResult:
     """Do the enclosures of Q(c) and Q(gc) overlap?  Exact-image arithmetic.
 
+    `enclosures` maps parameter tuples to Q at this p, terms and prec; the
+    enclosures this check makes are added to it, and those in it are reused.
     Raises InadmissibleImage when g maps the parameters outside the
     admissible region (sweeps catch this and report the element as skipped).
     """
     image = params_from_cvector(g.apply(cvector(params)))
     if image is None or not image.admissible:
         raise InadmissibleImage(f"image of {tuple(params)} under {g} is not admissible")
-    lhs = stable_quantity(params, p, terms, prec)
-    rhs = stable_quantity(image, p, terms, prec)
+    known = {} if enclosures is None else enclosures
+    for x in (params, image):
+        if x not in known:
+            known[x] = stable_quantity(x, p, terms, prec)
+    lhs, rhs = known[params], known[image]
     return StabilityResult(lhs.overlaps(rhs), max(lhs.width, rhs.width), image)
 
 
-def stability_sweep(params, G: Group, p: int = 2, terms: int = 120, prec: int = 320):
+def stability_sweep(params, G: Group, p: int, terms: int, prec: int):
     """stability_check across a whole group; inadmissible images are reported.
 
-    Raises ValueError outside the domain |p| >= 2, prec >= 1, and for
+    Each distinct parameter tuple is enclosed once per sweep.  Raises
+    ValueError outside the domain |p| >= 2, terms >= 0, prec >= 1, and for
     inadmissible params; only an image that is not realizable or not
     admissible makes a skipped row.
     """
-    check_stability_domain(p, prec)
+    check_stability_domain(p, terms, prec)
+    enclosures = {}
     rows = []
     for g in G:
         try:
-            res = stability_check(params, g, p, terms, prec)
+            res = stability_check(params, g, p, terms, prec, enclosures)
         except InadmissibleImage:
             rows.append({"g": repr(g), "status": "skipped (inadmissible image)"})
         else:

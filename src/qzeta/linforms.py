@@ -642,9 +642,7 @@ def verify_inclusion(form: LinearForm, omega: FactoredPPoly | None = None) -> In
     return InclusionResult(True)
 
 
-def numeric_form_value(
-    params, p: int, terms: int = 200, prec: int = 256
-) -> tuple[Interval, Fraction]:
+def numeric_form_value(params, p: int, terms: int, prec: int) -> tuple[Interval, Fraction]:
     """Certified enclosure of F at q = 1/p by direct interval summation.
 
     Returns (enclosure including the tail, tail bound used).  With T = terms
@@ -654,6 +652,8 @@ def numeric_form_value(
     """
     if abs(p) < 2:
         raise ValueError("need |p| >= 2")
+    if terms < 0:
+        raise ValueError("need terms >= 0")
     s = summand_z1(params) if isinstance(params, ParamsZ1) else summand_z2(params)
     q = Fraction(1, p)
     qq = Interval.exact(q, prec)

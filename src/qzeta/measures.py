@@ -39,7 +39,7 @@ from .linforms import (
     numeric_form_value,
 )
 from .parith import cyclotomic, trigamma
-from .store import DEFAULT_STORE, Store
+from .store import Store
 
 # density of l with a fixed fractional part {n/l}, per unit of log Phi_l
 _DENSITY = 3 / math.pi**2
@@ -184,16 +184,11 @@ def d_exponent(d: Direction) -> float:
     return _DENSITY * (top[0] ** 2 + top[1] ** 2)
 
 
-def family_form(family: Family, n: int, store: Store = DEFAULT_STORE) -> LinearForm:
-    """Exact form at index n, from the store."""
-    return store.form(family.params(n))
-
-
 # fitted leading coefficient of M(n), with the evidence
 MFit = namedtuple("MFit", "coeff values second_diffs stable period warning", defaults=(1, ""))
 
 
-def fit_M_coeff(family: Family, n_max: int, store: Store = DEFAULT_STORE) -> MFit:
+def fit_M_coeff(family: Family, n_max: int, store: Store) -> MFit:
     """Quadratic coefficient of n -> M(n) from exact forms at n = 1..n_max.
 
     Second differences of a quadratic are constant; the fit demands that on
@@ -203,7 +198,7 @@ def fit_M_coeff(family: Family, n_max: int, store: Store = DEFAULT_STORE) -> MFi
     """
     if n_max < 6:
         raise ValueError("need n_max >= 6 to judge stabilization")
-    ms = tuple(family_form(family, n, store).M for n in range(1, n_max + 1))
+    ms = tuple(store.form(family.params(n)).M for n in range(1, n_max + 1))
     d2 = tuple(ms[i + 2] - 2 * ms[i + 1] + ms[i] for i in range(len(ms) - 2))
     for r in (1, 2, 3, 4):
         if n_max < 4 * r:
@@ -280,9 +275,7 @@ MEASURE_BASES: dict[str, tuple[str, ...]] = {
 _FIT_RANGE = {"bv": 12}
 
 
-def measure(
-    family: Family, fit_n_max: int | None = None, store: Store = DEFAULT_STORE
-) -> MeasureReport:
+def measure(family: Family, store: Store, fit_n_max: int | None = None) -> MeasureReport:
     """Full exponent report for a family.
 
     alpha comes from the parameter rates, d_exp from the top c-rates, omega
@@ -321,23 +314,17 @@ class EmpiricalMu(namedtuple("EmpiricalMu", "estimates log_residues")):
         return r[-1] < 0 and (len(r) == 1 or r[-1] < r[0])
 
 
-def empirical_mu(
-    family: Family,
-    p: int,
-    n_max: int,
-    terms: int = 200,
-    prec: int = 320,
-    store: Store = DEFAULT_STORE,
-) -> EmpiricalMu:
+def empirical_mu(family: Family, p: int, n_max: int, store: Store) -> EmpiricalMu:
     """Estimates 1 + log|a_n| / (-log|a_n zeta - b_n|) for n = 1..n_max.
 
     a_n = Delta A(p) and b_n = Delta B(p) are the exactly cleared integer
     coefficients, Delta = p^{-M} D(p) / Omega(p).  The residue a_n zeta - b_n
     equals Delta times the form value, so it is evaluated as exact Delta
-    times a certified enclosure of F — no cancellation, no extended
-    precision in the logarithm.  Raises if a cleared coefficient fails to be
-    a nonzero integer; whether |Delta F| shrinks over the range is left to
-    the caller, through EmpiricalMu.decaying.
+    times a certified enclosure of F (200 terms at 320 bits) — no
+    cancellation, no extended precision in the logarithm.  Raises if a
+    cleared coefficient fails to be a nonzero integer; whether |Delta F|
+    shrinks over the range is left to the caller, through
+    EmpiricalMu.decaying.
     """
     if abs(p) < 2:
         raise ValueError("need |p| >= 2")
@@ -346,7 +333,7 @@ def empirical_mu(
     G = group_for(family.kind)
     estimates, decay = [], []
     for n in range(1, n_max + 1):
-        form = family_form(family, n, store)
+        form = store.form(family.params(n))
         gain = omega(form.cvec, G).omega.value_at(p)
         delta = Fraction(p) ** (-form.M) * form.d_value(p) / gain
         a_n = delta * form.A.value_at(p)
@@ -356,9 +343,9 @@ def empirical_mu(
                 raise ValueError(f"cleared coefficient {name}_{n} is not an integer")
         if a_n == 0:
             raise ValueError(f"vanishing coefficient a_{n}")
-        enc, _ = numeric_form_value(family.params(n), p, terms=terms, prec=prec)
+        enc, _ = numeric_form_value(family.params(n), p, 200, 320)
         if enc.contains(0):
-            raise ValueError(f"enclosure of F at n={n} straddles 0; raise terms/prec")
+            raise ValueError(f"enclosure of F at n={n} straddles 0 at 200 terms, 320 bits")
         log_mag = (_log_abs(enc.lo) + _log_abs(enc.hi)) / 2
         log_residue = _log_abs(delta) + log_mag
         estimates.append(1 + _log_abs(a_n) / (-log_residue))
@@ -405,7 +392,7 @@ def _limit_value_at_one(form: LinearForm) -> Fraction:
     return val
 
 
-def apery_limit_check(n: int, store: Store = DEFAULT_STORE) -> bool:
+def apery_limit_check(n: int, store: Store) -> bool:
     """Does the p -> 1 limit of the coefficient reproduce the classical A_n?
 
     The family (n+1, n+1, n+1; 2n+2, 2n+2) degenerates, after removing the
@@ -418,7 +405,7 @@ def apery_limit_check(n: int, store: Store = DEFAULT_STORE) -> bool:
     targets = apery_numbers(max(n, 1))
 
     def ratio(m: int) -> Fraction:
-        return _limit_value_at_one(family_form(APERY, m, store)) / targets[m]
+        return _limit_value_at_one(store.form(APERY.params(m))) / targets[m]
 
     kappa = abs(ratio(1))
     r = abs(ratio(n))

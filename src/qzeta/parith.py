@@ -420,21 +420,17 @@ class FactoredPPoly:
 # Gaussian integers and factorials
 
 
-_GAUSS_FACT: list[PPoly] = [PPoly((1,))]
-
-
 def gauss_factorial(n: int) -> PPoly:
-    """[n]_p! = prod_{v<=n} [v]_p, cached incrementally."""
+    """[n]_p! = prod_{v<=n} [v]_p."""
     if n < 0:
         raise ValueError("gauss_factorial needs n >= 0")
-    while len(_GAUSS_FACT) <= n:
+    fact = PPoly((1,))
+    for v in range(1, n + 1):
         # f·[v]_p = f·(p^v - 1)/(p - 1): two O(degree) passes
-        v = len(_GAUSS_FACT)
-        nxt = _GAUSS_FACT[-1].mul_binomial(v).div_binomial(1)
-        if nxt is None:
+        fact = fact.mul_binomial(v).div_binomial(1)
+        if fact is None:
             raise AssertionError(f"[{v}]_p! left a remainder")
-        _GAUSS_FACT.append(nxt)
-    return _GAUSS_FACT[n]
+    return fact
 
 
 def cyclotomic(l: int) -> PPoly:

@@ -73,7 +73,3 @@ class Store:
         except BaseException:
             os.unlink(tmp)  # still there: the rename is the last step
             raise
-
-
-# the library default: a memory-only store shared within the process
-DEFAULT_STORE = Store()

@@ -21,7 +21,6 @@ from qzeta.groups import stability_sweep, zeta1_arith_group, zeta1_group, zeta2_
 from qzeta.linforms import BV, FAMILIES, THEOREM1, THEOREM2, verify_inclusion
 from qzeta.measures import (
     empirical_mu,
-    family_form,
     fit_M_coeff,
     group_for,
     measure,
@@ -113,7 +112,7 @@ def test_c07_stability_of_normalized_series():
     tol = Fraction(1, 10**20)
     ok = True
     for fam, n in ((THEOREM1, 1), (THEOREM1, 2), (THEOREM2, 1)):
-        rows = stability_sweep(fam.params(n), group_for(fam.kind), p=2)
+        rows = stability_sweep(fam.params(n), group_for(fam.kind), p=2, terms=120, prec=320)
         for r in rows:
             if r["status"] == "skipped (inadmissible image)":
                 continue
@@ -121,21 +120,21 @@ def test_c07_stability_of_normalized_series():
     _line(7, ok, "group invariance at p = 2 with enclosure width below 1e-20")
 
 
-def test_c08_coefficient_integrality():
+def test_c08_coefficient_integrality(store):
     t0 = time.perf_counter()
     ok = True
     for fam, n_max in ((THEOREM1, 6), (THEOREM2, 3)):
         for n in range(1, n_max + 1):
-            res = verify_inclusion(family_form(fam, n))
+            res = verify_inclusion(store.form(fam.params(n)))
             ok = ok and res.ok
     elapsed = time.perf_counter() - t0
     _line(8, ok and elapsed < 6000, f"p^-M D/Omega inclusions verified in {elapsed:.1f}s")
 
 
-def test_c09_bv_measure_closed_form():
-    rep = measure(BV)
+def test_c09_bv_measure_closed_form(store):
+    rep = measure(BV, store)
     near = abs(rep.mu_bound - BV_CONSTANT) < 1e-8
-    coeff = fit_M_coeff(BV, 12).coeff == Fraction(3, 2)
+    coeff = fit_M_coeff(BV, 12, store).coeff == Fraction(3, 2)
     _line(
         9,
         near and coeff,
@@ -143,8 +142,8 @@ def test_c09_bv_measure_closed_form():
     )
 
 
-def test_c10_theorem1_measure_constant():
-    rep = measure(THEOREM1)
+def test_c10_theorem1_measure_constant(store):
+    rep = measure(THEOREM1, store)
     _line(
         10,
         abs(rep.mu_bound - 2.42343562) < 1e-6,
@@ -152,8 +151,8 @@ def test_c10_theorem1_measure_constant():
     )
 
 
-def test_c11_theorem2_measure_constant():
-    rep = measure(THEOREM2)
+def test_c11_theorem2_measure_constant(store):
+    rep = measure(THEOREM2, store)
     _line(
         11,
         abs(rep.mu_bound - 4.07869374) < 1e-6,
@@ -176,7 +175,7 @@ def test_c13_mertens_density():
     _line(13, abs(ratio - target) < 0.05, f"normalized log D_n = {ratio:.4f} vs {target:.4f}")
 
 
-def test_c14_apery_limits():
+def test_c14_apery_limits(store):
     # Oracle sequence straight from the binomial sum, no package code.
     oracle = [
         sum(math.comb(n, k) ** 2 * math.comb(n + k, k) for k in range(n + 1))
@@ -184,13 +183,13 @@ def test_c14_apery_limits():
     ]
     ok = oracle == [1, 3, 19, 147]
     for n in range(4):
-        val = _limit_value_at_one(family_form(FAMILIES["apery"], n))
+        val = _limit_value_at_one(store.form(FAMILIES["apery"].params(n)))
         ok = ok and val == (-1) ** n * oracle[n]
     _line(14, ok, "coefficient limits reproduce 1, 3, 19, 147")
 
 
-def test_c15_bv_empirical_estimates():
-    res = empirical_mu(BV, 2, 25)  # raises if any form vanishes
+def test_c15_bv_empirical_estimates(store):
+    res = empirical_mu(BV, 2, 25, store)  # raises if any form vanishes
     ests, logs = res.estimates, res.log_residues
     decays = logs[-1] < logs[0] and logs[-1] < 0
     near = abs(ests[-1] - BV_CONSTANT) < 0.2

@@ -18,7 +18,7 @@ from test_linforms import linform
 from qzeta import groups, linforms, measures
 from qzeta.cli import _log2, main
 from qzeta.linforms import FAMILIES, ParamsZ1, form_from_json, form_to_json
-from qzeta.measures import EmpiricalMu, MFit, family_form
+from qzeta.measures import EmpiricalMu, MFit
 from qzeta.store import Store
 
 
@@ -122,6 +122,14 @@ class TestExitCodes:
         assert main(["stability", *extra]) == 2
         captured = capsys.readouterr()
         assert "stability needs |p| >= 2 and prec >= 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("terms", ["-1", "-9", "-20"])
+    def test_stability_negative_terms_is_input_error(self, capsys, terms):
+        argv = ["stability", "--family", "theorem1", "--n", "1", "--terms", terms]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "stability needs terms >= 0" in captured.err
         assert captured.out == ""
 
     def test_stability_without_admissible_image_fails(self, capsys, monkeypatch):
@@ -247,15 +255,15 @@ CORRUPTIONS = {
     "bad-digit-string": _bad_digits,
     "non-object": lambda text: "[1, 2, 3]",
     "missing-field": lambda text: _rewrite(text, B=None),
-    "params-mismatch": lambda text: form_to_json(linform(ParamsZ1(3, 3, 3, 6), None)),
+    "params-mismatch": lambda text: form_to_json(Store().form(ParamsZ1(3, 3, 3, 6))),
     "old-format": _v1,
 }
 
 
 class TestCache:
-    def test_form_round_trip(self, tmp_path, monkeypatch):
+    def test_form_round_trip(self, store, tmp_path, monkeypatch):
         params = FAMILIES["bv"].params(4)
-        fresh = linform(params, certify_at=None)
+        fresh = linform(store, params, certify_at=None)
         Store(str(tmp_path)).form(params)
         monkeypatch.setattr(linforms, "_build_zeta1", None)  # a second store must load
         _same_form(Store(str(tmp_path)).form(params), fresh)
@@ -308,26 +316,26 @@ class TestCache:
         root.write_text("")
         assert main(["rho", "--k", "3", "--cache-dir", str(root)]) == 0
 
-    def test_file_is_compact_and_holds_no_M(self, tmp_path):
+    def test_file_is_compact_and_holds_no_M(self, store, tmp_path):
         Store(str(tmp_path)).form(SMALL)
         data = json.loads((tmp_path / "forms" / "zeta1-2-2-2-4.json").read_text())
         assert sorted(data) == ["A", "B", "crc32", "format", "params"]
-        assert form_to_json(linform(SMALL, None)) == json.dumps(
+        assert form_to_json(linform(store, SMALL, None)) == json.dumps(
             data, sort_keys=True, separators=(",", ":")
         )
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(["bv", "apery"]), st.integers(1, 3))
-def test_serialize_parse_round_trip(name, n):
-    form = family_form(FAMILIES[name], n)
+def test_serialize_parse_round_trip(store, name, n):
+    form = store.form(FAMILIES[name].params(n))
     _same_form(form_from_json(form_to_json(form), form.params), form)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_any_changed_character_is_rejected(data):
-    text = form_to_json(family_form(FAMILIES["bv"], 2))
+def test_any_changed_character_is_rejected(store, data):
+    text = form_to_json(store.form(FAMILIES["bv"].params(2)))
     i = data.draw(st.integers(0, len(text) - 1))
     c = data.draw(st.characters(codec="ascii").filter(lambda c: c != text[i]))
     with pytest.raises(ValueError):
@@ -358,6 +366,15 @@ class TestWitnessNumbers:
         assert check["pass"]
         m = re.fullmatch(r"gap 0, widths < 2\^-(\d+), need < 2\^-(\d+)", check["witness"])
         assert m and int(m[1]) >= int(m[2]) > 1074
+
+    def test_stability_width_beyond_float_range(self, capsys):
+        # at 1200 bits the enclosures are narrower than the smallest float
+        argv = ["stability", "--family", "theorem1", "--n", "1", "--prec", "1200"]
+        code, report = run_json(capsys, *argv, "--terms", "200")
+        assert code == 0
+        (check,) = report["checks"]
+        m = re.fullmatch(r"6 admissible images, widest enclosure < 2\^-(\d+)", check["witness"])
+        assert m and int(m[1]) > 1074
 
 
 class TestCommands:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from test_linforms import linform
 
+from qzeta import groups
 from qzeta.groups import (
     SIGMA,
     TAU,
@@ -31,6 +32,7 @@ from qzeta.linforms import (
     ParamsZ1,
     ParamsZ2,
     cvector,
+    numeric_form_value,
     verify_inclusion,
 )
 from qzeta.parith import PPoly, gauss_factorial
@@ -225,18 +227,18 @@ class TestOmega:
         assert om.omega.degree == 0
         assert all(v == 0 for v in om.nu.values())
 
-    def test_theorem1_n2_nontrivial_and_divides(self):
+    def test_theorem1_n2_nontrivial_and_divides(self, store):
         params = THEOREM1.params(2)
         om = omega(cvector(params), zeta1_arith_group())
         assert om.omega.degree > 0
-        f = linform(params, certify_at=None)
+        f = linform(store, params, certify_at=None)
         assert verify_inclusion(f, om.omega)
 
-    def test_theorem2_n1_nontrivial_and_divides(self):
+    def test_theorem2_n1_nontrivial_and_divides(self, store):
         params = THEOREM2.params(1)
         om = omega(cvector(params), zeta2_group())
         assert om.omega.degree > 0
-        f = linform(params, certify_at=None)
+        f = linform(store, params, certify_at=None)
         assert verify_inclusion(f, om.omega)
 
     def test_nu_map_covers_all_l(self):
@@ -251,24 +253,24 @@ class TestStability:
         assert q_factorial_value(3, 2) == Fraction(21, 8)
 
     def test_identity(self):
-        r = stability_check(ParamsZ1(9, 7, 9, 16), Perm.identity(LABELS_Z1), 2)
+        r = stability_check(ParamsZ1(9, 7, 9, 16), Perm.identity(LABELS_Z1), 2, 120, 320)
         assert r.ok
 
     def test_sigma_tight_width(self):
-        r = stability_check(ParamsZ1(9, 7, 9, 16), SIGMA, 2)
+        r = stability_check(ParamsZ1(9, 7, 9, 16), SIGMA, 2, 120, 320)
         assert r.ok
         assert r.image == (9, 9, 7, 16)
         assert r.width < Fraction(1, 10**25)
 
     def test_tau_squared(self):
-        assert stability_check(ParamsZ1(9, 7, 9, 16), TAU * TAU, 2).ok
+        assert stability_check(ParamsZ1(9, 7, 9, 16), TAU * TAU, 2, 120, 320).ok
 
     def test_inadmissible_image_rejected(self):
         with pytest.raises(ValueError):
-            stability_check(ParamsZ1(17, 13, 17, 31), TAU, 2)
+            stability_check(ParamsZ1(17, 13, 17, 31), TAU, 2, 120, 320)
 
     def test_sweep_reports_skips(self):
-        rows = stability_sweep(ParamsZ1(17, 13, 17, 31), zeta1_group(), 2)
+        rows = stability_sweep(ParamsZ1(17, 13, 17, 31), zeta1_group(), 2, 120, 320)
         by_status = [r["status"] for r in rows]
         assert by_status.count("ok") == 6
         assert sum("skipped" in s for s in by_status) == 6
@@ -277,17 +279,30 @@ class TestStability:
     def test_sweep_refuses_points_outside_the_domain(self, p, prec):
         # a domain error is not an inadmissible image: no skipped rows
         with pytest.raises(ValueError, match=r"stability needs \|p\| >= 2 and prec >= 1"):
-            stability_sweep(THEOREM1.params(1), zeta1_group(), p=p, prec=prec)
+            stability_sweep(THEOREM1.params(1), zeta1_group(), p=p, terms=120, prec=prec)
+
+    def test_sweep_encloses_each_tuple_once(self, monkeypatch):
+        # theorem1 n = 1, as `stability` sweeps it: 6 admissible images of 3 distinct tuples
+        calls = []
+
+        def counted(params, p, terms, prec):
+            calls.append(params)
+            return numeric_form_value(params, p, terms, prec)
+
+        monkeypatch.setattr(groups, "numeric_form_value", counted)
+        rows = stability_sweep(THEOREM1.params(1), zeta1_arith_group(), 2, 120, 320)
+        assert sum(r["status"] == "ok" for r in rows) == 6
+        assert len(calls) == len(set(calls)) == 3
 
     def test_zeta2_single_elements(self):
         x = ParamsZ2(6, 7, 8, 16, 17)
         for g in zeta2_group().generators:
-            r = stability_check(x, g, 2)
+            r = stability_check(x, g, 2, 120, 320)
             assert r.ok and r.width < Fraction(1, 10**25)
 
     def test_stable_quantity_value(self):
         # Q for the simplest parameters: F = p·zeta_q(1), Pi_q = [0]! [0]! [0]! = 1
-        q = stable_quantity(ParamsZ1(1, 1, 1, 2), 2)
+        q = stable_quantity(ParamsZ1(1, 1, 1, 2), 2, 120, 320)
         from qzeta.qseries import zeta_q_value
 
         z, tail = zeta_q_value(1, Fraction(1, 2), 200)

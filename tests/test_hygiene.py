@@ -94,3 +94,125 @@ def test_no_test_only_library_names():
 def test_kept_names_are_still_unused_library_names():
     stale = sorted(set(KEPT_FOR_THE_PAPER) - _unused_public_names())
     assert not stale, f"KEPT_FOR_THE_PAPER lists names now gone or used: {', '.join(stale)}"
+
+
+# The memo of computed results is the Store a caller passes in.  A module-level
+# memo would let a result depend on what earlier calls left in the process; the
+# only exceptions are these lru_caches on pure integer helpers, whose values
+# depend on their arguments alone.
+PURE_CACHED = {
+    "parith.divisors": "the divisors of an integer",
+    "parith.mobius": "the Moebius function of an integer",
+    "parith.totient": "Euler's totient of an integer",
+    "parith._mobius_binomials": "the divisors of l split by the sign of mu(l/d)",
+    "parith.cyclotomic_value": "the integer Phi_l(p)",
+    "qseries.rho": "the fixed polynomial rho_k",
+}
+_MEMO_DECORATORS = {"cache", "lru_cache"}
+_MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault", "pop", "popitem", "clear"}
+
+
+def _name_of(node):
+    """The name a Name or Attribute node ends in, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _module_level(tree):
+    """Nodes that run at import time: all but function bodies, whose default
+    values and decorators do run then."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo += node.args.defaults + [d for d in node.args.kw_defaults if d]
+            todo += getattr(node, "decorator_list", [])
+        else:
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _memoized(tree, module):
+    """(qualified function name or None, line) of every cache/lru_cache reference;
+    the name is set where it decorates a function."""
+    in_decorators = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                for sub in ast.walk(dec):
+                    in_decorators[id(sub)] = f"{module}.{node.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and _name_of(node) in _MEMO_DECORATORS:
+            yield in_decorators.get(id(node)), node.lineno
+
+
+def _global_containers(tree):
+    """Module-level names bound to a list, dict or set."""
+    kinds = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+    out = set()
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        value = node.value
+        if isinstance(value, kinds) or (
+            isinstance(value, ast.Call) and _name_of(value.func) in {"list", "dict", "set"}
+        ):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return out
+
+
+def _global_writes(tree):
+    """(function, name, line) where a function appends to or assigns into a
+    module-level container it does not shadow, or rebinds a module global."""
+    shared = _global_containers(tree)
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                yield fn.name, ", ".join(node.names), node.lineno
+        local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        local |= {
+            n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+        for node in ast.walk(fn):
+            target = None
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in _MUTATORS:
+                    target = node.func.value
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            if isinstance(target, ast.Name) and target.id in shared - local:
+                yield fn.name, target.id, node.lineno
+
+
+def test_no_module_level_memos():
+    found = []
+    for path in SRC:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module = path.stem
+        for fn, line in _memoized(tree, module):
+            if fn not in PURE_CACHED:
+                found.append(f"{path.name}:{line} cache on {fn or 'a non-decorator'}")
+        for node in _module_level(tree):
+            if isinstance(node, ast.Call) and _name_of(node.func) == "Store":
+                found.append(f"{path.name}:{node.lineno} module-level Store(...)")
+        for fn, name, line in _global_writes(tree):
+            found.append(f"{path.name}:{line} {fn} writes into module-level {name}")
+    assert not found, (
+        "memos outside the caller's Store (pass a Store in, or list a pure helper "
+        f"in PURE_CACHED with a reason): {'; '.join(found)}"
+    )
+
+
+def test_pure_cached_names_are_still_cached():
+    cached = set()
+    for path in SRC:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        cached |= {fn for fn, _ in _memoized(tree, path.stem) if fn}
+    stale = sorted(set(PURE_CACHED) - cached)
+    assert not stale, f"PURE_CACHED lists names no longer cached: {', '.join(stale)}"

@@ -38,13 +38,13 @@ from qzeta.linforms import (
     verify_inclusion,
 )
 from qzeta.parith import FactoredPPoly, PPoly, cyclotomic, cyclotomic_value, dnp
-from qzeta.store import DEFAULT_STORE, Store
+from qzeta.store import Store
 
 
-def linform(params, certify_at=2):
-    """The form at params from the shared memory store, certified at p = certify_at
-    unless that is None."""
-    form = DEFAULT_STORE.form(params)
+def linform(store, params, certify_at=2):
+    """The form at params from `store`, certified at p = certify_at unless
+    that is None."""
+    form = store.form(params)
     if certify_at is not None:
         rep = certify(form, certify_at)
         if not rep.ok:
@@ -101,15 +101,15 @@ def _midpoint(iv) -> Fraction:
     return (iv.lo + iv.hi) / 2
 
 
-def growth_scan(family, n_max: int, p: int) -> list[dict]:
+def growth_scan(store, family, n_max: int, p: int) -> list[dict]:
     """Per-n growth exponents log|A_n| and log|F_n| against n² log|p|."""
     if abs(p) < 2:
         raise ValueError("need |p| >= 2")
     rows = []
     for n in range(1, n_max + 1):
-        form = linform(family.params(n), certify_at=None)
+        form = linform(store, family.params(n), certify_at=None)
         a_val = form.A.value_at(p)
-        enc, _ = numeric_form_value(form.params, p, terms=40 + 8 * n)
+        enc, _ = numeric_form_value(form.params, p, terms=40 + 8 * n, prec=256)
         mid = _midpoint(enc)
         denom = n * n * math.log(abs(p))
         rows.append(
@@ -474,54 +474,54 @@ class TestAnchors:
     """Forms small enough to expand by hand."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, -2])
-    def test_simplest_form(self, p):
-        f = linform(ParamsZ1(1, 1, 1, 2))
+    def test_simplest_form(self, store, p):
+        f = linform(store, ParamsZ1(1, 1, 1, 2))
         assert f.A.value_at(p) == p
         assert f.B.is_zero()
         assert f.M == 0
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_polynomial_part_form(self, p):
+    def test_polynomial_part_form(self, store, p):
         # S(x) = x^2/(1-qx) has a nonzero polynomial part
-        f = linform(ParamsZ1(2, 1, 1, 2))
+        f = linform(store, ParamsZ1(2, 1, 1, 2))
         assert f.A.value_at(p) == p * p
         assert f.B.value_at(p) == Fraction(p * p, p - 1)
         assert f.M == 2
 
     @pytest.mark.parametrize("p", [2, 3, 5, -2])
-    def test_simplest_double_pole_form(self, p):
-        f = linform(ParamsZ2(1, 1, 1, 2, 2))
+    def test_simplest_double_pole_form(self, store, p):
+        f = linform(store, ParamsZ2(1, 1, 1, 2, 2))
         assert f.A.value_at(p) == p
         assert f.B.is_zero()
         assert f.M == 0
 
-    def test_mixed_pole_orders(self):
+    def test_mixed_pole_orders(self, store):
         # denominators (1-qx)(1-q^2 x)^2: one simple and one double pole
-        f = linform(ParamsZ2(1, 1, 2, 3, 3), certify_at=2)
+        f = linform(store, ParamsZ2(1, 1, 2, 3, 3), certify_at=2)
         assert f.A.value_at(2) == -8
         assert not f.B.is_zero()
 
-    def test_dispatcher(self):
-        assert linform(ParamsZ1(1, 1, 1, 2)).kind == "zeta1"
-        assert linform(ParamsZ2(1, 1, 1, 2, 2)).kind == "zeta2"
+    def test_dispatcher(self, store):
+        assert linform(store, ParamsZ1(1, 1, 1, 2)).kind == "zeta1"
+        assert linform(store, ParamsZ2(1, 1, 1, 2, 2)).kind == "zeta2"
 
 
 class TestDenominatorData:
-    def test_zeta1_exponents(self):
-        f = linform(ParamsZ1(9, 7, 9, 16), certify_at=None)
+    def test_zeta1_exponents(self, store):
+        f = linform(store, ParamsZ1(9, 7, 9, 16), certify_at=None)
         assert f.d_exponents() == {l: 1 for l in range(1, 9)}
         for p in (2, 3):
             assert f.d_value(p) == dnp(8).value_at(p)
 
-    def test_zeta2_exponents(self):
-        f = linform(ParamsZ2(6, 7, 8, 16, 17), certify_at=None)
+    def test_zeta2_exponents(self, store):
+        f = linform(store, ParamsZ2(6, 7, 8, 16, 17), certify_at=None)
         exps = f.d_exponents()
         assert exps == {l: (2 if l <= 10 else 1) for l in range(1, 12)}
 
-    def test_m_agrees_after_full_reduction(self):
+    def test_m_agrees_after_full_reduction(self, store):
         # the p-order must not be hiding in unreduced cyclotomic content
         for params in (ParamsZ1(4, 3, 4, 7), ParamsZ2(2, 3, 3, 6, 7)):
-            f = linform(params, certify_at=None)
+            f = linform(store, params, certify_at=None)
             reduced = min(_reduce(f.A).ord_p(), _reduce(f.B).ord_p())
             assert determine_M(f) == reduced == f.M
 
@@ -531,20 +531,20 @@ class TestInclusion:
         "params",
         [ParamsZ1(1, 1, 1, 2), ParamsZ1(9, 7, 9, 16), ParamsZ2(6, 7, 8, 16, 17)],
     )
-    def test_trivial_omega(self, params):
-        f = linform(params, certify_at=None)
+    def test_trivial_omega(self, store, params):
+        f = linform(store, params, certify_at=None)
         assert verify_inclusion(f)
 
-    def test_oversized_omega_fails_with_witness(self):
-        f = linform(ParamsZ1(9, 7, 9, 16), certify_at=None)
+    def test_oversized_omega_fails_with_witness(self, store):
+        f = linform(store, ParamsZ1(9, 7, 9, 16), certify_at=None)
         # degree alone forbids three factors of Phi_101 in either numerator
         omega = FactoredPPoly({101: 3})
         r = verify_inclusion(f, omega)
         assert not r
         assert "Phi_101" in r.witness
 
-    def test_omega_with_p_power_rejected(self):
-        f = linform(ParamsZ1(1, 1, 1, 2), certify_at=None)
+    def test_omega_with_p_power_rejected(self, store):
+        f = linform(store, ParamsZ1(1, 1, 1, 2), certify_at=None)
         r = verify_inclusion(f, FactoredPPoly({}, p_power=1))
         assert not r and "power of p" in r.witness
 
@@ -552,36 +552,42 @@ class TestInclusion:
 class TestNumerics:
     def test_enclosure_contains_exact_partial_sums(self):
         params = ParamsZ1(3, 2, 3, 5)
-        enc, tail = numeric_form_value(params, 2, terms=60)
+        enc, tail = numeric_form_value(params, 2, terms=60, prec=256)
         exact = sum(heine_terms(params, 60, 2))
         assert enc.lo <= exact + tail and exact <= enc.hi
         assert 0 < tail < Fraction(1, 2**100)
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
-            numeric_form_value(ParamsZ1(1, 1, 1, 2), 1)
+            numeric_form_value(ParamsZ1(1, 1, 1, 2), 1, terms=200, prec=256)
+
+    @pytest.mark.parametrize("terms", [-1, -9, -20])
+    def test_rejects_negative_terms(self, terms):
+        # -9 would divide by 1 - |q|^0 in the tail bound of theorem1 n = 1
+        with pytest.raises(ValueError, match="terms >= 0"):
+            numeric_form_value(THEOREM1.params(1), 2, terms=terms, prec=256)
 
     @pytest.mark.parametrize(
         "params",
         [ParamsZ1(9, 7, 9, 16), ParamsZ2(6, 7, 8, 16, 17)],
     )
-    def test_certification_tight(self, params):
-        f = linform(params, certify_at=None)
+    def test_certification_tight(self, store, params):
+        f = linform(store, params, certify_at=None)
         rep = certify(f, 2)
         assert rep.ok and rep.gap == 0
         assert rep.width < Fraction(1, 2**rep.target) < Fraction(1, 10**30)
 
     @pytest.mark.parametrize("p", [2, 3])
-    def test_certification_small_grid(self, p):
+    def test_certification_small_grid(self, store, p):
         # every admissible parameter tuple in a small box
         for b in range(2, 7):
             for a1 in range(1, b):
                 for a2 in range(1, b - a1 + 1):
                     for a0 in range(max(1, b + 1 - a1 - a2), b + 1):
-                        f = linform(ParamsZ1(a0, a1, a2, b), certify_at=None)
+                        f = linform(store, ParamsZ1(a0, a1, a2, b), certify_at=None)
                         assert certify(f, p).ok
 
-    def test_certification_zeta2_sample(self):
+    def test_certification_zeta2_sample(self, store):
         for params in (
             ParamsZ2(1, 1, 1, 2, 2),
             ParamsZ2(1, 2, 2, 3, 4),
@@ -589,7 +595,7 @@ class TestNumerics:
             ParamsZ2(3, 3, 3, 5, 6),
             ParamsZ2(2, 3, 4, 8, 9),
         ):
-            f = linform(params, certify_at=None)
+            f = linform(store, params, certify_at=None)
             assert certify(f, 2).ok
             assert certify(f, 3).ok
 
@@ -601,12 +607,12 @@ class TestNumerics:
         + [(BV, 10), (BV, 14)],
         ids=lambda v: v.name if isinstance(v, Family) else str(v),
     )
-    def test_certification_rejects_unit_errors(self, family, n, p, monkeypatch):
+    def test_certification_rejects_unit_errors(self, store, family, n, p, monkeypatch):
         # +-1 in the constant, middle or top numerator coefficient of A or B
         # moves the value by at least 2^(64 - target); the series enclosure
         # depends on the params alone, so it is summed once per form and p
         monkeypatch.setattr(linforms, "numeric_form_value", cache(linforms.numeric_form_value))
-        form = linform(family.params(n), certify_at=None)
+        form = linform(store, family.params(n), certify_at=None)
         assert certify(form, p).ok
         passed = []
         for side in "AB":
@@ -642,14 +648,14 @@ class TestFamilies:
         assert BV.params(1) == (2, 2, 2, 4)
         assert APERY.params(1) == (2, 2, 2, 4, 4)
 
-    def test_bv_m_values_quadratic(self):
-        ms = [linform(BV.params(n), certify_at=None).M for n in range(1, 7)]
+    def test_bv_m_values_quadratic(self, store):
+        ms = [linform(store, BV.params(n), certify_at=None).M for n in range(1, 7)]
         assert ms == [5, 12, 22, 35, 51, 70]
         second = [ms[i + 2] - 2 * ms[i + 1] + ms[i] for i in range(4)]
         assert all(d == 3 for d in second)
 
-    def test_growth_exponents(self):
-        rows = growth_scan(BV, 6, 2)
+    def test_growth_exponents(self, store):
+        rows = growth_scan(store, BV, 6, 2)
         a = [r["a_exponent"] for r in rows]
         assert all(x > y for x, y in zip(a, a[1:]))  # decreasing toward 3
         assert 3 < a[-1] < 3.7

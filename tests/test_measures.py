@@ -18,7 +18,6 @@ from qzeta.measures import (
     d_exponent,
     direction,
     empirical_mu,
-    family_form,
     fit_M_coeff,
     group_for,
     measure,
@@ -191,20 +190,20 @@ class TestAlphaD:
 
 
 class TestFitM:
-    def test_bv_coefficient(self):
-        fit = fit_M_coeff(BV, 12)
+    def test_bv_coefficient(self, store):
+        fit = fit_M_coeff(BV, 12, store)
         assert fit.coeff == Fraction(3, 2)
         assert fit.stable and fit.period == 1
         assert set(fit.second_diffs) == {3}
 
-    def test_constant_family_fits_zero(self):
+    def test_constant_family_fits_zero(self, store):
         toy = Family("zeta1", (0, 0, 0, 0), (2, 1, 1, 2), "toy")
-        fit = fit_M_coeff(toy, 6)
+        fit = fit_M_coeff(toy, 6, store)
         assert fit.coeff == 0 and fit.stable
 
-    def test_small_range_rejected(self):
+    def test_small_range_rejected(self, store):
         with pytest.raises(ValueError):
-            fit_M_coeff(BV, 5)
+            fit_M_coeff(BV, 5, store)
 
 
 class TestMuBound:
@@ -230,33 +229,33 @@ class TestMuBound:
 
 
 class TestMeasure:
-    def test_bv(self):
-        rep = measure(BV)
+    def test_bv(self, store):
+        rep = measure(BV, store)
         assert rep.M_coeff == Fraction(3, 2)
-        assert rep.M_fit == fit_M_coeff(BV, 12)
+        assert rep.M_fit == fit_M_coeff(BV, 12, store)
         assert rep.omega_exp == 0.0
         assert rep.mu_bound == pytest.approx(BV_MU, abs=1e-8)
 
-    def test_theorem1(self):
-        rep = measure(THEOREM1)
+    def test_theorem1(self, store):
+        rep = measure(THEOREM1, store)
         assert rep.alpha == Fraction(335, 2)
         assert rep.M_coeff == 80
         assert rep.mu_bound == pytest.approx(2.42343562, abs=1e-6)
 
-    def test_theorem2(self):
-        rep = measure(THEOREM2)
+    def test_theorem2(self, store):
+        rep = measure(THEOREM2, store)
         assert rep.alpha == 155
         assert rep.M_coeff == 78
         assert rep.mu_bound == pytest.approx(4.07869374, abs=1e-6)
 
-    def test_lambda_negative_for_all_reported_families(self):
+    def test_lambda_negative_for_all_reported_families(self, store):
         for fam in (BV, THEOREM1, THEOREM2):
-            assert measure(fam).lambda_ < 0
+            assert measure(fam, store).lambda_ < 0
 
 
 class TestEmpiricalMu:
-    def test_bv_drifts_toward_closed_form(self):
-        res = empirical_mu(BV, 2, 10)
+    def test_bv_drifts_toward_closed_form(self, store):
+        res = empirical_mu(BV, 2, 10, store)
         ests = res.estimates
         assert res.decaying
         assert all(e > 1 for e in ests)
@@ -264,22 +263,22 @@ class TestEmpiricalMu:
         # converging: the last oscillation is tighter than the first
         assert max(ests[-3:]) - min(ests[-3:]) < max(ests[:3]) - min(ests[:3])
 
-    def test_theorem1_exceeds_its_bound(self):
-        bound = measure(THEOREM1).mu_bound
-        ests = empirical_mu(THEOREM1, 2, 4).estimates
+    def test_theorem1_exceeds_its_bound(self, store):
+        bound = measure(THEOREM1, store).mu_bound
+        ests = empirical_mu(THEOREM1, 2, 4, store).estimates
         assert all(e > bound for e in ests)
         assert ests[-1] < 3.0
 
-    def test_any_family_first_estimate_finite(self):
-        assert empirical_mu(APERY, 2, 1).estimates[0] > 1
+    def test_any_family_first_estimate_finite(self, store):
+        assert empirical_mu(APERY, 2, 1, store).estimates[0] > 1
 
-    def test_bad_p(self):
+    def test_bad_p(self, store):
         with pytest.raises(ValueError):
-            empirical_mu(BV, 1, 3)
+            empirical_mu(BV, 1, 3, store)
 
-    def test_empty_range(self):
+    def test_empty_range(self, store):
         with pytest.raises(ValueError):
-            empirical_mu(BV, 2, 0)
+            empirical_mu(BV, 2, 0, store)
 
     @pytest.mark.parametrize(
         "logs, decaying",
@@ -300,9 +299,9 @@ class TestAperyLimit:
         assert apery_numbers(4) == [1, 3, 19, 147, 1251]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
-    def test_limit_matches_oracle(self, n):
-        assert apery_limit_check(n)
+    def test_limit_matches_oracle(self, store, n):
+        assert apery_limit_check(n, store)
 
-    def test_cost_bound(self):
+    def test_cost_bound(self, store):
         with pytest.raises(ValueError):
-            apery_limit_check(5)
+            apery_limit_check(5, store)
