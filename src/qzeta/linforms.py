@@ -642,8 +642,34 @@ def verify_inclusion(form: LinearForm, omega: FactoredPPoly | None = None) -> In
     return InclusionResult(True)
 
 
+def _runs(mult) -> list[tuple[int, int]]:
+    """Maximal runs lo..hi of consecutive indices in each multiplicity layer.
+
+    Layer k holds the j with m_j >= k, so an index of multiplicity m lies in
+    exactly m runs and prod_j (1 - q^j x)^{m_j} is the product over the runs
+    of prod_{lo <= j <= hi} (1 - q^j x).
+    """
+    runs = []
+    for k in range(1, max((m for _, m in mult), default=0) + 1):
+        layer = sorted(j for j, m in mult if m >= k)
+        lo = prev = layer[0]
+        for j in layer[1:]:
+            if j != prev + 1:
+                runs.append((lo, prev))
+                lo = j
+            prev = j
+        runs.append((lo, prev))
+    return runs
+
+
 def numeric_form_value(params, p: int, terms: int, prec: int) -> tuple[Interval, Fraction]:
-    """Certified enclosure of F at q = 1/p by direct interval summation.
+    """Certified enclosure of F at q = 1/p, summed by the telescoped term ratio.
+
+    The first term S(1) is a direct product.  Each later one comes from the
+    previous one, S(q x) = S(x) · q^e · prod over runs, where a run lo..hi of
+    numerator factors gives (1 - q^{hi+1} x)/(1 - q^lo x) and a run of pole
+    factors (one multiplicity layer) the inverse; so a term costs one
+    multiply and one divide per run, all in outward-rounded intervals.
 
     Returns (enclosure including the tail, tail bound used).  With T = terms
     the tail is sum_{t>=T} |S(q^t)|, bounded by
@@ -662,21 +688,27 @@ def numeric_form_value(params, p: int, terms: int, prec: int) -> tuple[Interval,
         c = c * (1 - qq.pow(j))
     for j in s.prefactor_den:
         c = c / (1 - qq.pow(j))
-    qi = {i: qq.pow(i) for i in s.num_i}
-    qj = {j: qq.pow(j) for j, _ in s.mult}
-    qe = qq.pow(s.expo)
+    v = c  # C · S(1)
+    for i in s.num_i:
+        v = v * (1 - qq.pow(i))
+    for j, m in s.mult:
+        v = v / (1 - qq.pow(j)).pow(m)
+    num_runs, pole_runs = _runs([(i, 1) for i in s.num_i]), _runs(s.mult)
+    up = [hi + 1 for _, hi in num_runs] + [lo for lo, _ in pole_runs]
+    down = [lo for lo, _ in num_runs] + [hi + 1 for _, hi in pole_runs]
+    qa = {a: qq.pow(a) for a in up + down}
+    pe = p**s.expo  # v / pe is v · q^expo with one rounding
     acc = Interval.exact(0, prec)
-    x = Interval.exact(1, prec)  # q^t
-    xe = Interval.exact(1, prec)  # q^(expo·t)
-    for _ in range(terms):
-        v = c * xe
-        for i in s.num_i:
-            v = v * (1 - qi[i] * x)
-        for j, m in s.mult:
-            v = v / (1 - qj[j] * x).pow(m)
+    x = Interval.exact(1, prec)  # q^(t-1) when term t is formed
+    for t in range(terms):
+        if t:
+            for a in up:
+                v = v * (1 - qa[a] * x)
+            for a in down:
+                v = v / (1 - qa[a] * x)
+            v = v / pe
+            x = x * qq
         acc = acc + v
-        x = x * qq
-        xe = xe * qe
     aq = abs(q)
     tail = aq ** (s.expo * terms) / (1 - aq**s.expo)
     for i in s.num_i:

@@ -52,13 +52,14 @@ def linform(store, params, certify_at=2):
     return form
 
 
-def heine_terms(params: ParamsZ1, T: int, p: int) -> list[Fraction]:
-    """First T summands of the zeta_q(1) series at q = 1/p, exactly."""
+def heine_terms(params, T: int, p: int) -> list[Fraction]:
+    """First T summands C·S(q^t) of the series F at q = 1/p, exactly, for
+    ParamsZ1 (zeta_q(1)) or ParamsZ2 (zeta_q(2))."""
     if abs(p) < 2:
         raise ValueError("need |p| >= 2")
     if not params.admissible:
         raise ValueError(f"inadmissible parameters {tuple(params)}")
-    s = summand_z1(params)
+    s = summand_z1(params) if isinstance(params, ParamsZ1) else summand_z2(params)
     q = Fraction(1, p)
     c = Fraction(1)
     for j in s.prefactor_num:
@@ -463,6 +464,14 @@ class TestHeineTerms:
             Fraction(2),
             Fraction(2, 3),
             Fraction(2, 7),
+        ]
+
+    def test_simplest_zeta2_series(self):
+        # S(x) = x/(1 - q x)^2 with C = 1
+        assert heine_terms(ParamsZ2(1, 1, 1, 2, 2), 3, 2) == [
+            Fraction(4),
+            Fraction(8, 9),
+            Fraction(16, 49),
         ]
 
     def test_rejects_small_p(self):
