@@ -759,12 +759,25 @@ def certify(form: LinearForm, p: int = 2) -> Certification:
     return Certification(target, gap, width, gap == 0 and width < eps)
 
 
+# log 2 = _LN2_HI + _LN2_LO to about 2^-86; e·_LN2_HI is exact for |e| < 2^21
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
 def _log_abs(x) -> float:
-    """log|x| for rationals far outside float range (math.log takes big ints)."""
-    x = Fraction(x)
+    """log|x| for rationals far outside float range, within an ulp.
+
+    |x| = m·2^e with e = 0 inside float range, and m correctly rounded to a
+    float; so the result depends on the value of x alone, not on how its
+    numerator and denominator happen to be written.
+    """
+    x = abs(Fraction(x))
     if x == 0:
         raise ValueError("log of zero")
-    return math.log(abs(x.numerator)) - math.log(x.denominator)
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    if abs(e) < 1000:
+        e = 0
+    m = x / (1 << e) if e >= 0 else x * (1 << -e)
+    return math.fsum((e * _LN2_HI, e * _LN2_LO, math.log(m)))
 
 
 class Family(namedtuple("Family", "kind rates offsets name")):

@@ -566,6 +566,25 @@ class TestNumerics:
         assert enc.lo <= exact + tail and exact <= enc.hi
         assert 0 < tail < Fraction(1, 2**100)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1000, 4000).flatmap(lambda b: st.integers(1 << b, 1 << (b + 1))),
+        st.integers(1, 1 << 900),
+        st.booleans(),
+    )
+    @example(2**320 * 41 + 1, 100 * 2**320 - 7, False)
+    def test_log_abs_within_an_ulp_of_60_digits(self, big, small, invert):
+        # huge numerators over small denominators and the reverse, against
+        # decimal's ln at 60 digits
+        from decimal import Decimal, localcontext
+
+        x = Fraction(small, big) if invert else Fraction(big, small)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            ref = float(Decimal(x.numerator).ln() - Decimal(x.denominator).ln())
+        assert abs(_log_abs(x) - ref) <= math.ulp(ref)
+        assert _log_abs(-x) == _log_abs(x)
+
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             numeric_form_value(ParamsZ1(1, 1, 1, 2), 1, terms=200, prec=256)
