@@ -102,10 +102,6 @@ def _parse_params(kind: str, text: str):
     return ParamsZ1(*vals) if kind == "zeta1" else ParamsZ2(*vals)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _family(name: str):
     from .linforms import FAMILIES
 
@@ -358,11 +354,14 @@ def cmd_omega(args, store):
 
 
 def cmd_stability(args, store):
-    from .groups import check_stability_domain, group_for, stability_sweep
+    from .groups import group_for, stability_sweep
 
     if args.n is not None and args.family is None:
         raise ValueError("--n needs --family")
-    check_stability_domain(args.p, args.terms, args.prec)
+    if args.terms is not None:
+        if args.terms < 0:
+            raise ValueError("stability needs terms >= 0")
+        print("qzeta: note: --terms is ignored; --prec sizes the series", file=sys.stderr)
     if args.family is not None:
         fam = _family(args.family)
         n_top = 1 if args.n is None else args.n
@@ -373,24 +372,16 @@ def cmd_stability(args, store):
     for name, n in jobs:
         fam = _family(name)
         G = group_for(fam.kind)
-        rows = stability_sweep(fam.params(n), G, p=args.p, terms=args.terms, prec=args.prec)
+        rows = stability_sweep(fam.params(n), G, p=args.p, bits=args.prec)
         admissible = [r for r in rows if r["status"] != "skipped (inadmissible image)"]
-        # the identity is always admissible, so an empty list means the sweep failed
-        ok = bool(admissible) and all(
-            r["status"] == "ok" and r["width"] < Fraction(1, 10**20) for r in admissible
-        )
         worst = max((r["width"] for r in admissible), default=0)
+        # the identity is always admissible, so an empty list means the sweep failed
+        ok = bool(admissible) and all(r["status"] == "ok" for r in admissible)
+        ok = ok and worst < Fraction(1, 1 << args.prec)
         widest = "0" if worst == 0 else f"< 2^{_log2(worst) + 1}"
-        checks.append(
-            _check(
-                f"invariant-{name}-n{n}",
-                ok,
-                f"{len(admissible)} admissible images, widest enclosure {widest}",
-            )
-        )
-        outputs[f"{name}-n{n}"] = [
-            {"g": r["g"], "status": r["status"]} for r in rows
-        ]
+        witness = f"{len(admissible)} admissible images, widest enclosure {widest}"
+        checks.append(_check(f"invariant-{name}-n{n}", ok, witness))
+        outputs[f"{name}-n{n}"] = [{"g": r["g"], "status": r["status"]} for r in rows]
     return outputs, checks
 
 
@@ -550,8 +541,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("eq3", cmd_eq3, "cyclotomic block sums against the trigamma limit")
     sp.add_argument("--n", type=int, default=500)
     sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--u", type=_parse_fraction, default=Fraction(1, 2))
-    sp.add_argument("--v", type=_parse_fraction, default=Fraction(1))
+    sp.add_argument("--u", type=Fraction, default=Fraction(1, 2))
+    sp.add_argument("--v", type=Fraction, default=Fraction(1))
 
     sp = add("linform", cmd_linform, "exact linear form for explicit parameters")
     sp.add_argument("--kind", choices=("zeta1", "zeta2"), required=True)
@@ -576,8 +567,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--terms", type=int, default=120)
-    sp.add_argument("--prec", type=int, default=320)
+    sp.add_argument("--prec", type=int, default=320, help="enclosures narrower than 2^-PREC")
+    sp.add_argument(
+        "--terms", type=int, default=None, help="ignored; accepted so old command lines still run"
+    )
 
     sp = add("measure", cmd_measure, "irrationality-measure report for a family")
     sp.add_argument("--family", required=True)

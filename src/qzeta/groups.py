@@ -12,6 +12,7 @@ divided out of the linear forms on top of the usual common denominator.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -220,54 +221,36 @@ def omega(c: CVector, G: Group) -> OmegaResult:
 # stability of the normalized series
 
 
-def q_factorial_value(n: int, p: int) -> Fraction:
-    """[n]_q! at q = 1/p, exactly."""
-    if n < 0 or abs(p) < 2:
-        raise ValueError("need n >= 0 and |p| >= 2")
-    q = Fraction(1, p)
-    out = Fraction(1)
-    for k in range(1, n + 1):
-        out *= (1 - q**k) / (1 - q)
-    return out
+def stable_quantity(params, p: int, bits: int) -> Interval:
+    """Certified enclosure of Q = F / prod_{j in S} [c_j]_q! at q = 1/p, narrower than 2^-bits.
 
-
-def stable_quantity(params, p: int, terms: int, prec: int) -> Interval:
-    """Certified enclosure of Q = F / prod_{j in S} [c_j]_q! at q = 1/p."""
-    enc, _ = numeric_form_value(params, p, terms, prec)
+    With 1/|Pi| < 2^e, F is enclosed below 2^-(bits+e+1), and its ends over
+    Pi are rounded outward at precision bits + 3, the same for all params.
+    """
     cv = cvector(params)
-    pi = Fraction(1)
-    for j in cv.factorial_labels():
-        pi *= q_factorial_value(cv[j], p)
-    return enc / Interval.exact(pi, prec)
-
-
-def check_stability_domain(p: int, terms: int, prec: int) -> None:
-    """Raise ValueError unless |p| >= 2, prec >= 1 and terms >= 0."""
-    if abs(p) < 2 or prec < 1:
-        raise ValueError("stability needs |p| >= 2 and prec >= 1")
-    if terms < 0:
-        raise ValueError("stability needs terms >= 0")
+    need = [cv[j] for j in cv.factorial_labels()]
+    q = Fraction(1, p)
+    facts = [Fraction(1)]  # [k]_q! for k = 0..max c_j
+    for k in range(1, max(need) + 1):
+        facts.append(facts[-1] * (1 - q**k) / (1 - q))
+    pi = math.prod(facts[c] for c in need)
+    e = max(pi.denominator.bit_length() - pi.numerator.bit_length() + 1, 0)
+    enc = numeric_form_value(params, p, bits + e + 1)
+    return Interval(enc.lo / pi, enc.hi / pi, bits + 3)  # Pi > 0, as |q| < 1
 
 
 class InadmissibleImage(ValueError):
     """A group element maps the parameters outside the admissible region."""
 
 
-class StabilityResult(namedtuple("StabilityResult", "ok width image")):
-    """Overlap verdict, widest enclosure, and the image parameter tuple."""
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
+# overlap verdict, widest enclosure, and the image parameter tuple
+StabilityResult = namedtuple("StabilityResult", "ok width image")
 
 
-def stability_check(
-    params, g: Perm, p: int, terms: int, prec: int, enclosures: dict | None = None
-) -> StabilityResult:
+def stability_check(params, g: Perm, p: int, bits: int, enclosures: dict | None = None):
     """Do the enclosures of Q(c) and Q(gc) overlap?  Exact-image arithmetic.
 
-    `enclosures` maps parameter tuples to Q at this p, terms and prec; the
+    `enclosures` maps parameter tuples to Q at this p and bits; the
     enclosures this check makes are added to it, and those in it are reused.
     Raises InadmissibleImage when g maps the parameters outside the
     admissible region (sweeps catch this and report the element as skipped).
@@ -278,34 +261,29 @@ def stability_check(
     known = {} if enclosures is None else enclosures
     for x in (params, image):
         if x not in known:
-            known[x] = stable_quantity(x, p, terms, prec)
+            known[x] = stable_quantity(x, p, bits)
     lhs, rhs = known[params], known[image]
     return StabilityResult(lhs.overlaps(rhs), max(lhs.width, rhs.width), image)
 
 
-def stability_sweep(params, G: Group, p: int, terms: int, prec: int):
+def stability_sweep(params, G: Group, p: int, bits: int):
     """stability_check across a whole group; inadmissible images are reported.
 
-    Each distinct parameter tuple is enclosed once per sweep.  Raises
-    ValueError outside the domain |p| >= 2, terms >= 0, prec >= 1, and for
-    inadmissible params; only an image that is not realizable or not
-    admissible makes a skipped row.
+    Each distinct parameter tuple is enclosed once per sweep, each enclosure
+    narrower than 2^-bits.  Raises ValueError outside the domain |p| >= 2,
+    bits >= 1, and for inadmissible params; only an image that is not
+    realizable or not admissible makes a skipped row.
     """
-    check_stability_domain(p, terms, prec)
+    if abs(p) < 2 or bits < 1:
+        raise ValueError("stability needs |p| >= 2 and prec >= 1")
     enclosures = {}
     rows = []
     for g in G:
         try:
-            res = stability_check(params, g, p, terms, prec, enclosures)
+            res = stability_check(params, g, p, bits, enclosures)
         except InadmissibleImage:
             rows.append({"g": repr(g), "status": "skipped (inadmissible image)"})
         else:
-            rows.append(
-                {
-                    "g": repr(g),
-                    "status": "ok" if res.ok else "UNSTABLE",
-                    "width": res.width,
-                    "image": tuple(res.image),
-                }
-            )
+            status = "ok" if res.ok else "UNSTABLE"
+            rows.append({"g": repr(g), "status": status, "width": res.width, "image": res.image})
     return rows

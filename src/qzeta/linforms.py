@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .dyadic import Interval
 from .parith import FactoredPPoly, PPoly, divisors
-from .qseries import zeta_q_terms, zeta_q_value
+from .qseries import fewest_terms, zeta_q_terms, zeta_q_value
 
 
 # --------------------------------------------------------------------------
@@ -662,27 +662,28 @@ def _runs(mult) -> list[tuple[int, int]]:
     return runs
 
 
-def numeric_form_value(params, p: int, terms: int, prec: int) -> tuple[Interval, Fraction]:
-    """Certified enclosure of F at q = 1/p, summed by the telescoped term ratio.
+def _tail_bound(s: Summand, p: int, terms: int) -> Fraction:
+    """sum_{t>=T} |S(q^t)| <= |q|^{eT}/(1-|q|^e) · prod_i(1+|q|^i) / prod_j(1-|q|^{j+T})^{m_j}."""
+    a = abs(p)  # num·a^shift / den in ints, normalized once
+    num = math.prod(a**i + 1 for i in s.num_i)
+    den = (a**s.expo - 1) * math.prod((a ** (j + terms) - 1) ** m for j, m in s.mult)
+    shift = s.expo * (1 - terms) - sum(s.num_i) + sum(m * (j + terms) for j, m in s.mult)
+    return Fraction(num * a**shift, den) if shift >= 0 else Fraction(num, den * a**-shift)
+
+
+def _sum_series(s: Summand, p: int, terms: int, prec: int) -> tuple[Interval, Fraction]:
+    """C · sum_{t<T} S(q^t) at q = 1/p, summed by the telescoped term ratio.
 
     The first term S(1) is a direct product.  Each later one comes from the
     previous one, S(q x) = S(x) · q^e · prod over runs, where a run lo..hi of
     numerator factors gives (1 - q^{hi+1} x)/(1 - q^lo x) and a run of pole
     factors (one multiplicity layer) the inverse; so a term costs one
-    multiply and one divide per run, all in outward-rounded intervals.
-
-    Returns (enclosure including the tail, tail bound used).  With T = terms
-    the tail is sum_{t>=T} |S(q^t)|, bounded by
-    |q|^{eT}/(1-|q|^e) · prod_i(1+|q|^i) / prod_j(1-|q|^{j+T})^{m_j},
-    every factor being monotone in t on t >= T.
+    multiply and one divide per run, all in outward-rounded intervals at
+    precision prec.  Returns (the sum widened by |C|·_tail_bound, that bound).
     """
-    if abs(p) < 2:
-        raise ValueError("need |p| >= 2")
     if terms < 0:
         raise ValueError("need terms >= 0")
-    s = summand_z1(params) if isinstance(params, ParamsZ1) else summand_z2(params)
-    q = Fraction(1, p)
-    qq = Interval.exact(q, prec)
+    qq = Interval.exact(Fraction(1, p), prec)
     c = Interval.exact(1, prec)
     for j in s.prefactor_num:
         c = c * (1 - qq.pow(j))
@@ -709,14 +710,28 @@ def numeric_form_value(params, p: int, terms: int, prec: int) -> tuple[Interval,
             v = v / pe
             x = x * qq
         acc = acc + v
-    aq = abs(q)
-    tail = aq ** (s.expo * terms) / (1 - aq**s.expo)
-    for i in s.num_i:
-        tail *= 1 + aq**i
-    for j, m in s.mult:
-        tail /= (1 - aq ** (j + terms)) ** m
-    tail_bound = max(abs(c.lo), abs(c.hi)) * tail
+    tail_bound = max(abs(c.lo), abs(c.hi)) * _tail_bound(s, p, terms)
     return acc.widen(tail_bound), tail_bound
+
+
+def numeric_form_value(params, p: int, bits: int) -> Interval:
+    """Certified enclosure of F at q = 1/p, narrower than 2^-bits, or AssertionError.
+
+    It sums the fewest terms whose widening 2·|C|·_tail_bound is at most
+    2^-(bits+1), given |C| < 2^5 (prod_j (1+2^-j)^2 / prod_j (1-2^-j) < 20),
+    with guard bits above bits+1 growing with the log of the number of
+    interval operations, each of which rounds by a few units of 2^-prec.
+    """
+    if abs(p) < 2:
+        raise ValueError("need |p| >= 2")
+    s = summand_z1(params) if isinstance(params, ParamsZ1) else summand_z2(params)
+    eps = Fraction(1, 1 << (bits + 7))
+    terms = fewest_terms(lambda t: _tail_bound(s, p, t) <= eps)
+    size = len(s.prefactor_num) + len(s.prefactor_den) + len(s.num_i) + 2 * len(s.mult) + 3
+    enc, _ = _sum_series(s, p, terms, bits + 4 + ((terms + 1) * size).bit_length())
+    if enc.width >= Fraction(1, 1 << bits):
+        raise AssertionError(f"enclosure of F at {tuple(params)}, p = {p} is not below 2^-{bits}")
+    return enc
 
 
 # gap: distance between the two enclosures (0 when they meet); width: the
@@ -748,27 +763,17 @@ def certify(form: LinearForm, p: int = 2) -> Certification:
     zeta, tail = zeta_q_value(k, q, zeta_q_terms(k, q, eps / (4 * max(abs(a_val), 1))))
     value, spread = a_val * zeta - b_val, abs(a_val) * tail
     lo, hi = value - spread, value + spread
-    # the summand shrinks by |q|^expo per term and its factors stay within a
-    # few bits of 1, so 64 guard bits cover both the tail and the rounding;
-    # (p^16).bit_length() - 1 is floor(16·log2|p|)
-    s = summand_z1(form.params) if k == 1 else summand_z2(form.params)
-    terms = 16 * (target + 64) // (s.expo * ((p**16).bit_length() - 1)) + 1
-    enc, _ = numeric_form_value(form.params, p, terms=terms, prec=target + 64)
+    enc = numeric_form_value(form.params, p, target)
     gap = max(lo - enc.hi, enc.lo - hi, Fraction(0))
     width = max(hi - lo, enc.width)
     return Certification(target, gap, width, gap == 0 and width < eps)
 
 
-# log 2 = _LN2_HI + _LN2_LO to about 2^-86; e·_LN2_HI is exact for |e| < 2^21
-_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
-
-
 def _log_abs(x) -> float:
-    """log|x| for rationals far outside float range, within an ulp.
+    """log|x| for rationals far outside float range, from the value of x alone.
 
-    |x| = m·2^e with e = 0 inside float range, and m correctly rounded to a
-    float; so the result depends on the value of x alone, not on how its
-    numerator and denominator happen to be written.
+    |x| = m·2^e, e = 0 inside float range, m correctly rounded to a float,
+    and log 2 split as fdlibm's ln2_hi + ln2_lo so that e·ln2_hi is exact.
     """
     x = abs(Fraction(x))
     if x == 0:
@@ -777,7 +782,7 @@ def _log_abs(x) -> float:
     if abs(e) < 1000:
         e = 0
     m = x / (1 << e) if e >= 0 else x * (1 << -e)
-    return math.fsum((e * _LN2_HI, e * _LN2_LO, math.log(m)))
+    return math.fsum((e * 6.93147180369123816490e-01, e * 1.90821492927058770002e-10, math.log(m)))
 
 
 class Family(namedtuple("Family", "kind rates offsets name")):

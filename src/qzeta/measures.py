@@ -43,6 +43,8 @@ from .store import Store
 
 # density of l with a fixed fractional part {n/l}, per unit of log Phi_l
 _DENSITY = 3 / math.pi**2
+# every empirical estimate's enclosure of F is narrower than 2^-_MU_BITS
+_MU_BITS = 320
 
 
 # --------------------------------------------------------------------------
@@ -320,7 +322,7 @@ def empirical_mu(family: Family, p: int, n_max: int, store: Store) -> EmpiricalM
     a_n = Delta A(p) and b_n = Delta B(p) are the exactly cleared integer
     coefficients, Delta = p^{-M} D(p) / Omega(p).  The residue a_n zeta - b_n
     equals Delta times the form value, so it is evaluated as exact Delta
-    times a certified enclosure of F (200 terms at 320 bits) — no
+    times a certified enclosure of F (narrower than 2^-_MU_BITS) — no
     cancellation, no extended precision in the logarithm.  Raises if a
     cleared coefficient fails to be a nonzero integer; whether |Delta F|
     shrinks over the range is left to the caller, through
@@ -343,9 +345,9 @@ def empirical_mu(family: Family, p: int, n_max: int, store: Store) -> EmpiricalM
                 raise ValueError(f"cleared coefficient {name}_{n} is not an integer")
         if a_n == 0:
             raise ValueError(f"vanishing coefficient a_{n}")
-        enc, _ = numeric_form_value(family.params(n), p, 200, 320)
+        enc = numeric_form_value(family.params(n), p, _MU_BITS)
         if enc.contains(0):
-            raise ValueError(f"enclosure of F at n={n} straddles 0 at 200 terms, 320 bits")
+            raise ValueError(f"enclosure of F at n={n} straddles 0 at 2^-{_MU_BITS}")
         log_mag = (_log_abs(enc.lo) + _log_abs(enc.hi)) / 2
         log_residue = _log_abs(delta) + log_mag
         estimates.append(1 + _log_abs(a_n) / (-log_residue))

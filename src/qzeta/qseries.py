@@ -202,6 +202,11 @@ def zeta_q_terms(k: int, q, eps) -> int:
         tail = _tail_bound(k, aq, t)
         return tail is not None and tail <= eps
 
+    return fewest_terms(enough)
+
+
+def fewest_terms(enough) -> int:
+    """Least t >= 1 with enough(t), for a predicate that stays true once true."""
     lo, hi = 0, 1  # invariant: not enough(lo) (or lo = 0), enough(hi)
     while not enough(hi):
         lo, hi = hi, 2 * hi

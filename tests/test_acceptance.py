@@ -112,7 +112,7 @@ def test_c07_stability_of_normalized_series():
     tol = Fraction(1, 10**20)
     ok = True
     for fam, n in ((THEOREM1, 1), (THEOREM1, 2), (THEOREM2, 1)):
-        rows = stability_sweep(fam.params(n), group_for(fam.kind), p=2, terms=120, prec=320)
+        rows = stability_sweep(fam.params(n), group_for(fam.kind), p=2, bits=320)
         for r in rows:
             if r["status"] == "skipped (inadmissible image)":
                 continue

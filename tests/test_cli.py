@@ -132,8 +132,31 @@ class TestExitCodes:
         assert "stability needs terms >= 0" in captured.err
         assert captured.out == ""
 
+    def test_stability_terms_changes_nothing_but_says_so(self, capsys):
+        argv = ["stability", "--family", "theorem1", "--n", "1", "--prec", "64"]
+        code, with_terms = run_json(capsys, *argv, "--terms", "120")
+        assert code == 0
+        assert main([*argv, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        without = json.loads(captured.out)
+        assert "--terms" not in captured.err
+        for key in ("outputs", "checks"):
+            assert with_terms[key] == without[key]
+        assert with_terms["inputs"] == dict(without["inputs"], terms="120")
+        main([*argv, "--terms", "7", "--format", "json"])
+        assert "qzeta: note: --terms is ignored" in capsys.readouterr().err
+
+    def test_stability_width_bound_follows_prec(self, capsys, monkeypatch):
+        # an enclosure of width exactly 2^-prec fails the check, a narrower one passes
+        def sweep(params, G, p, bits):
+            return [{"g": "Perm(id)", "status": "ok", "width": width, "image": params}]
+
+        monkeypatch.setattr(groups, "stability_sweep", sweep)
+        for width, code in ((Fraction(1, 2**40), 1), (Fraction(1, 2**41), 0)):
+            assert run_json(capsys, "stability", "--family", "bv", "--prec", "40")[0] == code
+
     def test_stability_without_admissible_image_fails(self, capsys, monkeypatch):
-        def none_admissible(params, G, p, terms, prec):
+        def none_admissible(params, G, p, bits):
             return [{"g": repr(g), "status": "skipped (inadmissible image)"} for g in G]
 
         monkeypatch.setattr(groups, "stability_sweep", none_admissible)

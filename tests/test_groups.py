@@ -16,7 +16,6 @@ from qzeta.groups import (
     nu_l,
     omega,
     params_from_cvector,
-    q_factorial_value,
     stability_check,
     stability_sweep,
     stable_quantity,
@@ -36,6 +35,17 @@ from qzeta.linforms import (
     verify_inclusion,
 )
 from qzeta.parith import PPoly, gauss_factorial
+
+
+def q_factorial_value(n: int, p: int) -> Fraction:
+    """[n]_q! at q = 1/p, exactly, from k = 1 (the oracle for stable_quantity's product)."""
+    if n < 0 or abs(p) < 2:
+        raise ValueError("need n >= 0 and |p| >= 2")
+    q = Fraction(1, p)
+    out = Fraction(1)
+    for k in range(1, n + 1):
+        out *= (1 - q**k) / (1 - q)
+    return out
 
 
 def tau_params(params: ParamsZ1) -> ParamsZ1:
@@ -253,24 +263,24 @@ class TestStability:
         assert q_factorial_value(3, 2) == Fraction(21, 8)
 
     def test_identity(self):
-        r = stability_check(ParamsZ1(9, 7, 9, 16), Perm.identity(LABELS_Z1), 2, 120, 320)
+        r = stability_check(ParamsZ1(9, 7, 9, 16), Perm.identity(LABELS_Z1), 2, 320)
         assert r.ok
 
     def test_sigma_tight_width(self):
-        r = stability_check(ParamsZ1(9, 7, 9, 16), SIGMA, 2, 120, 320)
+        r = stability_check(ParamsZ1(9, 7, 9, 16), SIGMA, 2, 320)
         assert r.ok
         assert r.image == (9, 9, 7, 16)
         assert r.width < Fraction(1, 10**25)
 
     def test_tau_squared(self):
-        assert stability_check(ParamsZ1(9, 7, 9, 16), TAU * TAU, 2, 120, 320).ok
+        assert stability_check(ParamsZ1(9, 7, 9, 16), TAU * TAU, 2, 320).ok
 
     def test_inadmissible_image_rejected(self):
         with pytest.raises(ValueError):
-            stability_check(ParamsZ1(17, 13, 17, 31), TAU, 2, 120, 320)
+            stability_check(ParamsZ1(17, 13, 17, 31), TAU, 2, 320)
 
     def test_sweep_reports_skips(self):
-        rows = stability_sweep(ParamsZ1(17, 13, 17, 31), zeta1_group(), 2, 120, 320)
+        rows = stability_sweep(ParamsZ1(17, 13, 17, 31), zeta1_group(), 2, 320)
         by_status = [r["status"] for r in rows]
         assert by_status.count("ok") == 6
         assert sum("skipped" in s for s in by_status) == 6
@@ -279,31 +289,44 @@ class TestStability:
     def test_sweep_refuses_points_outside_the_domain(self, p, prec):
         # a domain error is not an inadmissible image: no skipped rows
         with pytest.raises(ValueError, match=r"stability needs \|p\| >= 2 and prec >= 1"):
-            stability_sweep(THEOREM1.params(1), zeta1_group(), p=p, terms=120, prec=prec)
+            stability_sweep(THEOREM1.params(1), zeta1_group(), p=p, bits=prec)
 
     def test_sweep_encloses_each_tuple_once(self, monkeypatch):
         # theorem1 n = 1, as `stability` sweeps it: 6 admissible images of 3 distinct tuples
         calls = []
 
-        def counted(params, p, terms, prec):
+        def counted(params, p, bits):
             calls.append(params)
-            return numeric_form_value(params, p, terms, prec)
+            return numeric_form_value(params, p, bits)
 
         monkeypatch.setattr(groups, "numeric_form_value", counted)
-        rows = stability_sweep(THEOREM1.params(1), zeta1_arith_group(), 2, 120, 320)
+        rows = stability_sweep(THEOREM1.params(1), zeta1_arith_group(), 2, 320)
         assert sum(r["status"] == "ok" for r in rows) == 6
         assert len(calls) == len(set(calls)) == 3
 
     def test_zeta2_single_elements(self):
         x = ParamsZ2(6, 7, 8, 16, 17)
         for g in zeta2_group().generators:
-            r = stability_check(x, g, 2, 120, 320)
+            r = stability_check(x, g, 2, 320)
             assert r.ok and r.width < Fraction(1, 10**25)
 
     def test_stable_quantity_value(self):
         # Q for the simplest parameters: F = p·zeta_q(1), Pi_q = [0]! [0]! [0]! = 1
-        q = stable_quantity(ParamsZ1(1, 1, 1, 2), 2, 120, 320)
+        q = stable_quantity(ParamsZ1(1, 1, 1, 2), 2, 320)
         from qzeta.qseries import zeta_q_value
 
         z, tail = zeta_q_value(1, Fraction(1, 2), 200)
-        assert q.lo <= 2 * z <= q.hi + tail * 2
+        assert q.lo <= 2 * (z + tail) and 2 * z <= q.hi  # the two enclosures meet
+
+    @pytest.mark.parametrize("p", [2, 3, -2, -3, 5])
+    @pytest.mark.parametrize("bits", [1, 64, 320])
+    def test_stable_quantity_against_the_factorial_oracle(self, p, bits):
+        # F over the q-factorials rebuilt from k = 1 for every label, at a
+        # width that dividing by Pi cannot widen past 2^-bits
+        for params in (THEOREM1.params(1), THEOREM2.params(1), ParamsZ1(17, 13, 17, 31)):
+            cv = cvector(params)
+            pi = math.prod(q_factorial_value(cv[j], p) for j in cv.factorial_labels())
+            q = stable_quantity(params, p, bits)
+            assert q.width < Fraction(1, 1 << bits)
+            f = numeric_form_value(params, p, bits + 64)
+            assert q.lo <= f.hi / pi and f.lo / pi <= q.hi  # Pi > 0

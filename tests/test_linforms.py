@@ -27,6 +27,7 @@ from qzeta.linforms import (
     _Laurent,
     _log_abs,
     _poly_part,
+    _sum_series,
     _tail_tables,
     certify,
     cvector,
@@ -110,7 +111,7 @@ def growth_scan(store, family, n_max: int, p: int) -> list[dict]:
     for n in range(1, n_max + 1):
         form = linform(store, family.params(n), certify_at=None)
         a_val = form.A.value_at(p)
-        enc, _ = numeric_form_value(form.params, p, terms=40 + 8 * n, prec=256)
+        enc = numeric_form_value(form.params, p, 256)
         mid = _midpoint(enc)
         denom = n * n * math.log(abs(p))
         rows.append(
@@ -561,7 +562,7 @@ class TestInclusion:
 class TestNumerics:
     def test_enclosure_contains_exact_partial_sums(self):
         params = ParamsZ1(3, 2, 3, 5)
-        enc, tail = numeric_form_value(params, 2, terms=60, prec=256)
+        enc, tail = _sum_series(summand_z1(params), 2, 60, 256)
         exact = sum(heine_terms(params, 60, 2))
         assert enc.lo <= exact + tail and exact <= enc.hi
         assert 0 < tail < Fraction(1, 2**100)
@@ -587,13 +588,13 @@ class TestNumerics:
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
-            numeric_form_value(ParamsZ1(1, 1, 1, 2), 1, terms=200, prec=256)
+            numeric_form_value(ParamsZ1(1, 1, 1, 2), 1, 256)
 
     @pytest.mark.parametrize("terms", [-1, -9, -20])
     def test_rejects_negative_terms(self, terms):
         # -9 would divide by 1 - |q|^0 in the tail bound of theorem1 n = 1
         with pytest.raises(ValueError, match="terms >= 0"):
-            numeric_form_value(THEOREM1.params(1), 2, terms=terms, prec=256)
+            _sum_series(summand_z1(THEOREM1.params(1)), 2, terms, 256)
 
     @pytest.mark.parametrize(
         "params",
@@ -663,8 +664,8 @@ class TestNumerics:
     )
     def test_coarse_enclosure_contains_fine_midpoint(self, family, n, p):
         params = family.params(n)
-        coarse, _ = numeric_form_value(params, p, terms=60, prec=256)
-        fine, _ = numeric_form_value(params, p, terms=200, prec=320)
+        coarse = numeric_form_value(params, p, 128)
+        fine = numeric_form_value(params, p, 320)
         assert coarse.contains(_midpoint(fine))
         assert coarse.width > fine.width
 

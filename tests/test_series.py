@@ -1,6 +1,6 @@
-"""The series enclosure: the telescoped ratio recursion of numeric_form_value
+"""The series enclosure: the telescoped ratio recursion (linforms._sum_series)
 against the direct per-term summation (the oracle below) and against exact
-partial sums of the series."""
+partial sums of the series, and the sizing of numeric_form_value."""
 
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_linforms import heine_terms
 
+from qzeta import linforms
 from qzeta.dyadic import Interval
 from qzeta.linforms import (
     BV,
@@ -18,6 +19,7 @@ from qzeta.linforms import (
     ParamsZ1,
     ParamsZ2,
     _runs,
+    _sum_series,
     numeric_form_value,
     summand_z1,
     summand_z2,
@@ -27,7 +29,7 @@ from qzeta.linforms import (
 
 
 def direct_form_value(params, p: int, terms: int, prec: int) -> tuple[Interval, Fraction]:
-    """The earlier numeric_form_value: every factor of every term rebuilt."""
+    """The earlier series summation: every factor of every term rebuilt."""
     s = summand_z1(params) if isinstance(params, ParamsZ1) else summand_z2(params)
     q = Fraction(1, p)
     qq = Interval.exact(q, prec)
@@ -85,13 +87,17 @@ def params_z2(draw):
 PS = st.sampled_from([2, 3, -2, -3, 5])
 
 
+def summand(params):
+    return summand_z1(params) if isinstance(params, ParamsZ1) else summand_z2(params)
+
+
 # -- the recursion against exact sums and the oracle ------------------------
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(params_z1(), params_z2()), PS, st.integers(0, 40), st.integers(64, 320))
 def test_recursion_against_exact_sum_and_oracle(params, p, terms, prec):
-    enc, tail = numeric_form_value(params, p, terms, prec)
+    enc, tail = _sum_series(summand(params), p, terms, prec)
     # the exact partial sum, widened by the tail, lies inside the enclosure
     exact = sum(heine_terms(params, terms, p))
     assert enc.lo <= exact - tail and exact + tail <= enc.hi
@@ -110,7 +116,7 @@ def test_recursion_against_exact_sum_and_oracle(params, p, terms, prec):
     ids=["bv25", "theorem1-3", "theorem2-6"],
 )
 def test_recursion_against_oracle_on_family_members(family, n, p):
-    enc, tail = numeric_form_value(family.params(n), p, 200, 320)
+    enc, tail = _sum_series(summand(family.params(n)), p, 200, 320)
     enc_o, tail_o = direct_form_value(family.params(n), p, 200, 320)
     assert tail == tail_o
     assert enc.overlaps(enc_o) and enc.width <= 2 * enc_o.width
@@ -119,9 +125,45 @@ def test_recursion_against_oracle_on_family_members(family, n, p):
 def test_first_term_is_the_direct_product():
     # one term is the oracle's first term exactly, before any ratio step
     for params in (THEOREM1.params(1), THEOREM2.params(1), BV.params(3)):
-        enc, _ = numeric_form_value(params, 3, 1, 128)
+        enc, _ = _sum_series(summand(params), 3, 1, 128)
         enc_o, _ = direct_form_value(params, 3, 1, 128)
         assert (enc.lo, enc.hi) == (enc_o.lo, enc_o.hi)
+
+
+# -- the sized enclosure ------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(params_z1(), params_z2()), PS, st.integers(1, 400))
+def test_sized_enclosure_is_narrow_and_meets_the_exact_sum(params, p, bits):
+    enc = numeric_form_value(params, p, bits)
+    assert enc.width < Fraction(1, 1 << bits)
+    # F lies within the exact partial sum +- the oracle's tail, at a count
+    # whose tail is about 2^-bits
+    terms = bits // (summand(params).expo * (abs(p).bit_length() - 1)) + 2
+    exact = sum(heine_terms(params, terms, p))
+    _, tail = direct_form_value(params, p, terms, bits + 64)
+    assert enc.lo <= exact + tail and exact - tail <= enc.hi
+
+
+@pytest.mark.parametrize("p", [2, -2, 3])
+def test_sized_enclosure_on_family_members(p):
+    for params in (BV.params(25), THEOREM1.params(3), THEOREM2.params(6)):
+        fine, _ = direct_form_value(params, p, 80, 1400)  # width < 2^-1300
+        for bits in (1, 64, 320, 1200):
+            enc = numeric_form_value(params, p, bits)
+            assert enc.width < Fraction(1, 1 << bits)
+            assert enc.lo <= fine.hi and fine.lo <= enc.hi
+
+
+def test_an_enclosure_too_wide_is_refused(monkeypatch):
+    # the postcondition, not the caller, catches an undersized summation
+    def one_term(s, p, terms, prec):
+        return direct_form_value(THEOREM1.params(1), p, 1, prec)
+
+    monkeypatch.setattr(linforms, "_sum_series", one_term)
+    with pytest.raises(AssertionError, match=r"not below 2\^-64"):
+        numeric_form_value(THEOREM1.params(1), 2, 64)
 
 
 # -- runs --------------------------------------------------------------------
