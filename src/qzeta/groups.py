@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .dyadic import Interval
+from .dyadic import Enclosure, outward
 from .linforms import (
     LABELS_Z1,
     LABELS_Z2,
@@ -221,7 +221,7 @@ def omega(c: CVector, G: Group) -> OmegaResult:
 # stability of the normalized series
 
 
-def stable_quantity(params, p: int, bits: int) -> Interval:
+def stable_quantity(params, p: int, bits: int) -> Enclosure:
     """Certified enclosure of Q = F / prod_{j in S} [c_j]_q! at q = 1/p, narrower than 2^-bits.
 
     With 1/|Pi| < 2^e, F is enclosed below 2^-(bits+e+1), and its ends over
@@ -236,7 +236,7 @@ def stable_quantity(params, p: int, bits: int) -> Interval:
     pi = math.prod(facts[c] for c in need)
     e = max(pi.denominator.bit_length() - pi.numerator.bit_length() + 1, 0)
     enc = numeric_form_value(params, p, bits + e + 1)
-    return Interval(enc.lo / pi, enc.hi / pi, bits + 3)  # Pi > 0, as |q| < 1
+    return outward(enc.lo / pi, enc.hi / pi, bits + 3)  # Pi > 0, as |q| < 1
 
 
 class InadmissibleImage(ValueError):

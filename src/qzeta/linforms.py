@@ -18,8 +18,10 @@ tail tables and every product RatFunc × FactoredPPoly (a residue or the
 prefactor times a tail sum) multiply by Phi_l products through the
 O(degree) binomials p^d - 1 (PPoly.times_cyclotomics), never through a
 dense cofactor.  Only the double-pole terms Lambda_j·g·T1 multiply densely.
-Everything here is exact.  certify() checks a form against a dyadic
-interval enclosure of the series, sized from the form's own denominators.
+Everything here is exact.  certify() checks a form against an enclosure
+of the series sized from the form's own denominators.  At q = 1/p every
+term C·S(q^t) is a ratio of integers, so the enclosure is their exact sum
+with each term floored and ceiled once to a dyadic grid, plus the tail.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import zlib
 from collections import namedtuple
 from fractions import Fraction
 
-from .dyadic import Interval
+from .dyadic import Enclosure
 from .parith import FactoredPPoly, PPoly, divisors
 from .qseries import fewest_terms, zeta_q_terms, zeta_q_value
 
@@ -671,64 +673,63 @@ def _tail_bound(s: Summand, p: int, terms: int) -> Fraction:
     return Fraction(num * a**shift, den) if shift >= 0 else Fraction(num, den * a**-shift)
 
 
-def _sum_series(s: Summand, p: int, terms: int, prec: int) -> tuple[Interval, Fraction]:
-    """C · sum_{t<T} S(q^t) at q = 1/p, summed by the telescoped term ratio.
+def _sum_series(s: Summand, p: int, terms: int, prec: int) -> Enclosure:
+    """C · sum_{t<T} S(q^t) at q = 1/p from exact terms, each rounded once.
 
-    The first term S(1) is a direct product.  Each later one comes from the
-    previous one, S(q x) = S(x) · q^e · prod over runs, where a run lo..hi of
-    numerator factors gives (1 - q^{hi+1} x)/(1 - q^lo x) and a run of pole
-    factors (one multiplicity layer) the inverse; so a term costs one
-    multiply and one divide per run, all in outward-rounded intervals at
-    precision prec.  Returns (the sum widened by |C|·_tail_bound, that bound).
+    Every factor is 1 - q^k = (p^k - 1)/p^k, so term t is the exact ratio
+    num/(den·p^k) of integers.  The first term is the direct product.  Each
+    later one comes from the previous one by the telescoped ratio
+    S(q x) = S(x) · q^e · prod over runs, where a run lo..hi of numerator
+    factors gives (1 - q^{hi+1} x)/(1 - q^lo x) and a run of pole factors
+    (one multiplicity layer) the inverse: num and den are multiplied by
+    p^(a+t-1) - 1 for the `up` and `down` indices a, and k moves by
+    e + len(num_i) - sum m_j.  Each term is floored and ceiled to the grid
+    2^-prec, and the sum is widened by ceil(|C|·_tail_bound·2^prec) units.
     """
     if terms < 0:
         raise ValueError("need terms >= 0")
-    qq = Interval.exact(Fraction(1, p), prec)
-    c = Interval.exact(1, prec)
-    for j in s.prefactor_num:
-        c = c * (1 - qq.pow(j))
-    for j in s.prefactor_den:
-        c = c / (1 - qq.pow(j))
-    v = c  # C · S(1)
-    for i in s.num_i:
-        v = v * (1 - qq.pow(i))
-    for j, m in s.mult:
-        v = v / (1 - qq.pow(j)).pow(m)
+    cn = math.prod(p**j - 1 for j in s.prefactor_num)
+    cd = math.prod(p**j - 1 for j in s.prefactor_den)
+    kc = sum(s.prefactor_num) - sum(s.prefactor_den)  # C = cn/(cd·p^kc)
+    num = cn * math.prod(p**i - 1 for i in s.num_i)
+    den = cd * math.prod((p**j - 1) ** m for j, m in s.mult)
+    k = kc + sum(s.num_i) - sum(j * m for j, m in s.mult)
+    step = s.expo + len(s.num_i) - sum(m for _, m in s.mult)
     num_runs, pole_runs = _runs([(i, 1) for i in s.num_i]), _runs(s.mult)
     up = [hi + 1 for _, hi in num_runs] + [lo for lo, _ in pole_runs]
     down = [lo for lo, _ in num_runs] + [hi + 1 for _, hi in pole_runs]
-    qa = {a: qq.pow(a) for a in up + down}
-    pe = p**s.expo  # v / pe is v · q^expo with one rounding
-    acc = Interval.exact(0, prec)
-    x = Interval.exact(1, prec)  # q^(t-1) when term t is formed
+    lo = hi = 0  # sums of the terms' floors and ceilings at scale 2^prec
     for t in range(terms):
         if t:
-            for a in up:
-                v = v * (1 - qa[a] * x)
-            for a in down:
-                v = v / (1 - qa[a] * x)
-            v = v / pe
-            x = x * qq
-        acc = acc + v
-    tail_bound = max(abs(c.lo), abs(c.hi)) * _tail_bound(s, p, terms)
-    return acc.widen(tail_bound), tail_bound
+            num *= math.prod(p ** (a + t - 1) - 1 for a in up)
+            den *= math.prod(p ** (a + t - 1) - 1 for a in down)
+            k += step
+        n, d = (num << prec, den * p**k) if k >= 0 else ((num * p**-k) << prec, den)
+        lo += n // d
+        hi -= -n // d
+    abs_c = Fraction(abs(cn), abs(cd)) * Fraction(abs(p)) ** -kc
+    w = math.ceil(abs_c * _tail_bound(s, p, terms) * (1 << prec))
+    return Enclosure(Fraction(lo - w, 1 << prec), Fraction(hi + w, 1 << prec))
 
 
-def numeric_form_value(params, p: int, bits: int) -> Interval:
+def numeric_form_value(params, p: int, bits: int) -> Enclosure:
     """Certified enclosure of F at q = 1/p, narrower than 2^-bits, or AssertionError.
 
-    It sums the fewest terms whose widening 2·|C|·_tail_bound is at most
-    2^-(bits+1), given |C| < 2^5 (prod_j (1+2^-j)^2 / prod_j (1-2^-j) < 20),
-    with guard bits above bits+1 growing with the log of the number of
-    interval operations, each of which rounds by a few units of 2^-prec.
+    It sums the fewest terms whose _tail_bound is at most 2^-(bits+7); as
+    |C| < 2^5 (prod_j (1+2^-j)^2 / prod_j (1-2^-j) < 20), the widening
+    2·|C|·_tail_bound is then below 2^-(bits+1).  The rounding adds at most
+    one unit 2^-prec per term (its ceiling minus its floor) and less than
+    one per end for the ceiled widening: fewer than terms + 2 < 2^L units,
+    L the bit length of terms + 2.  At prec = bits + 7 + L those stay below
+    2^-(bits+7), as small as the tail before |C|, so the width is below
+    2^-(bits+1) + 2^-(bits+7) < 2^-bits.
     """
     if abs(p) < 2:
         raise ValueError("need |p| >= 2")
     s = summand_z1(params) if isinstance(params, ParamsZ1) else summand_z2(params)
     eps = Fraction(1, 1 << (bits + 7))
     terms = fewest_terms(lambda t: _tail_bound(s, p, t) <= eps)
-    size = len(s.prefactor_num) + len(s.prefactor_den) + len(s.num_i) + 2 * len(s.mult) + 3
-    enc, _ = _sum_series(s, p, terms, bits + 4 + ((terms + 1) * size).bit_length())
+    enc = _sum_series(s, p, terms, bits + 7 + (terms + 2).bit_length())
     if enc.width >= Fraction(1, 1 << bits):
         raise AssertionError(f"enclosure of F at {tuple(params)}, p = {p} is not below 2^-{bits}")
     return enc

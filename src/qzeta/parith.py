@@ -457,19 +457,30 @@ def cyclotomic_value(l: int, p: int) -> int:
     """Phi_l(p) as an exact integer, via the Moebius product over p^(l/d) - 1.
 
     Integer arithmetic only, no polynomial; cross-checked against
-    cyclotomic() in the test suite.
+    cyclotomic() in the test suite.  At p = ±1 a factor p^n - 1 may vanish;
+    it then stands for n, the cofactor (x^n - 1)/(x - p) at x = p up to its
+    sign p^(n-1).  The zeros left over are Phi_l's order at p; when none
+    are, as many such factors stand above as below, and their signs cancel.
     """
     if l < 1:
         raise ValueError("cyclotomic index must be positive")
     if l == 1:
         return p - 1
-    num, den = 1, 1
+    num, den, zeros = 1, 1, 0
     for d in divisors(l):
         mu = mobius(d)
+        if not mu:
+            continue
+        n = l // d
+        v = p**n - 1
+        if v == 0:
+            v, zeros = n, zeros + mu
         if mu == 1:
-            num *= p ** (l // d) - 1
-        elif mu == -1:
-            den *= p ** (l // d) - 1
+            num *= v
+        else:
+            den *= v
+    if zeros:
+        return 0
     q, r = divmod(num, den)
     if r:
         raise AssertionError(f"Moebius product not integral at l={l}, p={p}")

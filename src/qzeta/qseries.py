@@ -15,6 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
+from .dyadic import outward
 from .parith import PPoly
 
 
@@ -253,7 +254,6 @@ def limit_check(k: int, q_list, rel_tol: float = 1e-9) -> list[LimitRow]:
         scale = (1 - q) ** k
         terms = zeta_q_terms(k, q, Fraction(rel_tol) * target_lo / (2 * scale))
         value, tail = zeta_q_value(k, q, terms)
-        lo = Fraction(math.floor(scale * (value - tail) * 2**prec), 2**prec)
-        hi = Fraction(math.ceil(scale * (value + tail) * 2**prec), 2**prec)
-        rows.append(LimitRow(q, lo, hi, target_lo, target_hi))
+        enc = outward(scale * (value - tail), scale * (value + tail), prec)
+        rows.append(LimitRow(q, enc.lo, enc.hi, target_lo, target_hi))
     return rows

@@ -399,6 +399,18 @@ class TestWitnessNumbers:
         m = re.fullmatch(r"6 admissible images, widest enclosure < 2\^-(\d+)", check["witness"])
         assert m and int(m[1]) > 1074
 
+    @pytest.mark.parametrize(
+        "argv, prec",
+        [([], 320), (["--family", "bv", "--n", "3", "--p", "-2"], 320), (["--prec", "64"], 64)],
+        ids=["default", "bv3-minus-2", "prec64"],
+    )
+    def test_stability_witnesses_are_pinned(self, capsys, argv, prec):
+        # Q's ends rounded outward at prec + 3 keep every sweep below 2^-(prec+2)
+        code, report = run_json(capsys, "stability", *argv)
+        assert code == 0
+        for check in report["checks"]:
+            assert check["witness"].endswith(f"widest enclosure < 2^-{prec + 2}")
+
 
 class TestCommands:
     def test_series_cross_check(self, capsys):
@@ -458,6 +470,22 @@ class TestCommands:
         assert code == 0
         assert report["outputs"]["nu"]  # the factor is nontrivial here
         assert int(report["outputs"]["omega_at_p"]) >= 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cyclotomic", "--l", "6", "--p", "1"],
+            ["cyclotomic", "--l", "4", "--p", "-1"],
+            ["omega", "--kind", "zeta2", "--params", "11,13,15,30,32", "--p", "1"],
+            ["omega", "--kind", "zeta2", "--params", "11,13,15,30,32", "--p", "-1"],
+        ],
+        ids=["phi6-at-1", "phi4-at-minus-1", "omega-at-1", "omega-at-minus-1"],
+    )
+    def test_cyclotomic_values_at_plus_minus_one(self, capsys, argv):
+        # the Moebius quotient is 0/0 there; the value is the polynomial's
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        assert all(c["pass"] for c in report["checks"])
 
     def test_inclusion_single_form(self, capsys):
         code, report = run_json(

@@ -28,6 +28,7 @@ from qzeta.linforms import (
     _log_abs,
     _poly_part,
     _sum_series,
+    _tail_bound,
     _tail_tables,
     certify,
     cvector,
@@ -562,10 +563,12 @@ class TestInclusion:
 class TestNumerics:
     def test_enclosure_contains_exact_partial_sums(self):
         params = ParamsZ1(3, 2, 3, 5)
-        enc, tail = _sum_series(summand_z1(params), 2, 60, 256)
+        enc = _sum_series(summand_z1(params), 2, 60, 256)
         exact = sum(heine_terms(params, 60, 2))
-        assert enc.lo <= exact + tail and exact <= enc.hi
+        tail = _tail_bound(summand_z1(params), 2, 60)  # before |C|
+        assert enc.lo < exact < enc.hi
         assert 0 < tail < Fraction(1, 2**100)
+        assert enc.width < Fraction(62, 2**256) + 64 * tail  # 60 + 2 roundings, |C| < 2^5
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -235,6 +235,16 @@ class TestClassicalLimit:
         scale = (1 - q) ** 3
         assert row.lo <= scale * (value + tail) and scale * (value - tail) <= row.hi
 
+    def test_rows_are_pinned(self):
+        # the exact ends floored and ceiled at 2^-94 (one reduces to 2^-88)
+        rows = limit_check(2, [Fraction(1, 2), Fraction(9, 10)]) + limit_check(3, [Fraction(1, 2)])
+        got = [(r.lo.numerator, r.hi.numerator, r.lo.denominator, r.hi.denominator) for r in rows]
+        assert got == [
+            (212309338505433742052477501, 212309338979808949675439555, 2**88, 2**88),
+            (28418572164464381298754631743, 28418572195728015842823591363, 2**94, 2**94),
+            (17576978732392366366991346349, 17576978759917889083005441363, 2**94, 2**94),
+        ]
+
     def test_rejects_k1(self):
         with pytest.raises(ValueError):
             limit_check(1, [Fraction(1, 2)])

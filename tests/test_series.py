@@ -1,7 +1,8 @@
-"""The series enclosure: the telescoped ratio recursion (linforms._sum_series)
-against the direct per-term summation (the oracle below) and against exact
-partial sums of the series, and the sizing of numeric_form_value."""
+"""The series enclosure: the exact-term kernel (linforms._sum_series)
+against exact partial sums of the series (test_linforms.heine_terms), each
+term floored and ceiled once, and the sizing of numeric_form_value."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from test_linforms import heine_terms
 
 from qzeta import linforms
-from qzeta.dyadic import Interval
 from qzeta.linforms import (
     BV,
     THEOREM1,
@@ -28,39 +28,31 @@ from qzeta.linforms import (
 # -- oracle -----------------------------------------------------------------
 
 
-def direct_form_value(params, p: int, terms: int, prec: int) -> tuple[Interval, Fraction]:
-    """The earlier series summation: every factor of every term rebuilt."""
-    s = summand_z1(params) if isinstance(params, ParamsZ1) else summand_z2(params)
-    q = Fraction(1, p)
-    qq = Interval.exact(q, prec)
-    c = Interval.exact(1, prec)
+def exact_tail(params, p: int, terms: int) -> Fraction:
+    """|C| times the bound on sum_{t>=T} |S(q^t)|, all in Fractions."""
+    s = summand(params)
+    q, aq = Fraction(1, p), Fraction(1, abs(p))
+    c = Fraction(1)
     for j in s.prefactor_num:
-        c = c * (1 - qq.pow(j))
+        c *= 1 - q**j
     for j in s.prefactor_den:
-        c = c / (1 - qq.pow(j))
-    qi = {i: qq.pow(i) for i in s.num_i}
-    qj = {j: qq.pow(j) for j, _ in s.mult}
-    qe = qq.pow(s.expo)
-    acc = Interval.exact(0, prec)
-    x = Interval.exact(1, prec)  # q^t
-    xe = Interval.exact(1, prec)  # q^(expo·t)
-    for _ in range(terms):
-        v = c * xe
-        for i in s.num_i:
-            v = v * (1 - qi[i] * x)
-        for j, m in s.mult:
-            v = v / (1 - qj[j] * x).pow(m)
-        acc = acc + v
-        x = x * qq
-        xe = xe * qe
-    aq = abs(q)
+        c /= 1 - q**j
     tail = aq ** (s.expo * terms) / (1 - aq**s.expo)
     for i in s.num_i:
         tail *= 1 + aq**i
     for j, m in s.mult:
         tail /= (1 - aq ** (j + terms)) ** m
-    tail_bound = max(abs(c.lo), abs(c.hi)) * tail
-    return acc.widen(tail_bound), tail_bound
+    return abs(c) * tail
+
+
+def rounded_ends(params, p: int, terms: int, prec: int) -> tuple[int, int, int]:
+    """Sums of floor and of ceil of the exact terms at scale 2^prec, and the
+    widening ceil(|C|·tail·2^prec)."""
+    scale = 1 << prec
+    exact = heine_terms(params, terms, p)
+    lo = sum(math.floor(v * scale) for v in exact)
+    hi = sum(math.ceil(v * scale) for v in exact)
+    return lo, hi, math.ceil(exact_tail(params, p, terms) * scale)
 
 
 # -- strategies -------------------------------------------------------------
@@ -94,19 +86,27 @@ def summand(params):
 # -- the recursion against exact sums and the oracle ------------------------
 
 
+def same_as_oracle(params, p: int, terms: int, prec: int):
+    """The kernel's enclosure, checked bit for bit against rounded_ends."""
+    enc = _sum_series(summand(params), p, terms, prec)
+    lo, hi, w = rounded_ends(params, p, terms, prec)
+    unit = Fraction(1, 1 << prec)
+    assert (enc.lo, enc.hi) == ((lo - w) * unit, (hi + w) * unit)
+    return enc
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(params_z1(), params_z2()), PS, st.integers(0, 40), st.integers(64, 320))
+@given(st.one_of(params_z1(), params_z2()), PS, st.integers(0, 40), st.integers(1, 400))
 def test_recursion_against_exact_sum_and_oracle(params, p, terms, prec):
-    enc, tail = _sum_series(summand(params), p, terms, prec)
-    # the exact partial sum, widened by the tail, lies inside the enclosure
-    exact = sum(heine_terms(params, terms, p))
+    enc = same_as_oracle(params, p, terms, prec)
+    # the exact partial sum, widened by |C|·tail, lies inside the enclosure
+    exact, tail = sum(heine_terms(params, terms, p)), exact_tail(params, p, terms)
     assert enc.lo <= exact - tail and exact + tail <= enc.hi
-    # the direct summation gives the same tail, and an enclosure that meets
-    # this one and is at least half as wide
-    enc_o, tail_o = direct_form_value(params, p, terms, prec)
-    assert tail == tail_o
-    assert enc.overlaps(enc_o)
-    assert enc.width <= 2 * enc_o.width
+    # each term rounds by at most one unit, the widening by less than one per end
+    lo, hi, w = rounded_ends(params, p, terms, prec)
+    unit = Fraction(1, 1 << prec)
+    assert 0 <= hi - lo <= terms
+    assert enc.width == (hi - lo + 2 * w) * unit <= (terms + 2) * unit + 2 * tail
 
 
 @pytest.mark.parametrize("p", [2, 3, -3])
@@ -116,18 +116,15 @@ def test_recursion_against_exact_sum_and_oracle(params, p, terms, prec):
     ids=["bv25", "theorem1-3", "theorem2-6"],
 )
 def test_recursion_against_oracle_on_family_members(family, n, p):
-    enc, tail = _sum_series(summand(family.params(n)), p, 200, 320)
-    enc_o, tail_o = direct_form_value(family.params(n), p, 200, 320)
-    assert tail == tail_o
-    assert enc.overlaps(enc_o) and enc.width <= 2 * enc_o.width
+    same_as_oracle(family.params(n), p, 200, 320)
 
 
 def test_first_term_is_the_direct_product():
-    # one term is the oracle's first term exactly, before any ratio step
+    # one term is the exact first term floored and ceiled, before any ratio step
     for params in (THEOREM1.params(1), THEOREM2.params(1), BV.params(3)):
-        enc, _ = _sum_series(summand(params), 3, 1, 128)
-        enc_o, _ = direct_form_value(params, 3, 1, 128)
-        assert (enc.lo, enc.hi) == (enc_o.lo, enc_o.hi)
+        enc = same_as_oracle(params, 3, 1, 128)
+        (first,) = heine_terms(params, 1, 3)
+        assert enc.lo < first < enc.hi
 
 
 # -- the sized enclosure ------------------------------------------------------
@@ -138,28 +135,30 @@ def test_first_term_is_the_direct_product():
 def test_sized_enclosure_is_narrow_and_meets_the_exact_sum(params, p, bits):
     enc = numeric_form_value(params, p, bits)
     assert enc.width < Fraction(1, 1 << bits)
-    # F lies within the exact partial sum +- the oracle's tail, at a count
-    # whose tail is about 2^-bits
+    # F lies within the exact partial sum +- |C|·tail, at a count whose tail
+    # is about 2^-bits
     terms = bits // (summand(params).expo * (abs(p).bit_length() - 1)) + 2
-    exact = sum(heine_terms(params, terms, p))
-    _, tail = direct_form_value(params, p, terms, bits + 64)
+    exact, tail = sum(heine_terms(params, terms, p)), exact_tail(params, p, terms)
     assert enc.lo <= exact + tail and exact - tail <= enc.hi
 
 
 @pytest.mark.parametrize("p", [2, -2, 3])
 def test_sized_enclosure_on_family_members(p):
     for params in (BV.params(25), THEOREM1.params(3), THEOREM2.params(6)):
-        fine, _ = direct_form_value(params, p, 80, 1400)  # width < 2^-1300
+        exact, tail = sum(heine_terms(params, 80, p)), exact_tail(params, p, 80)
+        assert tail < Fraction(1, 1 << 1300)
         for bits in (1, 64, 320, 1200):
             enc = numeric_form_value(params, p, bits)
             assert enc.width < Fraction(1, 1 << bits)
-            assert enc.lo <= fine.hi and fine.lo <= enc.hi
+            assert enc.lo <= exact + tail and exact - tail <= enc.hi
 
 
 def test_an_enclosure_too_wide_is_refused(monkeypatch):
     # the postcondition, not the caller, catches an undersized summation
+    kernel = linforms._sum_series
+
     def one_term(s, p, terms, prec):
-        return direct_form_value(THEOREM1.params(1), p, 1, prec)
+        return kernel(s, p, 1, prec)
 
     monkeypatch.setattr(linforms, "_sum_series", one_term)
     with pytest.raises(AssertionError, match=r"not below 2\^-64"):
