@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .dyadic import Enclosure, outward
 from .linforms import (
@@ -229,11 +231,10 @@ def stable_quantity(params, p: int, bits: int) -> Enclosure:
     """
     cv = cvector(params)
     need = [cv[j] for j in cv.factorial_labels()]
-    q = Fraction(1, p)
-    facts = [Fraction(1)]  # [k]_q! for k = 0..max c_j
-    for k in range(1, max(need) + 1):
-        facts.append(facts[-1] * (1 - q**k) / (1 - q))
-    pi = math.prod(facts[c] for c in need)
+    # [k]_q! = tops[k] / ((p - 1)^k·p^(k(k-1)/2)) at q = 1/p, tops[k] = prod_{i<=k} (p^i - 1)
+    tops = list(accumulate((p**i - 1 for i in range(1, max(need) + 1)), mul, initial=1))
+    den = math.prod((p - 1) ** c * p ** (c * (c - 1) // 2) for c in need)
+    pi = Fraction(math.prod(tops[c] for c in need), den)
     e = max(pi.denominator.bit_length() - pi.numerator.bit_length() + 1, 0)
     enc = numeric_form_value(params, p, bits + e + 1)
     return outward(enc.lo / pi, enc.hi / pi, bits + 3)  # Pi > 0, as |q| < 1

@@ -10,6 +10,8 @@ been expanded into finite q-Pochhammer products.  Partial fractions of S
 in x over Q(p) (p = 1/q) turn the t-sum into A·zeta_q(1) − B (simple poles)
 or A·zeta_q(2) − B (double poles), with A, B exact rational functions of p
 whose denominators are products of cyclotomic polynomials and powers of p.
+The division in x works on Laurent polynomials in p (PPoly, val of either
+sign), and a RatFunc moves a negative val of its numerator into p^dpow.
 
 Residues and prefactors are products ±p^a·prod_l Phi_l(p)^e_l, held as
 parith.FactoredPPoly, the one factored type of the package (D_n and Omega
@@ -17,7 +19,8 @@ use it too).  RatFunc sums merge pairwise in a balanced tree; they, the
 tail tables and every product RatFunc × FactoredPPoly (a residue or the
 prefactor times a tail sum) multiply by Phi_l products through the
 O(degree) binomials p^d - 1 (PPoly.times_cyclotomics), never through a
-dense cofactor.  Only the double-pole terms Lambda_j·g·T1 multiply densely.
+dense cofactor.  The zeta_q(1) tail sum is summed by parts, so only
+T1_{<j0}·R and the double-pole terms Lambda_j·g·T1 multiply densely.
 Everything here is exact.  certify() checks a form against an enclosure
 of the series sized from the form's own denominators.  At q = 1/p every
 term C·S(q^t) is a ratio of integers, so the enclosure is their exact sum
@@ -31,10 +34,11 @@ import math
 import zlib
 from collections import namedtuple
 from fractions import Fraction
+from operator import sub
 
 from .dyadic import Enclosure
 from .parith import FactoredPPoly, PPoly, divisors
-from .qseries import fewest_terms, zeta_q_terms, zeta_q_value
+from .qseries import zeta_q_terms, zeta_q_value
 
 
 # --------------------------------------------------------------------------
@@ -141,12 +145,15 @@ class RatFunc:
     """num(p) / (p^dpow · prod_l Phi_l(p)^dphi[l]), numerator an exact PPoly.
 
     Denominators are kept factored and are never reduced against the
-    numerator; ord_p() does not need them reduced.
+    numerator; ord_p() does not need them reduced.  A Laurent numerator
+    (val < 0) is taken as its polynomial over p^-val.
     """
 
     __slots__ = ("num", "dpow", "dphi")
 
     def __init__(self, num: PPoly, dpow: int = 0, dphi: dict[int, int] | None = None):
+        if num.val < 0:
+            num, dpow = num.shift(-num.val), dpow - num.val
         if dpow < 0:
             raise ValueError("denominator p-power must be nonnegative")
         dphi = {l: e for l, e in (dphi or {}).items() if e != 0}
@@ -158,7 +165,7 @@ class RatFunc:
 
     @staticmethod
     def zero() -> "RatFunc":
-        return RatFunc(PPoly.zero())
+        return RatFunc(PPoly())
 
     # -- ring operations ---------------------------------------------------
 
@@ -183,7 +190,8 @@ class RatFunc:
                     pos[l] = e
                 else:
                     dphi[l] = dphi.get(l, 0) - e
-            num = (self.num * other.unit).times_cyclotomics(pos).shift(max(other.p_power, 0))
+            num = self.num if other.unit == 1 else -self.num
+            num = num.times_cyclotomics(pos).shift(max(other.p_power, 0))
             return RatFunc(num, self.dpow + max(-other.p_power, 0), dphi)
         if isinstance(other, int):
             return RatFunc(self.num * other, self.dpow, self.dphi)
@@ -199,7 +207,7 @@ class RatFunc:
         """a + b over the lcm of their denominators, each side lifted through binomials."""
         dpow = max(a.dpow, b.dpow)
         dphi = {l: max(a.dphi.get(l, 0), b.dphi.get(l, 0)) for l in a.dphi | b.dphi}
-        num = PPoly.zero()
+        num = PPoly()
         for t in (a, b):
             cof = {l: e - t.dphi.get(l, 0) for l, e in dphi.items()}
             num = num + t.num.times_cyclotomics(cof).shift(dpow - t.dpow)
@@ -238,47 +246,13 @@ class RatFunc:
         """p-adic order; by convention 0 for the zero function."""
         if self.is_zero():
             return 0
-        return self.num.trailing_zeros() - self.dpow
+        return self.num.val - self.dpow
 
     def __repr__(self):
         return f"RatFunc(num deg {self.num.degree}, dpow {self.dpow}, dphi {self.dphi})"
 
 
 _ONE = RatFunc(PPoly.const(1))  # _ONE * u turns a FactoredPPoly u into a RatFunc
-
-
-# --------------------------------------------------------------------------
-# Laurent coefficients for the synthetic division in x
-
-
-class _Laurent:
-    """num(p) · p^shift with shift of either sign; coefficient ring of the x-work."""
-
-    __slots__ = ("num", "shift")
-
-    def __init__(self, num: PPoly, shift: int = 0):
-        self.num, self.shift = num, shift
-
-    @staticmethod
-    def const(c: int) -> "_Laurent":
-        return _Laurent(PPoly.const(c))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __sub__(self, other: "_Laurent") -> "_Laurent":
-        s = min(self.shift, other.shift)
-        return _Laurent(
-            self.num.shift(self.shift - s) - other.num.shift(other.shift - s), s
-        )
-
-    def times_q_power(self, j: int) -> "_Laurent":
-        return _Laurent(self.num, self.shift - j)
-
-    def to_ratfunc(self) -> RatFunc:
-        if self.shift >= 0:
-            return RatFunc(self.num.shift(self.shift))
-        return RatFunc(self.num, -self.shift)
 
 
 # --------------------------------------------------------------------------
@@ -346,8 +320,8 @@ def _tail_tables(jmax: int) -> tuple[list[RatFunc], list[RatFunc]]:
     """T1_{<j} and T2_{<j} for j = 0..jmax as RatFuncs over D_{j-1}-type denominators."""
     t1: list[RatFunc] = [RatFunc.zero(), RatFunc.zero()]  # j = 0 and j = 1 are empty
     t2: list[RatFunc] = [RatFunc.zero(), RatFunc.zero()]
-    u = PPoly.zero()  # numerator of T1_{<j+1} over V = prod_{l<=j} Phi_l
-    x = PPoly.zero()  # numerator of T2_{<j+1} over V^2
+    u = PPoly()  # numerator of T1_{<j+1} over V = prod_{l<=j} Phi_l
+    x = PPoly()  # numerator of T2_{<j+1} over V^2
     v = PPoly.const(1)  # V itself
     vphi: dict[int, int] = {}
     for j in range(1, jmax):
@@ -398,12 +372,21 @@ class LinearForm:
 
 
 def _residue_unit(s: Summand, j: int) -> FactoredPPoly:
-    """N(p^j) / prod_{i != j} (1 - p^{j-i})^{m_i} with the pole's factor removed."""
-    parts = [FactoredPPoly.one_minus_p_power(j - i) for i in s.num_i]
-    for i, m in s.mult:
-        if i != j:
-            parts.extend([FactoredPPoly.one_minus_p_power(j - i).inv()] * m)
-    return math.prod(parts, start=FactoredPPoly(p_power=s.expo * j))
+    """p^{e·j}·N(p^j) / prod_{i != j} (1 - p^{j-i})^{m_i}, the pole's own factor removed.
+
+    1 - p^d is -prod_{l | d} Phi_l for d > 0, p^d·prod_{l | -d} Phi_l for d < 0.
+    """
+    exps: dict[int, int] = {}
+    p_power, unit = s.expo * j, 1
+    for i, w in [(i, 1) for i in s.num_i] + [(i, -m) for i, m in s.mult if i != j]:
+        d = j - i
+        if d > 0:
+            unit *= (-1) ** w
+        else:
+            p_power += w * d
+        for l in divisors(abs(d)):
+            exps[l] = exps.get(l, 0) + w
+    return FactoredPPoly(exps, p_power, unit)
 
 
 def _log_derivative_at_pole(s: Summand, j: int) -> RatFunc:
@@ -428,7 +411,7 @@ def _log_derivative_at_pole(s: Summand, j: int) -> RatFunc:
     return RatFunc.sum(terms)
 
 
-def _poly_part(s: Summand) -> list[_Laurent]:
+def _poly_part(s: Summand) -> list[PPoly]:
     """Polynomial part of S in x: floor(x^e·N(x) / D(x)), ascending in x.
 
     Floor quotients compose, so D is divided out one factor 1 − q^j x at a
@@ -437,42 +420,44 @@ def _poly_part(s: Summand) -> list[_Laurent]:
     Q_{i−1} = p^j·(Q_i − N_i) with Q_d = 0 for a dividend N of degree d.
     Empty when S is a proper rational function.
     """
-    quot = [_Laurent.const(0)] * s.expo + _expand_factors(s.num_i)
+    quot = [PPoly()] * s.expo + _expand_factors(s.num_i)
     for j, m in s.mult:
         for _ in range(m):
-            acc = _Laurent.const(0)
+            acc = PPoly()
             out = []
             for c in reversed(quot[1:]):
-                acc = (acc - c).times_q_power(-j)
+                acc = (acc - c).shift(j)
                 out.append(acc)
             quot = out[::-1]
     return quot
 
 
-def _expand_factors(indices) -> list[_Laurent]:
-    coeffs = [_Laurent.const(1)]
+def _expand_factors(indices) -> list[PPoly]:
+    """The x-coefficients of prod_i (1 - q^i x), ascending."""
+    coeffs = [PPoly.const(1)]
     for i in indices:
-        nxt = []
-        prev = _Laurent.const(0)
-        for c in coeffs:
-            nxt.append(c - prev.times_q_power(i))
-            prev = c
-        nxt.append(_Laurent.const(0) - prev.times_q_power(i))
-        coeffs = nxt
+        coeffs = list(map(sub, coeffs + [PPoly()], [PPoly()] + [c.shift(-i) for c in coeffs]))
     return coeffs
 
 
-def _poly_part_contribution(quot: list[_Laurent]) -> tuple[RatFunc, RatFunc]:
-    """(c0 as a RatFunc, sum_{i>=1} c_i/(1 - q^i)) from the polynomial part."""
-    c0 = quot[0].to_ratfunc() if quot else RatFunc.zero()
-    terms = []
-    for i, c in enumerate(quot[1:], start=1):
-        if c.is_zero():
-            continue
-        # c_i/(1-q^i) = c_i p^i/(p^i - 1)
-        r = _Laurent(c.num, c.shift + i).to_ratfunc()
-        terms.append(RatFunc(r.num, r.dpow, dict.fromkeys(divisors(i), 1)))
-    return c0, RatFunc.sum(terms)
+def _tail_sum_by_parts(res: dict[int, FactoredPPoly]) -> tuple[RatFunc, RatFunc]:
+    """(R, sum_{j in P} T1_{<j}·r_j) for the residues r_j at the poles P, R = sum_j r_j.
+
+    Summed by parts (Abel; Graham, Knuth and Patashnik, Concrete Mathematics
+    2.6) as T1_{<j0}·R + sum_{s=j0}^{max P - 1} R_{>s}/(p^s - 1), j0 the first
+    pole, R_{>s} = sum_{j > s} r_j and s through the gaps too.  Denominator and
+    numerator are the direct sum's, unless some R_{>s} cancels to 0.
+    """
+    j0, top = min(res), max(res)
+    inv = {s: FactoredPPoly(dict.fromkeys(divisors(s), -1)) for s in range(1, top)}  # 1/(p^s - 1)
+    suffix, terms = RatFunc.zero(), []
+    for s in range(top - 1, j0 - 2, -1):
+        if s + 1 in res:
+            suffix = suffix + _ONE * res[s + 1]
+        if s >= j0:
+            terms.append(suffix * inv[s])
+    t1 = RatFunc.sum([_ONE * inv[s] for s in range(1, j0)])
+    return suffix, RatFunc.sum([t1 * suffix, *terms])
 
 
 def _build_zeta1(params: ParamsZ1) -> LinearForm:
@@ -481,19 +466,18 @@ def _build_zeta1(params: ParamsZ1) -> LinearForm:
     if any(m > 1 for _, m in s.mult):
         raise AssertionError("zeta_q(1) summand acquired a double pole")
     c_unit = _prefactor(s)
-    poles = [j for j, _ in s.mult]
-    res = {j: _residue_unit(s, j) for j in poles}
-    c0, poly_sum = _poly_part_contribution(_poly_part(s))
-    total_res = RatFunc.sum([_ONE * res[j] for j in poles])
+    quot = _poly_part(s)
+    c0 = RatFunc(quot[0]) if quot else RatFunc.zero()
+    # sum_{i>=1} c_i/(1 - q^i) over the polynomial part, c_i/(1-q^i) = c_i p^i/(p^i - 1)
+    parts = [RatFunc(c.shift(i), 0, dict.fromkeys(divisors(i), 1)) for i, c in enumerate(quot)]
+    poly_sum = RatFunc.sum(parts[1:])
+    total_res, b_res = _tail_sum_by_parts({j: _residue_unit(s, j) for j, _ in s.mult})
     if not (c0 + total_res).is_zero():
         raise AssertionError(
             "constant term does not cancel the residue sum; the series would diverge"
         )
-    t1, _ = _tail_tables(max(poles) + 1)
-    b_terms = [t1[j] * res[j] for j in poles]
-    b_terms.append(-poly_sum)
     A = total_res * c_unit
-    B = RatFunc.sum(b_terms) * c_unit
+    B = (b_res - poly_sum) * c_unit
     form = LinearForm("zeta1", params, A, B, cv)
     form.M = determine_M(form)
     return form
@@ -715,7 +699,9 @@ def _sum_series(s: Summand, p: int, terms: int, prec: int) -> Enclosure:
 def numeric_form_value(params, p: int, bits: int) -> Enclosure:
     """Certified enclosure of F at q = 1/p, narrower than 2^-bits, or AssertionError.
 
-    It sums the fewest terms whose _tail_bound is at most 2^-(bits+7); as
+    It sums the fewest terms whose _tail_bound is at most 2^-(bits+7), scanned
+    in integers: from T to T + 1 terms the bound gains the exact ratio
+    a^(sum m_j - e)·prod over runs (a^{lo+T} - 1)/(a^{hi+T+1} - 1), a = |p|.  As
     |C| < 2^5 (prod_j (1+2^-j)^2 / prod_j (1-2^-j) < 20), the widening
     2·|C|·_tail_bound is then below 2^-(bits+1).  The rounding adds at most
     one unit 2^-prec per term (its ceiling minus its floor) and less than
@@ -727,8 +713,13 @@ def numeric_form_value(params, p: int, bits: int) -> Enclosure:
     if abs(p) < 2:
         raise ValueError("need |p| >= 2")
     s = summand_z1(params) if isinstance(params, ParamsZ1) else summand_z2(params)
-    eps = Fraction(1, 1 << (bits + 7))
-    terms = fewest_terms(lambda t: _tail_bound(s, p, t) <= eps)
+    bound, a, runs, terms = _tail_bound(s, p, 1), abs(p), _runs(s.mult), 1
+    lhs, rhs = bound.numerator << (bits + 7), bound.denominator
+    step = sum(m for _, m in s.mult) - s.expo
+    while lhs > rhs:
+        lhs *= math.prod(a ** (lo + terms) - 1 for lo, _ in runs) * a ** max(step, 0)
+        rhs *= math.prod(a ** (hi + terms + 1) - 1 for _, hi in runs) * a ** max(-step, 0)
+        terms += 1
     enc = _sum_series(s, p, terms, bits + 7 + (terms + 2).bit_length())
     if enc.width >= Fraction(1, 1 << bits):
         raise AssertionError(f"enclosure of F at {tuple(params)}, p = {p} is not below 2^-{bits}")

@@ -2,14 +2,17 @@
 polynomials, q-factorials, their common multiples D_n(p), and the trigamma
 function used for the totient-density constants.
 
-Polynomials live in Z[p] as dense coefficient tuples (ascending powers).
-Multiplication goes through Kronecker substitution on top of big integers
-(gmpy2 when available), which keeps degree-several-thousand products cheap.
+A PPoly is a Laurent polynomial p^val·body over Z: its p-adic valuation and
+the coefficients from p^val up, nonzero at both ends, so the large powers of
+p in the linear forms cost no coefficients and a shift is O(1).  The dense
+coefficients (read-only `coeffs`) serve form files, reports and q-series.
+Products go through Kronecker substitution on big integers (gmpy2 when
+available), which keeps degree-several-thousand products cheap.
 
-The binomial p^d - 1 is the one kernel for cyclotomic-type factors:
-mul_binomial and div_binomial are single O(degree) passes, and exact
-division by Phi_l = prod_{d | l} (p^d - 1)^mu(l/d) is 2^omega(l) of them
-(div_cyclotomic, counted by ord_at).  Multiplication by a product
+The binomial p^d - 1, prime to p, is the one kernel for cyclotomic-type
+factors: mul_binomial and div_binomial are single O(degree) passes over the
+body, and exact division by Phi_l = prod_{d | l} (p^d - 1)^mu(l/d) is
+2^omega(l) of them (div_cyclotomic, counted by ord_at).  Multiplication by
 prod_l Phi_l^e_l nets those Moebius forms into one power of each p^d - 1
 (times_cyclotomics); it builds Phi_l itself (cyclotomic), expands a
 FactoredPPoly and lifts the terms of linforms' RatFunc sums to a common
@@ -26,7 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
-from operator import sub
+from operator import add, sub
 
 try:
     from gmpy2 import mpz as _mpz
@@ -87,13 +90,6 @@ def totient(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # dense integer polynomials in p
-
-
-def _trim(coeffs):
-    i = len(coeffs)
-    while i > 0 and coeffs[i - 1] == 0:
-        i -= 1
-    return tuple(coeffs[:i])
 
 
 _KRON_CUTOFF = 24  # below this, schoolbook beats packing overhead
@@ -161,19 +157,37 @@ def _unpack(z, slots, k, kb):
     return out
 
 
+def _normal(val: int, out: list) -> "PPoly":
+    """p^val·out as a PPoly, taking the list out and stripping its zeros at both ends."""
+    hi = len(out)
+    while hi and not out[hi - 1]:
+        hi -= 1
+    lo = next((i for i, c in enumerate(out) if c), 0)
+    return PPoly._of(val + lo if hi else 0, out[lo:hi])
+
+
 class PPoly:
-    """Dense polynomial in Z[p], ascending coefficients, trailing zeros trimmed."""
+    """Laurent polynomial p^val·(body[0] + body[1]·p + ...) with integer coefficients.
 
-    __slots__ = ("coeffs",)
+    body is a list nonzero at both ends (empty for zero, whose val is 0),
+    never changed once built.  A product adds the vals, a sum aligns them;
+    the binomial kernels, div_cyclotomic and ord_at act on body alone.
+    """
 
-    def __init__(self, coeffs=()):
-        self.coeffs = _trim(tuple(coeffs))
+    __slots__ = ("val", "body")
+
+    def __init__(self, coeffs=(), val: int = 0):
+        f = _normal(val, list(coeffs))
+        self.val, self.body = f.val, f.body
+
+    @classmethod
+    def _of(cls, val: int, body: list) -> "PPoly":
+        """p^val·body for a body already nonzero at both ends; no copy."""
+        f = object.__new__(cls)
+        f.val, f.body = val, body
+        return f
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "PPoly":
-        return PPoly(())
 
     @staticmethod
     def const(c: int) -> "PPoly":
@@ -182,70 +196,69 @@ class PPoly:
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Dense coefficients from p^0 up, trailing zeros trimmed; needs val >= 0."""
+        if self.val < 0:
+            raise ValueError("a negative power of p has no dense coefficients")
+        return (0,) * self.val + tuple(self.body)
+
+    @property
     def degree(self) -> int:
         """Degree, with deg 0 = -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return self.val + len(self.body) - 1 if self.body else -1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.body
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.body)
 
     def __eq__(self, other):
-        return isinstance(other, PPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        return isinstance(other, PPoly) and (self.val, self.body) == (other.val, other.body)
 
     def __repr__(self):
-        return f"PPoly({list(self.coeffs)})"
+        return f"PPoly({self.body}, val={self.val})"
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PPoly(out)
+    def _combine(self, other: "PPoly", op) -> "PPoly":
+        """self op other for op add or sub: self's body copied in at its val,
+        then one pass of op over other's span; no padded or negated copies."""
+        if not other.body:
+            return self
+        if not self.body:
+            return other if op is add else -other
+        (va, a), (vb, b) = (self.val, self.body), (other.val, other.body)
+        v = min(va, vb)
+        out = [0] * (max(va + len(a), vb + len(b)) - v)
+        out[va - v : va - v + len(a)] = a
+        out[vb - v : vb - v + len(b)] = map(op, out[vb - v : vb - v + len(b)], b)
+        return _normal(v, out)
 
-    def __neg__(self):
-        return PPoly(tuple(-c for c in self.coeffs))
+    def __add__(self, other):
+        big, small = (self, other) if len(self.body) >= len(other.body) else (other, self)
+        return big._combine(small, add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, sub)
+
+    def __neg__(self):
+        return PPoly._of(self.val, [-c for c in self.body])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return PPoly()
-            return PPoly(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
+            return PPoly._of(self.val, [c * other for c in self.body]) if other else PPoly()
+        a, b = self.body, other.body
         if not a or not b:
             return PPoly()
-        if min(len(a), len(b)) < _KRON_CUTOFF:
-            return PPoly(_school_mul(a, b))
-        return PPoly(_kron_mul(a, b))
+        mul = _school_mul if min(len(a), len(b)) < _KRON_CUTOFF else _kron_mul
+        return PPoly._of(self.val + other.val, mul(a, b))
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "PPoly":
-        """Multiply by p^k (k >= 0)."""
-        if not self.coeffs:
-            return self
-        return PPoly((0,) * k + self.coeffs)
-
-    def trailing_zeros(self) -> int:
-        """ord_p of the polynomial; raises on zero."""
-        if not self.coeffs:
-            raise ValueError("ord_p of zero polynomial")
-        i = 0
-        while self.coeffs[i] == 0:
-            i += 1
-        return i
+        """Multiply by p^k, k of either sign."""
+        return PPoly._of(self.val + k, self.body) if self.body else self
 
     # -- the binomial kernel p^d - 1 ------------------------------------------
 
@@ -253,10 +266,10 @@ class PPoly:
         """self·(p^d - 1): one shift and one subtract, O(degree)."""
         if d < 1:
             raise ValueError("exponent must be positive")
-        f = self.coeffs
+        f = self.body
         if not f:
             return self
-        return PPoly(map(sub, chain(repeat(0, d), f), chain(f, repeat(0, d))))
+        return PPoly._of(self.val, list(map(sub, chain(repeat(0, d), f), chain(f, repeat(0, d)))))
 
     def div_binomial(self, d: int):
         """Exact quotient self/(p^d - 1) if it exists in Z[p], else None.
@@ -267,7 +280,7 @@ class PPoly:
         """
         if d < 1:
             raise ValueError("exponent must be positive")
-        f = self.coeffs
+        f = self.body
         if not f:
             return self
         if len(f) <= d:
@@ -278,7 +291,7 @@ class PPoly:
             if sums[-1]:
                 return None
             quot[r::d] = sums[-2::-1]
-        return PPoly(quot)
+        return PPoly._of(self.val, quot)
 
     def div_cyclotomic(self, l: int):
         """Exact quotient self/Phi_l if it exists in Z[p], else None.
@@ -309,8 +322,12 @@ class PPoly:
         """
         net: dict[int, int] = {}
         for l, e in exps.items():
-            for d in divisors(l):
-                net[d] = net.get(d, 0) + mobius(l // d) * e
+            if e:
+                up, down = _mobius_binomials(l)
+                for d in up:
+                    net[d] = net.get(d, 0) - e
+                for d in down:
+                    net[d] = net.get(d, 0) + e
         cur = self
         for d, n in net.items():
             for _ in range(n):
@@ -324,7 +341,7 @@ class PPoly:
 
     def ord_at(self, l: int, cap: int | None = None) -> int:
         """Multiplicity of Phi_l in self, by repeated exact division, at most cap."""
-        if not self.coeffs:
+        if not self.body:
             raise ValueError("ord of zero polynomial")
         n, cur = 0, self
         while cap is None or n < cap:
@@ -338,9 +355,9 @@ class PPoly:
 
     def __call__(self, x):
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.body):
             acc = acc * x + c
-        return acc
+        return acc * x**self.val if self.val >= 0 else acc / Fraction(x) ** -self.val
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +397,6 @@ class FactoredPPoly:
     def one_minus_q_power(j: int) -> "FactoredPPoly":
         """(1 - q^j) = (p^j - 1)/p^j with q = 1/p, j >= 1."""
         return FactoredPPoly(dict.fromkeys(divisors(j), 1), -j)
-
-    @staticmethod
-    def one_minus_p_power(d: int) -> "FactoredPPoly":
-        """(1 - p^d) for d != 0."""
-        if d == 0:
-            raise ValueError("1 - p^0 = 0 is not a unit")
-        if d < 0:
-            return FactoredPPoly.one_minus_q_power(-d)
-        return FactoredPPoly(dict.fromkeys(divisors(d), 1), 0, -1)
 
     def __mul__(self, other: "FactoredPPoly") -> "FactoredPPoly":
         exponents = dict(self.exponents)

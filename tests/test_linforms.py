@@ -4,9 +4,10 @@ import hashlib
 import math
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, count
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_parith import _dense_cyclotomic, _dense_expand, _dense_power, binomial, points, units
 
@@ -24,7 +25,6 @@ from qzeta.linforms import (
     RatFunc,
     Summand,
     _expand_factors,
-    _Laurent,
     _log_abs,
     _poly_part,
     _sum_series,
@@ -39,7 +39,7 @@ from qzeta.linforms import (
     summand_z2,
     verify_inclusion,
 )
-from qzeta.parith import FactoredPPoly, PPoly, cyclotomic, cyclotomic_value, dnp
+from qzeta.parith import FactoredPPoly, PPoly, cyclotomic, cyclotomic_value, divisors, dnp
 from qzeta.store import Store
 
 
@@ -84,8 +84,8 @@ def _reduce(f: RatFunc) -> RatFunc:
     """f with all cyclotomic and p-power content shared with the numerator cancelled."""
     if f.is_zero():
         return RatFunc.zero()
-    t = min(f.num.trailing_zeros(), f.dpow)
-    num, dpow = PPoly(f.num.coeffs[t:]), f.dpow - t
+    t = min(f.num.val, f.dpow)
+    num, dpow = f.num.shift(-t), f.dpow - t
     dphi = {}
     for l, e in sorted(f.dphi.items()):
         while e > 0 and (q := num.div_cyclotomic(l)) is not None:
@@ -172,6 +172,15 @@ class TestCVector:
         assert sum(cv[l] for l in cv.factorial_labels()) == 9 + 7 + 9 - 16 + 13
 
 
+def one_minus_p_power(d: int) -> FactoredPPoly:
+    """(1 - p^d) for d != 0."""
+    if d == 0:
+        raise ValueError("1 - p^0 = 0 is not a unit")
+    if d < 0:
+        return FactoredPPoly.one_minus_q_power(-d)
+    return FactoredPPoly(dict.fromkeys(divisors(d), 1), 0, -1)
+
+
 class TestUnitMono:
     """The unit monomials ±p^a·prod Phi_l^e_l of the residue bookkeeping (FactoredPPoly)."""
 
@@ -184,10 +193,10 @@ class TestUnitMono:
     @pytest.mark.parametrize("p", [2, 3, -2])
     def test_one_minus_p_power_both_signs(self, p):
         for d in (-5, -2, -1, 1, 2, 5):
-            assert FactoredPPoly.one_minus_p_power(d).value_at(p) == 1 - Fraction(p) ** d
+            assert one_minus_p_power(d).value_at(p) == 1 - Fraction(p) ** d
 
     def test_product_and_inverse(self):
-        u = FactoredPPoly.one_minus_q_power(3) * FactoredPPoly.one_minus_p_power(2).inv()
+        u = FactoredPPoly.one_minus_q_power(3) * one_minus_p_power(2).inv()
         v = u.value_at(5)
         assert v == (1 - Fraction(1, 125)) / (1 - 25)
 
@@ -227,6 +236,11 @@ class TestRatFunc:
         assert RatFunc(PPoly([0, 0, 0, 4]), 1).ord_p() == 2
         assert RatFunc(PPoly.const(7), 5).ord_p() == -5
 
+    def test_laurent_numerator_moves_its_p_power_into_dpow(self):
+        r = RatFunc(PPoly([3, 1], -2), 1, {1: 1})
+        assert (r.num, r.dpow, r.dphi) == (PPoly([3, 1]), 3, {1: 1})
+        assert r.value_at(2) == Fraction(3 + 1 * 2, 2**3 * (2 - 1))
+
     def test_reduce_preserves_value(self):
         raw = RatFunc(binomial(6).shift(2), 1, {1: 1, 2: 1, 6: 1})
         red = _reduce(raw)
@@ -262,7 +276,7 @@ def _flat_sum(terms) -> RatFunc:
         for l, e in t.dphi.items():
             if e > dphi.get(l, 0):
                 dphi[l] = e
-    total = PPoly.zero()
+    total = PPoly()
     for t in terms:
         cof = math.prod(
             (_dense_power(_dense_cyclotomic(l), e - t.dphi.get(l, 0)) for l, e in dphi.items()),
@@ -321,7 +335,7 @@ def _dense_tail_tables(jmax: int) -> tuple[list[RatFunc], list[RatFunc]]:
     """Oracle: _tail_tables with every Phi_j applied as a dense product."""
     t1: list[RatFunc] = [RatFunc.zero(), RatFunc.zero()]
     t2: list[RatFunc] = [RatFunc.zero(), RatFunc.zero()]
-    u, x, v = PPoly.zero(), PPoly.zero(), PPoly.const(1)
+    u, x, v = PPoly(), PPoly(), PPoly.const(1)
     vphi: dict[int, int] = {}
     for j in range(1, jmax):
         phi_j = _dense_cyclotomic(j)
@@ -355,6 +369,60 @@ class TestTailTables:
             assert t2[j].value_at(p) == want2
 
 
+def _key(f: RatFunc):
+    return f.num, f.dpow, f.dphi
+
+
+class TestTailSumByParts:
+    """sum_j T1_{<j}·r_j summed by parts against the direct sum over the tail table."""
+
+    @staticmethod
+    def check(s: Summand, cancelling: bool = False):
+        res = {j: linforms._residue_unit(s, j) for j, _ in s.mult}
+        total, by_parts = linforms._tail_sum_by_parts(res)
+        t1, _ = _tail_tables(max(res) + 1)
+        direct = RatFunc.sum([t1[j] * r for j, r in res.items()])
+        assert by_parts.value_at(5) == direct.value_at(5)
+        if cancelling:  # a suffix sum R_{>s} that cancels to 0 takes its denominator along
+            suffixes = accumulate(linforms._ONE * res[j] for j in sorted(res, reverse=True))
+            assume(not any(r.is_zero() for r in suffixes))
+        assert _key(by_parts) == _key(direct)
+        assert _key(total) == _key(RatFunc.sum([linforms._ONE * r for r in res.values()]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 4), st.integers(0, 3))
+    def test_on_admissible_params(self, a1, a2, db, da0):
+        # b = a1 + a2 + db and a0 = db + 1 + da0 satisfy both admissibility bounds
+        self.check(summand_z1(ParamsZ1(db + 1 + da0, a1, a2, a1 + a2 + db)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.sets(st.integers(1, 14), min_size=1, max_size=7),
+        st.sets(st.integers(1, 14), max_size=4),
+    )
+    @example(2, {3, 7, 8, 12}, {1, 5})  # pole runs 3, 7..8 and 12 with gaps between them
+    def test_on_pole_runs_with_gaps(self, expo, poles, num_i):
+        self.check(_summand(expo, num_i - poles, dict.fromkeys(poles, 1)), cancelling=True)
+
+
+class TestResidueUnit:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 4), st.sets(st.integers(1, 9), max_size=4), st.data())
+    def test_matches_product_of_factors(self, expo, num_i, data):
+        mult = data.draw(
+            st.dictionaries(
+                st.sampled_from(sorted(set(range(1, 12)) - num_i)), st.integers(1, 2), min_size=1
+            )
+        )
+        s = _summand(expo, num_i, mult)
+        for j in mult:
+            parts = [one_minus_p_power(j - i) for i in s.num_i]
+            parts += [one_minus_p_power(j - i).inv() for i, m in s.mult if i != j for _ in range(m)]
+            want = math.prod(parts, start=FactoredPPoly(p_power=s.expo * j))
+            assert linforms._residue_unit(s, j) == want
+
+
 class TestSummand:
     def test_zeta1_structure(self):
         s = summand_z1(ParamsZ1(9, 7, 9, 16))
@@ -378,13 +446,10 @@ class TestSummand:
         assert all(mult[j] == 2 for j in range(8, 16))
 
 
-def _dense_poly_part(s: Summand) -> list[_Laurent]:
-    """Oracle: long division of x^e·N(x) by the expanded D(x), one product per step."""
-
-    def mul(a, b):
-        return _Laurent(a.num * b.num, a.shift + b.shift)
-
-    numx = [_Laurent.const(0)] * s.expo + _expand_factors(s.num_i)
+def _dense_poly_part(s: Summand) -> list[PPoly]:
+    """Oracle: long division of x^e·N(x) by the expanded D(x), one product per
+    step, over Laurent polynomials in p (PPoly with a val of either sign)."""
+    numx = [PPoly()] * s.expo + _expand_factors(s.num_i)
     denx = _expand_factors([j for j, m in s.mult for _ in range(m)])
     qdeg = len(numx) - len(denx)
     if qdeg < 0:
@@ -392,24 +457,16 @@ def _dense_poly_part(s: Summand) -> list[_Laurent]:
     rem = list(numx)
     dd = len(denx) - 1
     lead = denx[dd]
-    assert lead.num.degree == 0 and abs(lead.num.coeffs[0]) == 1
-    lead_inv = _Laurent(PPoly.const(lead.num.coeffs[0]), -lead.shift)
-    quot = [_Laurent.const(0)] * (qdeg + 1)
+    assert len(lead.body) == 1 and abs(lead.body[0]) == 1
+    lead_inv = PPoly(lead.body, -lead.val)
+    quot = [PPoly()] * (qdeg + 1)
     for d in range(qdeg, -1, -1):
-        c = mul(rem[d + dd], lead_inv)
+        c = rem[d + dd] * lead_inv
         quot[d] = c
         if not c.is_zero():
             for i in range(dd + 1):
-                rem[d + i] = rem[d + i] - mul(c, denx[i])
+                rem[d + i] = rem[d + i] - c * denx[i]
     return quot
-
-
-def _laurent_key(c: _Laurent):
-    """num·p^shift with the p-power of num moved into the shift; None for zero."""
-    if c.is_zero():
-        return None
-    t = c.num.trailing_zeros()
-    return c.num.coeffs[t:], c.shift + t
 
 
 def _summand(expo, num_i, mult):
@@ -432,13 +489,13 @@ class TestPolyPart:
         s = _summand(expo, num_i, mult)
         got, want = _poly_part(s), _dense_poly_part(s)
         assert len(got) == len(want) == max(0, expo + len(num_i) - sum(mult.values()) + 1)
-        assert [_laurent_key(c) for c in got] == [_laurent_key(c) for c in want]
+        assert got == want
 
     def test_empty_and_constant_parts(self):
         assert _poly_part(_summand(0, {2}, {1: 1, 3: 1})) == []
         (c0,) = _poly_part(_summand(1, set(), {1: 1}))
         # x / (1 - q x) = -p + p / (1 - q x)
-        assert _laurent_key(c0) == ((-1,), 1)
+        assert c0 == PPoly([-1], val=1)
 
 
 # sha256 of form_to_json for forms whose bytes must not change
@@ -446,8 +503,10 @@ PINNED_FORMS = {
     "theorem1-1": (THEOREM1, 1, "1a59bbe748b013afd56b3ca655961a19f864cba87eb0a3e0ae8210c3ce927249"),
     "theorem1-2": (THEOREM1, 2, "7b54f3b4ef528dd5274d19c5b8157f42714af83a13b6aee2cda63384015467e6"),
     "theorem1-3": (THEOREM1, 3, "e03a27a3dd14fc765f8c7c0dc9887a9b772eec2320e4dffe4873607397a108a8"),
+    "theorem1-4": (THEOREM1, 4, "996028f0c105024d2bd949586f81cb5b4d35a5305c2556e41a1e2673196160be"),
     "bv-10": (BV, 10, "95fb3cb72902dfbce74330ac380fe70b1b8e7f540670102bf327f234165c3a40"),
     "bv-14": (BV, 14, "f00a257d95a0588b4ac2ce795e3e3000ee9a42ea451ac944e05722889e55990a"),
+    "bv-25": (BV, 25, "777a762e67698929402471aaa2d3bb5839d3ed032a05c9790ca7f3986e3edc06"),
     "theorem2-1": (THEOREM2, 1, "0cc9614421bd72803764e0eb63a4ce2358bdd2a7224a6b74949f5c531b95b280"),
     "theorem2-2": (THEOREM2, 2, "faede86ad81504a4bfe1b52b563ac5022cbf6e577a73ebfa7f408fc556f1b554"),
     "theorem2-3": (THEOREM2, 3, "46477b6b8e9c2ee6a44b5fcb62588b3589721feb7210e13850d7ec5a6bef2447"),
@@ -592,6 +651,22 @@ class TestNumerics:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             numeric_form_value(ParamsZ1(1, 1, 1, 2), 1, 256)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(
+            [THEOREM1.params(1), BV.params(1), BV.params(4), ParamsZ1(3, 2, 3, 5)]
+            + [THEOREM2.params(1), APERY.params(1), ParamsZ2(1, 2, 1, 3, 4)]
+        ),
+        st.sampled_from([2, 3, -2, -3, 5]),
+        st.integers(1, 400),
+    )
+    def test_sums_the_fewest_terms_within_the_tail_budget(self, params, p, bits):
+        s = summand_z1(params) if isinstance(params, ParamsZ1) else summand_z2(params)
+        eps = Fraction(1, 1 << (bits + 7))
+        terms = next(t for t in count(1) if _tail_bound(s, p, t) <= eps)
+        prec = bits + 7 + (terms + 2).bit_length()
+        assert numeric_form_value(params, p, bits) == _sum_series(s, p, terms, prec)
 
     @pytest.mark.parametrize("terms", [-1, -9, -20])
     def test_rejects_negative_terms(self, terms):

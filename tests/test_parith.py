@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qzeta.parith import (
@@ -150,6 +150,87 @@ def test_binomial_rejects_nonpositive_exponent():
     for op in (PPoly.mul_binomial, PPoly.div_binomial):
         with pytest.raises(ValueError):
             op(PPoly([1, 1]), 0)
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials p^val·body against a plain oracle: {exponent: coefficient}
+
+
+_laurent = st.tuples(st.lists(st.integers(-5, 5), max_size=8), st.integers(-6, 6))
+
+
+def _terms(f: PPoly) -> dict[int, int]:
+    """f's nonzero coefficients by exponent; checks that body is trimmed at both ends."""
+    assert (f.body[0] and f.body[-1]) if f.body else f.val == 0
+    return {f.val + i: c for i, c in enumerate(f.body) if c}
+
+
+def _dense(coeffs, val) -> dict[int, int]:
+    return {val + i: c for i, c in enumerate(coeffs) if c}
+
+
+def _dense_times(f: dict, g: dict) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for a, x in f.items():
+        for b, y in g.items():
+            out[a + b] = out.get(a + b, 0) + x * y
+    return {e: c for e, c in out.items() if c}
+
+
+def _dense_quotient(f: dict, g: tuple):
+    """f/g by long division from the lowest exponent, g dense with g[0] = ±1; None unless exact."""
+    if not f:
+        return {}
+    lo = min(f)
+    rem = [f.get(e, 0) for e in range(lo, max(f) + 1)]
+    nq = len(rem) - len(g) + 1
+    if nq <= 0:
+        return None
+    quot = [0] * nq
+    for i in range(nq):
+        quot[i] = c = rem[i] * g[0]
+        for k, gk in enumerate(g):
+            rem[i + k] -= c * gk
+    return None if any(rem) else _dense(quot, lo)
+
+
+class TestLaurentAgainstDense:
+    @settings(max_examples=200, deadline=None)
+    @given(_laurent, _laurent, st.integers(-6, 6))
+    def test_ring_operations_and_shift(self, f, g, k):
+        F, G, df, dg = PPoly(*f), PPoly(*g), _dense(*f), _dense(*g)
+        assert _terms(F) == df
+        for got, sign in ((F + G, 1), (F - G, -1)):
+            want = {e: df.get(e, 0) + sign * dg.get(e, 0) for e in df | dg}
+            assert _terms(got) == {e: c for e, c in want.items() if c}
+        assert _terms(F * G) == _dense_times(df, dg)
+        assert _terms(F * k) == {e: c * k for e, c in df.items() if k}
+        assert _terms(F.shift(k)) == {e + k: c for e, c in df.items()}
+        if F.val >= 0:
+            assert F.coeffs == tuple(df.get(e, 0) for e in range(F.degree + 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_laurent, st.integers(1, 6))
+    def test_binomial_kernels(self, f, d):
+        F, df = PPoly(*f), _dense(*f)
+        binom = (-1,) + (0,) * (d - 1) + (1,)
+        assert _terms(F.mul_binomial(d)) == _dense_times(df, _dense(binom, 0))
+        assert _terms(F.mul_binomial(d).div_binomial(d)) == df
+        q, want = F.div_binomial(d), _dense_quotient(df, binom)
+        assert (q is None) == (want is None) and (q is None or _terms(q) == want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_laurent, st.integers(1, 12), st.integers(0, 2), st.sampled_from([None, 1]))
+    def test_ord_at(self, f, l, extra, cap):
+        phi, df = _dense_cyclotomic(l).coeffs, _dense(*f)
+        assume(df)
+        for _ in range(extra):
+            df = _dense_times(df, _dense(phi, 0))
+        n, cur = 0, df
+        while (cap is None or n < cap) and (cur := _dense_quotient(cur, phi)) is not None:
+            n += 1
+        lo = min(df)
+        assert PPoly([df.get(e, 0) for e in range(lo, max(df) + 1)], lo).ord_at(l, cap) == n
 
 
 def _dense_ord(f, l, cap=None):
