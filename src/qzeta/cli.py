@@ -10,11 +10,15 @@ failed, 2 for invalid input (unknown command, malformed parameters, a
 value outside an operation's domain, or a range that leaves nothing to
 check).
 
-Each command imports only the library modules it runs, so it pays start-up
-time for its own code alone.  Each gets one store.Store, which keeps linear
-forms under a cache directory (--cache-dir, else $QZETA_CACHE, else
-~/.cache/qzeta) as forms/<kind>-<params>.json in format qzeta-form-v2; a
-file that fails verification on load is rebuilt and atomically overwritten.
+Each command imports only the library modules it runs, and main builds the
+subparser of the named command alone (the whole parser only for help and
+errors at the top level), so it pays start-up time for its own code alone:
+`group` loads no polynomial code, and a form read from the cache loads
+forms but not the builders in linforms.  Each command gets one store.Store,
+which keeps linear forms under a cache directory (--cache-dir, else
+$QZETA_CACHE, else ~/.cache/qzeta) as forms/<kind>-<params>.json in format
+qzeta-form-v2; a file that fails verification on load is rebuilt and
+atomically overwritten.
 Reports themselves are deterministic: identical invocations give
 byte-identical output apart from the elapsed_ms field, no matter how warm
 the cache is.
@@ -92,7 +96,7 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def _parse_params(kind: str, text: str):
-    from .linforms import ParamsZ1, ParamsZ2
+    from .params import ParamsZ1, ParamsZ2
 
     parts = [s.strip() for s in text.split(",")]
     want = 4 if kind == "zeta1" else 5
@@ -278,7 +282,7 @@ def cmd_linform(args, store):
 
 
 def cmd_inclusion(args, store):
-    from .linforms import FAMILIES, verify_inclusion
+    from .forms import verify_inclusion
 
     if args.params is not None and args.family is not None:
         raise ValueError("--params and --family exclude each other")
@@ -294,8 +298,9 @@ def cmd_inclusion(args, store):
         n_max = (6 if fam.kind == "zeta1" else 3) if args.n_max is None else args.n_max
         jobs = [(n, fam.params(n)) for n in range(1, n_max + 1)]
     else:
-        jobs = [(n, FAMILIES["theorem1"].params(n)) for n in range(1, 7)]
-        jobs += [(n, FAMILIES["theorem2"].params(n)) for n in range(1, 4)]
+        theorem1, theorem2 = _family("theorem1"), _family("theorem2")
+        jobs = [(n, theorem1.params(n)) for n in range(1, 7)]
+        jobs += [(n, theorem2.params(n)) for n in range(1, 4)]
     checks, rows = [], []
     for n, params in jobs:
         form = store.form(params)
@@ -335,7 +340,7 @@ def cmd_group(args, store):
 
 def cmd_omega(args, store):
     from .groups import group_for, omega
-    from .linforms import cvector
+    from .params import cvector
 
     params = _parse_params(args.kind, args.params)
     c = cvector(params)
@@ -467,15 +472,14 @@ def cmd_empirical_mu(args, store):
 
 
 def cmd_apery(args, store):
-    from .linforms import FAMILIES
     from .measures import _limit_value_at_one, apery_limit_check, apery_numbers
 
     if args.n_max > 4:
         raise ValueError("apery is cost-bounded to --n-max <= 4")
-    oracle = apery_numbers(args.n_max)
+    oracle, fam = apery_numbers(args.n_max), _family("apery")
     values, checks = [], []
     for n in range(args.n_max + 1):
-        values.append(_limit_value_at_one(store.form(FAMILIES["apery"].params(n))))
+        values.append(_limit_value_at_one(store.form(fam.params(n))))
         checks.append(
             _check(
                 f"limit-matches-A{n}",
@@ -499,7 +503,57 @@ def cmd_jacobi(args, store):
 # parser and entry point
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# (name, function, help, arguments), each argument a flag and its add_argument keywords
+# fmt: off
+COMMANDS = (
+    ("series", cmd_series, "q-expansion of zeta_q(k); cross-checks all representations",
+     [("--k", dict(type=int, default=4)), ("--order", dict(type=int, default=50))]),
+    ("rho", cmd_rho, "numerator polynomial rho_k and its value at 1",
+     [("--k", dict(type=int, default=4))]),
+    ("cyclotomic", cmd_cyclotomic, "coefficients and values of Phi_l",
+     [("--l", dict(type=int, required=True)), ("--p", dict(type=int))]),
+    ("dnp", cmd_dnp, "the common multiple D_n(p) with its lcm certificate",
+     [("--n", dict(type=int, required=True)), ("--p", dict(type=int))]),
+    ("ord", cmd_ord, "cyclotomic order of the q-factorial, against exact division",
+     [("--n", dict(type=int, required=True)),
+      ("--l", dict(type=int, help="single modulus; omit to sweep 2..n"))]),
+    ("mertens", cmd_mertens, "normalized size of D_n against the 3/pi^2 density",
+     [("--n", dict(type=int, default=300)), ("--p", dict(type=int, default=2))]),
+    ("eq3", cmd_eq3, "cyclotomic block sums against the trigamma limit",
+     [("--n", dict(type=int, default=500)), ("--p", dict(type=int, default=2)),
+      ("--u", dict(type=Fraction, default=Fraction(1, 2))),
+      ("--v", dict(type=Fraction, default=Fraction(1)))]),
+    ("linform", cmd_linform, "exact linear form for explicit parameters",
+     [("--kind", dict(choices=("zeta1", "zeta2"), required=True)),
+      ("--params", dict(required=True, help="a0,a1,a2,b or a1,a2,a3,b2,b3")),
+      ("--p", dict(type=int))]),
+    ("inclusion", cmd_inclusion, "integrality of the scaled coefficients",
+     [("--kind", dict(choices=("zeta1", "zeta2"))), ("--params", {}), ("--family", {}),
+      ("--n-max", dict(type=int))]),
+    ("group", cmd_group, "transformation groups and their orders",
+     [("--kind", dict(choices=("zeta1", "zeta1-arith", "zeta2")))]),
+    ("omega", cmd_omega, "removable cyclotomic factors for explicit parameters",
+     [("--kind", dict(choices=("zeta1", "zeta2"), required=True)),
+      ("--params", dict(required=True)), ("--p", dict(type=int))]),
+    ("stability", cmd_stability, "invariance of the normalized series under the group",
+     [("--family", {}), ("--n", dict(type=int)), ("--p", dict(type=int, default=2)),
+      ("--prec", dict(type=int, default=320, help="enclosures narrower than 2^-PREC")),
+      ("--terms", dict(type=int, help="ignored; accepted so old command lines still run"))]),
+    ("measure", cmd_measure, "irrationality-measure report for a family",
+     [("--family", dict(required=True)), ("--fit-n-max", dict(type=int))]),
+    ("empirical-mu", cmd_empirical_mu, "exponent estimates from the exact forms",
+     [("--family", dict(required=True)), ("--p", dict(type=int, default=2)),
+      ("--n-max", dict(type=int, default=6))]),
+    ("apery", cmd_apery, "classical limit of the second-kind coefficients",
+     [("--n-max", dict(type=int, default=3))]),
+    ("jacobi", cmd_jacobi, "four-square identity as a q-series cross-check",
+     [("--order", dict(type=int, default=500))]),
+)
+# fmt: on
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, or with `only` the top level and that one subcommand."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--cache-dir", default=None, help="cache root (else $QZETA_CACHE)")
@@ -509,84 +563,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact q-zeta arithmetic: series, cyclotomic orders, linear forms, measures.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name, fn, help_text):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
-        sp.set_defaults(fn=fn)
-        return sp
-
-    sp = add("series", cmd_series, "q-expansion of zeta_q(k); cross-checks all representations")
-    sp.add_argument("--k", type=int, default=4)
-    sp.add_argument("--order", type=int, default=50)
-
-    sp = add("rho", cmd_rho, "numerator polynomial rho_k and its value at 1")
-    sp.add_argument("--k", type=int, default=4)
-
-    sp = add("cyclotomic", cmd_cyclotomic, "coefficients and values of Phi_l")
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--p", type=int, default=None)
-
-    sp = add("dnp", cmd_dnp, "the common multiple D_n(p) with its lcm certificate")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, default=None)
-
-    sp = add("ord", cmd_ord, "cyclotomic order of the q-factorial, against exact division")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--l", type=int, default=None, help="single modulus; omit to sweep 2..n")
-
-    sp = add("mertens", cmd_mertens, "normalized size of D_n against the 3/pi^2 density")
-    sp.add_argument("--n", type=int, default=300)
-    sp.add_argument("--p", type=int, default=2)
-
-    sp = add("eq3", cmd_eq3, "cyclotomic block sums against the trigamma limit")
-    sp.add_argument("--n", type=int, default=500)
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--u", type=Fraction, default=Fraction(1, 2))
-    sp.add_argument("--v", type=Fraction, default=Fraction(1))
-
-    sp = add("linform", cmd_linform, "exact linear form for explicit parameters")
-    sp.add_argument("--kind", choices=("zeta1", "zeta2"), required=True)
-    sp.add_argument("--params", required=True, help="a0,a1,a2,b or a1,a2,a3,b2,b3")
-    sp.add_argument("--p", type=int, default=None)
-
-    sp = add("inclusion", cmd_inclusion, "integrality of the scaled coefficients")
-    sp.add_argument("--kind", choices=("zeta1", "zeta2"), default=None)
-    sp.add_argument("--params", default=None)
-    sp.add_argument("--family", default=None)
-    sp.add_argument("--n-max", type=int, default=None)
-
-    sp = add("group", cmd_group, "transformation groups and their orders")
-    sp.add_argument("--kind", choices=("zeta1", "zeta1-arith", "zeta2"), default=None)
-
-    sp = add("omega", cmd_omega, "removable cyclotomic factors for explicit parameters")
-    sp.add_argument("--kind", choices=("zeta1", "zeta2"), required=True)
-    sp.add_argument("--params", required=True)
-    sp.add_argument("--p", type=int, default=None)
-
-    sp = add("stability", cmd_stability, "invariance of the normalized series under the group")
-    sp.add_argument("--family", default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--prec", type=int, default=320, help="enclosures narrower than 2^-PREC")
-    sp.add_argument(
-        "--terms", type=int, default=None, help="ignored; accepted so old command lines still run"
-    )
-
-    sp = add("measure", cmd_measure, "irrationality-measure report for a family")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--fit-n-max", type=int, default=None)
-
-    sp = add("empirical-mu", cmd_empirical_mu, "exponent estimates from the exact forms")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--n-max", type=int, default=6)
-
-    sp = add("apery", cmd_apery, "classical limit of the second-kind coefficients")
-    sp.add_argument("--n-max", type=int, default=3)
-
-    sp = add("jacobi", cmd_jacobi, "four-square identity as a q-series cross-check")
-    sp.add_argument("--order", type=int, default=500)
-
+    for name, fn, help_text, arguments in COMMANDS:
+        if only in (None, name):
+            sp = sub.add_parser(name, parents=[common], help=help_text)
+            sp.set_defaults(fn=fn)
+            for flag, kw in arguments:
+                sp.add_argument(flag, **kw)
     return parser
 
 
@@ -603,7 +585,9 @@ _ECHO_SKIP = {"command", "fn", "format", "cache_dir"}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    named = argv and argv[0] in {name for name, *_ in COMMANDS}
+    parser = _build_parser(argv[0] if named else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -8,6 +8,9 @@ underlying series that leave the normalized quantity
 unchanged.  Maximizing cyclotomic orders of the factorial products over a
 group of such permutations yields a polynomial factor Omega(p) that can be
 divided out of the linear forms on top of the usual common denominator.
+Only params is imported at load time; Omega's factored product and the
+series enclosure are imported where they are used, so the groups alone
+load no polynomial code.
 """
 
 from __future__ import annotations
@@ -18,17 +21,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .dyadic import Enclosure, outward
-from .linforms import (
-    LABELS_Z1,
-    LABELS_Z2,
-    CVector,
-    ParamsZ1,
-    ParamsZ2,
-    cvector,
-    numeric_form_value,
-)
-from .parith import FactoredPPoly
+from .params import LABELS_Z1, LABELS_Z2, CVector, ParamsZ1, ParamsZ2, cvector
 
 
 # --------------------------------------------------------------------------
@@ -75,7 +68,8 @@ class Perm(namedtuple("Perm", "labels images")):
         """Composition acting as (g·h).apply(c) == g.apply(h.apply(c))."""
         if self.labels != other.labels:
             raise ValueError("label sets differ")
-        return Perm(self.labels, tuple(other(self(l)) for l in self.labels))
+        h = dict(zip(other.labels, other.images))
+        return Perm(self.labels, tuple(map(h.get, self.images)))
 
     def cycles(self) -> tuple[tuple[str, ...], ...]:
         seen, out = set(), []
@@ -215,6 +209,8 @@ OmegaResult = namedtuple("OmegaResult", "omega nu")
 
 def omega(c: CVector, G: Group) -> OmegaResult:
     """Omega(p) = prod_{l=2}^m Phi_l(p)^{nu_l}; nu_1 = 0 by convention."""
+    from .parith import FactoredPPoly
+
     nu = {l: nu_l(c, G, l) for l in range(2, c.m + 1)}
     return OmegaResult(FactoredPPoly(nu), nu)
 
@@ -223,12 +219,15 @@ def omega(c: CVector, G: Group) -> OmegaResult:
 # stability of the normalized series
 
 
-def stable_quantity(params, p: int, bits: int) -> Enclosure:
+def stable_quantity(params, p: int, bits: int):
     """Certified enclosure of Q = F / prod_{j in S} [c_j]_q! at q = 1/p, narrower than 2^-bits.
 
     With 1/|Pi| < 2^e, F is enclosed below 2^-(bits+e+1), and its ends over
     Pi are rounded outward at precision bits + 3, the same for all params.
     """
+    from .dyadic import outward
+    from .linforms import numeric_form_value
+
     cv = cvector(params)
     need = [cv[j] for j in cv.factorial_labels()]
     # [k]_q! = tops[k] / ((p - 1)^k·p^(k(k-1)/2)) at q = 1/p, tops[k] = prod_{i<=k} (p^i - 1)

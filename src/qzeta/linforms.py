@@ -1,4 +1,4 @@
-"""Exact linear forms A·zeta_q(k) − B out of Heine-type series.
+"""How exact linear forms A·zeta_q(k) − B are built out of Heine-type series.
 
 The basic object is the series
 
@@ -9,247 +9,36 @@ a rewriting of the q-hypergeometric sum in which every Gamma_q ratio has
 been expanded into finite q-Pochhammer products.  Partial fractions of S
 in x over Q(p) (p = 1/q) turn the t-sum into A·zeta_q(1) − B (simple poles)
 or A·zeta_q(2) − B (double poles), with A, B exact rational functions of p
-whose denominators are products of cyclotomic polynomials and powers of p.
-The division in x works on Laurent polynomials in p (PPoly, val of either
-sign), and a RatFunc moves a negative val of its numerator into p^dpow.
+(forms.RatFunc) whose denominators are products of cyclotomic polynomials
+and powers of p.  The division in x works on Laurent polynomials in p
+(PPoly, val of either sign).
 
 Residues and prefactors are products ±p^a·prod_l Phi_l(p)^e_l, held as
 parith.FactoredPPoly, the one factored type of the package (D_n and Omega
-use it too).  RatFunc sums merge pairwise in a balanced tree; they, the
-tail tables and every product RatFunc × FactoredPPoly (a residue or the
-prefactor times a tail sum) multiply by Phi_l products through the
-O(degree) binomials p^d - 1 (PPoly.times_cyclotomics), never through a
-dense cofactor.  The zeta_q(1) tail sum is summed by parts, so only
-T1_{<j0}·R and the double-pole terms Lambda_j·g·T1 multiply densely.
-Everything here is exact.  certify() checks a form against an enclosure
-of the series sized from the form's own denominators.  At q = 1/p every
-term C·S(q^t) is a ratio of integers, so the enclosure is their exact sum
-with each term floored and ceiled once to a dyadic grid, plus the tail.
+use it too).  The tail tables and every product RatFunc × FactoredPPoly
+(a residue or the prefactor times a tail sum) multiply by Phi_l products
+through the binomials p^d - 1.  The zeta_q(1) tail sum is summed by
+parts, so only T1_{<j0}·R and the double-pole terms Lambda_j·g·T1 multiply
+densely.  Everything here is exact.  certify() checks a form against an
+enclosure of the series sized from the form's own denominators.  At
+q = 1/p every term C·S(q^t) is a ratio of integers, so the enclosure is
+their exact sum with each term floored and ceiled once to a dyadic grid,
+plus the tail.  The parameter types live in params, the form as data and
+its file in forms; this module holds the builders, the series enclosure
+and the families.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import zlib
 from collections import namedtuple
 from fractions import Fraction
 from operator import sub
 
 from .dyadic import Enclosure
+from .forms import LinearForm, RatFunc, determine_M
+from .params import ParamsZ1, ParamsZ2, cvector
 from .parith import FactoredPPoly, PPoly, divisors
-from .qseries import zeta_q_terms, zeta_q_value
-
-
-# --------------------------------------------------------------------------
-# parameter tuples and c-vectors
-
-
-class ParamsZ1(namedtuple("ParamsZ1", "a0 a1 a2 b")):
-    """Parameters (a0, a1, a2, b) of the zeta_q(1) series."""
-
-    __slots__ = ()
-
-    def __new__(cls, a0, a1, a2, b):
-        if min(a0, a1, a2, b) < 1:
-            raise ValueError("parameters must be positive integers")
-        return super().__new__(cls, a0, a1, a2, b)
-
-    @property
-    def admissible(self) -> bool:
-        # convergence region plus nonnegativity of every c-label
-        return self.a1 + self.a2 <= self.b and self.a0 + self.a1 + self.a2 >= self.b + 1
-
-
-class ParamsZ2(namedtuple("ParamsZ2", "a1 a2 a3 b2 b3")):
-    """Parameters (a1, a2, a3, b2, b3) of the zeta_q(2) series."""
-
-    __slots__ = ()
-
-    def __new__(cls, a1, a2, a3, b2, b3):
-        if min(a1, a2, a3, b2, b3) < 1:
-            raise ValueError("parameters must be positive integers")
-        return super().__new__(cls, a1, a2, a3, b2, b3)
-
-    @property
-    def admissible(self) -> bool:
-        a = (self.a1, self.a2, self.a3)
-        b = (self.b2, self.b3)
-        return all(aj < bk for aj in a for bk in b) and sum(a) < sum(b)
-
-
-LABELS_Z1 = ("00", "01", "11", "21", "12", "22")
-LABELS_Z2 = ("00", "11", "12", "13", "21", "22", "23", "31", "32", "33")
-
-# labels whose q-factorials make up Pi_q(c)
-FACTORIAL_LABELS = {"zeta1": ("01", "21", "22"), "zeta2": ("00", "21", "22", "33", "31")}
-
-
-class CVector(namedtuple("CVector", "kind values")):
-    """The labeled parameter differences acted on by the transformation groups."""
-
-    __slots__ = ()
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return LABELS_Z1 if self.kind == "zeta1" else LABELS_Z2
-
-    def __getitem__(self, label: str) -> int:
-        return self.values[self.labels.index(label)]
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(self.labels, self.values))
-
-    @property
-    def m(self) -> int:
-        return max(self.values)
-
-    @property
-    def m1m2(self) -> tuple[int, int]:
-        top = sorted(self.values, reverse=True)
-        return top[0], top[1]
-
-    def factorial_labels(self) -> tuple[str, ...]:
-        return FACTORIAL_LABELS[self.kind]
-
-
-def cvector(params, check: bool = True) -> CVector:
-    """Labeled c-values of a parameter tuple; rejects inadmissible input.
-
-    check=False skips the admissibility test (used on group images, which may
-    leave the convergence region and still need their labels).
-    """
-    if isinstance(params, ParamsZ1):
-        if check and not params.admissible:
-            raise ValueError(f"inadmissible parameters {tuple(params)}")
-        a0, a1, a2, b = params
-        vals = (a0 + a1 + a2 - b - 1, a0 - 1, a1 - 1, a2 - 1, b - a1 - 1, b - a2 - 1)
-        return CVector("zeta1", vals)
-    if isinstance(params, ParamsZ2):
-        if check and not params.admissible:
-            raise ValueError(f"inadmissible parameters {tuple(params)}")
-        a = (params.a1, params.a2, params.a3)
-        bs = (params.b2, params.b3)
-        vals = [sum(bs) - sum(a) - 1]
-        for aj in a:
-            vals.extend((aj - 1, bs[0] - aj - 1, bs[1] - aj - 1))
-        return CVector("zeta2", tuple(vals))
-    raise TypeError("params must be ParamsZ1 or ParamsZ2")
-
-
-# --------------------------------------------------------------------------
-# rational functions of p with factored cyclotomic denominators
-
-
-class RatFunc:
-    """num(p) / (p^dpow · prod_l Phi_l(p)^dphi[l]), numerator an exact PPoly.
-
-    Denominators are kept factored and are never reduced against the
-    numerator; ord_p() does not need them reduced.  A Laurent numerator
-    (val < 0) is taken as its polynomial over p^-val.
-    """
-
-    __slots__ = ("num", "dpow", "dphi")
-
-    def __init__(self, num: PPoly, dpow: int = 0, dphi: dict[int, int] | None = None):
-        if num.val < 0:
-            num, dpow = num.shift(-num.val), dpow - num.val
-        if dpow < 0:
-            raise ValueError("denominator p-power must be nonnegative")
-        dphi = {l: e for l, e in (dphi or {}).items() if e != 0}
-        if any(e < 0 or l < 1 for l, e in dphi.items()):
-            raise ValueError("denominator exponents must be positive")
-        self.num, self.dpow, self.dphi = num, dpow, dphi
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "RatFunc":
-        return RatFunc(PPoly())
-
-    # -- ring operations ---------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.dpow, self.dphi)
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.sum((self, other))
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.sum((self, -other))
-
-    def __mul__(self, other) -> "RatFunc":
-        if isinstance(other, FactoredPPoly):
-            # positive exponents through the binomials, negative ones into the denominator
-            pos, dphi = {}, dict(self.dphi)
-            for l, e in other.exponents.items():
-                if e > 0:
-                    pos[l] = e
-                else:
-                    dphi[l] = dphi.get(l, 0) - e
-            num = self.num if other.unit == 1 else -self.num
-            num = num.times_cyclotomics(pos).shift(max(other.p_power, 0))
-            return RatFunc(num, self.dpow + max(-other.p_power, 0), dphi)
-        if isinstance(other, int):
-            return RatFunc(self.num * other, self.dpow, self.dphi)
-        dphi = dict(self.dphi)
-        for l, e in other.dphi.items():
-            dphi[l] = dphi.get(l, 0) + e
-        return RatFunc(self.num * other.num, self.dpow + other.dpow, dphi)
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _merge(a: "RatFunc", b: "RatFunc") -> "RatFunc":
-        """a + b over the lcm of their denominators, each side lifted through binomials."""
-        dpow = max(a.dpow, b.dpow)
-        dphi = {l: max(a.dphi.get(l, 0), b.dphi.get(l, 0)) for l in a.dphi | b.dphi}
-        num = PPoly()
-        for t in (a, b):
-            cof = {l: e - t.dphi.get(l, 0) for l, e in dphi.items()}
-            num = num + t.num.times_cyclotomics(cof).shift(dpow - t.dpow)
-        return RatFunc(num, dpow, dphi)
-
-    @staticmethod
-    def sum(terms) -> "RatFunc":
-        """Sum over p^dpow·prod_l Phi_l^dphi[l], each exponent the max over the nonzero terms.
-
-        Numerators over one denominator are added first.  The groups are then
-        merged pairwise in a balanced tree (the sum tree of Bernstein, "Fast
-        multiplication and its applications", 2008): each merge lifts both
-        sides to their common denominator through PPoly.times_cyclotomics,
-        O(degree) per binomial p^d - 1.  A group whose numerators cancel
-        keeps its denominator, so the root already has the full one.
-        """
-        groups: dict[tuple, PPoly] = {}
-        for t in terms:
-            if not t.is_zero():
-                key = (t.dpow, tuple(sorted(t.dphi.items())))
-                groups[key] = groups[key] + t.num if key in groups else t.num
-        if not groups:
-            return RatFunc.zero()
-        level = [RatFunc(num, dpow, dict(dphi)) for (dpow, dphi), num in groups.items()]
-        while len(level) > 1:
-            merged = [RatFunc._merge(a, b) for a, b in zip(level[::2], level[1::2])]
-            level = merged + level[len(merged) * 2 :]
-        return level[0]
-
-    # -- queries -----------------------------------------------------------
-
-    def value_at(self, p: int) -> Fraction:
-        return self.num(p) / FactoredPPoly(self.dphi, self.dpow).value_at(p)
-
-    def ord_p(self) -> int:
-        """p-adic order; by convention 0 for the zero function."""
-        if self.is_zero():
-            return 0
-        return self.num.val - self.dpow
-
-    def __repr__(self):
-        return f"RatFunc(num deg {self.num.degree}, dpow {self.dpow}, dphi {self.dphi})"
 
 
 _ONE = RatFunc(PPoly.const(1))  # _ONE * u turns a FactoredPPoly u into a RatFunc
@@ -341,34 +130,7 @@ def _tail_tables(jmax: int) -> tuple[list[RatFunc], list[RatFunc]]:
 
 
 # --------------------------------------------------------------------------
-# the linear form itself
-
-
-class LinearForm:
-    """A·zeta_q(k) − B with exact coefficients and its arithmetic data."""
-
-    __slots__ = ("kind", "params", "A", "B", "cvec", "M")
-
-    def __init__(self, kind: str, params, A: RatFunc, B: RatFunc, cvec: CVector, M: int = 0):
-        self.kind, self.params, self.A, self.B, self.cvec, self.M = kind, params, A, B, cvec, M
-
-    @property
-    def m(self) -> int:
-        return self.cvec.m
-
-    @property
-    def m1m2(self) -> tuple[int, int]:
-        return self.cvec.m1m2
-
-    def d_exponents(self) -> dict[int, int]:
-        """Cyclotomic exponents of the clearing product D."""
-        if self.kind == "zeta1":
-            return {l: 1 for l in range(1, self.m + 1)}
-        m1, m2 = self.m1m2
-        return {l: (2 if l <= m2 else 1) for l in range(1, m1 + 1)}
-
-    def d_value(self, p: int) -> Fraction:
-        return FactoredPPoly(self.d_exponents()).value_at(p)
+# residues, the polynomial part and the builders
 
 
 def _residue_unit(s: Summand, j: int) -> FactoredPPoly:
@@ -521,111 +283,7 @@ def _build_zeta2(params: ParamsZ2) -> LinearForm:
 
 
 # --------------------------------------------------------------------------
-# the form file (qzeta.store.Store reads and writes it)
-
-
-FORM_FORMAT = "qzeta-form-v2"
-
-
-def _ratfunc_payload(f: RatFunc) -> dict:
-    return {
-        "num": [str(c) for c in f.num.coeffs],
-        "dpow": f.dpow,
-        "dphi": {str(l): e for l, e in sorted(f.dphi.items())},
-    }
-
-
-def _ratfunc_parse(d: dict) -> RatFunc:
-    return RatFunc(
-        PPoly(tuple(int(c) for c in d["num"])),
-        int(d["dpow"]),
-        {int(l): int(e) for l, e in d["dphi"].items()},
-    )
-
-
-def _checksum(body: dict) -> str:
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return f"{zlib.crc32(text.encode()):08x}"
-
-
-def form_to_json(form: LinearForm) -> str:
-    """Compact JSON of a form: format tag, params, A, B and a crc32 of those.
-
-    M is left out; form_from_json recomputes it from A and B.
-    """
-    body = {
-        "format": FORM_FORMAT,
-        "params": [str(v) for v in form.params],
-        "A": _ratfunc_payload(form.A),
-        "B": _ratfunc_payload(form.B),
-    }
-    return json.dumps({**body, "crc32": _checksum(body)}, sort_keys=True, separators=(",", ":"))
-
-
-def form_from_json(text: str, params) -> LinearForm:
-    """The form at `params` read back from form_to_json's text.
-
-    Raises ValueError unless the text is a JSON object with this format tag,
-    a matching crc32, exactly these params and well-formed A and B.
-    """
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("form file is not a JSON object")
-    crc = data.pop("crc32", None)
-    if data.get("format") != FORM_FORMAT:
-        raise ValueError(f"form file format is not {FORM_FORMAT}")
-    if crc != _checksum(data):
-        raise ValueError("form file checksum mismatch")
-    if data.get("params") != [str(v) for v in params]:
-        raise ValueError("form file holds other params")
-    try:
-        A, B = _ratfunc_parse(data["A"]), _ratfunc_parse(data["B"])
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed form field: {exc!r}") from exc
-    cv = cvector(params)
-    form = LinearForm(cv.kind, params, A, B, cv)
-    form.M = determine_M(form)
-    return form
-
-
-# --------------------------------------------------------------------------
-# M, inclusions, certification
-
-
-def determine_M(form: LinearForm) -> int:
-    """Largest M with p^{-M}·D·A and p^{-M}·D·B both in Z[p] (0 for a zero side)."""
-    return min(form.A.ord_p(), form.B.ord_p())
-
-
-class InclusionResult(namedtuple("InclusionResult", "ok witness", defaults=(None,))):
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_inclusion(form: LinearForm, omega: FactoredPPoly | None = None) -> InclusionResult:
-    """Exact check of p^{-M}·D·Omega^{-1}·{A, B} in Z[p]."""
-    d_exp = form.d_exponents()
-    o_exp = dict(omega.exponents) if omega is not None else {}
-    if omega is not None and omega.p_power:
-        return InclusionResult(False, "Omega carries a power of p")
-    for name, coeff in (("A", form.A), ("B", form.B)):
-        if coeff.is_zero():
-            continue
-        if coeff.ord_p() < form.M:
-            return InclusionResult(False, f"p-power deficit in {name}")
-        ls = set(coeff.dphi) | set(o_exp)
-        for l in sorted(ls):
-            need = coeff.dphi.get(l, 0) + o_exp.get(l, 0) - d_exp.get(l, 0)
-            if need <= 0:
-                continue
-            have = coeff.num.ord_at(l, cap=need)
-            if have < need:
-                return InclusionResult(
-                    False, f"Phi_{l} exponent deficit in {name}: need {need}, have {have}"
-                )
-    return InclusionResult(True)
+# the series enclosure and certification
 
 
 def _runs(mult) -> list[tuple[int, int]]:
@@ -741,6 +399,8 @@ def certify(form: LinearForm, p: int = 2) -> Certification:
     zeta_q_value and the summed series from numeric_form_value, are sized
     below 2^-target, so they meet only if the form is right to that unit.
     """
+    from .qseries import zeta_q_terms, zeta_q_value
+
     if abs(p) < 2:
         raise ValueError("need |p| >= 2")
     k = 1 if form.kind == "zeta1" else 2

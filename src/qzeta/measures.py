@@ -26,18 +26,10 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 
+from .forms import LinearForm
 from .groups import Group, group_for, omega
-from .linforms import (
-    APERY,
-    FACTORIAL_LABELS,
-    LABELS_Z1,
-    LABELS_Z2,
-    Family,
-    LinearForm,
-    _log_abs,
-    cvector,
-    numeric_form_value,
-)
+from .linforms import APERY, Family, _log_abs, numeric_form_value
+from .params import FACTORIAL_LABELS, LABELS_Z1, LABELS_Z2, cvector
 from .parith import cyclotomic, trigamma
 from .store import Store
 

@@ -15,7 +15,7 @@ body, and exact division by Phi_l = prod_{d | l} (p^d - 1)^mu(l/d) is
 2^omega(l) of them (div_cyclotomic, counted by ord_at).  Multiplication by
 prod_l Phi_l^e_l nets those Moebius forms into one power of each p^d - 1
 (times_cyclotomics); it builds Phi_l itself (cyclotomic), expands a
-FactoredPPoly and lifts the terms of linforms' RatFunc sums to a common
+FactoredPPoly and lifts the terms of forms' RatFunc sums to a common
 denominator.  Gaussian factorials grow by f·[v]_p = f·(p^v - 1)/(p - 1).
 
 Products ±p^a·prod_l Phi_l(p)^e_l with signed exponents are FactoredPPoly,

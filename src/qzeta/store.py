@@ -1,8 +1,9 @@
 """The form store: linear forms in memory and, given a root, on disk.
 
-Importing this module loads no other qzeta module; a Store reaches into
-linforms only when it is asked for a form, so commands that never touch a
-linear form do not pay for loading one.
+Importing this module loads no other qzeta module.  A Store reads and
+writes its files through forms and reaches into linforms only to build a
+form it cannot load, so commands that never touch a linear form load
+neither, and a warm run loads no builder.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ class Store:
                 pass  # read-only root: only a command that saves a form fails
 
     def form(self, params):
-        from .linforms import ParamsZ1, _build_zeta1, _build_zeta2
-
         form = self._forms.get(params)
         if form is None:
             form = self._load(params)
             if form is None:
+                from .linforms import _build_zeta1, _build_zeta2
+                from .params import ParamsZ1
+
                 build = _build_zeta1 if isinstance(params, ParamsZ1) else _build_zeta2
                 form = build(params)
                 self._save(form)
@@ -44,13 +46,13 @@ class Store:
         return form
 
     def _path(self, params) -> str:
-        from .linforms import cvector
+        from .params import cvector
 
         name = "-".join([cvector(params, check=False).kind, *map(str, params)])
         return os.path.join(self.forms_dir, name + ".json")
 
     def _load(self, params):
-        from .linforms import form_from_json
+        from .forms import form_from_json
 
         if self.forms_dir is None:
             return None
@@ -61,7 +63,7 @@ class Store:
             return None
 
     def _save(self, form) -> None:
-        from .linforms import form_to_json
+        from .forms import form_to_json
 
         if self.forms_dir is None:
             return

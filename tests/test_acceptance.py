@@ -17,8 +17,9 @@ from fractions import Fraction
 
 from test_parith import _frac_divrem, _frac_gcd, binomial
 
+from qzeta.forms import verify_inclusion
 from qzeta.groups import stability_sweep, zeta1_arith_group, zeta1_group, zeta2_group
-from qzeta.linforms import BV, FAMILIES, THEOREM1, THEOREM2, verify_inclusion
+from qzeta.linforms import BV, FAMILIES, THEOREM1, THEOREM2
 from qzeta.measures import (
     empirical_mu,
     fit_M_coeff,

@@ -15,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_linforms import linform
 
-from qzeta import groups, linforms, measures
+from qzeta import forms, groups, linforms, measures
 from qzeta.cli import _log2, main
-from qzeta.linforms import FAMILIES, ParamsZ1, form_from_json, form_to_json
+from qzeta.forms import form_from_json, form_to_json
+from qzeta.linforms import FAMILIES
 from qzeta.measures import EmpiricalMu, MFit
+from qzeta.params import ParamsZ1
 from qzeta.store import Store
 
 
@@ -256,7 +258,7 @@ def _rewrite(text, **fields):
     data = json.loads(text)
     data.pop("crc32")
     data.update(fields)
-    return json.dumps({**data, "crc32": linforms._checksum(data)})
+    return json.dumps({**data, "crc32": forms._checksum(data)})
 
 
 def _bad_digits(text):

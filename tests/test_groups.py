@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from test_linforms import linform
 
-from qzeta import groups
+from qzeta import linforms
 from qzeta.groups import (
     SIGMA,
     TAU,
@@ -23,17 +23,9 @@ from qzeta.groups import (
     zeta1_group,
     zeta2_group,
 )
-from qzeta.linforms import (
-    LABELS_Z1,
-    THEOREM1,
-    THEOREM2,
-    CVector,
-    ParamsZ1,
-    ParamsZ2,
-    cvector,
-    numeric_form_value,
-    verify_inclusion,
-)
+from qzeta.forms import verify_inclusion
+from qzeta.linforms import THEOREM1, THEOREM2, numeric_form_value
+from qzeta.params import LABELS_Z1, CVector, ParamsZ1, ParamsZ2, cvector
 from qzeta.parith import PPoly, gauss_factorial
 
 
@@ -299,7 +291,7 @@ class TestStability:
             calls.append(params)
             return numeric_form_value(params, p, bits)
 
-        monkeypatch.setattr(groups, "numeric_form_value", counted)
+        monkeypatch.setattr(linforms, "numeric_form_value", counted)
         rows = stability_sweep(THEOREM1.params(1), zeta1_arith_group(), 2, 320)
         assert sum(r["status"] == "ok" for r in rows) == 6
         assert len(calls) == len(set(calls)) == 3

@@ -12,17 +12,13 @@ from hypothesis import strategies as st
 from test_parith import _dense_cyclotomic, _dense_expand, _dense_power, binomial, points, units
 
 from qzeta import linforms
+from qzeta.forms import LinearForm, RatFunc, determine_M, form_to_json, verify_inclusion
 from qzeta.linforms import (
     APERY,
     BV,
     THEOREM1,
     THEOREM2,
-    CVector,
     Family,
-    LinearForm,
-    ParamsZ1,
-    ParamsZ2,
-    RatFunc,
     Summand,
     _expand_factors,
     _log_abs,
@@ -31,14 +27,11 @@ from qzeta.linforms import (
     _tail_bound,
     _tail_tables,
     certify,
-    cvector,
-    determine_M,
-    form_to_json,
     numeric_form_value,
     summand_z1,
     summand_z2,
-    verify_inclusion,
 )
+from qzeta.params import CVector, ParamsZ1, ParamsZ2, cvector
 from qzeta.parith import FactoredPPoly, PPoly, cyclotomic, cyclotomic_value, divisors, dnp
 from qzeta.store import Store
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qzeta.groups import nu_l, zeta1_group
-from qzeta.linforms import APERY, BV, THEOREM1, THEOREM2, Family, cvector
+from qzeta.linforms import APERY, BV, THEOREM1, THEOREM2, Family
+from qzeta.params import cvector
 from qzeta.measures import (
     MEASURE_BASES,
     Direction,

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from qzeta.groups import Perm
-from qzeta.linforms import BV, LABELS_Z1, CVector, ParamsZ1, ParamsZ2
+from qzeta.linforms import BV
 from qzeta.measures import MFit
+from qzeta.params import LABELS_Z1, CVector, ParamsZ1, ParamsZ2
 from qzeta.parith import FactoredPPoly, Trigamma
 from qzeta.qseries import QSeries
 from qzeta.store import Store

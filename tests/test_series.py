@@ -16,14 +16,13 @@ from qzeta.linforms import (
     BV,
     THEOREM1,
     THEOREM2,
-    ParamsZ1,
-    ParamsZ2,
     _runs,
     _sum_series,
     numeric_form_value,
     summand_z1,
     summand_z2,
 )
+from qzeta.params import ParamsZ1, ParamsZ2
 
 # -- oracle -----------------------------------------------------------------
 
