@@ -310,7 +310,7 @@ def cmd_inclusion(args, store):
             _check(
                 f"integrality-{form.kind}-{tag}",
                 res.ok,
-                res.witness or "p^-M D / Omega clears A and B into Z[p]",
+                res.witness or "p^-M D clears A and B into Z[p]",
             )
         )
         rows.append({"params": list(params), "M": form.M})

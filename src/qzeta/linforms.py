@@ -15,15 +15,16 @@ and powers of p.  The division in x works on Laurent polynomials in p
 
 Residues and prefactors are products ±p^a·prod_l Phi_l(p)^e_l, held as
 parith.FactoredPPoly, the one factored type of the package (D_n and Omega
-use it too).  The tail tables and every product RatFunc × FactoredPPoly
-(a residue or the prefactor times a tail sum) multiply by Phi_l products
-through the binomials p^d - 1.  The zeta_q(1) tail sum is summed by
-parts, so only T1_{<j0}·R and the double-pole terms Lambda_j·g·T1 multiply
-densely.  Everything here is exact.  certify() checks a form against an
-enclosure of the series sized from the form's own denominators.  At
-q = 1/p every term C·S(q^t) is a ratio of integers, so the enclosure is
-their exact sum with each term floored and ceiled once to a dyadic grid,
-plus the tail.  The parameter types live in params, the form as data and
+use it too).  Every product RatFunc × FactoredPPoly (a residue, a tail
+term or the prefactor) multiplies by Phi_l products through the binomials
+p^d - 1.  Both builders sum their B side by parts, with the tail terms
+1/(p^s - 1) of T1 and p^s/(p^s - 1)^2 of T2, so no tail table is built and
+only the head K_{<j0}·R, a tail sum below the first pole times the residue
+sum, multiplies densely.  Everything here is exact.  certify() checks a
+form against an enclosure of the series sized from the form's own
+denominators.  At q = 1/p every term C·S(q^t) is a ratio of integers, so
+the enclosure is their exact sum with each term floored and ceiled once to
+a dyadic grid, plus the tail.  The parameter types live in params, the form as data and
 its file in forms; this module holds the builders, the series enclosure
 and the families.
 """
@@ -102,34 +103,6 @@ def _prefactor(s: Summand) -> FactoredPPoly:
 
 
 # --------------------------------------------------------------------------
-# partial-sum tails T1_{<j} = sum_{s<j} 1/(p^s-1), T2_{<j} = sum_{s<j} p^s/(p^s-1)^2
-
-
-def _tail_tables(jmax: int) -> tuple[list[RatFunc], list[RatFunc]]:
-    """T1_{<j} and T2_{<j} for j = 0..jmax as RatFuncs over D_{j-1}-type denominators."""
-    t1: list[RatFunc] = [RatFunc.zero(), RatFunc.zero()]  # j = 0 and j = 1 are empty
-    t2: list[RatFunc] = [RatFunc.zero(), RatFunc.zero()]
-    u = PPoly()  # numerator of T1_{<j+1} over V = prod_{l<=j} Phi_l
-    x = PPoly()  # numerator of T2_{<j+1} over V^2
-    v = PPoly.const(1)  # V itself
-    vphi: dict[int, int] = {}
-    for j in range(1, jmax):
-        v = v.times_cyclotomics({j: 1})
-        vphi = dict(vphi)
-        vphi[j] = 1
-        # V now includes all l <= j; the new term 1/(p^j - 1) has cofactor
-        # V / (p^j - 1) = prod_{l <= j, l not dividing j} Phi_l
-        cof = v.div_binomial(j)
-        if cof is None:
-            raise AssertionError(f"p^{j} - 1 does not divide prod_(l <= {j}) Phi_l")
-        u = u.times_cyclotomics({j: 1}) + cof
-        x = x.times_cyclotomics({j: 2}) + (cof * cof).shift(j)
-        t1.append(RatFunc(u, 0, vphi))
-        t2.append(RatFunc(x, 0, {l: 2 * e for l, e in vphi.items()}))
-    return t1, t2
-
-
-# --------------------------------------------------------------------------
 # residues, the polynomial part and the builders
 
 
@@ -202,24 +175,37 @@ def _expand_factors(indices) -> list[PPoly]:
     return coeffs
 
 
-def _tail_sum_by_parts(res: dict[int, FactoredPPoly]) -> tuple[RatFunc, RatFunc]:
-    """(R, sum_{j in P} T1_{<j}·r_j) for the residues r_j at the poles P, R = sum_j r_j.
+def _t1_kernel(s: int) -> FactoredPPoly:
+    """1/(p^s - 1), the term of T1_{<j} = sum_{s<j} 1/(p^s - 1)."""
+    return FactoredPPoly(dict.fromkeys(divisors(s), -1))
 
-    Summed by parts (Abel; Graham, Knuth and Patashnik, Concrete Mathematics
-    2.6) as T1_{<j0}·R + sum_{s=j0}^{max P - 1} R_{>s}/(p^s - 1), j0 the first
-    pole, R_{>s} = sum_{j > s} r_j and s through the gaps too.  Denominator and
-    numerator are the direct sum's, unless some R_{>s} cancels to 0.
+
+def _t2_kernel(s: int) -> FactoredPPoly:
+    """p^s/(p^s - 1)^2, the term of T2_{<j} = sum_{s<j} p^s/(p^s - 1)^2."""
+    return FactoredPPoly(dict.fromkeys(divisors(s), -2), s)
+
+
+def _tail_sum_by_parts(res: dict[int, RatFunc], kernel) -> tuple[RatFunc, RatFunc]:
+    """(R, sum_{j in P} K_{<j}·r_j) for the residues r_j at the poles P, R = sum_j r_j.
+
+    K_{<j} = sum_{s<j} kernel(s) is a tail sum, T1 or T2.  Summed by parts
+    (Abel; Graham, Knuth and Patashnik, Concrete Mathematics 2.6) as
+    K_{<j0}·R + sum_{s=j0}^{max P - 1} R_{>s}·kernel(s), j0 the first pole,
+    R_{>s} = sum_{j > s} r_j and s through the gaps too, so a term only
+    widens the denominator of R_{>s} (and shifts it by p^s for T2), and no
+    tail table is built past j0.
+    Denominator and numerator are the direct sum's, unless some R_{>s}
+    cancels to 0; a common power of p may then drop from both.
     """
     j0, top = min(res), max(res)
-    inv = {s: FactoredPPoly(dict.fromkeys(divisors(s), -1)) for s in range(1, top)}  # 1/(p^s - 1)
     suffix, terms = RatFunc.zero(), []
     for s in range(top - 1, j0 - 2, -1):
         if s + 1 in res:
-            suffix = suffix + _ONE * res[s + 1]
+            suffix = suffix + res[s + 1]
         if s >= j0:
-            terms.append(suffix * inv[s])
-    t1 = RatFunc.sum([_ONE * inv[s] for s in range(1, j0)])
-    return suffix, RatFunc.sum([t1 * suffix, *terms])
+            terms.append(suffix * kernel(s))
+    head = RatFunc.sum([_ONE * kernel(s) for s in range(1, j0)])
+    return suffix, RatFunc.sum([head * suffix, *terms])
 
 
 def _build_zeta1(params: ParamsZ1) -> LinearForm:
@@ -233,7 +219,8 @@ def _build_zeta1(params: ParamsZ1) -> LinearForm:
     # sum_{i>=1} c_i/(1 - q^i) over the polynomial part, c_i/(1-q^i) = c_i p^i/(p^i - 1)
     parts = [RatFunc(c.shift(i), 0, dict.fromkeys(divisors(i), 1)) for i, c in enumerate(quot)]
     poly_sum = RatFunc.sum(parts[1:])
-    total_res, b_res = _tail_sum_by_parts({j: _residue_unit(s, j) for j, _ in s.mult})
+    res = {j: _ONE * _residue_unit(s, j) for j, _ in s.mult}
+    total_res, b_res = _tail_sum_by_parts(res, _t1_kernel)
     if not (c0 + total_res).is_zero():
         raise AssertionError(
             "constant term does not cancel the residue sum; the series would diverge"
@@ -246,37 +233,34 @@ def _build_zeta1(params: ParamsZ1) -> LinearForm:
 
 
 def _build_zeta2(params: ParamsZ2) -> LinearForm:
+    """A = sum_j f_j and B = sum_j (T1_{<j}·r1_j + T2_{<j}·f_j), both times C.
+
+    At a double pole S = f_j/(1 - q^j x)^2 + e_j/(1 - q^j x) + ..., with
+    e_j = −Lambda_j·p^j·f_j; at a simple pole S = g_j/(1 - q^j x) + ....
+    So r1_j is g_j at a simple pole and f_j + e_j at a double one, and the
+    zeta_q(1) coefficient sum_j r1_j must cancel.
+    """
     cv = cvector(params)
     s = summand_z2(params)
     c_unit = _prefactor(s)
     if s.expo + len(s.num_i) >= sum(m for _, m in s.mult):
         raise AssertionError("zeta_q(2) summand is not a proper rational function")
-    singles = {}  # residues, kept factored
-    doubles_f = {}
-    doubles_e = {}  # RatFuncs (Lambda_j·g is no Phi product): e·T1 stays dense
+    r1, r2 = {}, {}
     for j, m in s.mult:
         g = _residue_unit(s, j)
         if m == 1:
-            singles[j] = g
+            r1[j] = _ONE * g
         elif m == 2:
-            doubles_f[j] = g
-            lam = _log_derivative_at_pole(s, j)
-            doubles_e[j] = -(lam * (FactoredPPoly(p_power=j) * g))
+            r2[j] = _ONE * g
+            r1[j] = r2[j] - _log_derivative_at_pole(s, j) * (FactoredPPoly(p_power=j) * g)
         else:
             raise AssertionError("pole multiplicity above 2 is not supported")
-    f_terms = [_ONE * f for f in doubles_f.values()]
-    zeta1_coeff = RatFunc.sum(
-        [_ONE * g for g in singles.values()] + list(doubles_e.values()) + f_terms
-    )
+    zeta1_coeff, b1 = _tail_sum_by_parts(r1, _t1_kernel)
     if not zeta1_coeff.is_zero():
         raise AssertionError("zeta_q(1) contribution failed to cancel")
-    jmax = max(j for j, _ in s.mult)
-    t1, t2 = _tail_tables(jmax + 1)
-    b_terms = [t1[j] * g for j, g in singles.items()]
-    b_terms.extend(e * t1[j] for j, e in doubles_e.items())
-    b_terms.extend((t1[j] + t2[j]) * f for j, f in doubles_f.items())
-    A = RatFunc.sum(f_terms) * c_unit
-    B = RatFunc.sum(b_terms) * c_unit
+    total2, b2 = _tail_sum_by_parts(r2, _t2_kernel)
+    A = total2 * c_unit
+    B = (b1 + b2) * c_unit
     form = LinearForm("zeta2", params, A, B, cv)
     form.M = determine_M(form)
     return form

@@ -30,7 +30,7 @@ from .forms import LinearForm
 from .groups import Group, group_for, omega
 from .linforms import APERY, Family, _log_abs, numeric_form_value
 from .params import FACTORIAL_LABELS, LABELS_Z1, LABELS_Z2, cvector
-from .parith import cyclotomic, trigamma
+from .parith import cyclotomic_value, trigamma
 from .store import Store
 
 # density of l with a fixed fractional part {n/l}, per unit of log Phi_l
@@ -381,7 +381,7 @@ def _limit_value_at_one(form: LinearForm) -> Fraction:
     for l, e in form.A.dphi.items():
         if l == 1:
             continue  # the (p - 1)-order is handled by `zeros` above
-        val /= Fraction(cyclotomic(l)(1)) ** e
+        val /= Fraction(cyclotomic_value(l, 1)) ** e
     # p^dpow -> 1; net (p-1)-order zeros - dphi[1] is stripped by definition
     return val
 

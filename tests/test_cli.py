@@ -495,6 +495,7 @@ class TestCommands:
         )
         assert code == 0
         assert report["checks"][0]["pass"]
+        assert report["checks"][0]["witness"] == "p^-M D clears A and B into Z[p]"
 
     def test_dnp_certificate(self, capsys):
         code, report = run_json(capsys, "dnp", "--n", "10")

@@ -25,7 +25,6 @@ from qzeta.linforms import (
     _poly_part,
     _sum_series,
     _tail_bound,
-    _tail_tables,
     certify,
     numeric_form_value,
     summand_z1,
@@ -325,7 +324,8 @@ class TestRatFuncSum:
 
 
 def _dense_tail_tables(jmax: int) -> tuple[list[RatFunc], list[RatFunc]]:
-    """Oracle: _tail_tables with every Phi_j applied as a dense product."""
+    """Oracle: T1_{<j} = sum_{s<j} 1/(p^s-1) and T2_{<j} = sum_{s<j} p^s/(p^s-1)^2
+    for j = 0..jmax over prod_{l<j} Phi_l and its square, each Phi_j a dense product."""
     t1: list[RatFunc] = [RatFunc.zero(), RatFunc.zero()]
     t2: list[RatFunc] = [RatFunc.zero(), RatFunc.zero()]
     u, x, v = PPoly(), PPoly(), PPoly.const(1)
@@ -343,16 +343,9 @@ def _dense_tail_tables(jmax: int) -> tuple[list[RatFunc], list[RatFunc]]:
 
 
 class TestTailTables:
-    def test_matches_dense_tables(self):
-        for got, want in zip(_tail_tables(40), _dense_tail_tables(40)):
-            assert len(got) == len(want) == 41
-            assert [(r.num, r.dpow, r.dphi) for r in got] == [
-                (r.num, r.dpow, r.dphi) for r in want
-            ]
-
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_partial_sums_exact(self, p):
-        t1, t2 = _tail_tables(9)
+        t1, t2 = _dense_tail_tables(9)
         for j in range(9):
             want1 = sum((Fraction(1, p**s - 1) for s in range(1, j)), Fraction(0))
             want2 = sum(
@@ -367,20 +360,20 @@ def _key(f: RatFunc):
 
 
 class TestTailSumByParts:
-    """sum_j T1_{<j}·r_j summed by parts against the direct sum over the tail table."""
+    """sum_j K_{<j}·r_j summed by parts against the direct sum over the dense tail tables."""
 
     @staticmethod
     def check(s: Summand, cancelling: bool = False):
-        res = {j: linforms._residue_unit(s, j) for j, _ in s.mult}
-        total, by_parts = linforms._tail_sum_by_parts(res)
-        t1, _ = _tail_tables(max(res) + 1)
+        res = {j: linforms._ONE * linforms._residue_unit(s, j) for j, _ in s.mult}
+        total, by_parts = linforms._tail_sum_by_parts(res, linforms._t1_kernel)
+        t1, _ = _dense_tail_tables(max(res) + 1)
         direct = RatFunc.sum([t1[j] * r for j, r in res.items()])
         assert by_parts.value_at(5) == direct.value_at(5)
         if cancelling:  # a suffix sum R_{>s} that cancels to 0 takes its denominator along
-            suffixes = accumulate(linforms._ONE * res[j] for j in sorted(res, reverse=True))
+            suffixes = accumulate(res[j] for j in sorted(res, reverse=True))
             assume(not any(r.is_zero() for r in suffixes))
         assert _key(by_parts) == _key(direct)
-        assert _key(total) == _key(RatFunc.sum([linforms._ONE * r for r in res.values()]))
+        assert _key(total) == _key(RatFunc.sum(res.values()))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 4), st.integers(0, 3))
@@ -397,6 +390,38 @@ class TestTailSumByParts:
     @example(2, {3, 7, 8, 12}, {1, 5})  # pole runs 3, 7..8 and 12 with gaps between them
     def test_on_pole_runs_with_gaps(self, expo, poles, num_i):
         self.check(_summand(expo, num_i - poles, dict.fromkeys(poles, 1)), cancelling=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(2, 9), st.integers(2, 9)
+    )
+    @example(1, 2, 2, 3, 3)  # by parts, B keeps one power of p fewer in num and dpow
+    def test_zeta2_b_side(self, a1, a2, a3, b2, b3):
+        params = ParamsZ2(a1, a2, a3, b2, b3)
+        assume(params.admissible)
+        s = summand_z2(params)
+        r1, r2 = {}, {}
+        for j, m in s.mult:
+            g = linforms._residue_unit(s, j)
+            r1[j] = linforms._ONE * g
+            if m == 2:  # f_j = g_j and e_j = -Lambda_j·p^j·f_j
+                r2[j] = r1[j]
+                e = -(linforms._log_derivative_at_pole(s, j) * (FactoredPPoly(p_power=j) * g))
+                r1[j] = r1[j] + e
+        zeta1_coeff, b1 = linforms._tail_sum_by_parts(r1, linforms._t1_kernel)
+        total2, b2 = linforms._tail_sum_by_parts(r2, linforms._t2_kernel)
+        t1, t2 = _dense_tail_tables(max(r1) + 1)
+        direct = RatFunc.sum(
+            [t1[j] * r for j, r in r1.items()] + [t2[j] * r for j, r in r2.items()]
+        )
+        got = b1 + b2
+        assert zeta1_coeff.is_zero()
+        assert _key(total2) == _key(RatFunc.sum(r2.values()))
+        assert got.value_at(5) == direct.value_at(5)
+        assert got.dphi == direct.dphi
+        shift = direct.dpow - got.dpow  # a common power of p, never a larger one
+        assert shift >= 0
+        assert got.num.shift(shift) == direct.num
 
 
 class TestResidueUnit:
