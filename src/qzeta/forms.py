@@ -4,7 +4,7 @@ A RatFunc is num(p) / (p^dpow · prod_l Phi_l(p)^dphi[l]) with an exact
 PPoly numerator and a factored cyclotomic denominator.  RatFunc sums merge
 pairwise in a balanced tree and lift each side to the common denominator
 through the O(degree) binomials p^d - 1 (PPoly.times_cyclotomics), never
-through a dense cofactor; a product with a FactoredPPoly does the same.
+through a dense cofactor; a product, always by a FactoredPPoly, does the same.
 A LinearForm is A·zeta_q(k) − B with RatFunc coefficients, its c-vector
 and M, the p-power that p^{-M}·D clears.  form_to_json and form_from_json
 write and read the checksummed form file that store.Store keeps on disk,
@@ -68,26 +68,17 @@ class RatFunc:
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc.sum((self, -other))
 
-    def __mul__(self, other) -> "RatFunc":
-        if isinstance(other, FactoredPPoly):
-            # positive exponents through the binomials, negative ones into the denominator
-            pos, dphi = {}, dict(self.dphi)
-            for l, e in other.exponents.items():
-                if e > 0:
-                    pos[l] = e
-                else:
-                    dphi[l] = dphi.get(l, 0) - e
-            num = self.num if other.unit == 1 else -self.num
-            num = num.times_cyclotomics(pos).shift(max(other.p_power, 0))
-            return RatFunc(num, self.dpow + max(-other.p_power, 0), dphi)
-        if isinstance(other, int):
-            return RatFunc(self.num * other, self.dpow, self.dphi)
-        dphi = dict(self.dphi)
-        for l, e in other.dphi.items():
-            dphi[l] = dphi.get(l, 0) + e
-        return RatFunc(self.num * other.num, self.dpow + other.dpow, dphi)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: FactoredPPoly) -> "RatFunc":
+        # positive exponents through the binomials, negative ones into the denominator
+        pos, dphi = {}, dict(self.dphi)
+        for l, e in other.exponents.items():
+            if e > 0:
+                pos[l] = e
+            else:
+                dphi[l] = dphi.get(l, 0) - e
+        num = self.num if other.unit == 1 else -self.num
+        num = num.times_cyclotomics(pos).shift(max(other.p_power, 0))
+        return RatFunc(num, self.dpow + max(-other.p_power, 0), dphi)
 
     @staticmethod
     def _merge(a: "RatFunc", b: "RatFunc") -> "RatFunc":

@@ -19,9 +19,8 @@ use it too).  Every product RatFunc × FactoredPPoly (a residue, a tail
 term or the prefactor) multiplies by Phi_l products through the binomials
 p^d - 1.  Both builders sum their B side by parts, with the tail terms
 1/(p^s - 1) of T1 and p^s/(p^s - 1)^2 of T2, so no tail table is built and
-only the head K_{<j0}·R, a tail sum below the first pole times the residue
-sum, multiplies densely.  Everything here is exact.  certify() checks a
-form against an enclosure of the series sized from the form's own
+no product in a build is dense.  Everything here is exact.  certify()
+checks a form against an enclosure of the series sized from the form's own
 denominators.  At q = 1/p every term C·S(q^t) is a ratio of integers, so
 the enclosure is their exact sum with each term floored and ceiled once to
 a dyadic grid, plus the tail.  The parameter types live in params, the form as data and
@@ -190,22 +189,21 @@ def _tail_sum_by_parts(res: dict[int, RatFunc], kernel) -> tuple[RatFunc, RatFun
 
     K_{<j} = sum_{s<j} kernel(s) is a tail sum, T1 or T2.  Summed by parts
     (Abel; Graham, Knuth and Patashnik, Concrete Mathematics 2.6) as
-    K_{<j0}·R + sum_{s=j0}^{max P - 1} R_{>s}·kernel(s), j0 the first pole,
-    R_{>s} = sum_{j > s} r_j and s through the gaps too, so a term only
-    widens the denominator of R_{>s} (and shifts it by p^s for T2), and no
-    tail table is built past j0.
+    sum_{s=1}^{max P - 1} R_{>s}·kernel(s), R_{>s} = sum_{j > s} r_j built
+    from the top down, so each term only widens the denominator of R_{>s}
+    (and shifts it by p^s for T2) and no tail table is built.  Below the
+    first pole R_{>s} = R, the loop's final suffix; where R is 0 those
+    terms are 0 and the sum drops them.
     Denominator and numerator are the direct sum's, unless some R_{>s}
     cancels to 0; a common power of p may then drop from both.
     """
-    j0, top = min(res), max(res)
     suffix, terms = RatFunc.zero(), []
-    for s in range(top - 1, j0 - 2, -1):
+    for s in range(max(res) - 1, -1, -1):
         if s + 1 in res:
             suffix = suffix + res[s + 1]
-        if s >= j0:
+        if s:
             terms.append(suffix * kernel(s))
-    head = RatFunc.sum([_ONE * kernel(s) for s in range(1, j0)])
-    return suffix, RatFunc.sum([head * suffix, *terms])
+    return suffix, RatFunc.sum(terms)
 
 
 def _build_zeta1(params: ParamsZ1) -> LinearForm:

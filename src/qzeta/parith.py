@@ -6,8 +6,6 @@ A PPoly is a Laurent polynomial p^val·body over Z: its p-adic valuation and
 the coefficients from p^val up, nonzero at both ends, so the large powers of
 p in the linear forms cost no coefficients and a shift is O(1).  The dense
 coefficients (read-only `coeffs`) serve form files, reports and q-series.
-Products go through Kronecker substitution on big integers (gmpy2 when
-available), which keeps degree-several-thousand products cheap.
 
 The binomial p^d - 1, prime to p, is the one kernel for cyclotomic-type
 factors: mul_binomial and div_binomial are single O(degree) passes over the
@@ -30,11 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import add, sub
-
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # gmpy2 is the optional `fast` extra; plain int is the tested path
-    _mpz = int
 
 
 # ---------------------------------------------------------------------------
@@ -90,71 +83,6 @@ def totient(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # dense integer polynomials in p
-
-
-_KRON_CUTOFF = 24  # below this, schoolbook beats packing overhead
-
-
-def _school_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _kron_mul(a, b):
-    """Multiply integer coefficient sequences via Kronecker substitution.
-
-    Each operand is evaluated at 2^k (as a genuine integer, via separate
-    packing of positive and negative parts); the single big multiplication
-    is delegated to gmpy2 and the signed digits are read back out.
-    """
-    max_a = max(abs(c) for c in a)
-    max_b = max(abs(c) for c in b)
-    bits = (
-        max_a.bit_length()
-        + max_b.bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 2
-    )
-    k = ((bits + 7) // 8) * 8
-    kb = k // 8
-    za = _pack(a, kb)
-    zb = _pack(b, kb)
-    prod = int(_mpz(za) * _mpz(zb))
-    return _unpack(prod, len(a) + len(b) - 1, k, kb)
-
-
-def _pack(coeffs, kb):
-    """Evaluate the coefficient sequence at 2^(8*kb) exactly."""
-    pos = bytearray(kb * len(coeffs))
-    neg = bytearray(kb * len(coeffs))
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            pos[i * kb : i * kb + kb] = c.to_bytes(kb, "little")
-        elif c < 0:
-            neg[i * kb : i * kb + kb] = (-c).to_bytes(kb, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _unpack(z, slots, k, kb):
-    half = 1 << (k - 1)
-    full = 1 << k
-    z &= (1 << (k * slots)) - 1
-    raw = z.to_bytes(kb * slots, "little")
-    out = [0] * slots
-    carry = 0
-    for i in range(slots):
-        v = int.from_bytes(raw[i * kb : (i + 1) * kb], "little") + carry
-        if v >= half:
-            v -= full
-            carry = 1
-        else:
-            carry = 0
-        out[i] = v
-    return out
 
 
 def _normal(val: int, out: list) -> "PPoly":
@@ -245,16 +173,17 @@ class PPoly:
     def __neg__(self):
         return PPoly._of(self.val, [-c for c in self.body])
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PPoly._of(self.val, [c * other for c in self.body]) if other else PPoly()
+    def __mul__(self, other: "PPoly") -> "PPoly":
+        """Schoolbook product; the form builds make none (they lift through binomials)."""
         a, b = self.body, other.body
         if not a or not b:
             return PPoly()
-        mul = _school_mul if min(len(a), len(b)) < _KRON_CUTOFF else _kron_mul
-        return PPoly._of(self.val + other.val, mul(a, b))
-
-    __rmul__ = __mul__
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return PPoly._of(self.val + other.val, out)
 
     def shift(self, k: int) -> "PPoly":
         """Multiply by p^k, k of either sign."""
@@ -406,10 +335,6 @@ class FactoredPPoly:
 
     def inv(self) -> "FactoredPPoly":
         return FactoredPPoly({l: -e for l, e in self.exponents.items()}, -self.p_power, self.unit)
-
-    @property
-    def degree(self) -> int:
-        return self.p_power + sum(totient(l) * e for l, e in self.exponents.items())
 
     def expand(self) -> PPoly:
         """Multiply the factorization out to a dense polynomial, through the binomials."""

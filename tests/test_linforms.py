@@ -249,12 +249,20 @@ class TestRatFunc:
         assert _phi_order(r, 3) == 0
 
 
+def _times(a: RatFunc, b: RatFunc) -> RatFunc:
+    """Dense oracle product: numerators multiplied, p-powers and Phi exponents added."""
+    dphi = dict(a.dphi)
+    for l, e in b.dphi.items():
+        dphi[l] = dphi.get(l, 0) + e
+    return RatFunc(a.num * b.num, a.dpow + b.dpow, dphi)
+
+
 def _dense_times_unit(r: RatFunc, u: FactoredPPoly) -> RatFunc:
     """Oracle for RatFunc × FactoredPPoly: u's polynomial part expanded densely."""
     pos = {l: e for l, e in u.exponents.items() if e > 0}
     neg = {l: -e for l, e in u.exponents.items() if e < 0}
     num = _dense_expand(FactoredPPoly(pos, max(u.p_power, 0), u.unit))
-    return r * RatFunc(num, max(-u.p_power, 0), neg)
+    return _times(r, RatFunc(num, max(-u.p_power, 0), neg))
 
 
 def _flat_sum(terms) -> RatFunc:
@@ -301,7 +309,7 @@ def ratfunc_lists(draw):
             terms.append(-t)
         elif cancel == "other":  # ... over a larger denominator
             l = draw(st.integers(1, 12))
-            terms.append(-t * RatFunc(cyclotomic(l), 1, {l: 1}) * RatFunc(PPoly([0, 1])))
+            terms.append(_times(-t, RatFunc(cyclotomic(l).shift(1), 1, {l: 1})))
     return terms
 
 
@@ -367,7 +375,7 @@ class TestTailSumByParts:
         res = {j: linforms._ONE * linforms._residue_unit(s, j) for j, _ in s.mult}
         total, by_parts = linforms._tail_sum_by_parts(res, linforms._t1_kernel)
         t1, _ = _dense_tail_tables(max(res) + 1)
-        direct = RatFunc.sum([t1[j] * r for j, r in res.items()])
+        direct = RatFunc.sum([_times(t1[j], r) for j, r in res.items()])
         assert by_parts.value_at(5) == direct.value_at(5)
         if cancelling:  # a suffix sum R_{>s} that cancels to 0 takes its denominator along
             suffixes = accumulate(res[j] for j in sorted(res, reverse=True))
@@ -412,7 +420,7 @@ class TestTailSumByParts:
         total2, b2 = linforms._tail_sum_by_parts(r2, linforms._t2_kernel)
         t1, t2 = _dense_tail_tables(max(r1) + 1)
         direct = RatFunc.sum(
-            [t1[j] * r for j, r in r1.items()] + [t2[j] * r for j, r in r2.items()]
+            [_times(t1[j], r) for j, r in r1.items()] + [_times(t2[j], r) for j, r in r2.items()]
         )
         got = b1 + b2
         assert zeta1_coeff.is_zero()
@@ -535,6 +543,20 @@ PINNED_FORMS = {
 def test_pinned_form_bytes(family, n, digest):
     text = form_to_json(Store().form(family.params(n)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_form_builds_make_no_dense_product(monkeypatch):
+    """Every product in a build is a lift through the binomials p^d - 1."""
+
+    def refuse(self, other):
+        raise AssertionError("a form build multiplied two PPolys densely")
+
+    monkeypatch.setattr(PPoly, "__mul__", refuse)
+    store = Store()
+    members = [(THEOREM1, 1), (THEOREM1, 2), (THEOREM1, 3), (THEOREM2, 1), (THEOREM2, 2)]
+    for family, n in [*members, (BV, 10), (APERY, 2)]:
+        form = linform(store, family.params(n))
+        assert verify_inclusion(form)
 
 
 class TestHeineTerms:

@@ -27,7 +27,7 @@ from qzeta.parith import (
 # polynomial plumbing
 
 
-def test_kronecker_matches_schoolbook():
+def test_product_matches_coefficient_convolution():
     rng = random.Random(7)
     for _ in range(40):
         la = rng.randrange(1, 120)
@@ -204,7 +204,6 @@ class TestLaurentAgainstDense:
             want = {e: df.get(e, 0) + sign * dg.get(e, 0) for e in df | dg}
             assert _terms(got) == {e: c for e, c in want.items() if c}
         assert _terms(F * G) == _dense_times(df, dg)
-        assert _terms(F * k) == {e: c * k for e, c in df.items() if k}
         assert _terms(F.shift(k)) == {e + k: c for e, c in df.items()}
         if F.val >= 0:
             assert F.coeffs == tuple(df.get(e, 0) for e in range(F.degree + 1))
@@ -478,7 +477,6 @@ def test_dnp_equals_gcd_based_lcm(n):
 
 def test_dnp_structure():
     assert dnp(1).expand() == PPoly([-1, 1])
-    assert dnp(10).degree == 32
     assert dnp(10).expand().degree == 32
     f = dnp(8)
     assert f.expand()(3) == f.value_at(3)
