@@ -13,8 +13,8 @@ check).
 Each command imports only the library modules it runs, and main builds the
 subparser of the named command alone (the whole parser only for help and
 errors at the top level), so it pays start-up time for its own code alone:
-`group` loads no polynomial code, and a form read from the cache loads
-forms but not the builders in linforms.  Each command gets one store.Store,
+`group` and `stability` load no polynomial code, and a form read from the
+cache loads forms but not builders.  Each command gets one store.Store,
 which keeps linear forms under a cache directory (--cache-dir, else
 $QZETA_CACHE, else ~/.cache/qzeta) as forms/<kind>-<params>.json in format
 qzeta-form-v2; a file that fails verification on load is rebuilt and

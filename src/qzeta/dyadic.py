@@ -5,7 +5,8 @@ prec)` rounds rationals to a dyadic grid: it floors lo and ceils hi to
 multiples of 2^-prec, so the result still contains [lo, hi] while its ends
 stay short.  No arithmetic is done on enclosures; the one series that needs
 an enclosure (linforms._sum_series) floors and ceils its exact integer
-ratios once each.
+ratios once each, so this module and linforms are all the numeric code
+that stability loads: no polynomial module.
 """
 
 from __future__ import annotations

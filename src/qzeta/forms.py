@@ -9,8 +9,8 @@ A LinearForm is A·zeta_q(k) − B with RatFunc coefficients, its c-vector
 and M, the p-power that p^{-M}·D clears.  form_to_json and form_from_json
 write and read the checksummed form file that store.Store keeps on disk,
 and verify_inclusion checks the integrality of p^{-M}·D·Omega^{-1}·{A, B}
-exactly.  How a form is built and certified lives in linforms, so a
-command that reads its forms from disk does not load it.
+exactly.  How a form is built lives in builders and how it is certified
+in linforms, so a command that reads its forms from disk loads neither.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ unchanged.  Maximizing cyclotomic orders of the factorial products over a
 group of such permutations yields a polynomial factor Omega(p) that can be
 divided out of the linear forms on top of the usual common denominator.
 Only params is imported at load time; Omega's factored product and the
-series enclosure are imported where they are used, so the groups alone
-load no polynomial code.
+series enclosure are imported where they are used.  The enclosure
+(linforms) loads no polynomial code either, so the groups and stability
+load none.
 """
 
 from __future__ import annotations

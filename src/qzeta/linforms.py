@@ -1,4 +1,4 @@
-"""How exact linear forms A·zeta_q(k) − B are built out of Heine-type series.
+"""The Heine-type series behind the linear forms, its enclosure and the families.
 
 The basic object is the series
 
@@ -6,26 +6,17 @@ The basic object is the series
     S(x) = x^e · prod_i (1 - q^i x) / prod_j (1 - q^j x)^{m_j},
 
 a rewriting of the q-hypergeometric sum in which every Gamma_q ratio has
-been expanded into finite q-Pochhammer products.  Partial fractions of S
-in x over Q(p) (p = 1/q) turn the t-sum into A·zeta_q(1) − B (simple poles)
-or A·zeta_q(2) − B (double poles), with A, B exact rational functions of p
-(forms.RatFunc) whose denominators are products of cyclotomic polynomials
-and powers of p.  The division in x works on Laurent polynomials in p
-(PPoly, val of either sign).
-
-Residues and prefactors are products ±p^a·prod_l Phi_l(p)^e_l, held as
-parith.FactoredPPoly, the one factored type of the package (D_n and Omega
-use it too).  Every product RatFunc × FactoredPPoly (a residue, a tail
-term or the prefactor) multiplies by Phi_l products through the binomials
-p^d - 1.  Both builders sum their B side by parts, with the tail terms
-1/(p^s - 1) of T1 and p^s/(p^s - 1)^2 of T2, so no tail table is built and
-no product in a build is dense.  Everything here is exact.  certify()
-checks a form against an enclosure of the series sized from the form's own
-denominators.  At q = 1/p every term C·S(q^t) is a ratio of integers, so
-the enclosure is their exact sum with each term floored and ceiled once to
-a dyadic grid, plus the tail.  The parameter types live in params, the form as data and
-its file in forms; this module holds the builders, the series enclosure
-and the families.
+been expanded into finite q-Pochhammer products; Summand holds S and C.
+The exact form A·zeta_q(k) − B that the series equals is built in
+builders.  This module only sums the series: at q = 1/p every term
+C·S(q^t) is a ratio of integers, so the enclosure is their exact sum with
+each term floored and ceiled once to a dyadic grid, plus the tail.
+certify() checks a built form against that enclosure, sized from the
+form's own denominators.  It imports what it needs of parith and qseries
+in its body and never imports builders, so the checker does not run the
+code it checks, and a command that only sums the series (stability)
+compiles no polynomial code.  The parameter types live in params, the
+form as data and its file in forms.
 """
 
 from __future__ import annotations
@@ -33,15 +24,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import sub
+from typing import TYPE_CHECKING
 
 from .dyadic import Enclosure
-from .forms import LinearForm, RatFunc, determine_M
-from .params import ParamsZ1, ParamsZ2, cvector
-from .parith import FactoredPPoly, PPoly, divisors
+from .params import ParamsZ1, ParamsZ2
 
-
-_ONE = RatFunc(PPoly.const(1))  # _ONE * u turns a FactoredPPoly u into a RatFunc
+if TYPE_CHECKING:
+    from .forms import LinearForm
 
 
 # --------------------------------------------------------------------------
@@ -93,175 +82,6 @@ def summand_z2(params: ParamsZ2) -> Summand:
         tuple(range(1, b2 - a2)) + tuple(range(1, b3 - a3)),
         tuple(range(1, a1)),
     )
-
-
-def _prefactor(s: Summand) -> FactoredPPoly:
-    num = math.prod(map(FactoredPPoly.one_minus_q_power, s.prefactor_num), start=FactoredPPoly())
-    den = math.prod(map(FactoredPPoly.one_minus_q_power, s.prefactor_den), start=FactoredPPoly())
-    return num * den.inv()
-
-
-# --------------------------------------------------------------------------
-# residues, the polynomial part and the builders
-
-
-def _residue_unit(s: Summand, j: int) -> FactoredPPoly:
-    """p^{e·j}·N(p^j) / prod_{i != j} (1 - p^{j-i})^{m_i}, the pole's own factor removed.
-
-    1 - p^d is -prod_{l | d} Phi_l for d > 0, p^d·prod_{l | -d} Phi_l for d < 0.
-    """
-    exps: dict[int, int] = {}
-    p_power, unit = s.expo * j, 1
-    for i, w in [(i, 1) for i in s.num_i] + [(i, -m) for i, m in s.mult if i != j]:
-        d = j - i
-        if d > 0:
-            unit *= (-1) ** w
-        else:
-            p_power += w * d
-        for l in divisors(abs(d)):
-            exps[l] = exps.get(l, 0) + w
-    return FactoredPPoly(exps, p_power, unit)
-
-
-def _log_derivative_at_pole(s: Summand, j: int) -> RatFunc:
-    """Lambda_j(p^j): logarithmic x-derivative of S·(1-q^j x)^{m_j} at x = p^j.
-
-    Terms: expo/x − sum_num q^i/(1−q^i x) + sum_{den, i != j} m_i q^i/(1−q^i x),
-    and q^i/(1 − q^i p^j) simplifies to −p^{-i}/(p^{j-i} − 1) for i < j and
-    p^{-j}/(p^{i-j} − 1) for i > j.
-    """
-
-    def simple(i: int, w: int) -> RatFunc:
-        if i < j:
-            return RatFunc(PPoly.const(-w), i, dict.fromkeys(divisors(j - i), 1))
-        return RatFunc(PPoly.const(w), j, dict.fromkeys(divisors(i - j), 1))
-
-    terms = [RatFunc(PPoly.const(s.expo), j)]
-    for i in s.num_i:
-        terms.append(simple(i, -1))
-    for i, m in s.mult:
-        if i != j:
-            terms.append(simple(i, m))
-    return RatFunc.sum(terms)
-
-
-def _poly_part(s: Summand) -> list[PPoly]:
-    """Polynomial part of S in x: floor(x^e·N(x) / D(x)), ascending in x.
-
-    Floor quotients compose, so D is divided out one factor 1 − q^j x at a
-    time, m_j times per pole.  The factor's leading coefficient −q^j is a
-    unit monomial, so synthetic division needs no products: from the top,
-    Q_{i−1} = p^j·(Q_i − N_i) with Q_d = 0 for a dividend N of degree d.
-    Empty when S is a proper rational function.
-    """
-    quot = [PPoly()] * s.expo + _expand_factors(s.num_i)
-    for j, m in s.mult:
-        for _ in range(m):
-            acc = PPoly()
-            out = []
-            for c in reversed(quot[1:]):
-                acc = (acc - c).shift(j)
-                out.append(acc)
-            quot = out[::-1]
-    return quot
-
-
-def _expand_factors(indices) -> list[PPoly]:
-    """The x-coefficients of prod_i (1 - q^i x), ascending."""
-    coeffs = [PPoly.const(1)]
-    for i in indices:
-        coeffs = list(map(sub, coeffs + [PPoly()], [PPoly()] + [c.shift(-i) for c in coeffs]))
-    return coeffs
-
-
-def _t1_kernel(s: int) -> FactoredPPoly:
-    """1/(p^s - 1), the term of T1_{<j} = sum_{s<j} 1/(p^s - 1)."""
-    return FactoredPPoly(dict.fromkeys(divisors(s), -1))
-
-
-def _t2_kernel(s: int) -> FactoredPPoly:
-    """p^s/(p^s - 1)^2, the term of T2_{<j} = sum_{s<j} p^s/(p^s - 1)^2."""
-    return FactoredPPoly(dict.fromkeys(divisors(s), -2), s)
-
-
-def _tail_sum_by_parts(res: dict[int, RatFunc], kernel) -> tuple[RatFunc, RatFunc]:
-    """(R, sum_{j in P} K_{<j}·r_j) for the residues r_j at the poles P, R = sum_j r_j.
-
-    K_{<j} = sum_{s<j} kernel(s) is a tail sum, T1 or T2.  Summed by parts
-    (Abel; Graham, Knuth and Patashnik, Concrete Mathematics 2.6) as
-    sum_{s=1}^{max P - 1} R_{>s}·kernel(s), R_{>s} = sum_{j > s} r_j built
-    from the top down, so each term only widens the denominator of R_{>s}
-    (and shifts it by p^s for T2) and no tail table is built.  Below the
-    first pole R_{>s} = R, the loop's final suffix; where R is 0 those
-    terms are 0 and the sum drops them.
-    Denominator and numerator are the direct sum's, unless some R_{>s}
-    cancels to 0; a common power of p may then drop from both.
-    """
-    suffix, terms = RatFunc.zero(), []
-    for s in range(max(res) - 1, -1, -1):
-        if s + 1 in res:
-            suffix = suffix + res[s + 1]
-        if s:
-            terms.append(suffix * kernel(s))
-    return suffix, RatFunc.sum(terms)
-
-
-def _build_zeta1(params: ParamsZ1) -> LinearForm:
-    cv = cvector(params)  # also validates admissibility
-    s = summand_z1(params)
-    if any(m > 1 for _, m in s.mult):
-        raise AssertionError("zeta_q(1) summand acquired a double pole")
-    c_unit = _prefactor(s)
-    quot = _poly_part(s)
-    c0 = RatFunc(quot[0]) if quot else RatFunc.zero()
-    # sum_{i>=1} c_i/(1 - q^i) over the polynomial part, c_i/(1-q^i) = c_i p^i/(p^i - 1)
-    parts = [RatFunc(c.shift(i), 0, dict.fromkeys(divisors(i), 1)) for i, c in enumerate(quot)]
-    poly_sum = RatFunc.sum(parts[1:])
-    res = {j: _ONE * _residue_unit(s, j) for j, _ in s.mult}
-    total_res, b_res = _tail_sum_by_parts(res, _t1_kernel)
-    if not (c0 + total_res).is_zero():
-        raise AssertionError(
-            "constant term does not cancel the residue sum; the series would diverge"
-        )
-    A = total_res * c_unit
-    B = (b_res - poly_sum) * c_unit
-    form = LinearForm("zeta1", params, A, B, cv)
-    form.M = determine_M(form)
-    return form
-
-
-def _build_zeta2(params: ParamsZ2) -> LinearForm:
-    """A = sum_j f_j and B = sum_j (T1_{<j}·r1_j + T2_{<j}·f_j), both times C.
-
-    At a double pole S = f_j/(1 - q^j x)^2 + e_j/(1 - q^j x) + ..., with
-    e_j = −Lambda_j·p^j·f_j; at a simple pole S = g_j/(1 - q^j x) + ....
-    So r1_j is g_j at a simple pole and f_j + e_j at a double one, and the
-    zeta_q(1) coefficient sum_j r1_j must cancel.
-    """
-    cv = cvector(params)
-    s = summand_z2(params)
-    c_unit = _prefactor(s)
-    if s.expo + len(s.num_i) >= sum(m for _, m in s.mult):
-        raise AssertionError("zeta_q(2) summand is not a proper rational function")
-    r1, r2 = {}, {}
-    for j, m in s.mult:
-        g = _residue_unit(s, j)
-        if m == 1:
-            r1[j] = _ONE * g
-        elif m == 2:
-            r2[j] = _ONE * g
-            r1[j] = r2[j] - _log_derivative_at_pole(s, j) * (FactoredPPoly(p_power=j) * g)
-        else:
-            raise AssertionError("pole multiplicity above 2 is not supported")
-    zeta1_coeff, b1 = _tail_sum_by_parts(r1, _t1_kernel)
-    if not zeta1_coeff.is_zero():
-        raise AssertionError("zeta_q(1) contribution failed to cancel")
-    total2, b2 = _tail_sum_by_parts(r2, _t2_kernel)
-    A = total2 * c_unit
-    B = (b1 + b2) * c_unit
-    form = LinearForm("zeta2", params, A, B, cv)
-    form.M = determine_M(form)
-    return form
 
 
 # --------------------------------------------------------------------------
@@ -381,6 +201,7 @@ def certify(form: LinearForm, p: int = 2) -> Certification:
     zeta_q_value and the summed series from numeric_form_value, are sized
     below 2^-target, so they meet only if the form is right to that unit.
     """
+    from .parith import FactoredPPoly
     from .qseries import zeta_q_terms, zeta_q_value
 
     if abs(p) < 2:

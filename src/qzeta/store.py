@@ -1,7 +1,7 @@
 """The form store: linear forms in memory and, given a root, on disk.
 
 Importing this module loads no other qzeta module.  A Store reads and
-writes its files through forms and reaches into linforms only to build a
+writes its files through forms and reaches into builders only to build a
 form it cannot load, so commands that never touch a linear form load
 neither, and a warm run loads no builder.
 """
@@ -36,7 +36,7 @@ class Store:
         if form is None:
             form = self._load(params)
             if form is None:
-                from .linforms import _build_zeta1, _build_zeta2
+                from .builders import _build_zeta1, _build_zeta2
                 from .params import ParamsZ1
 
                 build = _build_zeta1 if isinstance(params, ParamsZ1) else _build_zeta2

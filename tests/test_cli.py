@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_linforms import linform
 
-from qzeta import forms, groups, linforms, measures
+from qzeta import builders, forms, groups, measures
 from qzeta.cli import _log2, main
 from qzeta.forms import form_from_json, form_to_json
 from qzeta.linforms import FAMILIES
@@ -290,7 +290,7 @@ class TestCache:
         params = FAMILIES["bv"].params(4)
         fresh = linform(store, params, certify_at=None)
         Store(str(tmp_path)).form(params)
-        monkeypatch.setattr(linforms, "_build_zeta1", None)  # a second store must load
+        monkeypatch.setattr(builders, "_build_zeta1", None)  # a second store must load
         _same_form(Store(str(tmp_path)).form(params), fresh)
 
     def test_memory_store_writes_nothing(self, tmp_path, monkeypatch):

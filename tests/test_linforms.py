@@ -11,7 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_parith import _dense_cyclotomic, _dense_expand, _dense_power, binomial, points, units
 
-from qzeta import linforms
+from qzeta import builders, linforms
+from qzeta.builders import _expand_factors, _poly_part
 from qzeta.forms import LinearForm, RatFunc, determine_M, form_to_json, verify_inclusion
 from qzeta.linforms import (
     APERY,
@@ -20,9 +21,7 @@ from qzeta.linforms import (
     THEOREM2,
     Family,
     Summand,
-    _expand_factors,
     _log_abs,
-    _poly_part,
     _sum_series,
     _tail_bound,
     certify,
@@ -372,8 +371,8 @@ class TestTailSumByParts:
 
     @staticmethod
     def check(s: Summand, cancelling: bool = False):
-        res = {j: linforms._ONE * linforms._residue_unit(s, j) for j, _ in s.mult}
-        total, by_parts = linforms._tail_sum_by_parts(res, linforms._t1_kernel)
+        res = {j: builders._ONE * builders._residue_unit(s, j) for j, _ in s.mult}
+        total, by_parts = builders._tail_sum_by_parts(res, builders._t1_kernel)
         t1, _ = _dense_tail_tables(max(res) + 1)
         direct = RatFunc.sum([_times(t1[j], r) for j, r in res.items()])
         assert by_parts.value_at(5) == direct.value_at(5)
@@ -410,14 +409,14 @@ class TestTailSumByParts:
         s = summand_z2(params)
         r1, r2 = {}, {}
         for j, m in s.mult:
-            g = linforms._residue_unit(s, j)
-            r1[j] = linforms._ONE * g
+            g = builders._residue_unit(s, j)
+            r1[j] = builders._ONE * g
             if m == 2:  # f_j = g_j and e_j = -Lambda_j·p^j·f_j
                 r2[j] = r1[j]
-                e = -(linforms._log_derivative_at_pole(s, j) * (FactoredPPoly(p_power=j) * g))
+                e = -(builders._log_derivative_at_pole(s, j) * (FactoredPPoly(p_power=j) * g))
                 r1[j] = r1[j] + e
-        zeta1_coeff, b1 = linforms._tail_sum_by_parts(r1, linforms._t1_kernel)
-        total2, b2 = linforms._tail_sum_by_parts(r2, linforms._t2_kernel)
+        zeta1_coeff, b1 = builders._tail_sum_by_parts(r1, builders._t1_kernel)
+        total2, b2 = builders._tail_sum_by_parts(r2, builders._t2_kernel)
         t1, t2 = _dense_tail_tables(max(r1) + 1)
         direct = RatFunc.sum(
             [_times(t1[j], r) for j, r in r1.items()] + [_times(t2[j], r) for j, r in r2.items()]
@@ -446,7 +445,7 @@ class TestResidueUnit:
             parts = [one_minus_p_power(j - i) for i in s.num_i]
             parts += [one_minus_p_power(j - i).inv() for i, m in s.mult if i != j for _ in range(m)]
             want = math.prod(parts, start=FactoredPPoly(p_power=s.expo * j))
-            assert linforms._residue_unit(s, j) == want
+            assert builders._residue_unit(s, j) == want
 
 
 class TestSummand:

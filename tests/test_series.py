@@ -1,6 +1,10 @@
-"""The series enclosure: the exact-term kernel (linforms._sum_series)
-against exact partial sums of the series (test_linforms.heine_terms), each
-term floored and ceiled once, and the sizing of numeric_form_value."""
+"""The series enclosure of linforms, which needs no form and no builder.
+
+The exact-term kernel `_sum_series` is checked against exact partial sums
+of the series (test_linforms.heine_terms), each term floored and ceiled
+once (`rounded_ends`); then the sizing of `numeric_form_value`, and
+`_runs`, the runs of indices that telescope the ratio of two terms.
+"""
 
 import math
 from collections import Counter

@@ -19,7 +19,8 @@ from qzeta.cli import COMMANDS, _build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = (
-    "cli", "dyadic", "forms", "groups", "linforms", "measures", "params", "parith", "qseries", "store"
+    "builders", "cli", "dyadic", "forms", "groups", "linforms", "measures", "params", "parith",
+    "qseries", "store",
 )  # fmt: skip
 
 _CHILD = """
@@ -79,11 +80,19 @@ def test_omega_loads_no_form_code(tmp_path):
 def test_inclusion_loads_builders_only_on_a_miss(tmp_path):
     argv = ["inclusion", "--kind", "zeta1", "--params", "3,3,3,6"]
     cold = _loaded(_command(tmp_path, *argv))
-    assert "linforms" in cold and "qseries" not in cold
+    assert "builders" in cold and "qseries" not in cold
     warm = _command(tmp_path, *argv)  # the cold run left the form file behind
     assert warm["code"] == 0
     assert "forms" in _loaded(warm)
-    assert not {"linforms", "qseries", "dyadic", "groups"} & _loaded(warm)
+    assert not {"builders", "linforms", "qseries", "dyadic", "groups"} & _loaded(warm)
+
+
+def test_linform_certifies_a_cached_form_without_the_builders(tmp_path):
+    argv = ["linform", "--kind", "zeta1", "--params", "2,2,2,4"]
+    assert "builders" in _loaded(_command(tmp_path, *argv))
+    warm = _command(tmp_path, *argv)
+    assert warm["code"] == 0
+    assert "linforms" in _loaded(warm) and "builders" not in _loaded(warm)
 
 
 @pytest.mark.parametrize(
@@ -101,11 +110,10 @@ def test_form_commands_load_no_group_code(tmp_path, argv):
     assert not {"qzeta.groups", "qzeta.measures"} & set(child["modules"])
 
 
-def test_stability_loads_no_measures(tmp_path):
+def test_stability_loads_no_polynomial_code(tmp_path):
     child = _command(tmp_path, "stability", "--family", "bv")
     assert child["code"] == 0
-    assert "qzeta.groups" in child["modules"]
-    assert "qzeta.measures" not in child["modules"]
+    assert _loaded(child) == {"cli", "store", "params", "groups", "dyadic", "linforms"}
 
 
 def test_no_module_loads_dataclasses(tmp_path):
