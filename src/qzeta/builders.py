@@ -1,17 +1,18 @@
-"""The exact builders: a linear form A·zeta_q(k) − B from its parameters.
+"""The exact builder: a linear form A·zeta_q(k) − B from its parameters.
 
-Partial fractions of the summand S (linforms.Summand) in x over Q(p)
-(p = 1/q) turn the t-sum into A·zeta_q(1) − B (simple poles) or
-A·zeta_q(2) − B (double poles), with A, B exact rational functions of p
-(forms.RatFunc) whose denominators are products of cyclotomic polynomials
-and powers of p.  The division in x works on Laurent polynomials in p
-(PPoly, val of either sign).
+build(params) is the one builder for both kinds.  Partial fractions of
+the summand S (linforms.summand) in x over Q(p) (p = 1/q) turn the t-sum
+into A·zeta_q(1) − B (zeta1: simple poles and a polynomial part) or
+A·zeta_q(2) − B (zeta2: simple and double poles), with A, B exact rational
+functions of p (forms.RatFunc) whose denominators are products of
+cyclotomic polynomials and powers of p.  The division in x works on
+Laurent polynomials in p (PPoly, val of either sign).
 
 Residues and prefactors are products ±p^a·prod_l Phi_l(p)^e_l, held as
 parith.FactoredPPoly, the one factored type of the package (D_n and Omega
 use it too).  Every product RatFunc × FactoredPPoly (a residue, a tail
 term or the prefactor) multiplies by Phi_l products through the binomials
-p^d - 1.  Both builders sum their B side by parts, with the tail terms
+p^d - 1.  The B side is summed by parts, with the tail terms
 1/(p^s - 1) of T1 and p^s/(p^s - 1)^2 of T2, so no tail table is built and
 no product in a build is dense.  Everything here is exact.  store.Store is
 the one caller: it imports this module only to build a form it cannot
@@ -24,9 +25,9 @@ from __future__ import annotations
 import math
 from operator import sub
 
-from .forms import LinearForm, RatFunc, determine_M
-from .linforms import Summand, summand_z1, summand_z2
-from .params import ParamsZ1, ParamsZ2, cvector
+from .forms import LinearForm, RatFunc
+from .linforms import Summand, summand
+from .params import cvector
 from .parith import FactoredPPoly, PPoly, divisors
 
 
@@ -40,7 +41,7 @@ def _prefactor(s: Summand) -> FactoredPPoly:
 
 
 # --------------------------------------------------------------------------
-# residues, the polynomial part and the builders
+# residues, the polynomial part and the builder
 
 
 def _residue_unit(s: Summand, j: int) -> FactoredPPoly:
@@ -92,6 +93,8 @@ def _poly_part(s: Summand) -> list[PPoly]:
     Q_{i−1} = p^j·(Q_i − N_i) with Q_d = 0 for a dividend N of degree d.
     Empty when S is a proper rational function.
     """
+    if s.expo + len(s.num_i) < sum(m for _, m in s.mult):
+        return []
     quot = [PPoly()] * s.expo + _expand_factors(s.num_i)
     for j, m in s.mult:
         for _ in range(m):
@@ -136,7 +139,7 @@ def _tail_sum_by_parts(res: dict[int, RatFunc], kernel) -> tuple[RatFunc, RatFun
     cancels to 0; a common power of p may then drop from both.
     """
     suffix, terms = RatFunc.zero(), []
-    for s in range(max(res) - 1, -1, -1):
+    for s in range(max(res, default=0) - 1, -1, -1):
         if s + 1 in res:
             suffix = suffix + res[s + 1]
         if s:
@@ -144,59 +147,42 @@ def _tail_sum_by_parts(res: dict[int, RatFunc], kernel) -> tuple[RatFunc, RatFun
     return suffix, RatFunc.sum(terms)
 
 
-def _build_zeta1(params: ParamsZ1) -> LinearForm:
-    cv = cvector(params)  # also validates admissibility
-    s = summand_z1(params)
-    if any(m > 1 for _, m in s.mult):
-        raise AssertionError("zeta_q(1) summand acquired a double pole")
-    c_unit = _prefactor(s)
+def build(params) -> LinearForm:
+    """A·zeta_q(k) − B at params, k = 1 for zeta1 and 2 for zeta2.
+
+    Near pole j, S = f_j/(1 - q^j x)^2 + r1_j/(1 - q^j x) + ....  A double
+    pole (zeta2 only) has f_j = g_j and r1_j = f_j − Lambda_j·p^j·f_j, a
+    simple one f_j = 0 and r1_j = g_j, g_j the residue unit.  The
+    polynomial part c_0 + c_1 x + ... (zeta1 only) adds c_0 per term and
+    c_i/(1 - q^i) in all.  The series converges only if c_0 + sum_j r1_j = 0.
+    Then A = C·sum_j r1_j (k = 1) or C·sum_j f_j (k = 2), and
+    B = C·(sum_j (T1_{<j}·r1_j + T2_{<j}·f_j) − sum_{i>=1} c_i/(1 - q^i)).
+    """
+    cvector(params)  # rejects inadmissible params before any work
+    s = summand(params)
+    k = 1 if params.kind == "zeta1" else 2
+    if max(m for _, m in s.mult) > k:
+        raise AssertionError(f"zeta_q({k}) summand has a pole of order above {k}")
     quot = _poly_part(s)
+    if quot and k == 2:
+        raise AssertionError("zeta_q(2) summand is not a proper rational function")
     c0 = RatFunc(quot[0]) if quot else RatFunc.zero()
     # sum_{i>=1} c_i/(1 - q^i) over the polynomial part, c_i/(1-q^i) = c_i p^i/(p^i - 1)
-    parts = [RatFunc(c.shift(i), 0, dict.fromkeys(divisors(i), 1)) for i, c in enumerate(quot)]
-    poly_sum = RatFunc.sum(parts[1:])
-    res = {j: _ONE * _residue_unit(s, j) for j, _ in s.mult}
-    total_res, b_res = _tail_sum_by_parts(res, _t1_kernel)
-    if not (c0 + total_res).is_zero():
-        raise AssertionError(
-            "constant term does not cancel the residue sum; the series would diverge"
-        )
-    A = total_res * c_unit
-    B = (b_res - poly_sum) * c_unit
-    form = LinearForm("zeta1", params, A, B, cv)
-    form.M = determine_M(form)
-    return form
-
-
-def _build_zeta2(params: ParamsZ2) -> LinearForm:
-    """A = sum_j f_j and B = sum_j (T1_{<j}·r1_j + T2_{<j}·f_j), both times C.
-
-    At a double pole S = f_j/(1 - q^j x)^2 + e_j/(1 - q^j x) + ..., with
-    e_j = −Lambda_j·p^j·f_j; at a simple pole S = g_j/(1 - q^j x) + ....
-    So r1_j is g_j at a simple pole and f_j + e_j at a double one, and the
-    zeta_q(1) coefficient sum_j r1_j must cancel.
-    """
-    cv = cvector(params)
-    s = summand_z2(params)
-    c_unit = _prefactor(s)
-    if s.expo + len(s.num_i) >= sum(m for _, m in s.mult):
-        raise AssertionError("zeta_q(2) summand is not a proper rational function")
+    poly_sum = RatFunc.sum(
+        RatFunc(c.shift(i), 0, dict.fromkeys(divisors(i), 1)) for i, c in enumerate(quot[1:], 1)
+    )
     r1, r2 = {}, {}
     for j, m in s.mult:
         g = _residue_unit(s, j)
-        if m == 1:
-            r1[j] = _ONE * g
-        elif m == 2:
-            r2[j] = _ONE * g
-            r1[j] = r2[j] - _log_derivative_at_pole(s, j) * (FactoredPPoly(p_power=j) * g)
-        else:
-            raise AssertionError("pole multiplicity above 2 is not supported")
-    zeta1_coeff, b1 = _tail_sum_by_parts(r1, _t1_kernel)
-    if not zeta1_coeff.is_zero():
-        raise AssertionError("zeta_q(1) contribution failed to cancel")
+        r1[j] = _ONE * g
+        if m == 2:
+            r2[j] = r1[j]
+            r1[j] -= _log_derivative_at_pole(s, j) * (FactoredPPoly(p_power=j) * g)
+    total1, b1 = _tail_sum_by_parts(r1, _t1_kernel)
+    if not (c0 + total1).is_zero():
+        raise AssertionError("c_0 + sum_j r1_j does not cancel; the series would diverge")
     total2, b2 = _tail_sum_by_parts(r2, _t2_kernel)
-    A = total2 * c_unit
-    B = (b1 + b2) * c_unit
-    form = LinearForm("zeta2", params, A, B, cv)
-    form.M = determine_M(form)
-    return form
+    c_unit = _prefactor(s)
+    A = (total1 if k == 1 else total2) * c_unit
+    B = (b1 + b2 - poly_sum) * c_unit
+    return LinearForm(params, A, B)

@@ -14,7 +14,9 @@ Each command imports only the library modules it runs, and main builds the
 subparser of the named command alone (the whole parser only for help and
 errors at the top level), so it pays start-up time for its own code alone:
 `group` and `stability` load no polynomial code, and a form read from the
-cache loads forms but not builders.  Each command gets one store.Store,
+cache loads forms but not builders.  --kind picks the parameter class
+(params.ParamsZ1 or ParamsZ2); from there on every module reads the
+series kind from params.kind.  Each command gets one store.Store,
 which keeps linear forms under a cache directory (--cache-dir, else
 $QZETA_CACHE, else ~/.cache/qzeta) as forms/<kind>-<params>.json in format
 qzeta-form-v2; a file that fails verification on load is rebuilt and
@@ -98,12 +100,12 @@ def _emit(report: dict, fmt: str) -> None:
 def _parse_params(kind: str, text: str):
     from .params import ParamsZ1, ParamsZ2
 
+    cls = ParamsZ1 if kind == ParamsZ1.kind else ParamsZ2
     parts = [s.strip() for s in text.split(",")]
-    want = 4 if kind == "zeta1" else 5
+    want = len(cls._fields)
     if len(parts) != want:
         raise ValueError(f"{kind} needs {want} comma-separated parameters, got {len(parts)}")
-    vals = tuple(int(s) for s in parts)
-    return ParamsZ1(*vals) if kind == "zeta1" else ParamsZ2(*vals)
+    return cls(*(int(s) for s in parts))
 
 
 def _family(name: str):
@@ -265,7 +267,7 @@ def cmd_linform(args, store):
         "kind": form.kind,
         "params": list(params),
         "M": form.M,
-        "max_c": form.m,
+        "max_c": form.cvec.m,
         "A_at_p": form.A.value_at(p),
         "B_at_p": form.B.value_at(p),
         "A_numerator_degree": form.A.num.degree,
@@ -344,7 +346,7 @@ def cmd_omega(args, store):
 
     params = _parse_params(args.kind, args.params)
     c = cvector(params)
-    res = omega(c, group_for(args.kind))
+    res = omega(c, group_for(params.kind))
     nonzero = {str(l): e for l, e in sorted(res.nu.items()) if e}
     outputs = {
         "params": list(params),

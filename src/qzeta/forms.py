@@ -5,7 +5,8 @@ PPoly numerator and a factored cyclotomic denominator.  RatFunc sums merge
 pairwise in a balanced tree and lift each side to the common denominator
 through the O(degree) binomials p^d - 1 (PPoly.times_cyclotomics), never
 through a dense cofactor; a product, always by a FactoredPPoly, does the same.
-A LinearForm is A·zeta_q(k) − B with RatFunc coefficients, its c-vector
+A LinearForm is A·zeta_q(k) − B with RatFunc coefficients, made from
+params, A and B alone: its kind is params.kind, and it derives its c-vector
 and M, the p-power that p^{-M}·D clears.  form_to_json and form_from_json
 write and read the checksummed form file that store.Store keeps on disk,
 and verify_inclusion checks the integrality of p^{-M}·D·Omega^{-1}·{A, B}
@@ -20,7 +21,7 @@ import zlib
 from collections import namedtuple
 from fractions import Fraction
 
-from .params import CVector, cvector
+from .params import cvector
 from .parith import FactoredPPoly, PPoly
 
 
@@ -57,7 +58,7 @@ class RatFunc:
     # -- ring operations ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.dpow, self.dphi)
@@ -135,26 +136,29 @@ class RatFunc:
 
 
 class LinearForm:
-    """A·zeta_q(k) − B with exact coefficients and its arithmetic data."""
+    """A·zeta_q(k) − B with exact coefficients and its arithmetic data.
 
-    __slots__ = ("kind", "params", "A", "B", "cvec", "M")
+    The c-vector and M derive from params, A and B: M = min(ord_p A, ord_p B)
+    is the largest M with p^{-M}·D·A and p^{-M}·D·B both in Z[p] (0 for a
+    zero side), and k is 1 or 2 by params.kind.
+    """
 
-    def __init__(self, kind: str, params, A: RatFunc, B: RatFunc, cvec: CVector, M: int = 0):
-        self.kind, self.params, self.A, self.B, self.cvec, self.M = kind, params, A, B, cvec, M
+    __slots__ = ("params", "A", "B", "cvec", "M")
+
+    def __init__(self, params, A: RatFunc, B: RatFunc):
+        self.params, self.A, self.B = params, A, B
+        self.cvec = cvector(params)
+        self.M = min(A.ord_p(), B.ord_p())
 
     @property
-    def m(self) -> int:
-        return self.cvec.m
-
-    @property
-    def m1m2(self) -> tuple[int, int]:
-        return self.cvec.m1m2
+    def kind(self) -> str:
+        return self.params.kind
 
     def d_exponents(self) -> dict[int, int]:
         """Cyclotomic exponents of the clearing product D."""
+        m1, m2 = self.cvec.m1m2
         if self.kind == "zeta1":
-            return {l: 1 for l in range(1, self.m + 1)}
-        m1, m2 = self.m1m2
+            return {l: 1 for l in range(1, m1 + 1)}
         return {l: (2 if l <= m2 else 1) for l in range(1, m1 + 1)}
 
     def d_value(self, p: int) -> Fraction:
@@ -192,7 +196,7 @@ def _checksum(body: dict) -> str:
 def form_to_json(form: LinearForm) -> str:
     """Compact JSON of a form: format tag, params, A, B and a crc32 of those.
 
-    M is left out; form_from_json recomputes it from A and B.
+    M is left out; LinearForm derives it from A and B again.
     """
     body = {
         "format": FORM_FORMAT,
@@ -223,19 +227,11 @@ def form_from_json(text: str, params) -> LinearForm:
         A, B = _ratfunc_parse(data["A"]), _ratfunc_parse(data["B"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed form field: {exc!r}") from exc
-    cv = cvector(params)
-    form = LinearForm(cv.kind, params, A, B, cv)
-    form.M = determine_M(form)
-    return form
+    return LinearForm(params, A, B)
 
 
 # --------------------------------------------------------------------------
-# M and inclusions
-
-
-def determine_M(form: LinearForm) -> int:
-    """Largest M with p^{-M}·D·A and p^{-M}·D·B both in Z[p] (0 for a zero side)."""
-    return min(form.A.ord_p(), form.B.ord_p())
+# inclusions
 
 
 class InclusionResult(namedtuple("InclusionResult", "ok witness", defaults=(None,))):

@@ -6,9 +6,10 @@ The basic object is the series
     S(x) = x^e · prod_i (1 - q^i x) / prod_j (1 - q^j x)^{m_j},
 
 a rewriting of the q-hypergeometric sum in which every Gamma_q ratio has
-been expanded into finite q-Pochhammer products; Summand holds S and C.
-The exact form A·zeta_q(k) − B that the series equals is built in
-builders.  This module only sums the series: at q = 1/p every term
+been expanded into finite q-Pochhammer products; summand(params) gives S
+and C for either kind, whose pole runs params.kind decides.  The exact
+form A·zeta_q(k) − B that the series equals is built by builders.build.
+This module only sums the series: at q = 1/p every term
 C·S(q^t) is a ratio of integers, so the enclosure is their exact sum with
 each term floored and ceiled once to a dyadic grid, plus the tail.
 certify() checks a built form against that enclosure, sized from the
@@ -22,7 +23,7 @@ form as data and its file in forms.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -42,45 +43,26 @@ if TYPE_CHECKING:
 Summand = namedtuple("Summand", "expo num_i mult prefactor_num prefactor_den")
 
 
-def _cancel(num: list[int], den: dict[int, int]) -> tuple[list[int], dict[int, int]]:
-    keep = []
-    for i in num:
-        if den.get(i, 0) > 0:
-            den[i] -= 1
-        else:
-            keep.append(i)
-    return keep, {j: m for j, m in den.items() if m > 0}
+def summand(params) -> Summand:
+    """S and C of the series at params, from its runs a..b-1 of poles.
 
-
-def summand_z1(params: ParamsZ1) -> Summand:
-    a0, a1, a2, b = params
-    num = list(range(1, a1))
-    den = {j: 1 for j in range(a2, b)}
-    num, den = _cancel(num, den)
+    zeta1 has one run, (a2, b); zeta2 has two, (a2, b2) and (a3, b3), so an
+    index in both is a double pole.  The numerator indices 1..a1-1 cancel
+    the poles they meet, one factor each.
+    """
+    if params.kind == "zeta1":
+        expo, a1, a2, b = params
+        runs = [(a2, b)]
+    else:
+        a1, a2, a3, b2, b3 = params
+        expo, runs = b2 + b3 - a1 - a2 - a3, [(a2, b2), (a3, b3)]
+    num, den = range(1, a1), Counter(j for a, b in runs for j in range(a, b))
     return Summand(
-        a0,
+        expo,
+        tuple(i for i in num if i not in den),
+        tuple(sorted((den - Counter(num)).items())),
+        tuple(j for a, b in runs for j in range(1, b - a)),
         tuple(num),
-        tuple(sorted(den.items())),
-        tuple(range(1, b - a2)),
-        tuple(range(1, a1)),
-    )
-
-
-def summand_z2(params: ParamsZ2) -> Summand:
-    a1, a2, a3, b2, b3 = params
-    num = list(range(1, a1))
-    den: dict[int, int] = {}
-    for j in range(a2, b2):
-        den[j] = den.get(j, 0) + 1
-    for j in range(a3, b3):
-        den[j] = den.get(j, 0) + 1
-    num, den = _cancel(num, den)
-    return Summand(
-        b2 + b3 - a1 - a2 - a3,
-        tuple(num),
-        tuple(sorted(den.items())),
-        tuple(range(1, b2 - a2)) + tuple(range(1, b3 - a3)),
-        tuple(range(1, a1)),
     )
 
 
@@ -172,7 +154,7 @@ def numeric_form_value(params, p: int, bits: int) -> Enclosure:
     """
     if abs(p) < 2:
         raise ValueError("need |p| >= 2")
-    s = summand_z1(params) if isinstance(params, ParamsZ1) else summand_z2(params)
+    s = summand(params)
     bound, a, runs, terms = _tail_bound(s, p, 1), abs(p), _runs(s.mult), 1
     lhs, rhs = bound.numerator << (bits + 7), bound.denominator
     step = sum(m for _, m in s.mult) - s.expo

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .forms import LinearForm
 from .groups import Group, group_for, omega
 from .linforms import APERY, Family, _log_abs, numeric_form_value
-from .params import FACTORIAL_LABELS, LABELS_Z1, LABELS_Z2, cvector
+from .params import CVector, cvector
 from .parith import cyclotomic_value, trigamma
 from .store import Store
 
@@ -43,28 +43,15 @@ _MU_BITS = 320
 # directions and profiles
 
 
-class Direction(namedtuple("Direction", "kind eta")):
-    """Per-n growth rates of the labeled c-values along a family."""
-
-    __slots__ = ()
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return LABELS_Z1 if self.kind == "zeta1" else LABELS_Z2
-
-    def __getitem__(self, label: str) -> int:
-        return self.eta[self.labels.index(label)]
-
-
-def direction(family: Family) -> Direction:
-    """Growth-rate vector of a family's c-values (the offsets drop out)."""
+def direction(family: Family) -> CVector:
+    """Per-n growth rates of a family's labeled c-values (the offsets drop out)."""
     c1, c2, c3 = (cvector(family.params(n), check=False) for n in (1, 2, 3))
     eta = tuple(b - a for a, b in zip(c1.values, c2.values))
     if tuple(b - a for a, b in zip(c2.values, c3.values)) != eta:
         raise ValueError("family is not affine in n")
     if any(e < 0 for e in eta):
         raise ValueError(f"negative growth rate in {eta}")
-    return Direction(family.kind, eta)
+    return CVector(family.kind, eta)
 
 
 class NuProfile(namedtuple("NuProfile", "kind base breakpoints values lattice")):
@@ -93,7 +80,7 @@ class NuProfile(namedtuple("NuProfile", "kind base breakpoints values lattice"))
         return tuple(zip(pts, pts[1:], self.values))
 
 
-def nu_profile(d: Direction, G: Group, base: tuple[str, ...] | None = None) -> NuProfile:
+def nu_profile(d: CVector, G: Group, base: tuple[str, ...] | None = None) -> NuProfile:
     """Asymptotic gain profile phi(x) = max_g sum_base (floor(eta_j x) - floor(eta_g(j) x)).
 
     `base` is the label set whose factorials are being normalized away; it
@@ -107,10 +94,10 @@ def nu_profile(d: Direction, G: Group, base: tuple[str, ...] | None = None) -> N
     if G.generators[0].labels != labels:
         raise ValueError("group acts on a different label set")
     if base is None:
-        base = FACTORIAL_LABELS[d.kind]
+        base = d.factorial_labels()
     if any(j not in labels for j in base):
         raise ValueError(f"unknown base labels in {base}")
-    rate = dict(zip(labels, d.eta))
+    rate = d.as_dict()
     weight = sum(rate[j] for j in base)
     for g in G:
         if sum(rate[g(j)] for j in base) != weight:
@@ -166,16 +153,14 @@ def alpha_exponent(rates: tuple[int, ...], kind: str) -> Fraction:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def d_exponent(d: Direction) -> float:
+def d_exponent(d: CVector) -> float:
     """n^2-coefficient of the denominator-product log: (3/pi^2) x squared top rates.
 
     One product of depth max(eta)·n suffices for the first kind; the second
     kind clears two factorial layers and needs the two largest rates.
     """
-    top = sorted(d.eta, reverse=True)
-    if d.kind == "zeta1":
-        return _DENSITY * top[0] ** 2
-    return _DENSITY * (top[0] ** 2 + top[1] ** 2)
+    m1, m2 = d.m1m2
+    return _DENSITY * (m1**2 if d.kind == "zeta1" else m1**2 + m2**2)
 
 
 # fitted leading coefficient of M(n), with the evidence
@@ -367,7 +352,7 @@ def _limit_value_at_one(form: LinearForm) -> Fraction:
     vanishes identically.
     """
     num = form.A.num
-    if num.is_zero():
+    if not num:
         raise ValueError("zero coefficient has no limit value")
     zeros = 0
     while True:

@@ -1,8 +1,10 @@
 """Parameter tuples of the two series and their labeled c-vectors.
 
 ParamsZ1 (a0, a1, a2, b) and ParamsZ2 (a1, a2, a3, b2, b3) name a member
-of the zeta_q(1) and zeta_q(2) series; cvector turns one into the labeled
-parameter differences on which the transformation groups act.  This module
+of the zeta_q(1) and zeta_q(2) series.  Their class attribute kind, "zeta1"
+or "zeta2", is the one place the series kind is decided: every other module
+reads params.kind.  cvector turns a tuple into the labeled parameter
+differences on which the transformation groups act.  This module
 imports no other qzeta module, so the group and form-file commands can
 read parameters without loading any polynomial code.
 """
@@ -16,6 +18,7 @@ class ParamsZ1(namedtuple("ParamsZ1", "a0 a1 a2 b")):
     """Parameters (a0, a1, a2, b) of the zeta_q(1) series."""
 
     __slots__ = ()
+    kind = "zeta1"
 
     def __new__(cls, a0, a1, a2, b):
         if min(a0, a1, a2, b) < 1:
@@ -32,6 +35,7 @@ class ParamsZ2(namedtuple("ParamsZ2", "a1 a2 a3 b2 b3")):
     """Parameters (a1, a2, a3, b2, b3) of the zeta_q(2) series."""
 
     __slots__ = ()
+    kind = "zeta2"
 
     def __new__(cls, a1, a2, a3, b2, b3):
         if min(a1, a2, a3, b2, b3) < 1:
@@ -86,19 +90,17 @@ def cvector(params, check: bool = True) -> CVector:
     check=False skips the admissibility test (used on group images, which may
     leave the convergence region and still need their labels).
     """
-    if isinstance(params, ParamsZ1):
-        if check and not params.admissible:
-            raise ValueError(f"inadmissible parameters {tuple(params)}")
+    if not isinstance(params, (ParamsZ1, ParamsZ2)):
+        raise TypeError("params must be ParamsZ1 or ParamsZ2")
+    if check and not params.admissible:
+        raise ValueError(f"inadmissible parameters {tuple(params)}")
+    if params.kind == "zeta1":
         a0, a1, a2, b = params
         vals = (a0 + a1 + a2 - b - 1, a0 - 1, a1 - 1, a2 - 1, b - a1 - 1, b - a2 - 1)
         return CVector("zeta1", vals)
-    if isinstance(params, ParamsZ2):
-        if check and not params.admissible:
-            raise ValueError(f"inadmissible parameters {tuple(params)}")
-        a = (params.a1, params.a2, params.a3)
-        bs = (params.b2, params.b3)
-        vals = [sum(bs) - sum(a) - 1]
-        for aj in a:
-            vals.extend((aj - 1, bs[0] - aj - 1, bs[1] - aj - 1))
-        return CVector("zeta2", tuple(vals))
-    raise TypeError("params must be ParamsZ1 or ParamsZ2")
+    a = (params.a1, params.a2, params.a3)
+    bs = (params.b2, params.b3)
+    vals = [sum(bs) - sum(a) - 1]
+    for aj in a:
+        vals.extend((aj - 1, bs[0] - aj - 1, bs[1] - aj - 1))
+    return CVector("zeta2", tuple(vals))

@@ -135,9 +135,6 @@ class PPoly:
         """Degree, with deg 0 = -1 for the zero polynomial."""
         return self.val + len(self.body) - 1 if self.body else -1
 
-    def is_zero(self) -> bool:
-        return not self.body
-
     def __bool__(self):
         return bool(self.body)
 

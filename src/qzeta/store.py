@@ -1,9 +1,10 @@
 """The form store: linear forms in memory and, given a root, on disk.
 
 Importing this module loads no other qzeta module.  A Store reads and
-writes its files through forms and reaches into builders only to build a
+writes its files through forms and calls builders.build only to build a
 form it cannot load, so commands that never touch a linear form load
-neither, and a warm run loads no builder.
+neither, and a warm run loads no builder.  A form's file name starts
+with params.kind.
 """
 
 from __future__ import annotations
@@ -36,19 +37,15 @@ class Store:
         if form is None:
             form = self._load(params)
             if form is None:
-                from .builders import _build_zeta1, _build_zeta2
-                from .params import ParamsZ1
+                from .builders import build
 
-                build = _build_zeta1 if isinstance(params, ParamsZ1) else _build_zeta2
                 form = build(params)
                 self._save(form)
             self._forms[params] = form
         return form
 
     def _path(self, params) -> str:
-        from .params import cvector
-
-        name = "-".join([cvector(params, check=False).kind, *map(str, params)])
+        name = "-".join([params.kind, *map(str, params)])
         return os.path.join(self.forms_dir, name + ".json")
 
     def _load(self, params):

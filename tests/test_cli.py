@@ -290,7 +290,7 @@ class TestCache:
         params = FAMILIES["bv"].params(4)
         fresh = linform(store, params, certify_at=None)
         Store(str(tmp_path)).form(params)
-        monkeypatch.setattr(builders, "_build_zeta1", None)  # a second store must load
+        monkeypatch.setattr(builders, "build", None)  # a second store must load
         _same_form(Store(str(tmp_path)).form(params), fresh)
 
     def test_memory_store_writes_nothing(self, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Source hygiene: every name a qzeta module imports is used in that module,
-and every public top-level name and public method is used by library code or
-kept on purpose."""
+every public top-level name and public method is used by library code or
+kept on purpose, and a public method name is defined on one class only,
+unless it is listed with the library code that reads each class's method."""
 
 import ast
 from collections import Counter
@@ -94,6 +95,43 @@ def test_no_test_only_library_names():
 def test_kept_names_are_still_unused_library_names():
     stale = sorted(set(KEPT_FOR_THE_PAPER) - _unused_public_names())
     assert not stale, f"KEPT_FOR_THE_PAPER lists names now gone or used: {', '.join(stale)}"
+
+
+# The check above matches attribute reads by name alone, so a test-only method
+# would pass behind a used method of the same name on another class.  A public
+# method name may be defined on two or more classes only if it is listed here,
+# with the library code that reads each class's method.
+SHARED_METHODS = {
+    "value_at": "FactoredPPoly's by LinearForm.d_value and certify (the stored denominators), "
+    "RatFunc's by certify, cmd_linform and empirical_mu (A and B at p)",
+    "admissible": "ParamsZ1's and ParamsZ2's alike by cvector and groups.stability_check",
+}
+
+
+def _shared_method_names():
+    """{public method name: classes} for names defined on two or more classes."""
+    owners = {}
+    for path in SRC:
+        for cls in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(cls, ast.ClassDef):
+                for m in cls.body:
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                        owners.setdefault(m.name, []).append(cls.name)
+    return {name: classes for name, classes in owners.items() if len(classes) > 1}
+
+
+def test_shared_method_names_are_listed():
+    shared = _shared_method_names()
+    unlisted = sorted(f"{n} ({', '.join(shared[n])})" for n in set(shared) - set(SHARED_METHODS))
+    assert not unlisted, (
+        "public method names defined on several classes (rename or delete one, or list "
+        f"the name in SHARED_METHODS with who reads each): {'; '.join(unlisted)}"
+    )
+
+
+def test_shared_methods_are_still_shared():
+    stale = sorted(set(SHARED_METHODS) - set(_shared_method_names()))
+    assert not stale, f"SHARED_METHODS lists names no longer shared: {', '.join(stale)}"
 
 
 # The memo of computed results is the Store a caller passes in.  A module-level

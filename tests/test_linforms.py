@@ -4,7 +4,8 @@ import hashlib
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, count
+from collections import Counter
+from itertools import accumulate, chain, count, product, starmap
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,7 +14,7 @@ from test_parith import _dense_cyclotomic, _dense_expand, _dense_power, binomial
 
 from qzeta import builders, linforms
 from qzeta.builders import _expand_factors, _poly_part
-from qzeta.forms import LinearForm, RatFunc, determine_M, form_to_json, verify_inclusion
+from qzeta.forms import LinearForm, RatFunc, form_to_json, verify_inclusion
 from qzeta.linforms import (
     APERY,
     BV,
@@ -26,8 +27,7 @@ from qzeta.linforms import (
     _tail_bound,
     certify,
     numeric_form_value,
-    summand_z1,
-    summand_z2,
+    summand,
 )
 from qzeta.params import CVector, ParamsZ1, ParamsZ2, cvector
 from qzeta.parith import FactoredPPoly, PPoly, cyclotomic, cyclotomic_value, divisors, dnp
@@ -52,7 +52,7 @@ def heine_terms(params, T: int, p: int) -> list[Fraction]:
         raise ValueError("need |p| >= 2")
     if not params.admissible:
         raise ValueError(f"inadmissible parameters {tuple(params)}")
-    s = summand_z1(params) if isinstance(params, ParamsZ1) else summand_z2(params)
+    s = summand(params)
     q = Fraction(1, p)
     c = Fraction(1)
     for j in s.prefactor_num:
@@ -386,7 +386,7 @@ class TestTailSumByParts:
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 4), st.integers(0, 3))
     def test_on_admissible_params(self, a1, a2, db, da0):
         # b = a1 + a2 + db and a0 = db + 1 + da0 satisfy both admissibility bounds
-        self.check(summand_z1(ParamsZ1(db + 1 + da0, a1, a2, a1 + a2 + db)))
+        self.check(summand(ParamsZ1(db + 1 + da0, a1, a2, a1 + a2 + db)))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -406,7 +406,7 @@ class TestTailSumByParts:
     def test_zeta2_b_side(self, a1, a2, a3, b2, b3):
         params = ParamsZ2(a1, a2, a3, b2, b3)
         assume(params.admissible)
-        s = summand_z2(params)
+        s = summand(params)
         r1, r2 = {}, {}
         for j, m in s.mult:
             g = builders._residue_unit(s, j)
@@ -450,7 +450,7 @@ class TestResidueUnit:
 
 class TestSummand:
     def test_zeta1_structure(self):
-        s = summand_z1(ParamsZ1(9, 7, 9, 16))
+        s = summand(ParamsZ1(9, 7, 9, 16))
         assert s.expo == 9
         assert s.num_i == (1, 2, 3, 4, 5, 6)
         assert s.mult == tuple((j, 1) for j in range(9, 16))
@@ -459,12 +459,12 @@ class TestSummand:
 
     def test_zeta1_cancellation(self):
         # num 1..4 overlaps den 3..7, so 3 and 4 cancel
-        s = summand_z1(ParamsZ1(4, 5, 3, 8))
+        s = summand(ParamsZ1(4, 5, 3, 8))
         assert s.num_i == (1, 2)
         assert s.mult == ((5, 1), (6, 1), (7, 1))
 
     def test_zeta2_double_poles(self):
-        s = summand_z2(ParamsZ2(6, 7, 8, 16, 17))
+        s = summand(ParamsZ2(6, 7, 8, 16, 17))
         assert s.expo == 12
         mult = dict(s.mult)
         assert mult[7] == 1 and mult[16] == 1
@@ -488,7 +488,7 @@ def _dense_poly_part(s: Summand) -> list[PPoly]:
     for d in range(qdeg, -1, -1):
         c = rem[d + dd] * lead_inv
         quot[d] = c
-        if not c.is_zero():
+        if c:
             for i in range(dd + 1):
                 rem[d + i] = rem[d + i] - c * denx[i]
     return quot
@@ -541,6 +541,30 @@ PINNED_FORMS = {
 @pytest.mark.parametrize("family, n, digest", PINNED_FORMS.values(), ids=list(PINNED_FORMS))
 def test_pinned_form_bytes(family, n, digest):
     text = form_to_json(Store().form(family.params(n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_pinned_small_grid_bytes():
+    """One sha256 over the concatenated forms of every admissible ParamsZ1 in
+    a0 1..5, a1 and a2 1..4, b 2..8 and ParamsZ2 in a1 1..2, a2 and a3 1..3,
+    b2 and b3 2..5, in product order.  The grid has each build path the
+    family pins do not separate: every zeta1 summand has a polynomial part,
+    and the zeta2 ones have mixed pole orders or double poles only."""
+    z1 = product(range(1, 6), range(1, 5), range(1, 5), range(2, 9))
+    z2 = product(range(1, 3), range(1, 4), range(1, 4), range(2, 6), range(2, 6))
+    grid = [p for p in chain(starmap(ParamsZ1, z1), starmap(ParamsZ2, z2)) if p.admissible]
+    orders = Counter(
+        (p.kind, frozenset(m for _, m in summand(p).mult), bool(_poly_part(summand(p))))
+        for p in grid
+    )
+    assert orders == {
+        ("zeta1", frozenset({1}), True): 205,
+        ("zeta2", frozenset({1, 2}), False): 99,
+        ("zeta2", frozenset({2}), False): 18,
+    }
+    store = Store()
+    text = "".join(form_to_json(store.form(p)) for p in grid)
+    digest = "7fc51e274859d2d830b416d0ee3f38e985a3316edbbf349a5fbb228f473e77bc"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -615,6 +639,24 @@ class TestAnchors:
         assert linform(store, ParamsZ2(1, 1, 1, 2, 2)).kind == "zeta2"
 
 
+class TestKindGuards:
+    """The builder's guards on summands that no admissible params give."""
+
+    def test_zeta1_rejects_a_double_pole(self, monkeypatch):
+        params = ParamsZ1(2, 2, 2, 4)
+        s = summand(params)._replace(mult=((2, 2), (3, 1)))
+        monkeypatch.setattr(builders, "summand", lambda _: s)
+        with pytest.raises(AssertionError, match="pole of order above 1"):
+            builders.build(params)
+
+    def test_zeta2_rejects_an_improper_summand(self, monkeypatch):
+        params = ParamsZ2(1, 1, 1, 2, 2)  # S(x) = x/(1 - q x)^2, made x^2/(1 - q x)^2
+        s = summand(params)._replace(expo=2)
+        monkeypatch.setattr(builders, "summand", lambda _: s)
+        with pytest.raises(AssertionError, match="not a proper rational function"):
+            builders.build(params)
+
+
 class TestDenominatorData:
     def test_zeta1_exponents(self, store):
         f = linform(store, ParamsZ1(9, 7, 9, 16), certify_at=None)
@@ -632,7 +674,7 @@ class TestDenominatorData:
         for params in (ParamsZ1(4, 3, 4, 7), ParamsZ2(2, 3, 3, 6, 7)):
             f = linform(store, params, certify_at=None)
             reduced = min(_reduce(f.A).ord_p(), _reduce(f.B).ord_p())
-            assert determine_M(f) == reduced == f.M
+            assert reduced == f.M
 
 
 class TestInclusion:
@@ -661,9 +703,9 @@ class TestInclusion:
 class TestNumerics:
     def test_enclosure_contains_exact_partial_sums(self):
         params = ParamsZ1(3, 2, 3, 5)
-        enc = _sum_series(summand_z1(params), 2, 60, 256)
+        enc = _sum_series(summand(params), 2, 60, 256)
         exact = sum(heine_terms(params, 60, 2))
-        tail = _tail_bound(summand_z1(params), 2, 60)  # before |C|
+        tail = _tail_bound(summand(params), 2, 60)  # before |C|
         assert enc.lo < exact < enc.hi
         assert 0 < tail < Fraction(1, 2**100)
         assert enc.width < Fraction(62, 2**256) + 64 * tail  # 60 + 2 roundings, |C| < 2^5
@@ -701,7 +743,7 @@ class TestNumerics:
         st.integers(1, 400),
     )
     def test_sums_the_fewest_terms_within_the_tail_budget(self, params, p, bits):
-        s = summand_z1(params) if isinstance(params, ParamsZ1) else summand_z2(params)
+        s = summand(params)
         eps = Fraction(1, 1 << (bits + 7))
         terms = next(t for t in count(1) if _tail_bound(s, p, t) <= eps)
         prec = bits + 7 + (terms + 2).bit_length()
@@ -711,7 +753,7 @@ class TestNumerics:
     def test_rejects_negative_terms(self, terms):
         # -9 would divide by 1 - |q|^0 in the tail bound of theorem1 n = 1
         with pytest.raises(ValueError, match="terms >= 0"):
-            _sum_series(summand_z1(THEOREM1.params(1)), 2, terms, 256)
+            _sum_series(summand(THEOREM1.params(1)), 2, terms, 256)
 
     @pytest.mark.parametrize(
         "params",
@@ -769,7 +811,7 @@ class TestNumerics:
                     coeffs[where] += d
                     g = RatFunc(PPoly(coeffs), f.dpow, f.dphi)
                     A, B = (g, form.B) if side == "A" else (form.A, g)
-                    if certify(LinearForm(form.kind, form.params, A, B, form.cvec), p).ok:
+                    if certify(LinearForm(form.params, A, B), p).ok:
                         passed.append((side, where, d))
         assert not passed, f"unit mutants that certify: {passed}"
 

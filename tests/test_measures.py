@@ -7,10 +7,9 @@ import pytest
 
 from qzeta.groups import nu_l, zeta1_group
 from qzeta.linforms import APERY, BV, THEOREM1, THEOREM2, Family
-from qzeta.params import cvector
+from qzeta.params import CVector, cvector
 from qzeta.measures import (
     MEASURE_BASES,
-    Direction,
     EmpiricalMu,
     NuProfile,
     alpha_exponent,
@@ -30,8 +29,8 @@ from qzeta.measures import (
 BV_MU = 2 * math.pi**2 / (math.pi**2 - 2)
 
 
-def _scaled(d: Direction, t: int) -> Direction:
-    return Direction(d.kind, tuple(t * e for e in d.eta))
+def _scaled(d: CVector, t: int) -> CVector:
+    return CVector(d.kind, tuple(t * e for e in d.values))
 
 
 def _is_breakpoint(prof: NuProfile, x) -> bool:
@@ -46,20 +45,20 @@ def _is_breakpoint(prof: NuProfile, x) -> bool:
 
 class TestDirection:
     def test_theorem1_rates(self):
-        assert direction(THEOREM1).eta == (7, 8, 6, 8, 9, 7)
+        assert direction(THEOREM1).values == (7, 8, 6, 8, 9, 7)
 
     def test_theorem2_rates(self):
-        assert direction(THEOREM2).eta == (11, 5, 9, 10, 6, 8, 9, 7, 7, 8)
+        assert direction(THEOREM2).values == (11, 5, 9, 10, 6, 8, 9, 7, 7, 8)
 
     def test_bv_rates_all_one(self):
-        assert direction(BV).eta == (1,) * 6
+        assert direction(BV).values == (1,) * 6
 
     def test_label_lookup(self):
         d = direction(THEOREM1)
         assert d["12"] == 9 and d["00"] == 7
 
     def test_scaling(self):
-        assert _scaled(direction(BV), 3).eta == (3,) * 6
+        assert _scaled(direction(BV), 3).values == (3,) * 6
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):

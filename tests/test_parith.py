@@ -135,7 +135,7 @@ def test_binomial_round_trip(f, d):
     g = f.mul_binomial(d)
     assert g == f * binomial(d)
     assert g.div_binomial(d) == f
-    if not f.is_zero():  # p^d - 1 cannot divide f·(p^d - 1) + 1
+    if f:  # p^d - 1 cannot divide f·(p^d - 1) + 1
         assert (g + PPoly.const(1)).div_binomial(d) is None
 
 

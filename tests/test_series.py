@@ -23,8 +23,7 @@ from qzeta.linforms import (
     _runs,
     _sum_series,
     numeric_form_value,
-    summand_z1,
-    summand_z2,
+    summand,
 )
 from qzeta.params import ParamsZ1, ParamsZ2
 
@@ -80,10 +79,6 @@ def params_z2(draw):
 
 
 PS = st.sampled_from([2, 3, -2, -3, 5])
-
-
-def summand(params):
-    return summand_z1(params) if isinstance(params, ParamsZ1) else summand_z2(params)
 
 
 # -- the recursion against exact sums and the oracle ------------------------
@@ -193,7 +188,7 @@ def layer_run_count(mult) -> int:
 )
 def test_runs_of_family_members(family, n, num_runs, pole_runs):
     params = family.params(n)
-    s = summand_z1(params) if isinstance(params, ParamsZ1) else summand_z2(params)
+    s = summand(params)
     assert _runs([(i, 1) for i in s.num_i]) == num_runs
     assert _runs(s.mult) == pole_runs
     assert rebuilt(pole_runs) == dict(s.mult)
