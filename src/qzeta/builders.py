@@ -11,10 +11,11 @@ Laurent polynomials in p (PPoly, val of either sign).
 Residues and prefactors are products ±p^a·prod_l Phi_l(p)^e_l, held as
 parith.FactoredPPoly, the one factored type of the package (D_n and Omega
 use it too).  Every product RatFunc × FactoredPPoly (a residue, a tail
-term or the prefactor) multiplies by Phi_l products through the binomials
-p^d - 1.  The B side is summed by parts, with the tail terms
-1/(p^s - 1) of T1 and p^s/(p^s - 1)^2 of T2, so no tail table is built and
-no product in a build is dense.  Everything here is exact.  store.Store is
+term or the prefactor) cancels the Phi_l it shares with the denominator
+and multiplies by the rest through the binomials p^d - 1.  The B side is
+summed by parts, with the tail terms 1/(p^s - 1) of T1 and
+p^s/(p^s - 1)^2 of T2, so no tail table is built and no product in a
+build is dense.  Everything here is exact.  store.Store is
 the one caller: it imports this module only to build a form it cannot
 load, so a command that reads its forms from disk, or checks a form
 numerically, compiles none of this code.
@@ -156,7 +157,9 @@ def build(params) -> LinearForm:
     polynomial part c_0 + c_1 x + ... (zeta1 only) adds c_0 per term and
     c_i/(1 - q^i) in all.  The series converges only if c_0 + sum_j r1_j = 0.
     Then A = C·sum_j r1_j (k = 1) or C·sum_j f_j (k = 2), and
-    B = C·(sum_j (T1_{<j}·r1_j + T2_{<j}·f_j) − sum_{i>=1} c_i/(1 - q^i)).
+    B = C·(sum_j (T1_{<j}·r1_j + T2_{<j}·f_j) − sum_{i>=1} c_i/(1 - q^i)),
+    both returned in lowest terms.  The products by C have already
+    cancelled most of the Phi_l, so the one reduction pass is short.
     """
     cvector(params)  # rejects inadmissible params before any work
     s = summand(params)
@@ -185,4 +188,4 @@ def build(params) -> LinearForm:
     c_unit = _prefactor(s)
     A = (total1 if k == 1 else total2) * c_unit
     B = (b1 + b2 - poly_sum) * c_unit
-    return LinearForm(params, A, B)
+    return LinearForm(params, A.reduced(), B.reduced())

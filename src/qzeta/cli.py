@@ -19,8 +19,8 @@ cache loads forms but not builders.  --kind picks the parameter class
 series kind from params.kind.  Each command gets one store.Store,
 which keeps linear forms under a cache directory (--cache-dir, else
 $QZETA_CACHE, else ~/.cache/qzeta) as forms/<kind>-<params>.json in format
-qzeta-form-v2; a file that fails verification on load is rebuilt and
-atomically overwritten.
+qzeta-form-v3, A and B in lowest terms; a file that fails verification on
+load, a v2 file among them, is rebuilt and atomically overwritten.
 Reports themselves are deterministic: identical invocations give
 byte-identical output apart from the elapsed_ms field, no matter how warm
 the cache is.
@@ -271,6 +271,9 @@ def cmd_linform(args, store):
         "A_at_p": form.A.value_at(p),
         "B_at_p": form.B.value_at(p),
         "A_numerator_degree": form.A.num.degree,
+        # the stored denominators, in lowest terms, set certify's target
+        "A_denominator": {"p": form.A.dpow, "phi": form.A.dphi},
+        "B_denominator": {"p": form.B.dpow, "phi": form.B.dphi},
         "p": p,
     }
     return outputs, [

@@ -4,7 +4,10 @@ A RatFunc is num(p) / (p^dpow · prod_l Phi_l(p)^dphi[l]) with an exact
 PPoly numerator and a factored cyclotomic denominator.  RatFunc sums merge
 pairwise in a balanced tree and lift each side to the common denominator
 through the O(degree) binomials p^d - 1 (PPoly.times_cyclotomics), never
-through a dense cofactor; a product, always by a FactoredPPoly, does the same.
+through a dense cofactor; a product, always by a FactoredPPoly, first
+cancels the factor's Phi_l against the denominator and lifts the rest the
+same way.  RatFunc.reduced puts a RatFunc in lowest terms, the canonical
+form of a rational function, and every stored form is in lowest terms.
 A LinearForm is A·zeta_q(k) − B with RatFunc coefficients, made from
 params, A and B alone: its kind is params.kind, and it derives its c-vector
 and M, the p-power that p^{-M}·D clears.  form_to_json and form_from_json
@@ -32,9 +35,10 @@ from .parith import FactoredPPoly, PPoly
 class RatFunc:
     """num(p) / (p^dpow · prod_l Phi_l(p)^dphi[l]), numerator an exact PPoly.
 
-    Denominators are kept factored and are never reduced against the
-    numerator; ord_p() does not need them reduced.  A Laurent numerator
-    (val < 0) is taken as its polynomial over p^-val.
+    Denominators are kept factored.  A sum reduces nothing and a product
+    cancels only the Phi_l it brings; reduced() cancels the rest.  ord_p()
+    does not need them reduced.  A Laurent numerator (val < 0) is taken as
+    its polynomial over p^-val.
     """
 
     __slots__ = ("num", "dpow", "dphi")
@@ -70,13 +74,12 @@ class RatFunc:
         return RatFunc.sum((self, -other))
 
     def __mul__(self, other: FactoredPPoly) -> "RatFunc":
-        # positive exponents through the binomials, negative ones into the denominator
+        # Phi_l's net denominator exponent is dphi[l] - e: a positive one stays
+        # in the denominator, a negative one goes up through the binomials
         pos, dphi = {}, dict(self.dphi)
         for l, e in other.exponents.items():
-            if e > 0:
-                pos[l] = e
-            else:
-                dphi[l] = dphi.get(l, 0) - e
+            net = dphi.get(l, 0) - e
+            dphi[l], pos[l] = max(net, 0), max(-net, 0)
         num = self.num if other.unit == 1 else -self.num
         num = num.times_cyclotomics(pos).shift(max(other.p_power, 0))
         return RatFunc(num, self.dpow + max(-other.p_power, 0), dphi)
@@ -115,6 +118,19 @@ class RatFunc:
             merged = [RatFunc._merge(a, b) for a, b in zip(level[::2], level[1::2])]
             level = merged + level[len(merged) * 2 :]
         return level[0]
+
+    def reduced(self) -> "RatFunc":
+        """self in lowest terms: the common power of p cancelled, then each Phi_l
+        divided out of the numerator while it divides, at most dphi[l] times."""
+        if self.is_zero():
+            return RatFunc.zero()
+        t = min(self.num.val, self.dpow)
+        num, dphi = self.num.shift(-t), {}
+        for l, e in sorted(self.dphi.items()):
+            while e and (q := num.div_cyclotomic(l)) is not None:
+                num, e = q, e - 1
+            dphi[l] = e
+        return RatFunc(num, self.dpow - t, dphi)
 
     # -- queries -----------------------------------------------------------
 
@@ -169,7 +185,7 @@ class LinearForm:
 # the form file (qzeta.store.Store reads and writes it)
 
 
-FORM_FORMAT = "qzeta-form-v2"
+FORM_FORMAT = "qzeta-form-v3"
 
 
 def _ratfunc_payload(f: RatFunc) -> dict:
@@ -242,7 +258,12 @@ class InclusionResult(namedtuple("InclusionResult", "ok witness", defaults=(None
 
 
 def verify_inclusion(form: LinearForm, omega: FactoredPPoly | None = None) -> InclusionResult:
-    """Exact check of p^{-M}·D·Omega^{-1}·{A, B} in Z[p]."""
+    """Exact check of p^{-M}·D·Omega^{-1}·{A, B} in Z[p].
+
+    Only a Phi_l whose exponent in the stored denominator, with Omega's,
+    exceeds D's is looked for in the numerator.  Stored forms are in lowest
+    terms, so with no Omega a passing form makes no ord_at call.
+    """
     d_exp = form.d_exponents()
     o_exp = dict(omega.exponents) if omega is not None else {}
     if omega is not None and omega.p_power:

@@ -21,6 +21,7 @@ from qzeta.forms import form_from_json, form_to_json
 from qzeta.linforms import FAMILIES
 from qzeta.measures import EmpiricalMu, MFit
 from qzeta.params import ParamsZ1
+from qzeta.parith import PPoly
 from qzeta.store import Store
 
 
@@ -282,6 +283,7 @@ CORRUPTIONS = {
     "missing-field": lambda text: _rewrite(text, B=None),
     "params-mismatch": lambda text: form_to_json(Store().form(ParamsZ1(3, 3, 3, 6))),
     "old-format": _v1,
+    "v2-format": lambda text: _rewrite(text, format="qzeta-form-v2"),
 }
 
 
@@ -382,9 +384,9 @@ class TestWitnessNumbers:
         assert _log2(Fraction(2**1200 - 1, 2**2400)) == -1201
 
     def test_linform_beyond_float_range(self, capsys):
-        # theorem1 n=3 at p=3: |A(3)| > 2^1700 and the widths < 2^-1074, both past floats
+        # theorem1 n=3 at p=243: |A(243)| > 2^12000 and the widths < 2^-1074, both past floats
         code, report = run_json(
-            capsys, "linform", "--kind", "zeta1", "--params", "25,19,25,46", "--p", "3"
+            capsys, "linform", "--kind", "zeta1", "--params", "25,19,25,46", "--p", "243"
         )
         assert code == 0
         (check,) = report["checks"]
@@ -496,6 +498,35 @@ class TestCommands:
         assert code == 0
         assert report["checks"][0]["pass"]
         assert report["checks"][0]["witness"] == "p^-M D clears A and B into Z[p]"
+
+    @pytest.mark.parametrize("family, n_max", [("bv", 3), ("theorem1", 2), ("theorem2", 1)])
+    def test_inclusion_on_stored_forms_makes_no_ord_at(
+        self, capsys, tmp_path, monkeypatch, family, n_max
+    ):
+        # no stored Phi_l exponent exceeds D's, so the verdict is exponent arithmetic
+        argv = ["inclusion", "--family", family, "--n-max", str(n_max)]
+        argv += ["--cache-dir", str(tmp_path)]
+        assert run_json(capsys, *argv)[0] == 0
+
+        def refuse(self, l, cap=None):
+            raise AssertionError(f"inclusion divided by Phi_{l}")
+
+        monkeypatch.setattr(PPoly, "ord_at", refuse)
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        assert len(report["checks"]) == n_max and all(c["pass"] for c in report["checks"])
+
+    @pytest.mark.parametrize("family", ["theorem1", "theorem2", "bv"])
+    def test_linform_reports_its_denominators(self, store, capsys, family):
+        params = FAMILIES[family].params(2)
+        argv = ["linform", "--kind", params.kind, "--params", ",".join(map(str, params))]
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        out, form = report["outputs"], linform(store, params, certify_at=None)
+        assert out["A_denominator"]["phi"] == {}  # A is in Z[p, 1/p] on the families
+        for name, f in (("A", form.A), ("B", form.B)):
+            want = {"p": str(f.dpow), "phi": {str(l): str(e) for l, e in f.dphi.items()}}
+            assert out[f"{name}_denominator"] == want
 
     def test_dnp_certificate(self, capsys):
         code, report = run_json(capsys, "dnp", "--n", "10")

@@ -12,7 +12,6 @@ from qzeta.groups import (
     TAU,
     Group,
     Perm,
-    generate,
     nu_l,
     omega,
     params_from_cvector,

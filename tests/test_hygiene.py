@@ -1,4 +1,4 @@
-"""Source hygiene: every name a qzeta module imports is used in that module,
+"""Source hygiene: every name a qzeta module or test file imports is used there,
 every public top-level name and public method is used by library code or
 kept on purpose, and a public method name is defined on one class only,
 unless it is listed with the library code that reads each class's method."""
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "qzeta").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported(tree):
@@ -36,7 +37,7 @@ def _used(tree):
     return names
 
 
-@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SRC + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used(tree)

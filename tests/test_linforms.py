@@ -10,7 +10,15 @@ from itertools import accumulate, chain, count, product, starmap
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_parith import _dense_cyclotomic, _dense_expand, _dense_power, binomial, points, units
+from test_parith import (
+    _dense_cyclotomic,
+    _dense_expand,
+    _dense_ord,
+    _dense_power,
+    binomial,
+    points,
+    units,
+)
 
 from qzeta import builders, linforms
 from qzeta.builders import _expand_factors, _poly_part
@@ -29,8 +37,8 @@ from qzeta.linforms import (
     numeric_form_value,
     summand,
 )
-from qzeta.params import CVector, ParamsZ1, ParamsZ2, cvector
-from qzeta.parith import FactoredPPoly, PPoly, cyclotomic, cyclotomic_value, divisors, dnp
+from qzeta.params import ParamsZ1, ParamsZ2, cvector
+from qzeta.parith import FactoredPPoly, PPoly, cyclotomic, divisors, dnp
 from qzeta.store import Store
 
 
@@ -69,21 +77,6 @@ def heine_terms(params, T: int, p: int) -> list[Fraction]:
             v /= (1 - q**j * x) ** m
         out.append(v)
     return out
-
-
-def _reduce(f: RatFunc) -> RatFunc:
-    """f with all cyclotomic and p-power content shared with the numerator cancelled."""
-    if f.is_zero():
-        return RatFunc.zero()
-    t = min(f.num.val, f.dpow)
-    num, dpow = f.num.shift(-t), f.dpow - t
-    dphi = {}
-    for l, e in sorted(f.dphi.items()):
-        while e > 0 and (q := num.div_cyclotomic(l)) is not None:
-            num, e = q, e - 1
-        if e:
-            dphi[l] = e
-    return RatFunc(num, dpow, dphi)
 
 
 def _phi_order(f: RatFunc, l: int) -> int:
@@ -218,8 +211,12 @@ class TestRatFunc:
         units,
     )
     def test_times_unit_matches_dense_product(self, num, dpow, dphi, u):
+        # the product cancels u's Phi_l against r's denominator, the oracle does not
         r = RatFunc(PPoly(num), dpow, dphi)
         got, want = r * u, _dense_times_unit(r, u)
+        assert (got - want).is_zero()
+        got, want = got.reduced(), want.reduced()
+        assert (got - r * u).is_zero()
         assert (got.num, got.dpow, got.dphi) == (want.num, want.dpow, want.dphi)
 
     def test_ord_p_convention(self):
@@ -234,7 +231,7 @@ class TestRatFunc:
 
     def test_reduce_preserves_value(self):
         raw = RatFunc(binomial(6).shift(2), 1, {1: 1, 2: 1, 6: 1})
-        red = _reduce(raw)
+        red = raw.reduced()
         assert (red - raw).is_zero()
         for p in (2, 5):
             assert red.value_at(p) == raw.value_at(p)
@@ -523,18 +520,18 @@ class TestPolyPart:
         assert c0 == PPoly([-1], val=1)
 
 
-# sha256 of form_to_json for forms whose bytes must not change
+# sha256 of form_to_json for forms whose bytes must not change (lowest terms, v3)
 PINNED_FORMS = {
-    "theorem1-1": (THEOREM1, 1, "1a59bbe748b013afd56b3ca655961a19f864cba87eb0a3e0ae8210c3ce927249"),
-    "theorem1-2": (THEOREM1, 2, "7b54f3b4ef528dd5274d19c5b8157f42714af83a13b6aee2cda63384015467e6"),
-    "theorem1-3": (THEOREM1, 3, "e03a27a3dd14fc765f8c7c0dc9887a9b772eec2320e4dffe4873607397a108a8"),
-    "theorem1-4": (THEOREM1, 4, "996028f0c105024d2bd949586f81cb5b4d35a5305c2556e41a1e2673196160be"),
-    "bv-10": (BV, 10, "95fb3cb72902dfbce74330ac380fe70b1b8e7f540670102bf327f234165c3a40"),
-    "bv-14": (BV, 14, "f00a257d95a0588b4ac2ce795e3e3000ee9a42ea451ac944e05722889e55990a"),
-    "bv-25": (BV, 25, "777a762e67698929402471aaa2d3bb5839d3ed032a05c9790ca7f3986e3edc06"),
-    "theorem2-1": (THEOREM2, 1, "0cc9614421bd72803764e0eb63a4ce2358bdd2a7224a6b74949f5c531b95b280"),
-    "theorem2-2": (THEOREM2, 2, "faede86ad81504a4bfe1b52b563ac5022cbf6e577a73ebfa7f408fc556f1b554"),
-    "theorem2-3": (THEOREM2, 3, "46477b6b8e9c2ee6a44b5fcb62588b3589721feb7210e13850d7ec5a6bef2447"),
+    "theorem1-1": (THEOREM1, 1, "cb5d220ee1ee1ae6f5e916c047549e81717d0a8178fa2c5a1e7fe7cf4f4759f2"),
+    "theorem1-2": (THEOREM1, 2, "821f09a932bd8d64a33b017379be594f8cf5fef74ea3f024807a88a913a7c0c0"),
+    "theorem1-3": (THEOREM1, 3, "0a13ad4b8c2cbc9463fc90ad9ec12a05d5148639ef19afc6d1326c757fb103c9"),
+    "theorem1-4": (THEOREM1, 4, "1636128bd52d7ca9fa7f68e584600ac595af7739f9fb701d8c797c92f4597a4d"),
+    "bv-10": (BV, 10, "09f5d0e400ca2586144ab0cc88c1869923b30ab71d78f67fbbef90af37e1845f"),
+    "bv-14": (BV, 14, "e1c22a532db0ceab49c2df933292463fdc3a68835485155907801c4bb93d3c41"),
+    "bv-25": (BV, 25, "ac7ad27859cde29cb797336b5b717a6f03e2fd2cf15cbeaddae5dc29d914ab31"),
+    "theorem2-1": (THEOREM2, 1, "4f665cb38911c88f93c4010abfd1dd341f2433dd0f00e20c0d880803358f07aa"),
+    "theorem2-2": (THEOREM2, 2, "89fa8b103b0952d628a885ce9babe6cd83c1d5638202f9b6fb94777a1c3c2d6c"),
+    "theorem2-3": (THEOREM2, 3, "857ab99e7c25f99fa0ef81647b14996ff11cf5b662b45ca9ea83d45b41aac862"),
 }
 
 
@@ -544,15 +541,20 @@ def test_pinned_form_bytes(family, n, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_pinned_small_grid_bytes():
-    """One sha256 over the concatenated forms of every admissible ParamsZ1 in
-    a0 1..5, a1 and a2 1..4, b 2..8 and ParamsZ2 in a1 1..2, a2 and a3 1..3,
-    b2 and b3 2..5, in product order.  The grid has each build path the
-    family pins do not separate: every zeta1 summand has a polynomial part,
-    and the zeta2 ones have mixed pole orders or double poles only."""
+def _small_grid() -> list:
+    """Every admissible ParamsZ1 in a0 1..5, a1 and a2 1..4, b 2..8 and
+    ParamsZ2 in a1 1..2, a2 and a3 1..3, b2 and b3 2..5, in product order."""
     z1 = product(range(1, 6), range(1, 5), range(1, 5), range(2, 9))
     z2 = product(range(1, 3), range(1, 4), range(1, 4), range(2, 6), range(2, 6))
-    grid = [p for p in chain(starmap(ParamsZ1, z1), starmap(ParamsZ2, z2)) if p.admissible]
+    return [p for p in chain(starmap(ParamsZ1, z1), starmap(ParamsZ2, z2)) if p.admissible]
+
+
+def test_pinned_small_grid_bytes():
+    """One sha256 over the concatenated forms of the small grid.  The grid
+    has each build path the family pins do not separate: every zeta1
+    summand has a polynomial part, and the zeta2 ones have mixed pole
+    orders or double poles only."""
+    grid = _small_grid()
     orders = Counter(
         (p.kind, frozenset(m for _, m in summand(p).mult), bool(_poly_part(summand(p))))
         for p in grid
@@ -564,8 +566,24 @@ def test_pinned_small_grid_bytes():
     }
     store = Store()
     text = "".join(form_to_json(store.form(p)) for p in grid)
-    digest = "7fc51e274859d2d830b416d0ee3f38e985a3316edbbf349a5fbb228f473e77bc"
+    digest = "86c90ec981b36e1c0bde0dbdbcc5b28f3b4ae70d0ffdd6507cf5f3e7153aebae"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_stored_forms_are_in_lowest_terms(store):
+    """On the small grid and the family pins, no Phi_l of a stored denominator
+    divides its numerator (by dense long division) and no power of p is
+    common to both."""
+    pins = [family.params(n) for family, n, _ in PINNED_FORMS.values()]
+    for params in _small_grid() + pins:
+        form = store.form(params)
+        for f in (form.A, form.B):
+            if f.is_zero():
+                assert (f.dpow, f.dphi) == (0, {})
+                continue
+            assert min(f.num.val, f.dpow) == 0, params
+            for l in f.dphi:
+                assert _dense_ord(f.num, l, cap=1) == 0, (params, l)
 
 
 def test_form_builds_make_no_dense_product(monkeypatch):
@@ -669,12 +687,12 @@ class TestDenominatorData:
         exps = f.d_exponents()
         assert exps == {l: (2 if l <= 10 else 1) for l in range(1, 12)}
 
-    def test_m_agrees_after_full_reduction(self, store):
-        # the p-order must not be hiding in unreduced cyclotomic content
+    def test_stored_forms_are_already_reduced(self, store):
         for params in (ParamsZ1(4, 3, 4, 7), ParamsZ2(2, 3, 3, 6, 7)):
             f = linform(store, params, certify_at=None)
-            reduced = min(_reduce(f.A).ord_p(), _reduce(f.B).ord_p())
-            assert reduced == f.M
+            for x in (f.A, f.B):
+                y = x.reduced()
+                assert (y.num, y.dpow, y.dphi) == (x.num, x.dpow, x.dphi)
 
 
 class TestInclusion:
@@ -757,7 +775,7 @@ class TestNumerics:
 
     @pytest.mark.parametrize(
         "params",
-        [ParamsZ1(9, 7, 9, 16), ParamsZ2(6, 7, 8, 16, 17)],
+        [ParamsZ1(17, 13, 17, 31), ParamsZ2(6, 7, 8, 16, 17)],
     )
     def test_certification_tight(self, store, params):
         f = linform(store, params, certify_at=None)
