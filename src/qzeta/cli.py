@@ -171,7 +171,7 @@ def cmd_cyclotomic(args, store):
 
 
 def cmd_dnp(args, store):
-    from .parith import dnp, totient
+    from .parith import PPoly, dnp, totient
 
     n = args.n
     d = dnp(n)
@@ -179,7 +179,12 @@ def cmd_dnp(args, store):
     # [v]_p | D_n  iff  (p^v - 1) | D_n·(p - 1)
     shifted = expanded.mul_binomial(1)
     divisible = all(shifted.div_binomial(v) is not None for v in range(1, n + 1))
-    orders_ok = all(expanded.ord_at(l, cap=2) == 1 for l in range(2, n + 1))
+    # Phi_n .. Phi_2 divided out of one shrinking cofactor, which leaves Phi_1
+    orders_ok, rest = True, expanded
+    for l in range(n, 1, -1):
+        k, rest = rest.split_cyclotomic(l, cap=2)
+        orders_ok &= k == 1
+    orders_ok &= rest == PPoly((-1, 1))
     degree_ok = expanded.degree == sum(totient(l) for l in range(1, n + 1))
     checks = [
         _check("divisible-by-every-q-integer", divisible, f"[v]_p | D_{n} for v <= {n}"),
@@ -197,7 +202,7 @@ def cmd_dnp(args, store):
 
 
 def cmd_ord(args, store):
-    from .parith import gauss_factorial, ord_phi_factorial
+    from .parith import PPoly, gauss_factorial, ord_phi_factorial
 
     n = args.n
     if args.l is not None:
@@ -206,26 +211,27 @@ def cmd_ord(args, store):
         raise ValueError("ord sweep needs n >= 2")
     else:
         ls = list(range(2, n + 1))
-    fact = gauss_factorial(n)
-    checks = []
-    rows = {}
-    for l in ls:
-        want = ord_phi_factorial(l, n)
-        got = fact.ord_at(l, cap=want + 2)
-        rows[str(l)] = want
-        if len(ls) == 1:
-            checks.append(_check(f"division-count-l{l}", got == want, f"{got} vs floor {want}"))
-        elif got != want:
-            checks.append(_check(f"division-count-l{l}", False, f"{got} vs floor {want}"))
+    rest = gauss_factorial(n)
+    want = {l: ord_phi_factorial(l, n) for l in ls}
+    got = {}
+    for l in reversed(ls):  # largest l first, on one shrinking cofactor
+        got[l], rest = rest.split_cyclotomic(l, cap=want[l] + 2)
+    checks = [
+        _check(f"division-count-l{l}", got[l] == want[l], f"{got[l]} vs floor {want[l]}")
+        for l in ls
+        if len(ls) == 1 or got[l] != want[l]
+    ]
     if len(ls) > 1:
+        # [n]_p! = prod_{l=2}^n Phi_l^floor(n/l): nothing may be left over
         checks.append(
             _check(
                 "division-count-sweep",
-                not any(not c["pass"] for c in checks),
+                not checks and rest == PPoly((1,)),
                 f"l = 2..{n} against exact division",
             )
         )
-    outputs = {"n": n, "order": rows[str(ls[0])] if len(ls) == 1 else rows}
+    rows = {str(l): w for l, w in want.items()}
+    outputs = {"n": n, "order": want[ls[0]] if len(ls) == 1 else rows}
     return outputs, checks
 
 

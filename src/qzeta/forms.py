@@ -127,9 +127,8 @@ class RatFunc:
         t = min(self.num.val, self.dpow)
         num, dphi = self.num.shift(-t), {}
         for l, e in sorted(self.dphi.items()):
-            while e and (q := num.div_cyclotomic(l)) is not None:
-                num, e = q, e - 1
-            dphi[l] = e
+            k, num = num.split_cyclotomic(l, e)
+            dphi[l] = e - k
         return RatFunc(num, self.dpow - t, dphi)
 
     # -- queries -----------------------------------------------------------

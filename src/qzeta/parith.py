@@ -10,11 +10,17 @@ coefficients (read-only `coeffs`) serve form files, reports and q-series.
 The binomial p^d - 1, prime to p, is the one kernel for cyclotomic-type
 factors: mul_binomial and div_binomial are single O(degree) passes over the
 body, and exact division by Phi_l = prod_{d | l} (p^d - 1)^mu(l/d) is
-2^omega(l) of them (div_cyclotomic, counted by ord_at).  Multiplication by
-prod_l Phi_l^e_l nets those Moebius forms into one power of each p^d - 1
+2^omega(l) of them (div_cyclotomic).  Multiplication by prod_l Phi_l^e_l
+nets those Moebius forms into one power of each p^d - 1
 (times_cyclotomics); it builds Phi_l itself (cyclotomic), expands a
 FactoredPPoly and lifts the terms of forms' RatFunc sums to a common
 denominator.  Gaussian factorials grow by f·[v]_p = f·(p^v - 1)/(p - 1).
+
+split_cyclotomic divides Phi_l out while it divides and returns the count
+with the cofactor; ord_at is that count, and forms' RatFunc.reduced cancels
+with it.  The Phi_l are pairwise coprime, so the ord sweep and dnp's
+certificate pass one shrinking cofactor from the largest l down: the small
+l, which divide most often, act on the smallest polynomial.
 
 Products ±p^a·prod_l Phi_l(p)^e_l with signed exponents are FactoredPPoly,
 the one factored type used for D_n, Omega, residues and prefactors.
@@ -99,7 +105,7 @@ class PPoly:
 
     body is a list nonzero at both ends (empty for zero, whose val is 0),
     never changed once built.  A product adds the vals, a sum aligns them;
-    the binomial kernels, div_cyclotomic and ord_at act on body alone.
+    the binomial kernels and the Phi_l divisions act on body alone.
     """
 
     __slots__ = ("val", "body")
@@ -265,17 +271,26 @@ class PPoly:
                     raise AssertionError(f"p^{d} - 1 left a remainder in a Phi product")
         return cur
 
-    def ord_at(self, l: int, cap: int | None = None) -> int:
-        """Multiplicity of Phi_l in self, by repeated exact division, at most cap."""
+    def split_cyclotomic(self, l: int, cap: int | None = None) -> tuple[int, "PPoly"]:
+        """(k, self/Phi_l^k): Phi_l divided out while it divides, at most cap times.
+
+        The Phi_l are distinct monic irreducibles, so the cofactor keeps
+        self's order at every other Phi_m: a sweep over several l passes it
+        on from one l to the next instead of dividing self again.
+        """
         if not self.body:
             raise ValueError("ord of zero polynomial")
-        n, cur = 0, self
-        while cap is None or n < cap:
-            cur = cur.div_cyclotomic(l)
-            if cur is None:
-                return n
-            n += 1
-        return n
+        k, cur = 0, self
+        while cap is None or k < cap:
+            q = cur.div_cyclotomic(l)
+            if q is None:
+                break
+            k, cur = k + 1, q
+        return k, cur
+
+    def ord_at(self, l: int, cap: int | None = None) -> int:
+        """Multiplicity of Phi_l in self, at most cap (split_cyclotomic's k)."""
+        return self.split_cyclotomic(l, cap)[0]
 
     # -- evaluation ----------------------------------------------------------
 

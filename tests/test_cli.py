@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_linforms import linform
 
-from qzeta import builders, forms, groups, measures
+from qzeta import builders, forms, groups, measures, parith
 from qzeta.cli import _log2, main
 from qzeta.forms import form_from_json, form_to_json
 from qzeta.linforms import FAMILIES
 from qzeta.measures import EmpiricalMu, MFit
 from qzeta.params import ParamsZ1
-from qzeta.parith import PPoly
+from qzeta.parith import FactoredPPoly, PPoly
 from qzeta.store import Store
 
 
@@ -535,6 +535,25 @@ class TestCommands:
             "divisible-by-every-q-integer",
             "lcm-minimality",
         }
+
+    def test_ord_sweep_requires_nothing_left_over(self, capsys, monkeypatch):
+        # an extra factor p + 2 leaves every Phi_l order as it was
+        real = parith.gauss_factorial
+        monkeypatch.setattr(parith, "gauss_factorial", lambda n: real(n) * PPoly((2, 1)))
+        code, report = run_json(capsys, "ord", "--n", "12")
+        assert code == 1
+        assert [(c["name"], c["pass"]) for c in report["checks"]] == [
+            ("division-count-sweep", False)
+        ]
+
+    def test_dnp_requires_phi_one_left_over(self, capsys, monkeypatch):
+        # -D_n has each Phi_l once and D_n's degree, but leaves 1 - p, not p - 1
+        real = FactoredPPoly.expand
+        monkeypatch.setattr(FactoredPPoly, "expand", lambda self: -real(self))
+        code, report = run_json(capsys, "dnp", "--n", "10")
+        assert code == 1
+        verdicts = {c["name"]: c["pass"] for c in report["checks"]}
+        assert verdicts == {"divisible-by-every-q-integer": True, "lcm-minimality": False}
 
     def test_eq3_fraction_band(self, capsys):
         code, report = run_json(

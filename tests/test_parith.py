@@ -253,9 +253,31 @@ def _dense_ord(f, l, cap=None):
 )
 def test_ord_at_matches_dense_division(exponents, cofactor, l, extra, cap):
     f = FactoredPPoly(exponents).expand() * PPoly(cofactor) * _dense_power(cyclotomic(l), extra)
-    assert f.ord_at(l, cap) == _dense_ord(f, l, cap)
+    k, rest = f.split_cyclotomic(l, cap)
+    assert f.ord_at(l, cap) == k == _dense_ord(f, l, cap)
+    assert rest * _dense_power(_dense_cyclotomic(l), k) == f
+    if cap is None or k < cap:
+        assert _try_exact_div(rest, _dense_cyclotomic(l)) is None
     q = f.div_cyclotomic(l)
     assert q == _try_exact_div(f, _dense_cyclotomic(l))
+
+
+def test_split_cyclotomic_rejects_zero():
+    for split in (PPoly().split_cyclotomic, PPoly().ord_at):
+        with pytest.raises(ValueError):
+            split(3)
+
+
+def test_chained_sweep_matches_independent_orders():
+    """Phi_l divided out from the largest l down, each on the cofactor the
+    larger l left, gives every l the order ord_at finds on the whole [n]_p!,
+    and leaves 1."""
+    for n in range(2, 41):
+        fact = rest = gauss_factorial(n)
+        for l in range(n, 1, -1):
+            k, rest = rest.split_cyclotomic(l)
+            assert k == fact.ord_at(l) == n // l
+        assert rest == PPoly.const(1)
 
 
 @settings(max_examples=100, deadline=None)
