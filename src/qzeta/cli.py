@@ -8,7 +8,8 @@ they routinely exceed the range JSON numbers can carry losslessly.
 Exit status: 0 when every check in the report passed, 1 when at least one
 failed, 2 for invalid input (unknown command, malformed parameters, a
 value outside an operation's domain, or a range that leaves nothing to
-check).
+check).  Exact values print in full at any length: main lifts the
+interpreter's int <-> str digit limit for its own run.
 
 Each command imports only the library modules it runs, and main builds the
 subparser of the named command alone (the whole parser only for help and
@@ -18,9 +19,10 @@ cache loads forms but not builders.  --kind picks the parameter class
 (params.ParamsZ1 or ParamsZ2); from there on every module reads the
 series kind from params.kind.  Each command gets one store.Store,
 which keeps linear forms under a cache directory (--cache-dir, else
-$QZETA_CACHE, else ~/.cache/qzeta) as forms/<kind>-<params>.json in format
-qzeta-form-v3, A and B in lowest terms; a file that fails verification on
-load, a v2 file among them, is rebuilt and atomically overwritten.
+$QZETA_CACHE, else ~/.cache/qzeta) as forms/<kind>-<params>.json.gz, one
+gzip member of JSON in format qzeta-form-v3, A and B in lowest terms; a
+file that fails verification on load, a v2 file among them, is rebuilt and
+atomically overwritten.
 Reports themselves are deterministic: identical invocations give
 byte-identical output apart from the elapsed_ms field, no matter how warm
 the cache is.
@@ -596,6 +598,24 @@ _ECHO_SKIP = {"command", "fn", "format", "cache_dir"}
 
 
 def main(argv=None) -> int:
+    """Run one command; exact values of any length print in full.
+
+    CPython 3.10.7+ refuses int <-> str conversions past 4,300 digits by
+    default, so main lifts that limit for its own run and puts the previous
+    one back on return.  Older interpreters have no limit to lift.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return _run(argv)
+    previous = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _run(argv)
+    finally:
+        set_limit(previous)
+
+
+def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else argv
     named = argv and argv[0] in {name for name, *_ in COMMANDS}
     parser = _build_parser(argv[0] if named else None)

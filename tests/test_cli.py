@@ -5,9 +5,12 @@ capsys.  Only cheap subcommands appear here so the suite stays fast — the
 expensive pipelines get exercised by the acceptance tests.
 """
 
+import gzip
 import json
 import math
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -286,6 +289,23 @@ CORRUPTIONS = {
     "v2-format": lambda text: _rewrite(text, format="qzeta-form-v2"),
 }
 
+FORM_FILE = "forms/zeta1-2-2-2-4.json.gz"  # SMALL's file under a cache root
+
+
+def _flip_middle_byte(data):
+    i = len(data) // 2
+    return data[:i] + bytes([data[i] ^ 1]) + data[i + 1 :]
+
+
+BYTE_CORRUPTIONS = {
+    "truncated-payload": lambda data: data[: len(data) // 2],
+    "truncated-trailer": lambda data: data[:-4],  # the whole text, no length field
+    "flipped-payload-byte": _flip_middle_byte,  # gzip's CRC-32 no longer matches
+    "trailing-bytes": lambda data: data + b"x",  # the whole member, then one byte
+    "uncompressed-text": lambda data: gzip.decompress(data),
+    "empty": lambda data: b"",
+}
+
 
 class TestCache:
     def test_form_round_trip(self, store, tmp_path, monkeypatch):
@@ -307,20 +327,36 @@ class TestCache:
         argv = SMALL_ARGV + ["--cache-dir", str(tmp_path)]
         code, cold = run_json(capsys, *argv)
         assert code == 0
-        path = tmp_path / "forms" / "zeta1-2-2-2-4.json"
-        good = path.read_text()
-        path.write_text(CORRUPTIONS[corrupt](good))
+        path = tmp_path / FORM_FILE
+        good = path.read_bytes()
+        bad = CORRUPTIONS[corrupt](gzip.decompress(good).decode())
+        path.write_bytes(gzip.compress(bad.encode(), mtime=0))
         with pytest.raises(ValueError):
-            form_from_json(path.read_text(), SMALL)
+            form_from_json(bad, SMALL)
+        assert Store(str(tmp_path))._load(SMALL) is None
         code, again = run_json(capsys, *argv)
         assert code == 0
         assert _stripped(again) == _stripped(cold)
-        assert path.read_text() == good
+        assert path.read_bytes() == good
+
+    @pytest.mark.parametrize("corrupt", sorted(BYTE_CORRUPTIONS))
+    def test_broken_gzip_member_is_rebuilt(self, corrupt, tmp_path, capsys):
+        argv = SMALL_ARGV + ["--cache-dir", str(tmp_path)]
+        code, cold = run_json(capsys, *argv)
+        assert code == 0
+        path = tmp_path / FORM_FILE
+        good = path.read_bytes()
+        path.write_bytes(BYTE_CORRUPTIONS[corrupt](good))
+        assert Store(str(tmp_path))._load(SMALL) is None
+        code, again = run_json(capsys, *argv)
+        assert code == 0
+        assert _stripped(again) == _stripped(cold)
+        assert path.read_bytes() == good
 
     def test_unreadable_file_is_recomputed(self, tmp_path, capsys):
         code, cold = run_json(capsys, *SMALL_ARGV, "--cache-dir", str(tmp_path))
         assert code == 0
-        (tmp_path / "forms" / "zeta1-2-2-2-4.json").write_text("not json{")
+        (tmp_path / FORM_FILE).write_text("not json{")
         code, report = run_json(capsys, *SMALL_ARGV, "--cache-dir", str(tmp_path))
         assert code == 0
         assert report["outputs"] == cold["outputs"]
@@ -329,13 +365,13 @@ class TestCache:
         monkeypatch.setenv("QZETA_CACHE", str(tmp_path / "viaenv"))
         code, _ = run_json(capsys, "linform", "--kind", "zeta1", "--params", "2,2,2,4")
         assert code == 0
-        assert (tmp_path / "viaenv" / "forms" / "zeta1-2-2-2-4.json").exists()
+        assert (tmp_path / "viaenv" / FORM_FILE).exists()
 
     def test_flag_overrides_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QZETA_CACHE", str(tmp_path / "loser"))
         code, _ = run_json(capsys, *SMALL_ARGV, "--cache-dir", str(tmp_path / "winner"))
         assert code == 0
-        assert (tmp_path / "winner" / "forms" / "zeta1-2-2-2-4.json").exists()
+        assert (tmp_path / "winner" / FORM_FILE).exists()
         assert not (tmp_path / "loser").exists()
 
     def test_unusable_cache_root_only_fails_commands_that_save(self, tmp_path, capsys):
@@ -345,11 +381,46 @@ class TestCache:
 
     def test_file_is_compact_and_holds_no_M(self, store, tmp_path):
         Store(str(tmp_path)).form(SMALL)
-        data = json.loads((tmp_path / "forms" / "zeta1-2-2-2-4.json").read_text())
+        data = json.loads(gzip.decompress((tmp_path / FORM_FILE).read_bytes()))
         assert sorted(data) == ["A", "B", "crc32", "format", "params"]
         assert form_to_json(linform(store, SMALL, None)) == json.dumps(
             data, sort_keys=True, separators=(",", ":")
         )
+
+    @pytest.mark.parametrize(
+        "params",
+        [FAMILIES["bv"].params(n) for n in range(1, 5)]
+        + [FAMILIES["theorem1"].params(n) for n in (1, 2)],
+        ids=lambda p: "-".join([p.kind, *map(str, p)]),
+    )
+    def test_file_is_one_gzip_member_of_the_form_text(self, params, tmp_path):
+        # two fresh stores write the same bytes, and a stdlib reader gets form_to_json back
+        Store(str(tmp_path / "one")).form(params)
+        form = Store(str(tmp_path / "two")).form(params)
+        name = "-".join([params.kind, *map(str, params)]) + ".json.gz"
+        data = (tmp_path / "one" / "forms" / name).read_bytes()
+        assert data == (tmp_path / "two" / "forms" / name).read_bytes()
+        assert data[:2] == b"\x1f\x8b" and data[4:8] == bytes(4)  # gzip magic, mtime 0
+        assert gzip.decompress(data).decode() == form_to_json(form)
+
+    def test_old_layout_file_is_rebuilt_and_removed(self, tmp_path, capsys, monkeypatch):
+        argv = SMALL_ARGV + ["--cache-dir", str(tmp_path)]
+        code, cold = run_json(capsys, *argv)
+        assert code == 0
+        path = tmp_path / FORM_FILE
+        good = path.read_bytes()
+        path.unlink()
+        old = tmp_path / "forms" / "zeta1-2-2-2-4.json"
+        old.write_text(gzip.decompress(good).decode())  # the uncompressed layout, valid v3
+        built = []
+        real = builders.build
+        monkeypatch.setattr(builders, "build", lambda p: built.append(p) or real(p))
+        code, again = run_json(capsys, *argv)
+        assert code == 0
+        assert built == [SMALL]  # the old file was not read
+        assert _stripped(again) == _stripped(cold)
+        assert sorted(f.name for f in (tmp_path / "forms").iterdir()) == [path.name]
+        assert path.read_bytes() == good
 
 
 @settings(max_examples=20, deadline=None)
@@ -367,6 +438,51 @@ def test_any_changed_character_is_rejected(store, data):
     c = data.draw(st.characters(codec="ascii").filter(lambda c: c != text[i]))
     with pytest.raises(ValueError):
         form_from_json(text[:i] + c + text[i + 1 :], FAMILIES["bv"].params(2))
+
+
+@contextmanager
+def _no_digit_limit():
+    """Lift CPython's 4,300-digit int <-> str limit for the test's own checks."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # 3.10.0-3.10.6 have no limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+class TestLongIntegers:
+    """Exact values past the interpreter's default digit limit print in full."""
+
+    def test_cyclotomic_value(self, capsys):
+        # 10007 is prime, so Phi_10007(3) = (3^10007 - 1) / 2, 4,775 digits
+        code, report = run_json(capsys, "cyclotomic", "--l", "10007", "--p", "3")
+        assert code == 0
+        with _no_digit_limit():
+            assert report["outputs"]["value_at_p"] == str((3**10007 - 1) // 2)
+
+    def test_linform_values(self, store, capsys):
+        p = 10**700
+        code, report = run_json(capsys, *SMALL_ARGV, "--p", str(p))
+        assert code == 0
+        form = store.form(SMALL)
+        with _no_digit_limit():
+            assert Fraction(report["outputs"]["A_at_p"]) == form.A.value_at(p)
+            assert Fraction(report["outputs"]["B_at_p"]) == form.B.value_at(p)
+            assert len(report["outputs"]["A_at_p"]) > 4300
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_main_restores_the_callers_limit(self, capsys):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert main(["cyclotomic", "--l", "10007", "--p", "3"]) == 0
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(previous)
 
 
 class TestWitnessNumbers:
