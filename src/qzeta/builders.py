@@ -149,7 +149,7 @@ def _tail_sum_by_parts(res: dict[int, RatFunc], kernel) -> tuple[RatFunc, RatFun
 
 
 def build(params) -> LinearForm:
-    """A·zeta_q(k) − B at params, k = 1 for zeta1 and 2 for zeta2.
+    """A·zeta_q(k) − B at params, k = params.k.
 
     Near pole j, S = f_j/(1 - q^j x)^2 + r1_j/(1 - q^j x) + ....  A double
     pole (zeta2 only) has f_j = g_j and r1_j = f_j − Lambda_j·p^j·f_j, a
@@ -163,7 +163,7 @@ def build(params) -> LinearForm:
     """
     cvector(params)  # rejects inadmissible params before any work
     s = summand(params)
-    k = 1 if params.kind == "zeta1" else 2
+    k = params.k
     if max(m for _, m in s.mult) > k:
         raise AssertionError(f"zeta_q({k}) summand has a pole of order above {k}")
     quot = _poly_part(s)

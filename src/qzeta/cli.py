@@ -15,14 +15,13 @@ Each command imports only the library modules it runs, and main builds the
 subparser of the named command alone (the whole parser only for help and
 errors at the top level), so it pays start-up time for its own code alone:
 `group` and `stability` load no polynomial code, and a form read from the
-cache loads forms but not builders.  --kind picks the parameter class
-(params.ParamsZ1 or ParamsZ2); from there on every module reads the
-series kind from params.kind.  Each command gets one store.Store,
-which keeps linear forms under a cache directory (--cache-dir, else
-$QZETA_CACHE, else ~/.cache/qzeta) as forms/<kind>-<params>.json.gz, one
-gzip member of JSON in format qzeta-form-v3, A and B in lowest terms; a
-file that fails verification on load, a v2 file among them, is rebuilt and
-atomically overwritten.
+cache loads forms but not builders.  --kind looks the parameter class up
+in params.PARAMS; that class carries every fact that depends on the kind.
+Each command gets one store.Store, which keeps linear forms under a cache
+directory (--cache-dir, else $QZETA_CACHE, else ~/.cache/qzeta) as
+forms/<kind>-<params>.json.gz, one gzip member of JSON in format
+qzeta-form-v3, A and B in lowest terms; a file that fails verification on
+load, a v2 file among them, is rebuilt and atomically overwritten.
 Reports themselves are deterministic: identical invocations give
 byte-identical output apart from the elapsed_ms field, no matter how warm
 the cache is.
@@ -43,6 +42,8 @@ from .store import Store
 
 BV_CONSTANT = 2 * math.pi**2 / (math.pi**2 - 2)
 MU_TARGETS = {"theorem1": (2.42343562, 1e-6), "theorem2": (4.07869374, 1e-6)}
+# default n range of `inclusion --family`, by the family's kind
+INCLUSION_N_MAX = {"zeta1": 6, "zeta2": 3}
 
 
 # --------------------------------------------------------------------------
@@ -100,9 +101,9 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def _parse_params(kind: str, text: str):
-    from .params import ParamsZ1, ParamsZ2
+    from .params import PARAMS
 
-    cls = ParamsZ1 if kind == ParamsZ1.kind else ParamsZ2
+    cls = PARAMS[kind]
     parts = [s.strip() for s in text.split(",")]
     want = len(cls._fields)
     if len(parts) != want:
@@ -308,7 +309,7 @@ def cmd_inclusion(args, store):
         jobs = [(None, _parse_params(kind, args.params))]
     elif args.family is not None:
         fam = _family(args.family)
-        n_max = (6 if fam.kind == "zeta1" else 3) if args.n_max is None else args.n_max
+        n_max = INCLUSION_N_MAX[fam.kind] if args.n_max is None else args.n_max
         jobs = [(n, fam.params(n)) for n in range(1, n_max + 1)]
     else:
         theorem1, theorem2 = _family("theorem1"), _family("theorem2")

@@ -9,12 +9,13 @@ cancels the factor's Phi_l against the denominator and lifts the rest the
 same way.  RatFunc.reduced puts a RatFunc in lowest terms, the canonical
 form of a rational function, and every stored form is in lowest terms.
 A LinearForm is A·zeta_q(k) − B with RatFunc coefficients, made from
-params, A and B alone: its kind is params.kind, and it derives its c-vector
-and M, the p-power that p^{-M}·D clears.  form_to_json and form_from_json
-write and read the checksummed form file that store.Store keeps on disk,
-and verify_inclusion checks the integrality of p^{-M}·D·Omega^{-1}·{A, B}
-exactly.  How a form is built lives in builders and how it is certified
-in linforms, so a command that reads its forms from disk loads neither.
+params, A and B alone: its kind is params.kind, and it derives its c-vector,
+M, the p-power that p^{-M}·D clears, and D from the params.k top c-values.
+form_to_json and form_from_json write and read the checksummed form file
+that store.Store keeps on disk, and verify_inclusion checks the integrality
+of p^{-M}·D·Omega^{-1}·{A, B} exactly.  How a form is built lives in
+builders and how it is certified in linforms, so a command that reads its
+forms from disk loads neither.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class LinearForm:
 
     The c-vector and M derive from params, A and B: M = min(ord_p A, ord_p B)
     is the largest M with p^{-M}·D·A and p^{-M}·D·B both in Z[p] (0 for a
-    zero side), and k is 1 or 2 by params.kind.
+    zero side), and k is params.k.
     """
 
     __slots__ = ("params", "A", "B", "cvec", "M")
@@ -170,11 +171,10 @@ class LinearForm:
         return self.params.kind
 
     def d_exponents(self) -> dict[int, int]:
-        """Cyclotomic exponents of the clearing product D."""
-        m1, m2 = self.cvec.m1m2
-        if self.kind == "zeta1":
-            return {l: 1 for l in range(1, m1 + 1)}
-        return {l: (2 if l <= m2 else 1) for l in range(1, m1 + 1)}
+        """Cyclotomic exponents of the clearing product D: one factorial layer
+        per top c-value, so Phi_l gets the count of those >= l."""
+        top = self.cvec.top
+        return {l: sum(m >= l for m in top) for l in range(1, top[0] + 1)}
 
     def d_value(self, p: int) -> Fraction:
         return FactoredPPoly(self.d_exponents()).value_at(p)

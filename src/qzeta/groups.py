@@ -8,10 +8,11 @@ underlying series that leave the normalized quantity
 unchanged.  Maximizing cyclotomic orders of the factorial products over a
 group of such permutations yields a polynomial factor Omega(p) that can be
 divided out of the linear forms on top of the usual common denominator.
-Only params is imported at load time; Omega's factored product and the
-series enclosure are imported where they are used.  The enclosure
-(linforms) loads no polynomial code either, so the groups and stability
-load none.
+group_for looks a kind's group up by name; images are read back into
+parameters by params.params_from_cvector.  Only params is imported at load
+time; Omega's factored product and the series enclosure are imported where
+they are used.  The enclosure (linforms) loads no polynomial code either,
+so the groups and stability load none.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .params import LABELS_Z1, LABELS_Z2, CVector, ParamsZ1, ParamsZ2, cvector
+from .params import LABELS_Z1, LABELS_Z2, CVector, ParamsZ1, ParamsZ2, cvector, params_from_cvector
 
 
 # --------------------------------------------------------------------------
@@ -164,38 +165,18 @@ def zeta2_group() -> Group:
 
 def group_for(kind: str) -> Group:
     """The label group under which the denominator gain is maximized."""
-    return zeta1_arith_group() if kind == "zeta1" else zeta2_group()
-
-
-def params_from_cvector(c: CVector):
-    """Invert a c-vector back to parameters; None if no tuple realizes it."""
-    try:
-        if c.kind == "zeta1":
-            a2 = c["21"] + 1
-            cand = ParamsZ1(c["01"] + 1, c["11"] + 1, a2, c["22"] + a2 + 1)
-        else:
-            a1 = c["11"] + 1
-            cand = ParamsZ2(
-                a1, c["21"] + 1, c["31"] + 1, c["12"] + a1 + 1, c["13"] + a1 + 1
-            )
-    except ValueError:
-        return None
-    return cand if cvector(cand, check=False).values == c.values else None
+    return {ParamsZ1.kind: zeta1_arith_group, ParamsZ2.kind: zeta2_group}[kind]()
 
 
 # --------------------------------------------------------------------------
 # the arithmetic factor Omega
 
 
-def nu_l(c: CVector, G: Group, l: int, base: tuple[str, ...] | None = None) -> int:
-    """max over g of sum_{j in base}(floor(c_j/l) - floor((gc)_j/l)), l >= 2.
-
-    `base` is the label set being normalized, the factorial labels by
-    default; any orbit representative may be used instead.
-    """
+def nu_l(c: CVector, G: Group, l: int) -> int:
+    """max_g sum_{j in S}(floor(c_j/l) - floor((gc)_j/l)), S the factorial labels, l >= 2."""
     if l < 2:
         raise ValueError("nu_l needs l >= 2 (the l = 1 order is fixed at 0)")
-    S = c.factorial_labels() if base is None else base
+    S = c.factorial_labels()
     anchor = sum(c[j] // l for j in S)
     best = 0
     for g in G:

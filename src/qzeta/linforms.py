@@ -7,7 +7,7 @@ The basic object is the series
 
 a rewriting of the q-hypergeometric sum in which every Gamma_q ratio has
 been expanded into finite q-Pochhammer products; summand(params) gives S
-and C for either kind, whose pole runs params.kind decides.  The exact
+and C for either kind from params.expo and params.pole_runs().  The exact
 form A·zeta_q(k) − B that the series equals is built by builders.build.
 This module only sums the series: at q = 1/p every term
 C·S(q^t) is a ratio of integers, so the enclosure is their exact sum with
@@ -16,8 +16,8 @@ certify() checks a built form against that enclosure, sized from the
 form's own denominators.  It imports what it needs of parith and qseries
 in its body and never imports builders, so the checker does not run the
 code it checks, and a command that only sums the series (stability)
-compiles no polynomial code.  The parameter types live in params, the
-form as data and its file in forms.
+compiles no polynomial code.  The parameter types and every per-kind
+formula live in params, the form as data and its file in forms.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .dyadic import Enclosure
-from .params import ParamsZ1, ParamsZ2
+from .params import PARAMS, ParamsZ1, ParamsZ2
 
 if TYPE_CHECKING:
     from .forms import LinearForm
@@ -46,19 +46,14 @@ Summand = namedtuple("Summand", "expo num_i mult prefactor_num prefactor_den")
 def summand(params) -> Summand:
     """S and C of the series at params, from its runs a..b-1 of poles.
 
-    zeta1 has one run, (a2, b); zeta2 has two, (a2, b2) and (a3, b3), so an
-    index in both is a double pole.  The numerator indices 1..a1-1 cancel
-    the poles they meet, one factor each.
+    params.pole_runs() gives one run, (a2, b), for zeta1 and two, (a2, b2)
+    and (a3, b3), for zeta2, so an index in both is a double pole.  The
+    numerator indices 1..a1-1 cancel the poles they meet, one factor each.
     """
-    if params.kind == "zeta1":
-        expo, a1, a2, b = params
-        runs = [(a2, b)]
-    else:
-        a1, a2, a3, b2, b3 = params
-        expo, runs = b2 + b3 - a1 - a2 - a3, [(a2, b2), (a3, b3)]
-    num, den = range(1, a1), Counter(j for a, b in runs for j in range(a, b))
+    runs = params.pole_runs()
+    num, den = range(1, params.a1), Counter(j for a, b in runs for j in range(a, b))
     return Summand(
-        expo,
+        params.expo,
         tuple(i for i in num if i not in den),
         tuple(sorted((den - Counter(num)).items())),
         tuple(j for a, b in runs for j in range(1, b - a)),
@@ -188,7 +183,7 @@ def certify(form: LinearForm, p: int = 2) -> Certification:
 
     if abs(p) < 2:
         raise ValueError("need |p| >= 2")
-    k = 1 if form.kind == "zeta1" else 2
+    k = form.params.k
     den_bits = max(
         abs(FactoredPPoly(f.dphi, f.dpow).value_at(p)).numerator.bit_length()
         for f in (form.A, form.B)
@@ -229,12 +224,12 @@ class Family(namedtuple("Family", "kind rates offsets name")):
 
     def params(self, n: int):
         vals = tuple(r * n + o for r, o in zip(self.rates, self.offsets))
-        return ParamsZ1(*vals) if self.kind == "zeta1" else ParamsZ2(*vals)
+        return PARAMS[self.kind](*vals)
 
 
-THEOREM1 = Family("zeta1", (8, 6, 8, 15), (1, 1, 1, 1), "theorem1")
-THEOREM2 = Family("zeta2", (5, 6, 7, 14, 15), (1, 1, 1, 2, 2), "theorem2")
-BV = Family("zeta1", (1, 1, 1, 2), (1, 1, 1, 2), "bv")
-APERY = Family("zeta2", (1, 1, 1, 2, 2), (1, 1, 1, 2, 2), "apery")
+THEOREM1 = Family(ParamsZ1.kind, (8, 6, 8, 15), (1, 1, 1, 1), "theorem1")
+THEOREM2 = Family(ParamsZ2.kind, (5, 6, 7, 14, 15), (1, 1, 1, 2, 2), "theorem2")
+BV = Family(ParamsZ1.kind, (1, 1, 1, 2), (1, 1, 1, 2), "bv")
+APERY = Family(ParamsZ2.kind, (1, 1, 1, 2, 2), (1, 1, 1, 2, 2), "apery")
 
 FAMILIES = {f.name: f for f in (THEOREM1, THEOREM2, BV, APERY)}

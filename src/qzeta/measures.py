@@ -7,8 +7,8 @@ irrationality exponent of the approximated value.  Every ingredient of that
 race grows like |p|^{(coefficient) n^2}, and this module extracts the four
 coefficients:
 
-  alpha   termwise bound on the coefficient size |A|,
-  d_exp   density of the denominator product D,
+  alpha   termwise bound on the coefficient size |A| (params.alpha_exponent),
+  d_exp   density of the denominator product D, over its k layers,
   omega   mod-1 profile of the cyclotomic gain, integrated against
           the trigamma measure,
   M_coeff exact p-power sequence M(n), fitted by second differences.
@@ -29,7 +29,7 @@ from fractions import Fraction
 from .forms import LinearForm
 from .groups import Group, group_for, omega
 from .linforms import APERY, Family, _log_abs, numeric_form_value
-from .params import CVector, cvector
+from .params import CVector, alpha_exponent, cvector
 from .parith import cyclotomic_value, trigamma
 from .store import Store
 
@@ -142,25 +142,9 @@ def omega_exponent(profile: NuProfile) -> float:
 # the other three exponents
 
 
-def alpha_exponent(rates: tuple[int, ...], kind: str) -> Fraction:
-    """Coefficient-size exponent per n^2 for a parameter rate vector."""
-    if kind == "zeta1":
-        r0, r1, r2, rb = rates
-        return Fraction(2 * (r0 + r1 + r2) * rb - (r1**2 + r2**2 + rb**2), 2)
-    if kind == "zeta2":
-        r1, r2, r3, rb2, rb3 = rates
-        return Fraction(2 * rb2 * rb3 - (r1**2 + r2**2 + r3**2), 2)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def d_exponent(d: CVector) -> float:
-    """n^2-coefficient of the denominator-product log: (3/pi^2) x squared top rates.
-
-    One product of depth max(eta)·n suffices for the first kind; the second
-    kind clears two factorial layers and needs the two largest rates.
-    """
-    m1, m2 = d.m1m2
-    return _DENSITY * (m1**2 if d.kind == "zeta1" else m1**2 + m2**2)
+    """n^2-coefficient of log D: (3/pi^2) x the squared top rates, one per factorial layer."""
+    return _DENSITY * sum(m * m for m in d.top)
 
 
 # fitted leading coefficient of M(n), with the evidence
@@ -354,21 +338,15 @@ def _limit_value_at_one(form: LinearForm) -> Fraction:
     num = form.A.num
     if not num:
         raise ValueError("zero coefficient has no limit value")
-    zeros = 0
-    while True:
-        div = num.div_binomial(1)
-        if div is None:
-            break
-        num, zeros = div, zeros + 1
+    num = num.split_cyclotomic(1)[1]
     if num(1) == 0:
         raise AssertionError("nonzero polynomial still vanishing after stripping")
     val = Fraction(num(1))
     for l, e in form.A.dphi.items():
         if l == 1:
-            continue  # the (p - 1)-order is handled by `zeros` above
+            continue  # the (p - 1)-order is stripped by definition
         val /= Fraction(cyclotomic_value(l, 1)) ** e
-    # p^dpow -> 1; net (p-1)-order zeros - dphi[1] is stripped by definition
-    return val
+    return val  # p^dpow -> 1
 
 
 def apery_limit_check(n: int, store: Store) -> bool:

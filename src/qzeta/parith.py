@@ -7,10 +7,11 @@ the coefficients from p^val up, nonzero at both ends, so the large powers of
 p in the linear forms cost no coefficients and a shift is O(1).  The dense
 coefficients (read-only `coeffs`) serve form files, reports and q-series.
 
-The binomial p^d - 1, prime to p, is the one kernel for cyclotomic-type
-factors: mul_binomial and div_binomial are single O(degree) passes over the
-body, and exact division by Phi_l = prod_{d | l} (p^d - 1)^mu(l/d) is
-2^omega(l) of them (div_cyclotomic).  Multiplication by prod_l Phi_l^e_l
+The binomial p^d - 1, prime to p, is the one multiplication entry point:
+PPoly has no product of two polynomials.  mul_binomial and div_binomial
+are single O(degree) passes over the body, and exact division by
+Phi_l = prod_{d | l} (p^d - 1)^mu(l/d) is 2^omega(l) of them
+(div_cyclotomic).  Multiplication by prod_l Phi_l^e_l
 nets those Moebius forms into one power of each p^d - 1
 (times_cyclotomics); it builds Phi_l itself (cyclotomic), expands a
 FactoredPPoly and lifts the terms of forms' RatFunc sums to a common
@@ -104,8 +105,9 @@ class PPoly:
     """Laurent polynomial p^val·(body[0] + body[1]·p + ...) with integer coefficients.
 
     body is a list nonzero at both ends (empty for zero, whose val is 0),
-    never changed once built.  A product adds the vals, a sum aligns them;
-    the binomial kernels and the Phi_l divisions act on body alone.
+    never changed once built.  A shift moves val, a sum aligns the vals;
+    the binomial kernels and the Phi_l divisions act on body alone.  There
+    is no product of two PPolys: every multiplication goes through p^d - 1.
     """
 
     __slots__ = ("val", "body")
@@ -175,18 +177,6 @@ class PPoly:
 
     def __neg__(self):
         return PPoly._of(self.val, [-c for c in self.body])
-
-    def __mul__(self, other: "PPoly") -> "PPoly":
-        """Schoolbook product; the form builds make none (they lift through binomials)."""
-        a, b = self.body, other.body
-        if not a or not b:
-            return PPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return PPoly._of(self.val + other.val, out)
 
     def shift(self, k: int) -> "PPoly":
         """Multiply by p^k, k of either sign."""

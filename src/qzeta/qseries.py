@@ -134,7 +134,10 @@ def log2_q_series(order: int) -> QSeries:
 
 
 def jacobi_check(order: int) -> bool:
-    """Verify 1 + 4*sum_j (-1)^j q^(2j+1)/(1-q^(2j+1)) = (sum q^(n^2))^2."""
+    """Verify 1 + 4*sum_j (-1)^j q^(2j+1)/(1-q^(2j+1)) = (sum q^(n^2))^2.
+
+    The square, counted: each a, b >= 0 with a^2 + b^2 = n, once per sign choice.
+    """
     if order < 1:
         raise ValueError("order must be positive")
     lhs = [0] * order
@@ -146,14 +149,10 @@ def jacobi_check(order: int) -> bool:
         for e in range(o, order, o):
             lhs[e] += s
         j += 1
-    theta = [0] * order
-    theta[0] = 1
-    n = 1
-    while n * n < order:
-        theta[n * n] = 2
-        n += 1
-    sq = (PPoly(tuple(theta)) * PPoly(tuple(theta))).coeffs
-    rhs = list(sq[:order]) + [0] * max(0, order - len(sq))
+    rhs = [0] * order
+    for a in range(math.isqrt(order - 1) + 1):
+        for b in range(math.isqrt(order - 1 - a * a) + 1):
+            rhs[a * a + b * b] += (2 if a else 1) * (2 if b else 1)
     return lhs == rhs
 
 

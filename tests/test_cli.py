@@ -653,9 +653,9 @@ class TestCommands:
         }
 
     def test_ord_sweep_requires_nothing_left_over(self, capsys, monkeypatch):
-        # an extra factor p + 2 leaves every Phi_l order as it was
+        # an extra factor Phi_1 = p - 1 leaves every Phi_l order for l >= 2 as it was
         real = parith.gauss_factorial
-        monkeypatch.setattr(parith, "gauss_factorial", lambda n: real(n) * PPoly((2, 1)))
+        monkeypatch.setattr(parith, "gauss_factorial", lambda n: real(n).mul_binomial(1))
         code, report = run_json(capsys, "ord", "--n", "12")
         assert code == 1
         assert [(c["name"], c["pass"]) for c in report["checks"]] == [

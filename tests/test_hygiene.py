@@ -106,6 +106,11 @@ SHARED_METHODS = {
     "value_at": "FactoredPPoly's by LinearForm.d_value and certify (the stored denominators), "
     "RatFunc's by certify, cmd_linform and empirical_mu (A and B at p)",
     "admissible": "ParamsZ1's and ParamsZ2's alike by cvector and groups.stability_check",
+    "c_values": "ParamsZ1's and ParamsZ2's alike by cvector and params_from_cvector",
+    "from_cvector": "ParamsZ1's and ParamsZ2's alike by params_from_cvector, through PARAMS",
+    "expo": "ParamsZ1's and ParamsZ2's alike by linforms.summand",
+    "pole_runs": "ParamsZ1's and ParamsZ2's alike by linforms.summand",
+    "alpha": "ParamsZ1's and ParamsZ2's alike by params.alpha_exponent, through PARAMS",
 }
 
 
@@ -255,3 +260,53 @@ def test_pure_cached_names_are_still_cached():
         cached |= {fn for fn, _ in _memoized(tree, path.stem) if fn}
     stale = sorted(set(PURE_CACHED) - cached)
     assert not stale, f"PURE_CACHED lists names no longer cached: {', '.join(stale)}"
+
+
+# The series kind is decided in params alone: its classes carry every fact that
+# depends on the kind, and PARAMS maps a kind name to its class.  Elsewhere a
+# kind may be passed on or used as a key, never compared.
+KIND_LITERALS = {"zeta1", "zeta2"}
+
+
+def _is_kind(node):
+    """A `kind` name, a `.kind` attribute or a "zeta1"/"zeta2" literal."""
+    if isinstance(node, ast.Constant):
+        return node.value in KIND_LITERALS
+    return _name_of(node) == "kind"
+
+
+def _kind_comparisons(tree):
+    """Lines of ==, !=, in and not in comparisons with a kind operand."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, a, b in zip(node.ops, operands, operands[1:]):
+                if isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) and (
+                    _is_kind(a) or _is_kind(b)
+                ):
+                    yield node.lineno
+
+
+def test_no_kind_comparison_outside_params():
+    found = [
+        f"{path.name}:{line}"
+        for path in SRC
+        if path.name != "params.py"
+        for line in _kind_comparisons(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, (
+        "the series kind is compared outside params (read a class attribute of the "
+        f"params class, or look the kind up in a table): {', '.join(found)}"
+    )
+
+
+def test_kind_comparison_guard_sees_each_form():
+    tree = ast.parse(
+        'k = 1 if params.kind == "zeta1" else 2\n'
+        'a = kind != other\n'
+        'b = "zeta2" in kinds\n'
+        'c = form.params.kind not in table\n'
+        'd = kind is None or args.kind\n'
+        'e = table["zeta1"]\n'
+    )
+    assert sorted(_kind_comparisons(tree)) == [1, 2, 3, 4]

@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction
+from itertools import chain, product, starmap
 
 import pytest
 
+from qzeta.forms import LinearForm, RatFunc
 from qzeta.groups import nu_l, zeta1_group
 from qzeta.linforms import APERY, BV, THEOREM1, THEOREM2, Family
-from qzeta.params import CVector, cvector
+from qzeta.params import CVector, ParamsZ1, ParamsZ2, cvector
 from qzeta.measures import (
     MEASURE_BASES,
     EmpiricalMu,
@@ -117,9 +119,14 @@ class TestProfileExactAgreement:
         prof = nu_profile(direction(family), group_for(family.kind), base)
         c = cvector(family.params(n))
         G = group_for(family.kind)
+        if base is not None:
+            # the exact gain over base = g0(S), g0 in G, is nu_l of g0·c over
+            # the factorial labels S: g·g0 runs over G as g does
+            g0 = next(g for g in G if sorted(map(g, c.factorial_labels())) == sorted(base))
+            c = g0.apply(c)
         for l in range(10, n + 1):
             x = Fraction(n, l) % 1
-            exact = nu_l(c, G, l, base)
+            exact = nu_l(c, G, l)
             if _is_breakpoint(prof, x):
                 assert abs(exact - prof.phi(x)) <= 1, (l, exact, prof.phi(x))
             else:
@@ -187,6 +194,48 @@ class TestAlphaD:
 
     def test_d_double_layer(self):
         assert d_exponent(direction(THEOREM2)) == pytest.approx(221 * 3 / math.pi**2)
+
+
+def _admissible_grid() -> list:
+    """Every admissible ParamsZ1 with entries 1..8 and ParamsZ2 with entries 1..7."""
+    z1 = starmap(ParamsZ1, product(range(1, 9), repeat=4))
+    z2 = starmap(ParamsZ2, product(range(1, 8), repeat=5))
+    return [p for p in chain(z1, z2) if p.admissible]
+
+
+def _d_exponents_by_kind(c: CVector) -> dict[int, int]:
+    """D's exponents as written per kind: one layer of depth m1 for zeta1,
+    layers of depths m1 and m2 for zeta2 (m1 >= m2 the two largest c-values)."""
+    m1, m2 = sorted(c.values, reverse=True)[:2]
+    if c.kind == "zeta1":
+        return {l: 1 for l in range(1, m1 + 1)}
+    return {l: (2 if l <= m2 else 1) for l in range(1, m1 + 1)}
+
+
+def _d_exponent_by_kind(d: CVector) -> float:
+    m1, m2 = sorted(d.values, reverse=True)[:2]
+    return 3 / math.pi**2 * (m1**2 if d.kind == "zeta1" else m1**2 + m2**2)
+
+
+class TestKLayers:
+    """D's exponents and density from the k top c-values, against the per-kind
+    formulas they replace, exactly (the density down to the float)."""
+
+    def test_on_the_params_grid(self):
+        grid = _admissible_grid()
+        assert len(grid) == 1627
+        for params in grid:
+            form = LinearForm(params, RatFunc.zero(), RatFunc.zero())
+            assert form.d_exponents() == _d_exponents_by_kind(form.cvec), params
+            assert d_exponent(form.cvec) == _d_exponent_by_kind(form.cvec), params
+
+    @pytest.mark.parametrize("family", [THEOREM1, THEOREM2, BV, APERY], ids=lambda f: f.name)
+    def test_on_the_families(self, family):
+        d = direction(family)
+        assert d_exponent(d) == _d_exponent_by_kind(d)
+        for n in range(1, 9):
+            form = LinearForm(family.params(n), RatFunc.zero(), RatFunc.zero())
+            assert form.d_exponents() == _d_exponents_by_kind(form.cvec), n
 
 
 class TestFitM:

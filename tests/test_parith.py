@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +28,7 @@ from qzeta.parith import (
 
 
 def test_product_matches_coefficient_convolution():
+    """The dense oracle _dense_mul against a plain coefficient convolution."""
     rng = random.Random(7)
     for _ in range(40):
         la = rng.randrange(1, 120)
@@ -38,11 +39,25 @@ def test_product_matches_coefficient_convolution():
         for i, ai in enumerate(a):
             for j, bj in enumerate(b):
                 ref[i + j] += ai * bj
-        assert (PPoly(a) * PPoly(b)).coeffs == PPoly(ref).coeffs
+        assert _dense_mul(PPoly(a, 3), PPoly(b, -5)) == PPoly(ref, -2)
 
 
 # ---------------------------------------------------------------------------
 # dense reference implementations (oracles) for the binomial kernel
+
+
+def _dense_mul(f: PPoly, g: PPoly) -> PPoly:
+    """Schoolbook product of two PPolys; the library has none, every product
+    there goes through the binomials p^d - 1."""
+    out = [0] * (len(f.body) + len(g.body) - 1) if f and g else []
+    for i, a in enumerate(f.body):
+        for j, b in enumerate(g.body):
+            out[i + j] += a * b
+    return PPoly(out, f.val + g.val)
+
+
+def _dense_prod(factors, start: PPoly = PPoly.const(1)) -> PPoly:
+    return reduce(_dense_mul, factors, start)
 
 
 def binomial(d: int) -> PPoly:
@@ -85,7 +100,7 @@ def _try_exact_div(f: PPoly, g: PPoly):
 @cache
 def _dense_cyclotomic(l: int) -> PPoly:
     """Phi_l as p^l - 1 over the product of the lower Phi_d, d | l, by dense division."""
-    lower = math.prod(map(_dense_cyclotomic, divisors(l)[:-1]), start=PPoly.const(1))
+    lower = _dense_prod(map(_dense_cyclotomic, divisors(l)[:-1]))
     quot = _try_exact_div(binomial(l), lower)
     if quot is None:
         raise AssertionError(f"cyclotomic division left a remainder at l={l}")
@@ -93,13 +108,13 @@ def _dense_cyclotomic(l: int) -> PPoly:
 
 
 def _dense_power(f: PPoly, e: int) -> PPoly:
-    return math.prod([f] * e, start=PPoly.const(1))
+    return _dense_prod([f] * e)
 
 
 def _dense_expand(u: FactoredPPoly) -> PPoly:
     """FactoredPPoly.expand by dense products of the dense Phi_l."""
     phis = [_dense_power(_dense_cyclotomic(l), e) for l, e in u.exponents.items()]
-    return math.prod(phis, start=PPoly.const(u.unit)).shift(u.p_power)
+    return _dense_prod(phis, PPoly.const(u.unit)).shift(u.p_power)
 
 
 def test_try_exact_div():
@@ -123,9 +138,9 @@ _ints = st.lists(st.integers(-50, 50), min_size=1, max_size=40)
 @given(_ints, _ints, st.sampled_from([1, -1]))
 def test_try_exact_div_round_trip(f, g_rest, g0):
     f, g = PPoly(f), PPoly([g0] + g_rest)
-    assert _try_exact_div(f * g, g) == f
+    assert _try_exact_div(_dense_mul(f, g), g) == f
     if g.degree >= 1:  # g cannot divide f*g + 1
-        assert _try_exact_div(f * g + PPoly.const(1), g) is None
+        assert _try_exact_div(_dense_mul(f, g) + PPoly.const(1), g) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,7 +148,7 @@ def test_try_exact_div_round_trip(f, g_rest, g0):
 def test_binomial_round_trip(f, d):
     f = PPoly(f)
     g = f.mul_binomial(d)
-    assert g == f * binomial(d)
+    assert g == _dense_mul(f, binomial(d))
     assert g.div_binomial(d) == f
     if f:  # p^d - 1 cannot divide f·(p^d - 1) + 1
         assert (g + PPoly.const(1)).div_binomial(d) is None
@@ -203,7 +218,7 @@ class TestLaurentAgainstDense:
         for got, sign in ((F + G, 1), (F - G, -1)):
             want = {e: df.get(e, 0) + sign * dg.get(e, 0) for e in df | dg}
             assert _terms(got) == {e: c for e, c in want.items() if c}
-        assert _terms(F * G) == _dense_times(df, dg)
+        assert _terms(_dense_mul(F, G)) == _dense_times(df, dg)
         assert _terms(F.shift(k)) == {e + k: c for e, c in df.items()}
         if F.val >= 0:
             assert F.coeffs == tuple(df.get(e, 0) for e in range(F.degree + 1))
@@ -252,10 +267,11 @@ def _dense_ord(f, l, cap=None):
     st.one_of(st.none(), st.integers(0, 4)),
 )
 def test_ord_at_matches_dense_division(exponents, cofactor, l, extra, cap):
-    f = FactoredPPoly(exponents).expand() * PPoly(cofactor) * _dense_power(cyclotomic(l), extra)
+    factors = [PPoly(cofactor), _dense_power(cyclotomic(l), extra)]
+    f = _dense_prod(factors, FactoredPPoly(exponents).expand())
     k, rest = f.split_cyclotomic(l, cap)
     assert f.ord_at(l, cap) == k == _dense_ord(f, l, cap)
-    assert rest * _dense_power(_dense_cyclotomic(l), k) == f
+    assert _dense_mul(rest, _dense_power(_dense_cyclotomic(l), k)) == f
     if cap is None or k < cap:
         assert _try_exact_div(rest, _dense_cyclotomic(l)) is None
     q = f.div_cyclotomic(l)
@@ -287,7 +303,7 @@ def test_chained_sweep_matches_independent_orders():
 )
 def test_times_cyclotomics_matches_dense_product(f, exps):
     f = PPoly(f)
-    want = math.prod([_dense_power(_dense_cyclotomic(l), e) for l, e in exps.items()], start=f)
+    want = _dense_prod([_dense_power(_dense_cyclotomic(l), e) for l, e in exps.items()], f)
     assert f.times_cyclotomics(exps) == want
 
 
@@ -300,7 +316,7 @@ def gauss_number(n: int) -> PPoly:
 
 def test_gauss_factorial_matches_product_of_gauss_numbers():
     for n in range(41):
-        want = math.prod(map(gauss_number, range(1, n + 1)), start=PPoly.const(1))
+        want = _dense_prod(map(gauss_number, range(1, n + 1)))
         assert gauss_factorial(n) == want
 
 
@@ -385,8 +401,8 @@ def test_gauss_factorial_degree_and_value():
 def test_factorial_vs_unnormalized_product():
     # [n]_p! * (p-1)^n = prod_{v<=n} (p^v - 1)
     for n in range(1, 21):
-        lhs = gauss_factorial(n) * _dense_power(PPoly([-1, 1]), n)
-        rhs = math.prod(map(binomial, range(1, n + 1)), start=PPoly.const(1))
+        lhs = _dense_mul(gauss_factorial(n), _dense_power(PPoly([-1, 1]), n))
+        rhs = _dense_prod(map(binomial, range(1, n + 1)))
         assert lhs == rhs
 
 
@@ -403,7 +419,7 @@ def test_cyclotomic_small_values():
 
 def test_cyclotomic_product_identity():
     for l in list(range(1, 41)) + [48, 60, 105]:
-        prod = math.prod(map(cyclotomic, divisors(l)), start=PPoly.const(1))
+        prod = _dense_prod(map(cyclotomic, divisors(l)))
         assert prod == binomial(l)
 
 
