@@ -1,5 +1,6 @@
-import sys
+"""`python -m qzeta`: the same process entry as the `qzeta` script, cli.run."""
 
-from .cli import main
+from .cli import run
 
-sys.exit(main())
+if __name__ == "__main__":
+    run()

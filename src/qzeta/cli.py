@@ -25,11 +25,17 @@ load, a v2 file among them, is rebuilt and atomically overwritten.
 Reports themselves are deterministic: identical invocations give
 byte-identical output apart from the elapsed_ms field, no matter how warm
 the cache is.
+
+A process enters through run (`python -m qzeta` and the `qzeta` script
+alike), which calls main, then gc.freeze(), then sys.exit with main's code:
+the collector's passes at interpreter exit would otherwise walk every
+object the imports built, about 4 ms of a 35 ms command.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -651,5 +657,20 @@ def _run(argv) -> int:
     return 0 if all(c["pass"] for c in checks) else 1
 
 
+def run() -> None:
+    """The process entry of `python -m qzeta` and the `qzeta` script.
+
+    After main returns, nothing is left to do but exit, and CPython's
+    finalization would run full collections over every object the imports
+    built.  gc.freeze() moves them all out of the collector's reach first;
+    atexit handlers and stream shutdown still run.  main never freezes:
+    a caller that runs it in process many times would have its garbage
+    pinned for good.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

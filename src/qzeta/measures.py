@@ -235,7 +235,7 @@ MEASURE_BASES: dict[str, tuple[str, ...]] = {
     "theorem2": ("13", "22", "31", "32", "33"),
 }
 
-_FIT_RANGE = {"bv": 12}
+_FIT_RANGE = {"bv": 12, "apery": 8}
 
 
 def measure(family: Family, store: Store, fit_n_max: int | None = None) -> MeasureReport:
@@ -243,8 +243,9 @@ def measure(family: Family, store: Store, fit_n_max: int | None = None) -> Measu
 
     alpha comes from the parameter rates, d_exp from the top c-rates, omega
     from the gain profile over the family's measure base, and M_coeff from
-    the exact forms at n <= fit_n_max (default 6, BV 12); the report keeps
-    that fit as M_fit.
+    the exact forms at n <= fit_n_max (default 6, BV 12, apery 8: its
+    second differences alternate, and a period-2 fit needs the forms up to
+    n = 8); the report keeps that fit as M_fit.
     """
     d = direction(family)
     prof = nu_profile(d, group_for(family.kind), MEASURE_BASES.get(family.name))

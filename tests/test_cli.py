@@ -556,6 +556,16 @@ class TestCommands:
         assert report["outputs"]["M_fit_period"] == "1"
         assert {c["name"]: c["pass"] for c in report["checks"]}["M-fit-stable"]
 
+    def test_measure_apery_passes_by_default(self, capsys):
+        # second differences alternate 3, 2: a period-2 fit needs the forms up to n = 8
+        code, report = run_json(capsys, "measure", "--family", "apery")
+        assert code == 0
+        out = report["outputs"]
+        assert out["M_values"] == ["5", "11", "20", "31", "45", "61", "80", "101"]
+        assert out["M_second_diffs"] == ["3", "2", "3", "2", "3", "2"]
+        assert (out["M_coeff"], out["M_fit_period"]) == ("5/4", "2")
+        assert all(c["pass"] for c in report["checks"])
+
     def test_unstable_fit_fails_its_check(self, capsys, monkeypatch):
         def unstable(family, n_max, store):
             return MFit(Fraction(3, 2), (5, 12, 22, 36), (3, 4), False, 0, "did not settle")

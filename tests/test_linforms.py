@@ -711,6 +711,29 @@ class TestInclusion:
         assert not r
         assert "Phi_101" in r.witness
 
+    # Hand-built forms at the zeta2 params whose D is Phi_1..Phi_10 squared
+    # times Phi_11.  A's denominator holds Phi_2^2 and Phi_3^2 (D's own
+    # exponents), and Omega = Phi_2·Phi_13: Omega's Phi_2 and Phi_13 must
+    # come from the numerator, once each, while Phi_3 must not be looked for.
+    OMEGA_PARAMS = ParamsZ2(6, 7, 8, 16, 17)
+    OMEGA = FactoredPPoly({2: 1, 13: 1})
+
+    def _omega_form(self, num_phis):
+        num = PPoly((1,)).times_cyclotomics(num_phis)
+        return LinearForm(self.OMEGA_PARAMS, RatFunc(num, 0, {2: 2, 3: 2}), RatFunc.zero())
+
+    def test_numerator_carrying_exactly_omega_passes(self):
+        f = self._omega_form({2: 1, 13: 1})
+        assert f.d_exponents()[2] == f.d_exponents()[3] == 2 and 13 not in f.d_exponents()
+        assert verify_inclusion(f, self.OMEGA)
+
+    @pytest.mark.parametrize("missing", [2, 13])
+    def test_deficit_of_one_fails_and_names_phi(self, missing):
+        f = self._omega_form({l: 1 for l in (2, 13) if l != missing})
+        r = verify_inclusion(f, self.OMEGA)
+        assert not r
+        assert r.witness == f"Phi_{missing} exponent deficit in A: need 1, have 0"
+
     def test_omega_with_p_power_rejected(self, store):
         f = linform(store, ParamsZ1(1, 1, 1, 2), certify_at=None)
         r = verify_inclusion(f, FactoredPPoly({}, p_power=1))

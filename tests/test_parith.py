@@ -603,6 +603,44 @@ def test_trigamma_against_direct_series():
         assert lo - 1e-9 <= val <= hi + 1e-9
 
 
+def _bernoulli(n: int) -> list[Fraction]:
+    """B_0..B_n from sum_{k<=m} C(m+1, k)·B_k = 0, independently of parith's table."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+def _trigamma_reference(x: Fraction, shift: int) -> tuple[Fraction, Fraction]:
+    """psi'(x) and a bound on its error: trigamma's recurrence moved to
+    >= shift, then the asymptotic series through B_14, all exact; the series
+    envelops psi', so the first omitted term |B_16|/y^17 bounds the tail."""
+    b = _bernoulli(16)
+    value, y = Fraction(0), x
+    while y < shift:
+        value += 1 / (y * y)
+        y += 1
+    value += 1 / y + 1 / (2 * y * y)
+    value += sum(b[2 * k] / y ** (2 * k + 1) for k in range(1, 8))
+    return value, abs(b[16]) / y**17
+
+
+def test_trigamma_abs_err_bounds_the_true_error():
+    grid = sorted({Fraction(i, 32) for i in range(1, 641, 11)} | {Fraction(1, 32), Fraction(20)}
+                  | {Fraction(i, d) for d in (3, 7, 10) for i in range(1, 20 * d + 1, 9)})  # fmt: skip
+    for x in grid:
+        ref, tail = _trigamma_reference(x, 64)
+        try:
+            t = trigamma(x)
+        except ValueError:  # a float near psi'(x) > 450 carries no 1e-13 absolute
+            assert ref > 450, x
+            continue
+        assert abs(Fraction(t.value) - ref) + tail <= Fraction(t.abs_err), x
+        # value rounds exact, the series at >= 16 within its first omitted term
+        assert t.value == float(t.exact), x
+        assert abs(t.exact - ref) + tail <= _trigamma_reference(x, 16)[1], x
+
+
 def test_trigamma_rejects_bad_input():
     with pytest.raises(ValueError):
         trigamma(0)

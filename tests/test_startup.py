@@ -4,9 +4,13 @@ Every module case runs one command in a fresh interpreter and reads back
 which modules that process had loaded, so an import added at module level
 (or a record type that pulls in `dataclasses` again) fails here by name.
 The parser cases check that building only the named command's subparser
-parses and prints help exactly as the full parser does.
+parses and prints help exactly as the full parser does.  The entry cases
+check that a process run through `python -m qzeta` freezes the collector's
+heap before it exits, with the same report and exit code as main, and
+that main itself never freezes.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -49,6 +53,57 @@ def _run(tmp_path, code: str, *args) -> dict:
 
 def _command(tmp_path, *argv) -> dict:
     return _run(tmp_path, _CHILD, *argv, "--cache-dir", str(tmp_path / "cache"))
+
+
+# -- the process entry --------------------------------------------------------
+
+_MODULE_ENTRY = """
+import contextlib, gc, io, json, runpy, sys
+out, sys.argv = sys.argv[1], ["qzeta", *sys.argv[2:]]
+stdout, stderr, code = io.StringIO(), io.StringIO(), None
+with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    try:
+        runpy.run_module("qzeta", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+with open(out, "w") as fh:
+    json.dump({"code": code, "frozen": gc.get_freeze_count(),
+               "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}, fh)
+"""
+
+
+def _without_elapsed(stdout: str):
+    if not stdout:
+        return stdout
+    report = json.loads(stdout)
+    report.pop("elapsed_ms")
+    return report
+
+
+def test_main_does_not_freeze(tmp_path, capsys):
+    before = gc.get_freeze_count()
+    assert main(["group", "--cache-dir", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["group"], 0),
+        (["measure", "--family", "apery", "--fit-n-max", "6"], 1),
+        (["ord", "--l", "1", "--n", "5"], 2),
+    ],
+    ids=["exit0", "exit1", "exit2"],
+)
+def test_module_entry_freezes_and_exits_like_main(tmp_path, capsys, argv, code):
+    argv = [*argv, "--cache-dir", str(tmp_path / "cache")]
+    child = _run(tmp_path, _MODULE_ENTRY, *argv)
+    assert child["code"] == code
+    assert child["frozen"] > 0
+    assert main(argv) == code
+    want = capsys.readouterr()
+    assert _without_elapsed(child["stdout"]) == _without_elapsed(want.out)
+    assert child["stderr"] == want.err
 
 
 @pytest.mark.parametrize("argv", [["ord", "--n", "12"], ["dnp", "--n", "10"]], ids=["ord", "dnp"])
