@@ -245,21 +245,20 @@ def cmd_ord(args, store):
 
 
 def cmd_mertens(args, store):
-    from .parith import mertens_ratio
+    from .parith import DENSITY, mertens_ratio
 
     ratio = mertens_ratio(args.n, args.p)
-    target = 3 / math.pi**2
-    ok = abs(ratio - target) <= 0.05
-    outputs = {"n": args.n, "p": args.p, "ratio": ratio, "density": target}
-    return outputs, [_check("within-0.05-of-density", ok, f"|{ratio:.6f} - {target:.6f}|")]
+    ok = abs(ratio - DENSITY) <= 0.05
+    outputs = {"n": args.n, "p": args.p, "ratio": ratio, "density": DENSITY}
+    return outputs, [_check("within-0.05-of-density", ok, f"|{ratio:.6f} - {DENSITY:.6f}|")]
 
 
 def cmd_eq3(args, store):
-    from .parith import phi_block_sum, trigamma
+    from .parith import DENSITY, phi_block_sum, trigamma
 
     u, v = args.u, args.v
     lhs = phi_block_sum(args.n, args.p, u, v)
-    rhs = 3 / math.pi**2 * (trigamma(u).value - trigamma(v).value)
+    rhs = DENSITY * (float(trigamma(u).mid) - float(trigamma(v).mid))
     ok = abs(lhs - rhs) <= 0.10 * abs(rhs)
     outputs = {
         "n": args.n,

@@ -204,10 +204,9 @@ def omega(c: CVector, G: Group) -> OmegaResult:
 def stable_quantity(params, p: int, bits: int):
     """Certified enclosure of Q = F / prod_{j in S} [c_j]_q! at q = 1/p, narrower than 2^-bits.
 
-    With 1/|Pi| < 2^e, F is enclosed below 2^-(bits+e+1), and its ends over
-    Pi are rounded outward at precision bits + 3, the same for all params.
+    With 1/|Pi| < 2^e, F is enclosed below 2^-(bits+e+1), and F/Pi is
+    rounded outward at precision bits + 3, the same for all params.
     """
-    from .dyadic import outward
     from .linforms import numeric_form_value
 
     cv = cvector(params)
@@ -218,7 +217,7 @@ def stable_quantity(params, p: int, bits: int):
     pi = Fraction(math.prod(tops[c] for c in need), den)
     e = max(pi.denominator.bit_length() - pi.numerator.bit_length() + 1, 0)
     enc = numeric_form_value(params, p, bits + e + 1)
-    return outward(enc.lo / pi, enc.hi / pi, bits + 3)  # Pi > 0, as |q| < 1
+    return (enc * (1 / pi)).outward(bits + 3)
 
 
 class InadmissibleImage(ValueError):
@@ -245,7 +244,7 @@ def stability_check(params, g: Perm, p: int, bits: int, enclosures: dict | None 
         if x not in known:
             known[x] = stable_quantity(x, p, bits)
     lhs, rhs = known[params], known[image]
-    return StabilityResult(lhs.overlaps(rhs), max(lhs.width, rhs.width), image)
+    return StabilityResult(lhs.gap(rhs) == 0, max(lhs.width, rhs.width), image)
 
 
 def stability_sweep(params, G: Group, p: int, bits: int):

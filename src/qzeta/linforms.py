@@ -9,14 +9,14 @@ a rewriting of the q-hypergeometric sum in which every Gamma_q ratio has
 been expanded into finite q-Pochhammer products; summand(params) gives S
 and C for either kind from params.expo and params.pole_runs().  The exact
 form A·zeta_q(k) − B that the series equals is built by builders.build.
-This module only sums the series: at q = 1/p every term
-C·S(q^t) is a ratio of integers, so the enclosure is their exact sum with
-each term floored and ceiled once to a dyadic grid, plus the tail.
-certify() checks a built form against that enclosure, sized from the
-form's own denominators.  It imports what it needs of parith and qseries
-in its body and never imports builders, so the checker does not run the
-code it checks, and a command that only sums the series (stability)
-compiles no polynomial code.  The parameter types and every per-kind
+This module only sums the series: at q = 1/p every term C·S(q^t) is a
+ratio of integers, so the enclosure is their exact sum with each term
+floored and ceiled once to a dyadic grid, plus the tail.  certify() takes
+the gap from it to the Enclosure zeta_q(k)·A(p) − B(p) of a built form,
+both sized from the form's denominators.  It imports what it needs of
+parith and qseries in its body and never imports builders, so the checker
+does not run the code it checks, and a command that only sums the series
+(stability) compiles no polynomial code.  The parameter types and every per-kind
 formula live in params, the form as data and its file in forms.
 """
 
@@ -174,9 +174,9 @@ def certify(form: LinearForm, p: int = 2) -> Certification:
     target is 64 plus the bit length of the larger stored denominator
     p^dpow·prod Phi_l^e at p, so a unit in one numerator coefficient moves
     B(p) by at least 2^(64-target), and A(p)·zeta_q(k) by that times
-    |zeta_q(k)|.  Both enclosures, A(p)·Z − B(p) ± |A(p)|·tail from
-    zeta_q_value and the summed series from numeric_form_value, are sized
-    below 2^-target, so they meet only if the form is right to that unit.
+    |zeta_q(k)|.  Both enclosures, A(p)·Z − B(p) with Z from zeta_q_value
+    and the summed series from numeric_form_value, are sized below
+    2^-target, so they meet only if the form is right to that unit.
     """
     from .parith import FactoredPPoly
     from .qseries import zeta_q_terms, zeta_q_value
@@ -192,12 +192,9 @@ def certify(form: LinearForm, p: int = 2) -> Certification:
     eps = Fraction(1, 1 << target)
     a_val, b_val = form.A.value_at(p), form.B.value_at(p)
     q = Fraction(1, p)
-    zeta, tail = zeta_q_value(k, q, zeta_q_terms(k, q, eps / (4 * max(abs(a_val), 1))))
-    value, spread = a_val * zeta - b_val, abs(a_val) * tail
-    lo, hi = value - spread, value + spread
-    enc = numeric_form_value(form.params, p, target)
-    gap = max(lo - enc.hi, enc.lo - hi, Fraction(0))
-    width = max(hi - lo, enc.width)
+    zeta = zeta_q_value(k, q, zeta_q_terms(k, q, eps / (4 * max(abs(a_val), 1))))
+    lhs, enc = zeta * a_val - b_val, numeric_form_value(form.params, p, target)
+    gap, width = lhs.gap(enc), max(lhs.width, enc.width)
     return Certification(target, gap, width, gap == 0 and width < eps)
 
 

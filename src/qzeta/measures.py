@@ -30,11 +30,9 @@ from .forms import LinearForm
 from .groups import Group, group_for, omega
 from .linforms import APERY, Family, _log_abs, numeric_form_value
 from .params import CVector, alpha_exponent, cvector
-from .parith import cyclotomic_value, trigamma
+from .parith import DENSITY, cyclotomic_value, trigamma
 from .store import Store
 
-# density of l with a fixed fractional part {n/l}, per unit of log Phi_l
-_DENSITY = 3 / math.pi**2
 # every empirical estimate's enclosure of F is narrower than 2^-_MU_BITS
 _MU_BITS = 320
 
@@ -134,8 +132,8 @@ def omega_exponent(profile: NuProfile) -> float:
     total = 0.0
     for lo, hi, val in profile.segments:
         if val:
-            total += val * (trigamma(lo).value - trigamma(hi).value)
-    return _DENSITY * total
+            total += val * (float(trigamma(lo).mid) - float(trigamma(hi).mid))
+    return DENSITY * total
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +142,7 @@ def omega_exponent(profile: NuProfile) -> float:
 
 def d_exponent(d: CVector) -> float:
     """n^2-coefficient of log D: (3/pi^2) x the squared top rates, one per factorial layer."""
-    return _DENSITY * sum(m * m for m in d.top)
+    return DENSITY * sum(m * m for m in d.top)
 
 
 # fitted leading coefficient of M(n), with the evidence

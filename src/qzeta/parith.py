@@ -1,6 +1,6 @@
 """Exact arithmetic in the parameter p: Gaussian integers [n]_p, cyclotomic
-polynomials, q-factorials, their common multiples D_n(p), and the trigamma
-function used for the totient-density constants.
+polynomials, q-factorials, their common multiples D_n(p), and the density
+3/pi^2 and the trigamma enclosure behind the totient-density constants.
 
 A PPoly is a Laurent polynomial p^val·body over Z: its p-adic valuation and
 the coefficients from p^val up, nonzero at both ends, so the large powers of
@@ -30,7 +30,6 @@ the one factored type used for D_n, Omega, residues and prefactors.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
@@ -479,20 +478,8 @@ def phi_block_sum(n: int, p: int, u: Fraction, v: Fraction) -> float:
 # trigamma
 
 
-class Trigamma(namedtuple("Trigamma", "x value abs_err exact")):
-    """Certified trigamma value: float approximation with absolute error bound.
-
-    exact is the rational approximant that value rounds.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, x, value, abs_err, exact):
-        if abs_err > 1e-13:
-            raise ValueError("trigamma certification exceeded 1e-13")
-        return super().__new__(cls, x, value, abs_err, exact)
-
-
+# density of l with a fixed fractional part {n/l}, per unit of log Phi_l
+DENSITY = 3 / math.pi**2
 # Bernoulli numbers B_2 .. B_14 for the asymptotic series.
 _BERNOULLI = (
     Fraction(1, 6),
@@ -508,18 +495,19 @@ _TRIGAMMA_SHIFT = 16
 _B16 = Fraction(3617, 510)
 
 
-def trigamma(x) -> Trigamma:
-    """psi'(x) for rational x > 0.
+def trigamma(x):
+    """Enclosure of psi'(x) for rational x > 0.04721, its mid a float within 1e-13.
 
     Upward recurrence psi'(x) = psi'(x+1) + 1/x^2 moves the argument to
-    >= 16, where the Bernoulli asymptotic series is accurate far below the
-    1e-13 certification; all arithmetic is exact until the final rounding.
+    >= 16, where the exact Bernoulli series through B_14 is off by at most
+    its first omitted term, the radius.  From x = 0.04720 down, psi'(x) >
+    450.3 and its float carries no 1e-13: ValueError.
     """
+    from .dyadic import Enclosure  # here, so that ord and dnp never load it
+
     x = Fraction(x)
     if x <= 0:
         raise ValueError("trigamma needs x > 0")
-    if x < Fraction(1, 32):
-        raise ValueError("x too small to certify 1e-13 absolute error in a float")
     shift = Fraction(0)
     y = x
     while y < _TRIGAMMA_SHIFT:
@@ -534,6 +522,6 @@ def trigamma(x) -> Trigamma:
         power *= inv2
     exact = shift + acc
     trunc = _B16 * power  # first omitted term, power = y^-(17)
-    value = float(exact)
-    abs_err = float(trunc) + abs(value) * 2.0**-52
-    return Trigamma(x=x, value=value, abs_err=abs_err, exact=exact)
+    if float(trunc) + abs(float(exact)) * 2.0**-52 > 1e-13:
+        raise ValueError("trigamma certification exceeded 1e-13")
+    return Enclosure.around(exact, trunc)

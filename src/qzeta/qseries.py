@@ -3,9 +3,9 @@
 A q-zeta value is the number zeta_q(k) = sum_{n>=1} sigma_{k-1}(n) q^n for
 0 < |q| < 1.  This module provides the series itself (three structurally
 different expansions that must agree coefficient by coefficient), the
-Eulerian-type polynomials rho_k driving the third expansion, exact rational
-partial sums at a rational q with a proven tail bound, and the classical-limit
-check (1-q)^k zeta_q(k) -> (k-1)! zeta(k) as q -> 1.
+Eulerian-type polynomials rho_k driving the third expansion, its value at a
+rational q as an Enclosure (exact partial sum ± proven tail bound), and the
+classical-limit check (1-q)^k zeta_q(k) -> (k-1)! zeta(k) as q -> 1.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .dyadic import outward
+from .dyadic import Enclosure
 from .parith import PPoly
 
 
@@ -165,8 +165,8 @@ def _tail_bound(k: int, aq: Fraction, terms: int) -> Fraction | None:
     return (terms + 1) ** k * aq ** (terms + 1) / (1 - ratio)
 
 
-def zeta_q_value(k: int, q, terms: int) -> tuple[Fraction, Fraction]:
-    """Exact partial sum of zeta_q(k) at a rational q with 0 < |q| < 1, and a tail bound.
+def zeta_q_value(k: int, q, terms: int) -> Enclosure:
+    """zeta_q(k) at a rational q with 0 < |q| < 1: exact partial sum ± a tail bound.
 
     The partial sum sum_{n<=T} sigma_{k-1}(n) q^n (T = terms) is one Fraction
     over den(q)^T, built by integer Horner from the zeta_q_series
@@ -189,7 +189,7 @@ def zeta_q_value(k: int, q, terms: int) -> tuple[Fraction, Fraction]:
     for c in coeffs[1:]:
         power *= num
         acc = acc * den + c * power
-    return Fraction(acc, den**terms), tail
+    return Enclosure.around(Fraction(acc, den**terms), tail)
 
 
 def zeta_q_terms(k: int, q, eps) -> int:
@@ -216,18 +216,18 @@ def fewest_terms(enough) -> int:
     return hi
 
 
-def zeta_ref(k: int, terms: int = 1500) -> tuple[Fraction, Fraction]:
+def zeta_ref(k: int, terms: int = 1500) -> Enclosure:
     """Certified enclosure of zeta(k) by partial sum plus integral-test tail."""
     if k < 2:
         raise ValueError("zeta_ref needs k >= 2")
     s = sum(Fraction(1, n**k) for n in range(1, terms + 1))
     hi_tail = Fraction(1, (k - 1) * terms ** (k - 1))
     lo_tail = Fraction(1, (k - 1) * (terms + 1) ** (k - 1))
-    return s + lo_tail, s + hi_tail
+    return Enclosure(s + lo_tail, s + hi_tail)
 
 
-# one row of the q -> 1 limit table: enclosure of (1-q)^k zeta_q(k)
-LimitRow = namedtuple("LimitRow", "q lo hi target_lo target_hi")
+# one row of the q -> 1 limit table: enclosures of (1-q)^k zeta_q(k) and (k-1)! zeta(k)
+LimitRow = namedtuple("LimitRow", "q value target")
 
 
 def limit_check(k: int, q_list, rel_tol: float = 1e-9) -> list[LimitRow]:
@@ -239,9 +239,7 @@ def limit_check(k: int, q_list, rel_tol: float = 1e-9) -> list[LimitRow]:
     """
     if k < 2:
         raise ValueError("the classical limit needs k >= 2")
-    zlo, zhi = zeta_ref(k)
-    fact = math.factorial(k - 1)
-    target_lo, target_hi = fact * zlo, fact * zhi
+    target = zeta_ref(k) * math.factorial(k - 1)
     # the exact ends run to thousands of digits near q = 1; rounding them
     # outward to 2^-prec, 64 bits finer than rel_tol, keeps rows printable
     prec = 64 + math.ceil(1 / Fraction(rel_tol)).bit_length()
@@ -251,8 +249,6 @@ def limit_check(k: int, q_list, rel_tol: float = 1e-9) -> list[LimitRow]:
         if not 0 < q < 1:
             raise ValueError("limit_check expects 0 < q < 1")
         scale = (1 - q) ** k
-        terms = zeta_q_terms(k, q, Fraction(rel_tol) * target_lo / (2 * scale))
-        value, tail = zeta_q_value(k, q, terms)
-        enc = outward(scale * (value - tail), scale * (value + tail), prec)
-        rows.append(LimitRow(q, enc.lo, enc.hi, target_lo, target_hi))
+        terms = zeta_q_terms(k, q, Fraction(rel_tol) * target.lo / (2 * scale))
+        rows.append(LimitRow(q, (zeta_q_value(k, q, terms) * scale).outward(prec), target))
     return rows

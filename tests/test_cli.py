@@ -688,6 +688,11 @@ class TestCommands:
         assert code == 0
         assert report["outputs"]["band"] == "[1/3,1/2)"
 
+    def test_eq3_band_below_the_trigamma_domain_is_input_error(self, capsys):
+        # psi'(1/40) > 1600: its float carries no 1e-13, so trigamma refuses it
+        assert main(["eq3", "--n", "40", "--u", "1/40", "--v", "1/2"]) == 2
+        assert "trigamma certification exceeded 1e-13" in capsys.readouterr().err
+
     def test_jacobi(self, capsys):
         assert run_json(capsys, "jacobi", "--order", "80")[0] == 0
 

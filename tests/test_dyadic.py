@@ -1,8 +1,9 @@
-"""Enclosures with exact Fraction ends, and the one outward rounding.
+"""Enclosures with exact Fraction ends, their arithmetic and the one outward rounding.
 
 `outward` is checked against math.floor / math.ceil on signed Fractions, the
-predicates against plain Fraction comparisons, and a whole sized series
-summation against the exact-term oracle of test_series.
+predicates against plain Fraction comparisons, the arithmetic by inclusion
+isotonicity (a point of e maps into the image of e), and a whole sized
+series summation against the exact-term oracle of test_series.
 """
 
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from test_series import rounded_ends
 
 from qzeta import linforms
-from qzeta.dyadic import Enclosure, outward
+from qzeta.dyadic import Enclosure
 from qzeta.linforms import BV, THEOREM1, numeric_form_value
 
 PRECS = (0, 1, 8, 64, 256, 320)
@@ -44,7 +45,7 @@ def enclosures(draw):
 @given(scalars, st.sampled_from(PRECS))
 def test_exact_matches(v, prec):
     # a single value, of either sign, rounds to its floor and ceiling on the grid
-    enc = outward(v, v, prec)
+    enc = Enclosure(v, v).outward(prec)
     assert tuple(enc) == floor_ceil(Fraction(v), Fraction(v), prec)
     assert enc.contains(v)
     assert enc.width <= Fraction(1, 1 << prec)
@@ -53,42 +54,42 @@ def test_exact_matches(v, prec):
 @settings(max_examples=300, deadline=None)
 @given(enclosures(), st.sampled_from(PRECS))
 def test_outward_rounds_signed_fractions(x, prec):
-    enc = outward(x.lo, x.hi, prec)
+    enc = x.outward(prec)
     assert tuple(enc) == floor_ceil(x.lo, x.hi, prec)
     assert enc.lo <= x.lo and x.hi <= enc.hi
     assert enc.width < x.width + Fraction(2, 1 << prec)
     # the ends are on the grid, so rounding again changes nothing
-    assert outward(enc.lo, enc.hi, prec) == enc
+    assert enc.outward(prec) == enc
 
 
 def test_int_operands_scale_exactly():
     for v in (0, 1, -1, 2**200, -(3**150)):
         for prec in PRECS:
-            assert outward(v, v, prec) == (v, v)
-    assert outward(-3, 2**200, 0) == (-3, 2**200)
+            assert Enclosure(v, v).outward(prec) == (v, v)
+    assert Enclosure(-3, 2**200).outward(0) == (-3, 2**200)
 
 
 @settings(max_examples=100, deadline=None)
 @given(enclosures(), st.sampled_from(PRECS))
 def test_errors_match(x, prec):
-    # outward refuses exactly the inverted pairs, on every grid
+    # an Enclosure refuses exactly the inverted pairs, before any rounding
     if x.lo < x.hi:
         with pytest.raises(ValueError, match="empty"):
-            outward(x.hi, x.lo, prec)
-    assert outward(x.lo, x.hi, prec).contains(x.hi)
+            Enclosure(x.hi, x.lo)
+    assert x.outward(prec).contains(x.hi)
 
 
 def test_error_cases():
     with pytest.raises(ValueError, match="empty"):
-        outward(1, 0, 8)
+        Enclosure(1, 0)
     with pytest.raises(ValueError, match="empty"):
-        outward(Fraction(-1, 3), Fraction(-1, 2), 64)
+        Enclosure(Fraction(-1, 3), Fraction(-1, 2))
 
 
 def test_empty_interval_rejected_before_rounding():
     # rounded first, this inverted pair would have become [0, 1/2]
     with pytest.raises(ValueError, match="empty"):
-        outward(Fraction(3, 10), Fraction(1, 5), 1)
+        Enclosure(Fraction(3, 10), Fraction(1, 5)).outward(1)
 
 
 # -- predicates ---------------------------------------------------------------
@@ -113,17 +114,79 @@ def test_contains_zero():
 @settings(max_examples=300, deadline=None)
 @given(enclosures(), enclosures())
 def test_overlaps_and_readback_match(x, y):
-    assert x.overlaps(y) == y.overlaps(x) == (max(x.lo, y.lo) <= min(x.hi, y.hi))
-    assert x.overlaps(x)
+    # gap is symmetric, never negative, and 0 exactly when the intervals meet
+    meet = max(x.lo, y.lo) <= min(x.hi, y.hi)
+    assert x.gap(y) == y.gap(x) >= 0
+    assert (x.gap(y) == 0) == meet
+    if not meet:
+        assert x.gap(y) == max(x.lo, y.lo) - min(x.hi, y.hi)
+    assert x.gap(x) == 0
     assert x.width == x.hi - x.lo >= 0
+    assert x.mid == (x.lo + x.hi) / 2 and x.contains(x.mid)
 
 
 def test_touching_ends_overlap():
     third = Fraction(1, 3)
     left, right = Enclosure(Fraction(-1), third), Enclosure(third, Fraction(2))
-    assert left.overlaps(right) and right.overlaps(left)
+    assert left.gap(right) == right.gap(left) == 0
     apart = Enclosure(third + Fraction(1, 2**400), Fraction(2))
-    assert not left.overlaps(apart) and not apart.overlaps(left)
+    assert left.gap(apart) == apart.gap(left) == Fraction(1, 2**400)
+
+
+# -- arithmetic -----------------------------------------------------------------
+
+
+signed = st.sampled_from([-1, 0, 1])
+
+
+@st.composite
+def points(draw):
+    """An enclosure and a rational inside it."""
+    x = draw(enclosures())
+    t = draw(st.fractions(0, 1))
+    return x, x.lo + t * x.width
+
+
+@settings(max_examples=300, deadline=None)
+@given(points(), scalars, signed)
+def test_images_contain_the_images_of_points(point, c, sign):
+    # x in e implies x + c in e + c, x - c in e - c and x·c in e·c, for c < 0, c = 0 and c > 0
+    (e, x), c = point, sign * abs(Fraction(c))
+    assert (e + c).contains(x + c) and (e - c).contains(x - c) and (e * c).contains(x * c)
+    # the images are exact: the ends map to the ends
+    assert e + c == Enclosure(e.lo + c, e.hi + c)
+    assert e * c == Enclosure(*sorted((e.lo * c, e.hi * c)))
+    assert (e * c).width == abs(c) * e.width
+
+
+def test_float_operands_count_as_the_binary_rationals_they_are():
+    e = Enclosure(Fraction(1, 3), 1)
+    assert e + 0.1 == (Fraction(1, 3) + Fraction(0.1), 1 + Fraction(0.1))
+    assert e * 0.1 == (Fraction(1, 3) * Fraction(0.1), Fraction(0.1))
+
+
+def test_around():
+    e = Enclosure.around(Fraction(1, 3), Fraction(1, 7))
+    assert e == (Fraction(4, 21), Fraction(10, 21)) and e.mid == Fraction(1, 3)
+    assert Enclosure.around(-5, 0) == (-5, -5)
+    with pytest.raises(ValueError, match="empty"):
+        Enclosure.around(0, Fraction(-1, 2))
+
+
+def test_scalar_on_the_left_is_the_same_product():
+    # without __rmul__, 2 * e would be tuple repetition
+    e = Enclosure(Fraction(-1, 2), Fraction(3))
+    for c in (2, Fraction(-1, 3), 0):
+        assert type(c * e) is Enclosure and c * e == e * c
+    assert 2 * e == (-1, 6) and Fraction(-1, 3) * e == (-1, Fraction(1, 6))
+
+
+def test_enclosures_do_not_combine_as_tuples():
+    # Enclosure op Enclosure has no caller; it raises, not tuple concatenation or repetition
+    e = Enclosure(0, 1)
+    for op in (lambda: e + e, lambda: e - e, lambda: e * e, lambda: e + (1, 2)):
+        with pytest.raises(TypeError):
+            op()
 
 
 # -- a whole summation --------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from test_linforms import linform
 
 from qzeta import linforms
+from qzeta.dyadic import Enclosure
 from qzeta.groups import (
     SIGMA,
     TAU,
@@ -296,6 +297,16 @@ class TestStability:
         assert sum(r["status"] == "ok" for r in rows) == 6
         assert len(calls) == len(set(calls)) == 3
 
+    def test_enclosures_that_miss_are_unstable(self):
+        # the verdict is the gap between Q(c) and Q(gc): apart by 2^-400 fails
+        x, g = ParamsZ2(6, 7, 8, 16, 17), zeta2_group().generators[0]
+        image = stability_check(x, g, 2, 64).image
+        assert image != x
+        tiny = Fraction(1, 2**400)
+        for lhs, rhs, ok in ((0, tiny, False), (tiny, 0, False), (tiny, tiny, True)):
+            known = {x: Enclosure(lhs, lhs), image: Enclosure(rhs, rhs)}
+            assert stability_check(x, g, 2, 320, known).ok is ok
+
     def test_zeta2_single_elements(self):
         x = ParamsZ2(6, 7, 8, 16, 17)
         for g in zeta2_group().generators:
@@ -307,8 +318,7 @@ class TestStability:
         q = stable_quantity(ParamsZ1(1, 1, 1, 2), 2, 320)
         from qzeta.qseries import zeta_q_value
 
-        z, tail = zeta_q_value(1, Fraction(1, 2), 200)
-        assert q.lo <= 2 * (z + tail) and 2 * z <= q.hi  # the two enclosures meet
+        assert q.gap(2 * zeta_q_value(1, Fraction(1, 2), 200)) == 0  # the two enclosures meet
 
     @pytest.mark.parametrize("p", [2, 3, -2, -3, 5])
     @pytest.mark.parametrize("bits", [1, 64, 320])

@@ -24,6 +24,7 @@ from test_parith import (
 
 from qzeta import builders, linforms
 from qzeta.builders import _expand_factors, _poly_part
+from qzeta.dyadic import Enclosure
 from qzeta.forms import LinearForm, RatFunc, form_to_json, verify_inclusion
 from qzeta.linforms import (
     APERY,
@@ -31,6 +32,7 @@ from qzeta.linforms import (
     THEOREM1,
     THEOREM2,
     Family,
+    Certification,
     Summand,
     _log_abs,
     _sum_series,
@@ -41,6 +43,7 @@ from qzeta.linforms import (
 )
 from qzeta.params import ParamsZ1, ParamsZ2, cvector
 from qzeta.parith import FactoredPPoly, PPoly, cyclotomic, divisors, dnp
+from qzeta.qseries import zeta_q_terms, zeta_q_value
 from qzeta.store import Store
 
 
@@ -804,6 +807,38 @@ class TestNumerics:
         rep = certify(f, 2)
         assert rep.ok and rep.gap == 0
         assert rep.width < Fraction(1, 2**rep.target) < Fraction(1, 10**30)
+
+    @pytest.mark.parametrize(
+        "family, n, p, a_sign",
+        [(BV, 3, 2, 1), (BV, 3, -3, -1), (THEOREM2, 1, -2, 1)],
+        ids=["bv3-p2", "bv3-p-3", "theorem2-1-p-2"],
+    )
+    def test_certification_matches_the_hand_formula(self, store, family, n, p, a_sign):
+        # the enclosures assembled by hand, a·Z − b ± |a|·tail against the
+        # summed series, so a sign slip in Enclosure·rational (bv n = 3 has
+        # A(-3) < 0) or a changed subtraction order shows
+        form = linform(store, family.params(n), certify_at=None)
+        rep = certify(form, p)
+        k, q, eps = form.params.k, Fraction(1, p), Fraction(1, 1 << rep.target)
+        a, b = form.A.value_at(p), form.B.value_at(p)
+        assert (a > 0) - (a < 0) == a_sign
+        z = zeta_q_value(k, q, zeta_q_terms(k, q, eps / (4 * max(abs(a), 1))))
+        zeta, tail = z.mid, z.width / 2
+        lo, hi = a * zeta - b - abs(a) * tail, a * zeta - b + abs(a) * tail
+        enc = numeric_form_value(form.params, p, rep.target)
+        gap, width = max(lo - enc.hi, enc.lo - hi, Fraction(0)), max(hi - lo, enc.width)
+        assert rep == Certification(rep.target, gap, width, gap == 0 and width < eps)
+        assert rep.ok
+
+    def test_certification_fails_on_a_wide_series_enclosure(self, store, monkeypatch):
+        # width is the wider of the two enclosures, and ok needs it below 2^-target
+        form = linform(store, BV.params(3), certify_at=None)
+        real = linforms.numeric_form_value
+        monkeypatch.setattr(
+            linforms, "numeric_form_value", lambda *a: Enclosure.around(real(*a).mid, 1)
+        )
+        rep = certify(form, 2)
+        assert rep.gap == 0 and rep.width == 2 and not rep.ok
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_certification_small_grid(self, store, p):

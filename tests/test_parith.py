@@ -579,18 +579,18 @@ def test_phi_block_sum_rejects_bad_window():
 
 
 def test_trigamma_closed_forms():
-    assert trigamma(1).value == pytest.approx(math.pi**2 / 6, abs=1e-13)
-    assert trigamma(Fraction(1, 2)).value == pytest.approx(math.pi**2 / 2, abs=1e-13)
-    assert trigamma(2).value == pytest.approx(math.pi**2 / 6 - 1, abs=1e-13)
+    assert float(trigamma(1).mid) == pytest.approx(math.pi**2 / 6, abs=1e-13)
+    assert float(trigamma(Fraction(1, 2)).mid) == pytest.approx(math.pi**2 / 2, abs=1e-13)
+    assert float(trigamma(2).mid) == pytest.approx(math.pi**2 / 6 - 1, abs=1e-13)
 
 
 def test_trigamma_recurrence_grid():
+    # psi'(x) = psi'(x+1) + 1/x^2, so the two enclosures meet once shifted
     for i in range(1, 101):
         x = Fraction(i, 20)
-        a = trigamma(x)
-        b = trigamma(x + 1)
-        resid = a.value - b.value - float(1 / (x * x))
-        assert abs(resid) < 2 * (a.abs_err + b.abs_err) + 1e-12
+        a, b = trigamma(x), trigamma(x + 1)
+        assert a.gap(b + 1 / (x * x)) == 0
+        assert abs(float(a.mid) - float(b.mid) - float(1 / (x * x))) < 1e-12
 
 
 def test_trigamma_against_direct_series():
@@ -599,7 +599,7 @@ def test_trigamma_against_direct_series():
         s = sum(1.0 / float((x + j) * (x + j)) for j in range(big))
         lo = s + 1.0 / float(x + big)
         hi = s + 1.0 / float(x + big - 1)
-        val = trigamma(x).value
+        val = float(trigamma(x).mid)
         assert lo - 1e-9 <= val <= hi + 1e-9
 
 
@@ -635,10 +635,11 @@ def test_trigamma_abs_err_bounds_the_true_error():
         except ValueError:  # a float near psi'(x) > 450 carries no 1e-13 absolute
             assert ref > 450, x
             continue
-        assert abs(Fraction(t.value) - ref) + tail <= Fraction(t.abs_err), x
-        # value rounds exact, the series at >= 16 within its first omitted term
-        assert t.value == float(t.exact), x
-        assert abs(t.exact - ref) + tail <= _trigamma_reference(x, 16)[1], x
+        assert ref < 451, x
+        # the mid's float is within 1e-13 of psi'(x)
+        assert abs(Fraction(float(t.mid)) - ref) + tail <= Fraction(1e-13), x
+        # the enclosure holds psi'(x), its radius the series' first omitted term at >= 16
+        assert abs(t.mid - ref) + tail <= t.width / 2 == _trigamma_reference(x, 16)[1], x
 
 
 def test_trigamma_rejects_bad_input():
@@ -646,3 +647,6 @@ def test_trigamma_rejects_bad_input():
         trigamma(0)
     with pytest.raises(ValueError):
         trigamma(Fraction(-3, 2))
+    # psi'(1/32) > 1000, where a float carries no 1e-13 absolute
+    with pytest.raises(ValueError, match="exceeded 1e-13"):
+        trigamma(Fraction(1, 32))

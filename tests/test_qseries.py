@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qzeta.dyadic import Enclosure
 from qzeta.qseries import (
     QSeries,
     jacobi_check,
@@ -145,48 +146,48 @@ class TestJacobi:
 class TestZetaQValue:
     def test_worked_example(self):
         # 1/2 + 2/4 + 2/8 + 3/16, tail 5 (1/2)^5 / (1 - (6/5)(1/2))
-        assert zeta_q_value(1, Fraction(1, 2), 4) == (Fraction(23, 16), Fraction(25, 64))
+        z = zeta_q_value(1, Fraction(1, 2), 4)
+        assert z == Enclosure.around(Fraction(23, 16), Fraction(25, 64))
+        assert (z.mid, z.width) == (Fraction(23, 16), Fraction(25, 32))
         assert rho_lambert(1, Fraction(1, 2), 4) == (Fraction(54, 35), Fraction(2, 31))
 
     def test_single_term_k2(self):
-        assert zeta_q_value(2, Fraction(1, 3), 1)[0] == Fraction(1, 3)
+        assert zeta_q_value(2, Fraction(1, 3), 1).mid == Fraction(1, 3)
         assert rho_lambert(2, Fraction(1, 2), 1)[0] == 2
 
     def test_enclosures_nest_and_shrink(self):
         results = [zeta_q_value(3, Fraction(1, 2), t) for t in (5, 10, 20, 40, 80)]
-        for (a, ta), (b, tb) in zip(results, results[1:]):
-            assert a - ta <= b - tb and b + tb <= a + ta
-            assert tb < ta
-        assert results[-1][1] < Fraction(1, 10**17)
+        for a, b in zip(results, results[1:]):
+            assert a.lo <= b.lo and b.hi <= a.hi
+            assert b.width < a.width
+        assert results[-1].width < Fraction(2, 10**17)
 
     def test_rho_route_matches_divisor_sum_route(self):
         # same number from a structurally different series, at q = -1/2
         q = Fraction(-1, 2)
         a, ta = rho_lambert(2, q, 60)
-        b, tb = zeta_q_value(2, q, 300)
-        assert abs(a - b) <= ta + tb
+        assert zeta_q_value(2, q, 300).gap(Enclosure.around(a, ta)) == 0
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("q", ["1/2", "-1/2", "1/3", "-1/3", "9/10"])
     def test_matches_rho_lambert_oracle(self, q, k):
         q = Fraction(q)
         a, ta = rho_lambert(k, q, 200 if q == Fraction(9, 10) else 60)
-        b, tb = zeta_q_value(k, q, zeta_q_terms(k, q, Fraction(1, 10**30)))
-        assert ta < Fraction(1, 10**8) and tb <= Fraction(1, 10**30)
-        assert abs(a - b) <= ta + tb
+        b = zeta_q_value(k, q, zeta_q_terms(k, q, Fraction(1, 10**30)))
+        assert ta < Fraction(1, 10**8) and b.width <= Fraction(2, 10**30)
+        assert b.gap(Enclosure.around(a, ta)) == 0
 
     def test_tail_bound_holds(self):
         for k, q in ((1, Fraction(1, 2)), (4, Fraction(-1, 3)), (3, Fraction(9, 10))):
-            value, tail = zeta_q_value(k, q, 60)
-            longer, longer_tail = zeta_q_value(k, q, 900)
-            assert abs(longer - value) <= tail - longer_tail
+            short, longer = zeta_q_value(k, q, 60), zeta_q_value(k, q, 900)
+            assert short.lo <= longer.lo and longer.hi <= short.hi
 
     def test_terms_are_the_fewest_for_the_bound(self):
         for k, q, eps in ((1, Fraction(1, 2), Fraction(1, 2**200)), (3, Fraction(9, 10), Fraction(1, 10**6))):
             t = zeta_q_terms(k, q, eps)
-            assert zeta_q_value(k, q, t)[1] <= eps
+            assert zeta_q_value(k, q, t).width <= 2 * eps
             try:
-                fewer = zeta_q_value(k, q, t - 1)[1]
+                fewer = zeta_q_value(k, q, t - 1).width / 2
             except ValueError:  # t - 1 terms bound no tail at all
                 continue
             assert fewer > eps
@@ -203,42 +204,45 @@ class TestZetaQValue:
             zeta_q_value(2, Fraction(1, 2), 1)
 
     def test_arbitrary_rational_point(self):
-        value, tail = zeta_q_value(2, Fraction(1, 3), 40)
+        z = zeta_q_value(2, Fraction(1, 3), 40)
         direct = sum(sigma(2, n) * Fraction(1, 3) ** n for n in range(1, 200))
-        assert abs(value - direct) <= tail + Fraction(200**2, 3**200)
+        assert abs(z.mid - direct) <= z.width / 2 + Fraction(200**2, 3**200)
 
 
 class TestClassicalLimit:
     def test_zeta_ref_brackets_known_values(self):
-        lo, hi = zeta_ref(2)
-        assert float(lo) < math.pi**2 / 6 < float(hi)
-        assert hi - lo < Fraction(1, 10**5)
-        lo3, hi3 = zeta_ref(3)
-        assert float(lo3) < 1.2020569031595943 < float(hi3)
+        z2, z3 = zeta_ref(2), zeta_ref(3)
+        assert float(z2.lo) < math.pi**2 / 6 < float(z2.hi)
+        assert z2.width < Fraction(1, 10**5)
+        assert float(z3.lo) < 1.2020569031595943 < float(z3.hi)
 
     def test_scaled_values_approach_factorial_times_zeta(self):
         rows = limit_check(2, [Fraction(1, 2), Fraction(9, 10), Fraction(99, 100)])
-        mids = [(r.lo + r.hi) / 2 for r in rows]
+        mids = [r.value.mid for r in rows]
         target = math.pi**2 / 6
-        # certified enclosures are tight
+        # certified enclosures are tight, against (2-1)! zeta(2)
         for r in rows:
-            assert r.hi - r.lo < Fraction(1, 10**6)
+            assert r.value.width < Fraction(1, 10**6)
+            assert r.target == zeta_ref(2)
         # monotone approach from below, last point within 2 percent
         assert mids[0] < mids[1] < mids[2]
         assert float(mids[2]) > 0.98 * target
-        assert float(rows[2].hi) < target
+        assert float(rows[2].value.hi) < target
 
     def test_enclosure_agrees_with_exact_evaluation(self):
         q = Fraction(1, 2)
         (row,) = limit_check(3, [q])
         value, tail = rho_lambert(3, q, 120)
         scale = (1 - q) ** 3
-        assert row.lo <= scale * (value + tail) and scale * (value - tail) <= row.hi
+        assert row.value.lo <= scale * (value + tail)
+        assert scale * (value - tail) <= row.value.hi
+        assert row.target == Enclosure(2 * zeta_ref(3).lo, 2 * zeta_ref(3).hi)
 
     def test_rows_are_pinned(self):
         # the exact ends floored and ceiled at 2^-94 (one reduces to 2^-88)
         rows = limit_check(2, [Fraction(1, 2), Fraction(9, 10)]) + limit_check(3, [Fraction(1, 2)])
-        got = [(r.lo.numerator, r.hi.numerator, r.lo.denominator, r.hi.denominator) for r in rows]
+        ends = [r.value for r in rows]
+        got = [(e.lo.numerator, e.hi.numerator, e.lo.denominator, e.hi.denominator) for e in ends]
         assert got == [
             (212309338505433742052477501, 212309338979808949675439555, 2**88, 2**88),
             (28418572164464381298754631743, 28418572195728015842823591363, 2**94, 2**94),

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from qzeta.dyadic import Enclosure
 from qzeta.groups import Perm
 from qzeta.linforms import BV
 from qzeta.measures import MFit
 from qzeta.params import LABELS_Z1, CVector, ParamsZ1, ParamsZ2
-from qzeta.parith import FactoredPPoly, Trigamma
+from qzeta.parith import FactoredPPoly, trigamma
 from qzeta.qseries import QSeries
 from qzeta.store import Store
 
@@ -21,9 +22,11 @@ from qzeta.store import Store
         lambda: ParamsZ2(1, 1, 0, 2, 2),
         lambda: Perm(("a", "b"), ("a", "a")),
         lambda: QSeries((1, 2), 3),
-        lambda: Trigamma(Fraction(1), 1.6449, 1e-12, Fraction(1)),
+        lambda: trigamma(Fraction(1, 32)),
+        lambda: Enclosure(Fraction(1), Fraction(0)),
     ],
-    ids=["z1-zero", "z1-neg", "z2-zero", "perm-not-bijective", "qseries-length", "trigamma-err"],
+    ids=["z1-zero", "z1-neg", "z2-zero", "perm-not-bijective", "qseries-length", "trigamma-err",
+         "enclosure-empty"],  # fmt: skip
 )
 def test_validation_raises_value_error(make):
     with pytest.raises(ValueError):
@@ -40,8 +43,9 @@ def test_validation_raises_value_error(make):
         (BV, "rates"),
         (QSeries((1,), 1), "order"),
         (MFit(Fraction(3, 2), (5,), (), True), "stable"),
+        (Enclosure(0, 1), "hi"),
     ],
-    ids=["ParamsZ1", "ParamsZ2", "CVector", "Perm", "Family", "QSeries", "MFit"],
+    ids=["ParamsZ1", "ParamsZ2", "CVector", "Perm", "Family", "QSeries", "MFit", "Enclosure"],
 )
 def test_frozen_fields_reject_assignment(record, field):
     with pytest.raises(AttributeError):
