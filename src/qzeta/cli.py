@@ -11,11 +11,20 @@ value outside an operation's domain, or a range that leaves nothing to
 check).  Exact values print in full at any length: main lifts the
 interpreter's int <-> str digit limit for its own run.
 
-Each command imports only the library modules it runs, and main builds the
-subparser of the named command alone (the whole parser only for help and
-errors at the top level), so it pays start-up time for its own code alone:
-`group` and `stability` load no polynomial code, and a form read from the
-cache loads forms but not builders.  --kind looks the parameter class up
+This module holds the entry, the report plumbing, the shared --format and
+--cache-dir flags and COMMANDS, the ordered table of command name ->
+(command module, help).  The handlers and their flags live in the command
+modules, grouped by what they load: cmd_orders (`cyclotomic`, `dnp`,
+`ord`), cmd_forms (`linform`, `inclusion`), cmd_groups (`group`, `omega`,
+`stability`), cmd_measures (`measure`, `empirical-mu`, `apery`) and
+cmd_series (`series`, `rho`, `mertens`, `eq3`, `jacobi`).  main builds the
+subparser of the named command alone, importing that command's module
+only (the whole parser, with every module, only for help and errors at the
+top level), and each handler imports only the library modules it runs, so
+a command compiles and loads its own code alone: `ord`, `dnp` and
+`cyclotomic` load neither `fractions` nor `decimal`, `group` and
+`stability` load no polynomial code, and a form read from the cache loads
+forms but not builders.  --kind looks the parameter class up
 in params.PARAMS; that class carries every fact that depends on the kind.
 Each command gets one store.Store, which keeps linear forms under a cache
 directory (--cache-dir, else $QZETA_CACHE, else ~/.cache/qzeta) as
@@ -37,33 +46,27 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import sys
 import time
-from fractions import Fraction
+from importlib import import_module
 
 from . import __version__
 from .store import Store
-
-BV_CONSTANT = 2 * math.pi**2 / (math.pi**2 - 2)
-MU_TARGETS = {"theorem1": (2.42343562, 1e-6), "theorem2": (4.07869374, 1e-6)}
-# default n range of `inclusion --family`, by the family's kind
-INCLUSION_N_MAX = {"zeta1": 6, "zeta2": 3}
-
 
 # --------------------------------------------------------------------------
 # encoding and report plumbing
 
 
 def _enc(x):
-    """Lossless JSON-safe encoding; ints and rationals become strings."""
+    """Lossless JSON-safe encoding; ints and rationals become strings.
+
+    str already writes an int in full and a Fraction as "n/d", or as "n"
+    when d = 1, so neither needs a branch of its own, and reports never
+    import `fractions` to recognise one.
+    """
     if isinstance(x, bool) or x is None or isinstance(x, (float, str)):
         return x
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, dict):
         return {str(k): _enc(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -75,10 +78,11 @@ def _check(name: str, ok: bool, witness: str) -> dict:
     return {"name": name, "pass": bool(ok), "witness": witness}
 
 
-def _log2(x: Fraction) -> int:
-    """floor(log2 x) for x > 0, exactly; float(x) would overflow past 2^1024."""
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    return e - (x < Fraction(2) ** e)
+def _log2(x) -> int:
+    """floor(log2 x) for a rational x > 0, exactly; float(x) would overflow past 2^1024."""
+    n, d = x.numerator, x.denominator
+    e = n.bit_length() - d.bit_length()
+    return e - ((n << max(-e, 0)) < (d << max(e, 0)))  # x < 2^e
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -126,453 +130,37 @@ def _family(name: str):
 
 
 # --------------------------------------------------------------------------
-# subcommands
-
-
-def cmd_series(args, store):
-    from .qseries import zeta_q_series
-
-    reps = ("divisor-sum", "lambert", "rho")
-    checks = []
-    for k in range(1, args.k + 1):
-        ref = zeta_q_series(k, args.order, "divisor-sum")
-        same = all(zeta_q_series(k, args.order, r).coeffs == ref.coeffs for r in reps[1:])
-        checks.append(
-            _check(f"representations-agree-k{k}", same, f"3 routes, order {args.order}")
-        )
-    shown = zeta_q_series(args.k, args.order).coeffs[: min(args.order, 16)]
-    outputs = {"k": args.k, "order": args.order, "leading_coefficients": shown}
-    return outputs, checks
-
-
-def cmd_rho(args, store):
-    from .qseries import rho
-
-    checks = []
-    for k in range(1, args.k + 1):
-        val, want = rho(k)(1), math.factorial(k - 1)
-        checks.append(_check(f"rho{k}-at-1", val == want, f"{val} vs {want}"))
-    r = rho(args.k)
-    return {"k": args.k, "coefficients": r.coeffs, "degree": r.degree}, checks
-
-
-def cmd_cyclotomic(args, store):
-    from .parith import cyclotomic, cyclotomic_value
-
-    phi = cyclotomic(args.l)
-    p = args.p if args.p is not None else 2
-    poly_val = phi(p)
-    checks = [
-        _check(
-            "moebius-product-agrees",
-            cyclotomic_value(args.l, p) == poly_val,
-            f"Phi_{args.l}({p}) = {poly_val}",
-        )
-    ]
-    outputs = {
-        "l": args.l,
-        "degree": phi.degree,
-        "coefficients": phi.coeffs,
-        "value_at_p": poly_val,
-        "p": p,
-    }
-    return outputs, checks
-
-
-def cmd_dnp(args, store):
-    from .parith import PPoly, dnp, totient
-
-    n = args.n
-    d = dnp(n)
-    expanded = d.expand()
-    # [v]_p | D_n  iff  (p^v - 1) | D_n·(p - 1)
-    shifted = expanded.mul_binomial(1)
-    divisible = all(shifted.div_binomial(v) is not None for v in range(1, n + 1))
-    # Phi_n .. Phi_2 divided out of one shrinking cofactor, which leaves Phi_1
-    orders_ok, rest = True, expanded
-    for l in range(n, 1, -1):
-        k, rest = rest.split_cyclotomic(l, cap=2)
-        orders_ok &= k == 1
-    orders_ok &= rest == PPoly((-1, 1))
-    degree_ok = expanded.degree == sum(totient(l) for l in range(1, n + 1))
-    checks = [
-        _check("divisible-by-every-q-integer", divisible, f"[v]_p | D_{n} for v <= {n}"),
-        _check(
-            "lcm-minimality",
-            orders_ok and degree_ok,
-            "each Phi_l appears exactly once and the degree matches",
-        ),
-    ]
-    outputs = {"n": n, "degree": expanded.degree, "factor_exponents": d.exponents}
-    if args.p is not None:
-        outputs["value_at_p"] = expanded(args.p)
-        outputs["p"] = args.p
-    return outputs, checks
-
-
-def cmd_ord(args, store):
-    from .parith import PPoly, gauss_factorial, ord_phi_factorial
-
-    n = args.n
-    if args.l is not None:
-        ls = [args.l]
-    elif n < 2:
-        raise ValueError("ord sweep needs n >= 2")
-    else:
-        ls = list(range(2, n + 1))
-    rest = gauss_factorial(n)
-    want = {l: ord_phi_factorial(l, n) for l in ls}
-    got = {}
-    for l in reversed(ls):  # largest l first, on one shrinking cofactor
-        got[l], rest = rest.split_cyclotomic(l, cap=want[l] + 2)
-    checks = [
-        _check(f"division-count-l{l}", got[l] == want[l], f"{got[l]} vs floor {want[l]}")
-        for l in ls
-        if len(ls) == 1 or got[l] != want[l]
-    ]
-    if len(ls) > 1:
-        # [n]_p! = prod_{l=2}^n Phi_l^floor(n/l): nothing may be left over
-        checks.append(
-            _check(
-                "division-count-sweep",
-                not checks and rest == PPoly((1,)),
-                f"l = 2..{n} against exact division",
-            )
-        )
-    rows = {str(l): w for l, w in want.items()}
-    outputs = {"n": n, "order": want[ls[0]] if len(ls) == 1 else rows}
-    return outputs, checks
-
-
-def cmd_mertens(args, store):
-    from .parith import DENSITY, mertens_ratio
-
-    ratio = mertens_ratio(args.n, args.p)
-    ok = abs(ratio - DENSITY) <= 0.05
-    outputs = {"n": args.n, "p": args.p, "ratio": ratio, "density": DENSITY}
-    return outputs, [_check("within-0.05-of-density", ok, f"|{ratio:.6f} - {DENSITY:.6f}|")]
-
-
-def cmd_eq3(args, store):
-    from .parith import DENSITY, phi_block_sum, trigamma
-
-    u, v = args.u, args.v
-    lhs = phi_block_sum(args.n, args.p, u, v)
-    rhs = DENSITY * (float(trigamma(u).mid) - float(trigamma(v).mid))
-    ok = abs(lhs - rhs) <= 0.10 * abs(rhs)
-    outputs = {
-        "n": args.n,
-        "p": args.p,
-        "band": f"[{u},{v})",
-        "normalized_sum": lhs,
-        "trigamma_limit": rhs,
-    }
-    return outputs, [_check("within-10-percent", ok, f"{lhs:.6f} vs {rhs:.6f}")]
-
-
-def cmd_linform(args, store):
-    from .linforms import certify
-
-    params = _parse_params(args.kind, args.params)
-    form = store.form(params)
-    p = args.p if args.p is not None else 2
-    cert = certify(form, p)
-    outputs = {
-        "kind": form.kind,
-        "params": list(params),
-        "M": form.M,
-        "max_c": form.cvec.m,
-        "A_at_p": form.A.value_at(p),
-        "B_at_p": form.B.value_at(p),
-        "A_numerator_degree": form.A.num.degree,
-        # the stored denominators, in lowest terms, set certify's target
-        "A_denominator": {"p": form.A.dpow, "phi": form.A.dphi},
-        "B_denominator": {"p": form.B.dpow, "phi": form.B.dphi},
-        "p": p,
-    }
-    return outputs, [
-        _check(
-            f"certified-at-{p}",
-            cert.ok,
-            f"gap {'0' if cert.gap == 0 else f'>= 2^{_log2(cert.gap)}'},"
-            f" widths < 2^{_log2(cert.width) + 1}, need < 2^-{cert.target}",
-        )
-    ]
-
-
-def cmd_inclusion(args, store):
-    from .forms import verify_inclusion
-
-    if args.params is not None and args.family is not None:
-        raise ValueError("--params and --family exclude each other")
-    if args.kind is not None and args.params is None:
-        raise ValueError("--kind needs --params")
-    if args.n_max is not None and args.family is None:
-        raise ValueError("--n-max needs --family")
-    if args.params is not None:
-        kind = args.kind or "zeta1"
-        jobs = [(None, _parse_params(kind, args.params))]
-    elif args.family is not None:
-        fam = _family(args.family)
-        n_max = INCLUSION_N_MAX[fam.kind] if args.n_max is None else args.n_max
-        jobs = [(n, fam.params(n)) for n in range(1, n_max + 1)]
-    else:
-        theorem1, theorem2 = _family("theorem1"), _family("theorem2")
-        jobs = [(n, theorem1.params(n)) for n in range(1, 7)]
-        jobs += [(n, theorem2.params(n)) for n in range(1, 4)]
-    checks, rows = [], []
-    for n, params in jobs:
-        form = store.form(params)
-        res = verify_inclusion(form)
-        tag = f"n{n}" if n is not None else "params"
-        checks.append(
-            _check(
-                f"integrality-{form.kind}-{tag}",
-                res.ok,
-                res.witness or "p^-M D clears A and B into Z[p]",
-            )
-        )
-        rows.append({"params": list(params), "M": form.M})
-    return {"forms": rows}, checks
-
-
-def cmd_group(args, store):
-    from .groups import zeta1_arith_group, zeta1_group, zeta2_group
-
-    table = {
-        "zeta1": (zeta1_group, 12),
-        "zeta1-arith": (zeta1_arith_group, 6),
-        "zeta2": (zeta2_group, 120),
-    }
-    names = [args.kind] if args.kind else list(table)
-    checks, outputs = [], {}
-    for name in names:
-        builder, expect = table[name]
-        G = builder()
-        outputs[name] = {
-            "order": len(G),
-            "generators": [repr(g) for g in G.generators],
-        }
-        checks.append(_check(f"order-{name}", len(G) == expect, f"{len(G)} vs {expect}"))
-    return outputs, checks
-
-
-def cmd_omega(args, store):
-    from .groups import group_for, omega
-    from .params import cvector
-
-    params = _parse_params(args.kind, args.params)
-    c = cvector(params)
-    res = omega(c, group_for(params.kind))
-    nonzero = {str(l): e for l, e in sorted(res.nu.items()) if e}
-    outputs = {
-        "params": list(params),
-        "c_values": c.as_dict(),
-        "nu": nonzero,
-    }
-    if args.p is not None:
-        outputs["omega_at_p"] = res.omega.value_at(args.p)
-        outputs["p"] = args.p
-    ok = all(e >= 0 for e in res.nu.values())
-    return outputs, [_check("exponents-nonnegative", ok, f"{len(nonzero)} nonzero exponents")]
-
-
-def cmd_stability(args, store):
-    from .groups import group_for, stability_sweep
-
-    if args.n is not None and args.family is None:
-        raise ValueError("--n needs --family")
-    if args.terms is not None:
-        if args.terms < 0:
-            raise ValueError("stability needs terms >= 0")
-        print("qzeta: note: --terms is ignored; --prec sizes the series", file=sys.stderr)
-    if args.family is not None:
-        fam = _family(args.family)
-        n_top = 1 if args.n is None else args.n
-        jobs = [(fam.name, n) for n in range(1, n_top + 1)]
-    else:
-        jobs = [("theorem1", 1), ("theorem1", 2), ("theorem2", 1)]
-    checks, outputs = [], {}
-    for name, n in jobs:
-        fam = _family(name)
-        G = group_for(fam.kind)
-        rows = stability_sweep(fam.params(n), G, p=args.p, bits=args.prec)
-        admissible = [r for r in rows if r["status"] != "skipped (inadmissible image)"]
-        worst = max((r["width"] for r in admissible), default=0)
-        # the identity is always admissible, so an empty list means the sweep failed
-        ok = bool(admissible) and all(r["status"] == "ok" for r in admissible)
-        ok = ok and worst < Fraction(1, 1 << args.prec)
-        widest = "0" if worst == 0 else f"< 2^{_log2(worst) + 1}"
-        witness = f"{len(admissible)} admissible images, widest enclosure {widest}"
-        checks.append(_check(f"invariant-{name}-n{n}", ok, witness))
-        outputs[f"{name}-n{n}"] = [{"g": r["g"], "status": r["status"]} for r in rows]
-    return outputs, checks
-
-
-def cmd_measure(args, store):
-    from .measures import measure
-
-    fam = _family(args.family)
-    rep = measure(fam, store, args.fit_n_max)
-    fit = rep.M_fit
-    outputs = {
-        "family": fam.name,
-        "alpha": rep.alpha,
-        "d_exp": rep.d_exp,
-        "omega_exp": rep.omega_exp,
-        "M_coeff": rep.M_coeff,
-        "kappa": rep.kappa,
-        "lambda": rep.lambda_,
-        "mu_bound": rep.mu_bound,
-        "M_values": fit.values,
-        "M_second_diffs": fit.second_diffs,
-        "M_fit_period": fit.period,
-    }
-    checks = []
-    if fam.name in MU_TARGETS:
-        target, tol = MU_TARGETS[fam.name]
-        checks.append(
-            _check(
-                "matches-known-constant",
-                abs(rep.mu_bound - target) <= tol,
-                f"{rep.mu_bound:.9f} vs {target} (tol {tol})",
-            )
-        )
-    elif fam.name == "bv":
-        checks.append(
-            _check(
-                "matches-closed-form",
-                abs(rep.mu_bound - BV_CONSTANT) <= 1e-8,
-                f"{rep.mu_bound:.10f} vs 2*pi^2/(pi^2-2)",
-            )
-        )
-        checks.append(
-            _check("M-coefficient", rep.M_coeff == Fraction(3, 2), f"{rep.M_coeff} vs 3/2")
-        )
-    else:
-        checks.append(_check("forms-decay", rep.lambda_ < 0, f"lambda = {rep.lambda_:.6f}"))
-    checks.append(
-        _check(
-            "M-fit-stable",
-            fit.stable,
-            fit.warning or f"second differences settle with period {fit.period}",
-        )
-    )
-    return outputs, checks
-
-
-def cmd_empirical_mu(args, store):
-    from .measures import empirical_mu
-
-    fam = _family(args.family)
-    res = empirical_mu(fam, args.p, args.n_max, store)
-    ests, logs = res.estimates, res.log_residues
-    checks = [
-        _check(
-            "estimates-finite",
-            all(e > 1 for e in ests),
-            f"{len(ests)} estimates, all above 1",
-        ),
-        _check(
-            "forms-nonzero-and-decaying",
-            res.decaying,
-            f"log|Delta F| from {logs[0]:.3f} at n=1 to {logs[-1]:.3f} at n={args.n_max}",
-        ),
-    ]
-    if fam.name == "bv" and args.n_max >= 25:
-        checks.append(
-            _check(
-                "near-closed-form",
-                abs(ests[-1] - BV_CONSTANT) <= 0.2,
-                f"final estimate {ests[-1]:.5f} vs {BV_CONSTANT:.5f}",
-            )
-        )
-    return {"family": fam.name, "p": args.p, "estimates": ests}, checks
-
-
-def cmd_apery(args, store):
-    from .measures import _limit_value_at_one, apery_limit_check, apery_numbers
-
-    if args.n_max > 4:
-        raise ValueError("apery is cost-bounded to --n-max <= 4")
-    oracle, fam = apery_numbers(args.n_max), _family("apery")
-    values, checks = [], []
-    for n in range(args.n_max + 1):
-        values.append(_limit_value_at_one(store.form(fam.params(n))))
-        checks.append(
-            _check(
-                f"limit-matches-A{n}",
-                apery_limit_check(n, store),
-                f"{values[-1]} vs {oracle[n]} (up to sign)",
-            )
-        )
-    return {"limit_values": values, "apery_numbers": oracle}, checks
-
-
-def cmd_jacobi(args, store):
-    from .qseries import jacobi_check
-
-    ok = jacobi_check(args.order)
-    return {"order": args.order}, [
-        _check("four-square-identity", ok, f"coefficients agree to order {args.order}")
-    ]
-
-
-# --------------------------------------------------------------------------
 # parser and entry point
 
 
-# (name, function, help, arguments), each argument a flag and its add_argument keywords
-# fmt: off
+# (name, module, help) in the order --help lists them; the command module's
+# HANDLERS gives the name's handler and flags
 COMMANDS = (
-    ("series", cmd_series, "q-expansion of zeta_q(k); cross-checks all representations",
-     [("--k", dict(type=int, default=4)), ("--order", dict(type=int, default=50))]),
-    ("rho", cmd_rho, "numerator polynomial rho_k and its value at 1",
-     [("--k", dict(type=int, default=4))]),
-    ("cyclotomic", cmd_cyclotomic, "coefficients and values of Phi_l",
-     [("--l", dict(type=int, required=True)), ("--p", dict(type=int))]),
-    ("dnp", cmd_dnp, "the common multiple D_n(p) with its lcm certificate",
-     [("--n", dict(type=int, required=True)), ("--p", dict(type=int))]),
-    ("ord", cmd_ord, "cyclotomic order of the q-factorial, against exact division",
-     [("--n", dict(type=int, required=True)),
-      ("--l", dict(type=int, help="single modulus; omit to sweep 2..n"))]),
-    ("mertens", cmd_mertens, "normalized size of D_n against the 3/pi^2 density",
-     [("--n", dict(type=int, default=300)), ("--p", dict(type=int, default=2))]),
-    ("eq3", cmd_eq3, "cyclotomic block sums against the trigamma limit",
-     [("--n", dict(type=int, default=500)), ("--p", dict(type=int, default=2)),
-      ("--u", dict(type=Fraction, default=Fraction(1, 2))),
-      ("--v", dict(type=Fraction, default=Fraction(1)))]),
-    ("linform", cmd_linform, "exact linear form for explicit parameters",
-     [("--kind", dict(choices=("zeta1", "zeta2"), required=True)),
-      ("--params", dict(required=True, help="a0,a1,a2,b or a1,a2,a3,b2,b3")),
-      ("--p", dict(type=int))]),
-    ("inclusion", cmd_inclusion, "integrality of the scaled coefficients",
-     [("--kind", dict(choices=("zeta1", "zeta2"))), ("--params", {}), ("--family", {}),
-      ("--n-max", dict(type=int))]),
-    ("group", cmd_group, "transformation groups and their orders",
-     [("--kind", dict(choices=("zeta1", "zeta1-arith", "zeta2")))]),
-    ("omega", cmd_omega, "removable cyclotomic factors for explicit parameters",
-     [("--kind", dict(choices=("zeta1", "zeta2"), required=True)),
-      ("--params", dict(required=True)), ("--p", dict(type=int))]),
-    ("stability", cmd_stability, "invariance of the normalized series under the group",
-     [("--family", {}), ("--n", dict(type=int)), ("--p", dict(type=int, default=2)),
-      ("--prec", dict(type=int, default=320, help="enclosures narrower than 2^-PREC")),
-      ("--terms", dict(type=int, help="ignored; accepted so old command lines still run"))]),
-    ("measure", cmd_measure, "irrationality-measure report for a family",
-     [("--family", dict(required=True)), ("--fit-n-max", dict(type=int))]),
-    ("empirical-mu", cmd_empirical_mu, "exponent estimates from the exact forms",
-     [("--family", dict(required=True)), ("--p", dict(type=int, default=2)),
-      ("--n-max", dict(type=int, default=6))]),
-    ("apery", cmd_apery, "classical limit of the second-kind coefficients",
-     [("--n-max", dict(type=int, default=3))]),
-    ("jacobi", cmd_jacobi, "four-square identity as a q-series cross-check",
-     [("--order", dict(type=int, default=500))]),
+    ("series", "cmd_series", "q-expansion of zeta_q(k); cross-checks all representations"),
+    ("rho", "cmd_series", "numerator polynomial rho_k and its value at 1"),
+    ("cyclotomic", "cmd_orders", "coefficients and values of Phi_l"),
+    ("dnp", "cmd_orders", "the common multiple D_n(p) with its lcm certificate"),
+    ("ord", "cmd_orders", "cyclotomic order of the q-factorial, against exact division"),
+    ("mertens", "cmd_series", "normalized size of D_n against the 3/pi^2 density"),
+    ("eq3", "cmd_series", "cyclotomic block sums against the trigamma limit"),
+    ("linform", "cmd_forms", "exact linear form for explicit parameters"),
+    ("inclusion", "cmd_forms", "integrality of the scaled coefficients"),
+    ("group", "cmd_groups", "transformation groups and their orders"),
+    ("omega", "cmd_groups", "removable cyclotomic factors for explicit parameters"),
+    ("stability", "cmd_groups", "invariance of the normalized series under the group"),
+    ("measure", "cmd_measures", "irrationality-measure report for a family"),
+    ("empirical-mu", "cmd_measures", "exponent estimates from the exact forms"),
+    ("apery", "cmd_measures", "classical limit of the second-kind coefficients"),
+    ("jacobi", "cmd_series", "four-square identity as a q-series cross-check"),
 )
-# fmt: on
 
 
 def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The whole parser, or with `only` the top level and that one subcommand."""
+    """The whole parser, or with `only` the top level and that one subcommand.
+
+    Each subparser imports its command module, so the whole parser loads
+    every handler and a named command only its own.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--cache-dir", default=None, help="cache root (else $QZETA_CACHE)")
@@ -582,8 +170,9 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
         description="Exact q-zeta arithmetic: series, cyclotomic orders, linear forms, measures.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, fn, help_text, arguments in COMMANDS:
+    for name, module, help_text in COMMANDS:
         if only in (None, name):
+            fn, arguments = import_module(f"{__package__}.{module}").HANDLERS[name]
             sp = sub.add_parser(name, parents=[common], help=help_text)
             sp.set_defaults(fn=fn)
             for flag, kw in arguments:

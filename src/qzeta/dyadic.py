@@ -27,6 +27,11 @@ class Enclosure(namedtuple("Enclosure", "lo hi")):
         return super().__new__(cls, lo, hi)
 
     @classmethod
+    def _make(cls, iterable) -> Enclosure:
+        """namedtuple's _make, which _replace calls too, through __new__'s checks."""
+        return cls(*iterable)
+
+    @classmethod
     def around(cls, value, radius) -> Enclosure:
         return cls(value - radius, value + radius)
 
@@ -54,7 +59,8 @@ class Enclosure(namedtuple("Enclosure", "lo hi")):
         return self + -Fraction(c)
 
     def __mul__(self, c) -> Enclosure:
-        lo, hi = self.lo * Fraction(c), self.hi * Fraction(c)
+        c = Fraction(c)
+        lo, hi = self.lo * c, self.hi * c
         return Enclosure(lo, hi) if c >= 0 else Enclosure(hi, lo)
 
     __rmul__ = __mul__

@@ -26,11 +26,12 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 
+from .density import DENSITY, trigamma
 from .forms import LinearForm
 from .groups import Group, group_for, omega
 from .linforms import APERY, Family, _log_abs, numeric_form_value
 from .params import CVector, alpha_exponent, cvector
-from .parith import DENSITY, cyclotomic_value, trigamma
+from .parith import cyclotomic_value
 from .store import Store
 
 # every empirical estimate's enclosure of F is narrower than 2^-_MU_BITS

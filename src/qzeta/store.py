@@ -1,6 +1,7 @@
 """The form store: linear forms in memory and, given a root, on disk.
 
-Importing this module loads no other qzeta module.  A Store reads and
+Importing this module loads no other qzeta module, nor tempfile, which
+only a save needs.  A Store reads and
 writes its files through forms and calls builders.build only to build a
 form it cannot load, so commands that never touch a linear form load
 neither, and a warm run loads no builder.  A form's file name starts
@@ -17,7 +18,6 @@ form_from_json then checks the crc32 inside the text.
 from __future__ import annotations
 
 import os
-import tempfile
 import zlib
 
 _GZIP = 31  # zlib's wbits for a gzip header and trailer
@@ -76,6 +76,8 @@ class Store:
             return None
 
     def _save(self, form) -> None:
+        import tempfile  # here: a command that only reads forms never loads it
+
         from .forms import form_to_json
 
         if self.forms_dir is None:

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from test_parith import _frac_divrem, _frac_gcd, binomial
 
+from qzeta.density import mertens_ratio, phi_block_sum, trigamma
 from qzeta.forms import verify_inclusion
 from qzeta.groups import stability_sweep, zeta1_arith_group, zeta1_group, zeta2_group
 from qzeta.linforms import BV, FAMILIES, THEOREM1, THEOREM2
@@ -27,14 +28,7 @@ from qzeta.measures import (
     measure,
     _limit_value_at_one,
 )
-from qzeta.parith import (
-    dnp,
-    gauss_factorial,
-    mertens_ratio,
-    ord_phi_factorial,
-    phi_block_sum,
-    trigamma,
-)
+from qzeta.parith import dnp, gauss_factorial, ord_phi_factorial
 from qzeta.qseries import jacobi_check, rho, zeta_q_series
 
 BV_CONSTANT = 2 * math.pi**2 / (math.pi**2 - 2)

@@ -189,6 +189,23 @@ def test_enclosures_do_not_combine_as_tuples():
             op()
 
 
+def test_make_and_replace_check_like_the_constructor():
+    # namedtuple's _make and _replace build the tuple without calling __new__
+    with pytest.raises(ValueError, match="empty"):
+        Enclosure._make((3, 2))
+    with pytest.raises(ValueError, match="empty"):
+        Enclosure(0, 1)._replace(lo=5)
+    e = Enclosure(0, 1)._replace(hi=Fraction(3, 2))
+    assert e == (0, Fraction(3, 2)) and all(type(end) is Fraction for end in e)
+    assert all(type(end) is Fraction for end in Enclosure._make((1, 2)))
+
+
+def test_product_sign_comes_from_the_converted_operand():
+    # a string operand converts like Fraction("-1/2"); its sign then flips the ends
+    assert Enclosure(0, 1) * "-1/2" == (Fraction(-1, 2), 0)
+    assert Enclosure(1, 2) * "3/4" == (Fraction(3, 4), Fraction(3, 2))
+
+
 # -- a whole summation --------------------------------------------------------
 
 

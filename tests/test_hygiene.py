@@ -1,9 +1,11 @@
 """Source hygiene: every name a qzeta module or test file imports is used there,
 every public top-level name and public method is used by library code or
 kept on purpose, and a public method name is defined on one class only,
-unless it is listed with the library code that reads each class's method."""
+unless it is listed with the library code that reads each class's method
+and a few command runs call each of those methods."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -138,6 +140,57 @@ def test_shared_method_names_are_listed():
 def test_shared_methods_are_still_shared():
     stale = sorted(set(SHARED_METHODS) - set(_shared_method_names()))
     assert not stale, f"SHARED_METHODS lists names no longer shared: {', '.join(stale)}"
+
+
+# Commands whose runs, together, call every class's method of each SHARED_METHODS
+# name: forms of both kinds built and certified, both kinds' alpha, both kinds'
+# group images, and the forms' values at p.
+READER_RUNS = (
+    ["linform", "--kind", "zeta1", "--params", "2,2,2,4"],
+    ["linform", "--kind", "zeta2", "--params", "1,1,1,2,2"],
+    ["measure", "--family", "bv", "--fit-n-max", "6"],
+    ["measure", "--family", "apery"],
+    ["stability"],
+    ["empirical-mu", "--family", "bv", "--n-max", "3"],
+)
+
+
+def _shared_method_codes():
+    """{(file, first line): "Class.method"} for every class's method of a listed name.
+
+    A code object's first line is its first decorator's, if it has any.
+    Matching by file and line needs no co_qualname, which Python 3.10 lacks.
+    """
+    codes = {}
+    for path in SRC:
+        for cls in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(cls, ast.ClassDef):
+                for m in cls.body:
+                    if isinstance(m, ast.FunctionDef) and m.name in SHARED_METHODS:
+                        first = min([m.lineno] + [d.lineno for d in m.decorator_list])
+                        codes[(str(path), first)] = f"{cls.name}.{m.name}"
+    return codes
+
+
+def test_every_shared_method_is_called(tmp_path, capsys):
+    from qzeta.cli import main
+
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        codes = [main([*argv, "--cache-dir", str(tmp_path)]) for argv in READER_RUNS]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [0] * len(READER_RUNS)
+    called = {(str(Path(f).resolve()), line) for f, line in called}
+    uncalled = sorted(name for code, name in _shared_method_codes().items() if code not in called)
+    assert not uncalled, f"shared methods no command run calls: {', '.join(uncalled)}"
 
 
 # The memo of computed results is the Store a caller passes in.  A module-level

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qzeta.density import mertens_ratio, phi_block_sum, trigamma
 from qzeta.parith import (
     FactoredPPoly,
     PPoly,
@@ -15,12 +16,9 @@ from qzeta.parith import (
     divisors,
     dnp,
     gauss_factorial,
-    mertens_ratio,
     mobius,
     ord_phi_factorial,
-    phi_block_sum,
     totient,
-    trigamma,
 )
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from qzeta.density import trigamma
 from qzeta.dyadic import Enclosure
 from qzeta.groups import Perm
 from qzeta.linforms import BV
 from qzeta.measures import MFit
 from qzeta.params import LABELS_Z1, CVector, ParamsZ1, ParamsZ2
-from qzeta.parith import FactoredPPoly, trigamma
+from qzeta.parith import FactoredPPoly
 from qzeta.qseries import QSeries
 from qzeta.store import Store
 

@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -23,8 +24,9 @@ from qzeta.cli import COMMANDS, _build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = (
-    "builders", "cli", "dyadic", "forms", "groups", "linforms", "measures", "params", "parith",
-    "qseries", "store",
+    "builders", "cli", "cmd_forms", "cmd_groups", "cmd_measures", "cmd_orders", "cmd_series",
+    "density", "dyadic", "forms", "groups", "linforms", "measures", "params", "parith", "qseries",
+    "store",
 )  # fmt: skip
 
 _CHILD = """
@@ -36,12 +38,12 @@ with open(sys.argv[1], "w") as fh:
 """
 
 
-def _run(tmp_path, code: str, *args) -> dict:
+def _run(tmp_path, code: str, *args, flags=()) -> dict:
     out = tmp_path / "child.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     subprocess.run(
-        [sys.executable, "-c", code, str(out), *args],
+        [sys.executable, *flags, "-c", code, str(out), *args],
         cwd=tmp_path,
         env=env,
         stdout=subprocess.DEVNULL,
@@ -51,8 +53,8 @@ def _run(tmp_path, code: str, *args) -> dict:
     return json.loads(out.read_text())
 
 
-def _command(tmp_path, *argv) -> dict:
-    return _run(tmp_path, _CHILD, *argv, "--cache-dir", str(tmp_path / "cache"))
+def _command(tmp_path, *argv, flags=()) -> dict:
+    return _run(tmp_path, _CHILD, *argv, "--cache-dir", str(tmp_path / "cache"), flags=flags)
 
 
 # -- the process entry --------------------------------------------------------
@@ -106,12 +108,18 @@ def test_module_entry_freezes_and_exits_like_main(tmp_path, capsys, argv, code):
     assert child["stderr"] == want.err
 
 
-@pytest.mark.parametrize("argv", [["ord", "--n", "12"], ["dnp", "--n", "10"]], ids=["ord", "dnp"])
+@pytest.mark.parametrize(
+    "argv",
+    [["ord", "--n", "12"], ["ord", "--n", "12", "--l", "3"], ["dnp", "--n", "10", "--p", "2"],
+     ["cyclotomic", "--l", "6", "--p", "3"]],
+    ids=["ord", "ord-l", "dnp", "cyclotomic"],
+)  # fmt: skip
 def test_valuation_commands_load_no_form_code(tmp_path, argv):
     child = _command(tmp_path, *argv)
     assert child["code"] == 0
-    heavy = {f"qzeta.{m}" for m in ("linforms", "groups", "measures", "qseries")}
-    assert not (heavy | {"dataclasses", "csv"}) & set(child["modules"])
+    heavy = {f"qzeta.{m}" for m in ("linforms", "groups", "measures", "qseries", "density")}
+    rationals = {"fractions", "decimal"}
+    assert not (heavy | rationals | {"dataclasses", "csv"}) & set(child["modules"])
     # the store still creates its directory, so the cache dir is never left empty
     assert (tmp_path / "cache" / "forms").is_dir()
 
@@ -123,7 +131,7 @@ def _loaded(child) -> set:
 def test_group_loads_no_polynomial_code(tmp_path):
     child = _command(tmp_path, "group")
     assert child["code"] == 0
-    assert _loaded(child) == {"cli", "store", "groups", "params"}
+    assert _loaded(child) == {"cli", "cmd_groups", "store", "groups", "params"}
 
 
 def test_omega_loads_no_form_code(tmp_path):
@@ -168,7 +176,21 @@ def test_form_commands_load_no_group_code(tmp_path, argv):
 def test_stability_loads_no_polynomial_code(tmp_path):
     child = _command(tmp_path, "stability", "--family", "bv")
     assert child["code"] == 0
-    assert _loaded(child) == {"cli", "store", "params", "groups", "dyadic", "linforms"}
+    assert _loaded(child) == {
+        "cli", "cmd_groups", "store", "params", "groups", "dyadic", "linforms",
+    }  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "argv", [["ord", "--n", "12"], ["inclusion", "--kind", "zeta1", "--params", "3,3,3,6"]],
+    ids=["ord", "warm-inclusion"],
+)
+def test_commands_that_save_no_form_load_no_tempfile(tmp_path, argv):
+    # -S: no site hook (such as a .pth file) may load tempfile for the command
+    _command(tmp_path, *argv)  # a first run leaves inclusion's form file behind
+    child = _command(tmp_path, *argv, flags=["-S"])
+    assert child["code"] == 0
+    assert "tempfile" not in child["modules"]
 
 
 def test_no_module_loads_dataclasses(tmp_path):
@@ -242,8 +264,23 @@ def _help(parser, argv, capsys) -> str:
     return capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", list(SAMPLES))
+def test_each_command_loads_its_own_command_module_alone(tmp_path, name):
+    child = _command(tmp_path, name, *SAMPLES[name])
+    module = {command: module for command, module, _ in COMMANDS}[name]
+    assert {m for m in _loaded(child) if m.startswith("cmd_")} == {module}
+
+
 def test_samples_cover_the_command_table():
     assert list(SAMPLES) == [name for name, *_ in COMMANDS]
+
+
+def test_each_command_module_holds_exactly_its_commands():
+    names = {}
+    for name, module, _ in COMMANDS:
+        names.setdefault(module, set()).add(name)
+    for module, want in names.items():
+        assert set(import_module(f"qzeta.{module}").HANDLERS) == want, module
 
 
 @pytest.mark.parametrize("name", list(SAMPLES))
