@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .cli import _check, _family, _log2, _parse_params
 
-# default n range of `inclusion --family`, by the family's kind
+# default n range of `inclusion` (theorem1 and theorem2) and `--family`, by kind
 INCLUSION_N_MAX = {"zeta1": 6, "zeta2": 3}
 
 
@@ -53,16 +53,13 @@ def cmd_inclusion(args, store):
     if args.n_max is not None and args.family is None:
         raise ValueError("--n-max needs --family")
     if args.params is not None:
-        kind = args.kind or "zeta1"
-        jobs = [(None, _parse_params(kind, args.params))]
-    elif args.family is not None:
-        fam = _family(args.family)
-        n_max = INCLUSION_N_MAX[fam.kind] if args.n_max is None else args.n_max
-        jobs = [(n, fam.params(n)) for n in range(1, n_max + 1)]
+        jobs = [(None, _parse_params(args.kind or "zeta1", args.params))]
     else:
-        theorem1, theorem2 = _family("theorem1"), _family("theorem2")
-        jobs = [(n, theorem1.params(n)) for n in range(1, 7)]
-        jobs += [(n, theorem2.params(n)) for n in range(1, 4)]
+        jobs = []
+        for name in [args.family] if args.family is not None else ["theorem1", "theorem2"]:
+            fam = _family(name)
+            n_max = INCLUSION_N_MAX[fam.kind] if args.n_max is None else args.n_max
+            jobs += [(n, fam.params(n)) for n in range(1, n_max + 1)]
     checks, rows = [], []
     for n, params in jobs:
         form = store.form(params)

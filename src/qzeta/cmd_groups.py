@@ -54,6 +54,13 @@ def cmd_omega(args, store):
     return outputs, [_check("exponents-nonnegative", ok, f"{len(nonzero)} nonzero exponents")]
 
 
+def _status(q, base) -> str:
+    """Status of one image: q is Q there (None if inadmissible), base is Q at params."""
+    if q is None:
+        return "skipped (inadmissible image)"
+    return "ok" if q.gap(base) == 0 else "UNSTABLE"
+
+
 def cmd_stability(args, store):
     from .groups import group_for, stability_sweep
 
@@ -72,17 +79,14 @@ def cmd_stability(args, store):
     checks, outputs = [], {}
     for name, n in jobs:
         fam = _family(name)
-        G = group_for(fam.kind)
-        rows = stability_sweep(fam.params(n), G, p=args.p, bits=args.prec)
-        admissible = [r for r in rows if r["status"] != "skipped (inadmissible image)"]
-        worst = max((r["width"] for r in admissible), default=0)
-        # the identity is always admissible, so an empty list means the sweep failed
-        ok = bool(admissible) and all(r["status"] == "ok" for r in admissible)
-        ok = ok and worst < Fraction(1, 1 << args.prec)
+        base, images = stability_sweep(fam.params(n), group_for(fam.kind), args.p, args.prec)
+        found = [q for _, q in images if q is not None]  # the identity's image is params
+        worst = max(q.width for q in found)
+        ok = all(q.gap(base) == 0 for q in found) and worst < Fraction(1, 1 << args.prec)
         widest = "0" if worst == 0 else f"< 2^{_log2(worst) + 1}"
-        witness = f"{len(admissible)} admissible images, widest enclosure {widest}"
+        witness = f"{len(found)} admissible images, widest enclosure {widest}"
         checks.append(_check(f"invariant-{name}-n{n}", ok, witness))
-        outputs[f"{name}-n{n}"] = [{"g": r["g"], "status": r["status"]} for r in rows]
+        outputs[f"{name}-n{n}"] = [{"g": repr(g), "status": _status(q, base)} for g, q in images]
     return outputs, checks
 
 

@@ -8,11 +8,11 @@ underlying series that leave the normalized quantity
 unchanged.  Maximizing cyclotomic orders of the factorial products over a
 group of such permutations yields a polynomial factor Omega(p) that can be
 divided out of the linear forms on top of the usual common denominator.
-group_for looks a kind's group up by name; images are read back into
-parameters by params.params_from_cvector.  Only params is imported at load
-time; Omega's factored product and the series enclosure are imported where
-they are used.  The enclosure (linforms) loads no polynomial code either,
-so the groups and stability load none.
+group_for looks a kind's group up by name; stability_sweep encloses Q at
+a tuple and at its images, read back by params.params_from_cvector.  Only
+params is imported at load time; Omega's factored product and the series
+enclosure are imported where they are used.  The enclosure (linforms)
+loads no polynomial code either, so the groups and stability load none.
 """
 
 from __future__ import annotations
@@ -220,51 +220,19 @@ def stable_quantity(params, p: int, bits: int):
     return (enc * (1 / pi)).outward(bits + 3)
 
 
-class InadmissibleImage(ValueError):
-    """A group element maps the parameters outside the admissible region."""
-
-
-# overlap verdict, widest enclosure, and the image parameter tuple
-StabilityResult = namedtuple("StabilityResult", "ok width image")
-
-
-def stability_check(params, g: Perm, p: int, bits: int, enclosures: dict | None = None):
-    """Do the enclosures of Q(c) and Q(gc) overlap?  Exact-image arithmetic.
-
-    `enclosures` maps parameter tuples to Q at this p and bits; the
-    enclosures this check makes are added to it, and those in it are reused.
-    Raises InadmissibleImage when g maps the parameters outside the
-    admissible region (sweeps catch this and report the element as skipped).
-    """
-    image = params_from_cvector(g.apply(cvector(params)))
-    if image is None or not image.admissible:
-        raise InadmissibleImage(f"image of {tuple(params)} under {g} is not admissible")
-    known = {} if enclosures is None else enclosures
-    for x in (params, image):
-        if x not in known:
-            known[x] = stable_quantity(x, p, bits)
-    lhs, rhs = known[params], known[image]
-    return StabilityResult(lhs.gap(rhs) == 0, max(lhs.width, rhs.width), image)
-
-
 def stability_sweep(params, G: Group, p: int, bits: int):
-    """stability_check across a whole group; inadmissible images are reported.
+    """Q at params and at every image under G, each enclosure narrower than 2^-bits.
 
-    Each distinct parameter tuple is enclosed once per sweep, each enclosure
-    narrower than 2^-bits.  Raises ValueError outside the domain |p| >= 2,
-    bits >= 1, and for inadmissible params; only an image that is not
-    realizable or not admissible makes a skipped row.
+    Returns (Q at params, [(g, Q at g·params, or None when no admissible
+    tuple realizes the image)]) in G's order; Q is invariant where the two
+    enclosures meet.  Each distinct tuple is enclosed once.  Raises
+    ValueError outside the domain |p| >= 2, bits >= 1, and for inadmissible
+    params.
     """
     if abs(p) < 2 or bits < 1:
         raise ValueError("stability needs |p| >= 2 and prec >= 1")
-    enclosures = {}
-    rows = []
-    for g in G:
-        try:
-            res = stability_check(params, g, p, bits, enclosures)
-        except InadmissibleImage:
-            rows.append({"g": repr(g), "status": "skipped (inadmissible image)"})
-        else:
-            status = "ok" if res.ok else "UNSTABLE"
-            rows.append({"g": repr(g), "status": status, "width": res.width, "image": res.image})
-    return rows
+    cv = cvector(params)
+    images = [(g, params_from_cvector(g.apply(cv))) for g in G]
+    tuples = dict.fromkeys(x for _, x in images if x is not None and x.admissible)
+    known = {x: stable_quantity(x, p, bits) for x in tuples}
+    return known[params], [(g, known.get(x)) for g, x in images]

@@ -179,7 +179,7 @@ def certify(form: LinearForm, p: int = 2) -> Certification:
     2^-target, so they meet only if the form is right to that unit.
     """
     from .parith import FactoredPPoly
-    from .qseries import zeta_q_terms, zeta_q_value
+    from .qseries import zeta_q_value
 
     if abs(p) < 2:
         raise ValueError("need |p| >= 2")
@@ -191,8 +191,7 @@ def certify(form: LinearForm, p: int = 2) -> Certification:
     target = 64 + den_bits
     eps = Fraction(1, 1 << target)
     a_val, b_val = form.A.value_at(p), form.B.value_at(p)
-    q = Fraction(1, p)
-    zeta = zeta_q_value(k, q, zeta_q_terms(k, q, eps / (4 * max(abs(a_val), 1))))
+    zeta = zeta_q_value(k, Fraction(1, p), eps / (4 * max(abs(a_val), 1)))
     lhs, enc = zeta * a_val - b_val, numeric_form_value(form.params, p, target)
     gap, width = lhs.gap(enc), max(lhs.width, enc.width)
     return Certification(target, gap, width, gap == 0 and width < eps)

@@ -17,6 +17,8 @@ They combine into mu = alpha / (M_coeff - d_exp + omega), valid whenever
 the scaled forms decay at all (lambda = -M_coeff + d_exp - omega < 0).
 empirical_mu measures the same exponent directly from exact forms at small
 n, as a check that the asymptotic bookkeeping describes the real objects.
+`apery` compares _limit_value_at_one, a coefficient's p -> 1 limit, with
+apery_numbers exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from .density import DENSITY, trigamma
 from .forms import LinearForm
 from .groups import Group, group_for, omega
-from .linforms import APERY, Family, _log_abs, numeric_form_value
+from .linforms import Family, _log_abs, numeric_form_value
 from .params import CVector, alpha_exponent, cvector
 from .parith import cyclotomic_value
 from .store import Store
@@ -44,7 +46,7 @@ _MU_BITS = 320
 
 def direction(family: Family) -> CVector:
     """Per-n growth rates of a family's labeled c-values (the offsets drop out)."""
-    c1, c2, c3 = (cvector(family.params(n), check=False) for n in (1, 2, 3))
+    c1, c2, c3 = (cvector(family.params(n)) for n in (1, 2, 3))
     eta = tuple(b - a for a, b in zip(c1.values, c2.values))
     if tuple(b - a for a, b in zip(c2.values, c3.values)) != eta:
         raise ValueError("family is not affine in n")
@@ -53,7 +55,7 @@ def direction(family: Family) -> CVector:
     return CVector(family.kind, eta)
 
 
-class NuProfile(namedtuple("NuProfile", "kind base breakpoints values lattice")):
+class NuProfile(namedtuple("NuProfile", "breakpoints values")):
     """The cyclotomic gain at modulus l, as a step function of x = {n/l}.
 
     For l in the bulk (both l and n/l large) the exact gain depends on n
@@ -61,8 +63,8 @@ class NuProfile(namedtuple("NuProfile", "kind base breakpoints values lattice"))
     it become sums of floor(eta_j x).  The profile stores that limit
     function — right-continuous, piecewise constant between breakpoints
     k/eta_j, zero near 0, and >= 0 everywhere because the group contains
-    the identity.  values has len(breakpoints) + 1 entries; lattice holds
-    every k/eta_j, whether or not phi jumps there.
+    the identity.  values has len(breakpoints) + 1 entries; breakpoints
+    keeps only the k/eta_j where phi jumps.
     """
 
     __slots__ = ()
@@ -119,7 +121,7 @@ def nu_profile(d: CVector, G: Group, base: tuple[str, ...] | None = None) -> NuP
         if v != kept_v[-1]:
             kept_b.append(b)
             kept_v.append(v)
-    return NuProfile(d.kind, tuple(base), tuple(kept_b), tuple(kept_v), tuple(bps))
+    return NuProfile(tuple(kept_b), tuple(kept_v))
 
 
 def omega_exponent(profile: NuProfile) -> float:
@@ -197,12 +199,12 @@ def fit_M_coeff(family: Family, n_max: int, store: Store) -> MFit:
 # the resulting bound.
 MeasureReport = namedtuple(
     "MeasureReport",
-    "alpha d_exp omega_exp M_coeff kappa lambda_ mu_bound family M_fit",
-    defaults=("", None),
+    "alpha d_exp omega_exp M_coeff kappa lambda_ mu_bound M_fit",
+    defaults=(None,),
 )
 
 
-def mu_bound(alpha, d_exp: float, omega_exp: float, M_coeff, family: str = "") -> MeasureReport:
+def mu_bound(alpha, d_exp: float, omega_exp: float, M_coeff) -> MeasureReport:
     """Combine the four n^2-exponents; errors out if the forms do not decay."""
     alpha, M_coeff = Fraction(alpha), Fraction(M_coeff)
     lam = float(-M_coeff) + d_exp - omega_exp
@@ -218,7 +220,6 @@ def mu_bound(alpha, d_exp: float, omega_exp: float, M_coeff, family: str = "") -
         kappa=lam + float(alpha),
         lambda_=lam,
         mu_bound=-float(alpha) / lam,
-        family=family,
     )
 
 
@@ -252,11 +253,7 @@ def measure(family: Family, store: Store, fit_n_max: int | None = None) -> Measu
         fit_n_max = _FIT_RANGE.get(family.name, 6)
     fit = fit_M_coeff(family, fit_n_max, store)
     rep = mu_bound(
-        alpha_exponent(family.rates, family.kind),
-        d_exponent(d),
-        omega_exponent(prof),
-        fit.coeff,
-        family.name,
+        alpha_exponent(family.rates, family.kind), d_exponent(d), omega_exponent(prof), fit.coeff
     )
     return rep._replace(M_fit=fit)
 
@@ -347,30 +344,3 @@ def _limit_value_at_one(form: LinearForm) -> Fraction:
             continue  # the (p - 1)-order is stripped by definition
         val /= Fraction(cyclotomic_value(l, 1)) ** e
     return val  # p^dpow -> 1
-
-
-def apery_limit_check(n: int, store: Store) -> bool:
-    """Does the p -> 1 limit of the coefficient reproduce the classical A_n?
-
-    The family (n+1, n+1, n+1; 2n+2, 2n+2) degenerates, after removing the
-    exact (p-1)-order at p = 1, to rational numbers that must match
-    sum_k C(n,k)^2 C(n+k,k) up to sign and a power of one fixed constant.
-    That constant is read off at n = 1 and then held fixed.
-    """
-    if n > 4:
-        raise ValueError("limit check is cost-bounded to n <= 4")
-    targets = apery_numbers(max(n, 1))
-
-    def ratio(m: int) -> Fraction:
-        return _limit_value_at_one(store.form(APERY.params(m))) / targets[m]
-
-    kappa = abs(ratio(1))
-    r = abs(ratio(n))
-    if r == kappa == 1:
-        return True
-    if kappa == 1:
-        return r == 1
-    # r must be an integer power of kappa
-    log_r, log_k = _log_abs(r), _log_abs(kappa)
-    e = round(log_r / log_k)
-    return kappa**e == r

@@ -7,7 +7,8 @@ factorial layers D clears), its labels and factorial labels, and the
 per-kind formulas: admissibility, c-values and their inverse, the
 summand's exponent and pole runs, and alpha.  So the kind is decided here
 alone; no other module compares kinds.  cvector gives the labeled
-parameter differences on which the transformation groups act.  This module
+parameter differences of an admissible tuple, on which the transformation
+groups act; params_from_cvector reads an image back.  This module
 imports no other qzeta module, so the group and form-file commands can
 read parameters without loading any polynomial code.
 """
@@ -128,15 +129,15 @@ class CVector(namedtuple("CVector", "kind values")):
         return PARAMS[self.kind].factorial_labels
 
 
-def cvector(params, check: bool = True) -> CVector:
+def cvector(params) -> CVector:
     """Labeled c-values of a parameter tuple; rejects inadmissible input.
 
-    check=False skips the admissibility test (used on group images, which may
-    leave the convergence region and still need their labels).
+    A group image that may leave the admissible region is read back with
+    params_from_cvector and tested with .admissible, never passed here.
     """
     if not isinstance(params, (ParamsZ1, ParamsZ2)):
         raise TypeError("params must be ParamsZ1 or ParamsZ2")
-    if check and not params.admissible:
+    if not params.admissible:
         raise ValueError(f"inadmissible parameters {tuple(params)}")
     return CVector(params.kind, params.c_values())
 

@@ -4,7 +4,8 @@ A q-zeta value is the number zeta_q(k) = sum_{n>=1} sigma_{k-1}(n) q^n for
 0 < |q| < 1.  This module provides the series itself (three structurally
 different expansions that must agree coefficient by coefficient), the
 Eulerian-type polynomials rho_k driving the third expansion, its value at a
-rational q as an Enclosure (exact partial sum ± proven tail bound), and the
+rational q as an Enclosure of a requested radius (exact partial sum ± a
+proven tail bound, over the fewest terms that bound meets), and the
 classical-limit check (1-q)^k zeta_q(k) -> (k-1)! zeta(k) as q -> 1.
 """
 
@@ -165,36 +166,20 @@ def _tail_bound(k: int, aq: Fraction, terms: int) -> Fraction | None:
     return (terms + 1) ** k * aq ** (terms + 1) / (1 - ratio)
 
 
-def zeta_q_value(k: int, q, terms: int) -> Enclosure:
-    """zeta_q(k) at a rational q with 0 < |q| < 1: exact partial sum ± a tail bound.
+def zeta_q_value(k: int, q, eps) -> Enclosure:
+    """zeta_q(k) at a rational q with 0 < |q| < 1, as an Enclosure of radius at most eps > 0.
 
-    The partial sum sum_{n<=T} sigma_{k-1}(n) q^n (T = terms) is one Fraction
-    over den(q)^T, built by integer Horner from the zeta_q_series
-    coefficients.  The tail is at most sum_{n>T} n^k |q|^n, which is at most
-    (T+1)^k |q|^(T+1) / (1 - ((T+2)/(T+1))^k |q|); T must make that ratio < 1.
+    The partial sum sum_{n<=T} sigma_{k-1}(n) q^n is one Fraction over
+    den(q)^T, built by integer Horner from the zeta_q_series coefficients.
+    The tail is at most sum_{n>T} n^k |q|^n, which is at most
+    (T+1)^k |q|^(T+1) / (1 - ((T+2)/(T+1))^k |q|) once that ratio is < 1.
+    T is the fewest terms whose tail bound is at most eps, found by doubling
+    then bisection (a bound that holds at T holds at every larger T).
     """
     if k < 1:
         raise ValueError("zeta_q(k) needs k >= 1")
-    q = Fraction(q)
-    if not 0 < abs(q) < 1:
-        raise ValueError("need 0 < |q| < 1")
-    if terms < 1:
-        raise ValueError("need at least one term")
-    tail = _tail_bound(k, abs(q), terms)
-    if tail is None:
-        raise ValueError(f"{terms} terms are too few to bound the tail at q = {q}")
-    coeffs = zeta_q_series(k, terms + 1, "lambert").coeffs  # the divisor sums, by sieve
-    num, den = q.numerator, q.denominator
-    acc, power = 0, 1
-    for c in coeffs[1:]:
-        power *= num
-        acc = acc * den + c * power
-    return Enclosure.around(Fraction(acc, den**terms), tail)
-
-
-def zeta_q_terms(k: int, q, eps) -> int:
-    """Fewest terms for which zeta_q_value's tail bound at q is at most eps > 0."""
-    aq, eps = abs(Fraction(q)), Fraction(eps)
+    q, eps = Fraction(q), Fraction(eps)
+    aq = abs(q)
     if not 0 < aq < 1 or eps <= 0:
         raise ValueError("need 0 < |q| < 1 and eps > 0")
 
@@ -202,24 +187,26 @@ def zeta_q_terms(k: int, q, eps) -> int:
         tail = _tail_bound(k, aq, t)
         return tail is not None and tail <= eps
 
-    return fewest_terms(enough)
+    lo, terms = 0, 1  # invariant: not enough(lo) (or lo = 0), enough(terms)
+    while not enough(terms):
+        lo, terms = terms, 2 * terms
+    while terms - lo > 1:
+        mid = (lo + terms) // 2
+        lo, terms = (lo, mid) if enough(mid) else (mid, terms)
+    coeffs = zeta_q_series(k, terms + 1, "lambert").coeffs  # the divisor sums, by sieve
+    num, den = q.numerator, q.denominator
+    acc, power = 0, 1
+    for c in coeffs[1:]:
+        power *= num
+        acc = acc * den + c * power
+    return Enclosure.around(Fraction(acc, den**terms), _tail_bound(k, aq, terms))
 
 
-def fewest_terms(enough) -> int:
-    """Least t >= 1 with enough(t), for a predicate that stays true once true."""
-    lo, hi = 0, 1  # invariant: not enough(lo) (or lo = 0), enough(hi)
-    while not enough(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
-    return hi
-
-
-def zeta_ref(k: int, terms: int = 1500) -> Enclosure:
-    """Certified enclosure of zeta(k) by partial sum plus integral-test tail."""
+def zeta_ref(k: int) -> Enclosure:
+    """Certified enclosure of zeta(k): 1500 terms plus integral-test tail bounds."""
     if k < 2:
         raise ValueError("zeta_ref needs k >= 2")
+    terms = 1500
     s = sum(Fraction(1, n**k) for n in range(1, terms + 1))
     hi_tail = Fraction(1, (k - 1) * terms ** (k - 1))
     lo_tail = Fraction(1, (k - 1) * (terms + 1) ** (k - 1))
@@ -233,9 +220,9 @@ LimitRow = namedtuple("LimitRow", "q value target")
 def limit_check(k: int, q_list, rel_tol: float = 1e-9) -> list[LimitRow]:
     """Table of certified (1-q)^k zeta_q(k) enclosures against (k-1)! zeta(k).
 
-    Each enclosure is zeta_q_value's exact partial sum plus or minus its tail
-    bound, with enough terms that its width is at most rel_tol times the
-    lower end of the (k-1)! zeta(k) enclosure (plus the outward rounding).
+    Each enclosure is zeta_q_value's, at the radius that makes its scaled
+    width at most rel_tol times the lower end of the (k-1)! zeta(k)
+    enclosure (plus the outward rounding).
     """
     if k < 2:
         raise ValueError("the classical limit needs k >= 2")
@@ -249,6 +236,6 @@ def limit_check(k: int, q_list, rel_tol: float = 1e-9) -> list[LimitRow]:
         if not 0 < q < 1:
             raise ValueError("limit_check expects 0 < q < 1")
         scale = (1 - q) ** k
-        terms = zeta_q_terms(k, q, Fraction(rel_tol) * target.lo / (2 * scale))
-        rows.append(LimitRow(q, (zeta_q_value(k, q, terms) * scale).outward(prec), target))
+        value = zeta_q_value(k, q, Fraction(rel_tol) * target.lo / (2 * scale))
+        rows.append(LimitRow(q, (value * scale).outward(prec), target))
     return rows

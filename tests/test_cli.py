@@ -20,6 +20,7 @@ from test_linforms import linform
 
 from qzeta import builders, forms, groups, measures, parith
 from qzeta.cli import _log2, main
+from qzeta.dyadic import Enclosure
 from qzeta.forms import form_from_json, form_to_json
 from qzeta.linforms import FAMILIES
 from qzeta.measures import EmpiricalMu, MFit
@@ -155,20 +156,30 @@ class TestExitCodes:
     def test_stability_width_bound_follows_prec(self, capsys, monkeypatch):
         # an enclosure of width exactly 2^-prec fails the check, a narrower one passes
         def sweep(params, G, p, bits):
-            return [{"g": "Perm(id)", "status": "ok", "width": width, "image": params}]
+            q = Enclosure(0, width)
+            return q, [(g, q) for g in G]
 
         monkeypatch.setattr(groups, "stability_sweep", sweep)
         for width, code in ((Fraction(1, 2**40), 1), (Fraction(1, 2**41), 0)):
             assert run_json(capsys, "stability", "--family", "bv", "--prec", "40")[0] == code
 
-    def test_stability_without_admissible_image_fails(self, capsys, monkeypatch):
-        def none_admissible(params, G, p, bits):
-            return [{"g": repr(g), "status": "skipped (inadmissible image)"} for g in G]
+    def test_stability_image_that_misses_is_unstable(self, capsys, monkeypatch):
+        # Q at sigma's image of theorem1 n = 1 moved to 2^-400 above Q at the params
+        x, image = FAMILIES["theorem1"].params(1), (9, 9, 7, 16)
+        quantity = groups.stable_quantity
 
-        monkeypatch.setattr(groups, "stability_sweep", none_admissible)
-        code, report = run_json(capsys, "stability", "--family", "bv")
+        def moved(params, p, bits):
+            q = quantity(params, p, bits)
+            if params != image:
+                return q
+            return q + (quantity(x, p, bits).hi - q.lo + Fraction(1, 2**400))
+
+        monkeypatch.setattr(groups, "stable_quantity", moved)
+        code, report = run_json(capsys, "stability", "--family", "theorem1", "--prec", "64")
         assert code == 1
-        assert report["checks"][0]["witness"].startswith("0 admissible images")
+        statuses = [r["status"] for r in report["outputs"]["theorem1-n1"]]
+        assert statuses == ["ok", "UNSTABLE", "UNSTABLE", "ok", "ok", "ok"]
+        assert report["checks"][0]["pass"] is False
 
     def test_malformed_params(self, capsys):
         assert main(["linform", "--kind", "zeta1", "--params", "1,2"]) == 2
@@ -695,6 +706,14 @@ class TestCommands:
 
     def test_jacobi(self, capsys):
         assert run_json(capsys, "jacobi", "--order", "80")[0] == 0
+
+    def test_apery_with_doubled_limit_values_fails(self, capsys, monkeypatch):
+        # the comparison with A_n is exact: twice the limit value fails at every n
+        limit = measures._limit_value_at_one
+        monkeypatch.setattr(measures, "_limit_value_at_one", lambda form: 2 * limit(form))
+        code, report = run_json(capsys, "apery", "--n-max", "4")
+        assert code == 1
+        assert [c["pass"] for c in report["checks"]] == [False] * 5
 
     def test_apery_small(self, capsys):
         code, report = run_json(capsys, "apery", "--n-max", "1")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from test_linforms import linform
 
-from qzeta import linforms
+from qzeta import groups, linforms
 from qzeta.dyadic import Enclosure
 from qzeta.groups import (
     SIGMA,
@@ -16,7 +16,6 @@ from qzeta.groups import (
     nu_l,
     omega,
     params_from_cvector,
-    stability_check,
     stability_sweep,
     stable_quantity,
     zeta1_arith_group,
@@ -128,8 +127,8 @@ class TestParameterMaps:
     )
     def test_label_consistency(self, x):
         cv = cvector(x)
-        assert cvector(tau_params(x), check=False).values == TAU.apply(cv).values
-        assert cvector(sigma_params(x), check=False).values == SIGMA.apply(cv).values
+        assert tau_params(x).c_values() == TAU.apply(cv).values
+        assert sigma_params(x).c_values() == SIGMA.apply(cv).values
 
     def test_tau_image_can_be_inadmissible(self):
         # a1 + a2 < b makes the tau image leave the convergence region
@@ -256,27 +255,34 @@ class TestStability:
         assert q_factorial_value(3, 2) == Fraction(21, 8)
 
     def test_identity(self):
-        r = stability_check(ParamsZ1(9, 7, 9, 16), Perm.identity(LABELS_Z1), 2, 320)
-        assert r.ok
+        base, rows = stability_sweep(ParamsZ1(9, 7, 9, 16), zeta1_group(), 2, 320)
+        assert rows[0] == (Perm.identity(LABELS_Z1), base)
 
     def test_sigma_tight_width(self):
-        r = stability_check(ParamsZ1(9, 7, 9, 16), SIGMA, 2, 320)
-        assert r.ok
-        assert r.image == (9, 9, 7, 16)
-        assert r.width < Fraction(1, 10**25)
+        x = ParamsZ1(9, 7, 9, 16)
+        assert params_from_cvector(SIGMA.apply(cvector(x))) == (9, 9, 7, 16)
+        base, rows = stability_sweep(x, zeta1_group(), 2, 320)
+        q = dict(rows)[SIGMA]
+        assert q.gap(base) == 0
+        assert q.width < Fraction(1, 10**25)
 
     def test_tau_squared(self):
-        assert stability_check(ParamsZ1(9, 7, 9, 16), TAU * TAU, 2, 320).ok
+        base, rows = stability_sweep(ParamsZ1(9, 7, 9, 16), zeta1_arith_group(), 2, 320)
+        assert dict(rows)[TAU * TAU].gap(base) == 0
 
     def test_inadmissible_image_rejected(self):
-        with pytest.raises(ValueError):
-            stability_check(ParamsZ1(17, 13, 17, 31), TAU, 2, 320)
+        _, rows = stability_sweep(ParamsZ1(17, 13, 17, 31), zeta1_group(), 2, 64)
+        assert dict(rows)[TAU] is None
 
     def test_sweep_reports_skips(self):
-        rows = stability_sweep(ParamsZ1(17, 13, 17, 31), zeta1_group(), 2, 320)
-        by_status = [r["status"] for r in rows]
-        assert by_status.count("ok") == 6
-        assert sum("skipped" in s for s in by_status) == 6
+        base, rows = stability_sweep(ParamsZ1(17, 13, 17, 31), zeta1_group(), 2, 320)
+        found = [q for _, q in rows if q is not None]
+        assert len(found) == 6 and all(q.gap(base) == 0 for q in found)
+        assert sum(q is None for _, q in rows) == 6
+
+    def test_sweep_refuses_inadmissible_params(self):
+        with pytest.raises(ValueError, match="inadmissible parameters"):
+            stability_sweep(ParamsZ1(1, 1, 1, 3), zeta1_group(), 2, 64)
 
     @pytest.mark.parametrize("p, prec", [(1, 320), (0, 320), (-1, 320), (2, 0), (2, -1)])
     def test_sweep_refuses_points_outside_the_domain(self, p, prec):
@@ -293,32 +299,37 @@ class TestStability:
             return numeric_form_value(params, p, bits)
 
         monkeypatch.setattr(linforms, "numeric_form_value", counted)
-        rows = stability_sweep(THEOREM1.params(1), zeta1_arith_group(), 2, 320)
-        assert sum(r["status"] == "ok" for r in rows) == 6
+        _, rows = stability_sweep(THEOREM1.params(1), zeta1_arith_group(), 2, 320)
+        assert sum(q is not None for _, q in rows) == 6
         assert len(calls) == len(set(calls)) == 3
 
-    def test_enclosures_that_miss_are_unstable(self):
+    def test_enclosures_that_miss_are_unstable(self, monkeypatch):
         # the verdict is the gap between Q(c) and Q(gc): apart by 2^-400 fails
         x, g = ParamsZ2(6, 7, 8, 16, 17), zeta2_group().generators[0]
-        image = stability_check(x, g, 2, 64).image
+        image = params_from_cvector(g.apply(cvector(x)))
         assert image != x
         tiny = Fraction(1, 2**400)
         for lhs, rhs, ok in ((0, tiny, False), (tiny, 0, False), (tiny, tiny, True)):
-            known = {x: Enclosure(lhs, lhs), image: Enclosure(rhs, rhs)}
-            assert stability_check(x, g, 2, 320, known).ok is ok
+            values = {x: lhs, image: rhs}
+            monkeypatch.setattr(
+                groups, "stable_quantity", lambda y, p, bits: Enclosure(values[y], values[y])
+            )
+            base, rows = stability_sweep(x, Group((Perm.identity(g.labels), g), (g,)), 2, 320)
+            assert (dict(rows)[g].gap(base) == 0) is ok
 
     def test_zeta2_single_elements(self):
-        x = ParamsZ2(6, 7, 8, 16, 17)
+        base, rows = stability_sweep(ParamsZ2(6, 7, 8, 16, 17), zeta2_group(), 2, 320)
+        found = dict(rows)
         for g in zeta2_group().generators:
-            r = stability_check(x, g, 2, 320)
-            assert r.ok and r.width < Fraction(1, 10**25)
+            q = found[g]
+            assert q.gap(base) == 0 and q.width < Fraction(1, 10**25)
 
     def test_stable_quantity_value(self):
         # Q for the simplest parameters: F = p·zeta_q(1), Pi_q = [0]! [0]! [0]! = 1
         q = stable_quantity(ParamsZ1(1, 1, 1, 2), 2, 320)
         from qzeta.qseries import zeta_q_value
 
-        assert q.gap(2 * zeta_q_value(1, Fraction(1, 2), 200)) == 0  # the two enclosures meet
+        assert q.gap(2 * zeta_q_value(1, Fraction(1, 2), Fraction(1, 2**330))) == 0  # they meet
 
     @pytest.mark.parametrize("p", [2, 3, -2, -3, 5])
     @pytest.mark.parametrize("bits", [1, 64, 320])

@@ -107,7 +107,7 @@ def test_kept_names_are_still_unused_library_names():
 SHARED_METHODS = {
     "value_at": "FactoredPPoly's by LinearForm.d_value and certify (the stored denominators), "
     "RatFunc's by certify, cmd_linform and empirical_mu (A and B at p)",
-    "admissible": "ParamsZ1's and ParamsZ2's alike by cvector and groups.stability_check",
+    "admissible": "ParamsZ1's and ParamsZ2's alike by cvector and groups.stability_sweep",
     "c_values": "ParamsZ1's and ParamsZ2's alike by cvector and params_from_cvector",
     "from_cvector": "ParamsZ1's and ParamsZ2's alike by params_from_cvector, through PARAMS",
     "expo": "ParamsZ1's and ParamsZ2's alike by linforms.summand",

@@ -6,6 +6,7 @@ from itertools import chain, product, starmap
 
 import pytest
 
+from qzeta.cli import main
 from qzeta.forms import LinearForm, RatFunc
 from qzeta.groups import nu_l, zeta1_group
 from qzeta.linforms import APERY, BV, THEOREM1, THEOREM2, Family
@@ -13,9 +14,9 @@ from qzeta.params import CVector, ParamsZ1, ParamsZ2, cvector
 from qzeta.measures import (
     MEASURE_BASES,
     EmpiricalMu,
+    _limit_value_at_one,
     NuProfile,
     alpha_exponent,
-    apery_limit_check,
     apery_numbers,
     d_exponent,
     direction,
@@ -35,14 +36,14 @@ def _scaled(d: CVector, t: int) -> CVector:
     return CVector(d.kind, tuple(t * e for e in d.values))
 
 
-def _is_breakpoint(prof: NuProfile, x) -> bool:
-    """Whether some floor in the profile's defining sum jumps at x.
+def _on_lattice(d: CVector, x) -> bool:
+    """Whether some floor floor(eta_j x) in the profile's defining sum jumps at x.
 
-    Finite-n offsets can tip the exact gain off the profile exactly at
-    these points; phi itself may or may not jump there.
+    Those are the points k/eta_j.  Finite-n offsets can tip the exact gain
+    off the profile exactly there; phi itself may or may not jump there.
     """
     x = Fraction(x) % 1
-    return x == 0 or x in prof.lattice
+    return x == 0 or any((x * eta).denominator == 1 for eta in d.values if eta)
 
 
 class TestDirection:
@@ -63,8 +64,11 @@ class TestDirection:
         assert _scaled(direction(BV), 3).values == (3,) * 6
 
     def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            direction(Family("zeta1", (1, 3, 1, 2), (1, 1, 1, 2), "bad"))
+        # admissible at n = 1..3 (a1 + a2 = 3n + 2 <= b = n + 10), but c_"12" = b - a1 - 1 falls
+        bad = Family("zeta1", (1, 2, 1, 1), (10, 1, 1, 10), "bad")
+        assert all(bad.params(n).admissible for n in (1, 2, 3))
+        with pytest.raises(ValueError, match=r"negative growth rate in \(3, 1, 2, 1, -1, 0\)"):
+            direction(bad)
 
 
 class TestNuProfile:
@@ -116,7 +120,8 @@ class TestProfileExactAgreement:
     """
 
     def check(self, family, n, base):
-        prof = nu_profile(direction(family), group_for(family.kind), base)
+        d = direction(family)
+        prof = nu_profile(d, group_for(family.kind), base)
         c = cvector(family.params(n))
         G = group_for(family.kind)
         if base is not None:
@@ -127,7 +132,7 @@ class TestProfileExactAgreement:
         for l in range(10, n + 1):
             x = Fraction(n, l) % 1
             exact = nu_l(c, G, l)
-            if _is_breakpoint(prof, x):
+            if _on_lattice(d, x):
                 assert abs(exact - prof.phi(x)) <= 1, (l, exact, prof.phi(x))
             else:
                 assert exact == prof.phi(x), (l, exact, prof.phi(x))
@@ -160,9 +165,7 @@ class TestOmegaExponent:
 
     def test_indicator_of_upper_half(self):
         # (3/pi^2)(psi'(1/2) - psi'(1)) = (3/pi^2)(pi^2/2 - pi^2/6) = 1
-        prof = NuProfile(
-            "zeta1", ("01", "21", "22"), (Fraction(1, 2),), (0, 1), (Fraction(1, 2),)
-        )
+        prof = NuProfile((Fraction(1, 2),), (0, 1))
         assert omega_exponent(prof) == pytest.approx(1.0, abs=1e-12)
 
     def test_quadratic_scaling(self):
@@ -349,8 +352,10 @@ class TestAperyLimit:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_limit_matches_oracle(self, store, n):
-        assert apery_limit_check(n, store)
+        # the p -> 1 limit of A is A_n exactly, up to sign
+        assert abs(_limit_value_at_one(store.form(APERY.params(n)))) == apery_numbers(n)[n]
 
-    def test_cost_bound(self, store):
-        with pytest.raises(ValueError):
-            apery_limit_check(5, store)
+    def test_cost_bound(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("QZETA_CACHE", str(tmp_path))
+        assert main(["apery", "--n-max", "5"]) == 2
+        assert "apery is cost-bounded to --n-max <= 4" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
@@ -14,7 +15,6 @@ from qzeta.qseries import (
     rho,
     sigma,
     zeta_q_series,
-    zeta_q_terms,
     zeta_q_value,
     zeta_ref,
 )
@@ -143,20 +143,27 @@ class TestJacobi:
             assert r2 == bychi
 
 
+def tail_bound(k, q, terms):
+    """(T+1)^k |q|^(T+1) / (1 - ((T+2)/(T+1))^k |q|), or None when that ratio is >= 1."""
+    ratio = Fraction(terms + 2, terms + 1) ** k * abs(q)
+    return None if ratio >= 1 else (terms + 1) ** k * abs(q) ** (terms + 1) / (1 - ratio)
+
+
 class TestZetaQValue:
     def test_worked_example(self):
-        # 1/2 + 2/4 + 2/8 + 3/16, tail 5 (1/2)^5 / (1 - (6/5)(1/2))
-        z = zeta_q_value(1, Fraction(1, 2), 4)
+        # 1/2 + 2/4 + 2/8 + 3/16, tail 5 (1/2)^5 / (1 - (6/5)(1/2)); 3 terms bound 2/3
+        z = zeta_q_value(1, Fraction(1, 2), Fraction(25, 64))
         assert z == Enclosure.around(Fraction(23, 16), Fraction(25, 64))
         assert (z.mid, z.width) == (Fraction(23, 16), Fraction(25, 32))
         assert rho_lambert(1, Fraction(1, 2), 4) == (Fraction(54, 35), Fraction(2, 31))
 
     def test_single_term_k2(self):
-        assert zeta_q_value(2, Fraction(1, 3), 1).mid == Fraction(1, 3)
+        # one term at q = 1/3 bounds the tail by 16/9
+        assert zeta_q_value(2, Fraction(1, 3), 2).mid == Fraction(1, 3)
         assert rho_lambert(2, Fraction(1, 2), 1)[0] == 2
 
     def test_enclosures_nest_and_shrink(self):
-        results = [zeta_q_value(3, Fraction(1, 2), t) for t in (5, 10, 20, 40, 80)]
+        results = [zeta_q_value(3, Fraction(1, 2), Fraction(1, 2**e)) for e in (1, 10, 20, 40, 60)]
         for a, b in zip(results, results[1:]):
             assert a.lo <= b.lo and b.hi <= a.hi
             assert b.width < a.width
@@ -166,45 +173,50 @@ class TestZetaQValue:
         # same number from a structurally different series, at q = -1/2
         q = Fraction(-1, 2)
         a, ta = rho_lambert(2, q, 60)
-        assert zeta_q_value(2, q, 300).gap(Enclosure.around(a, ta)) == 0
+        assert zeta_q_value(2, q, Fraction(1, 2**250)).gap(Enclosure.around(a, ta)) == 0
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("q", ["1/2", "-1/2", "1/3", "-1/3", "9/10"])
     def test_matches_rho_lambert_oracle(self, q, k):
         q = Fraction(q)
         a, ta = rho_lambert(k, q, 200 if q == Fraction(9, 10) else 60)
-        b = zeta_q_value(k, q, zeta_q_terms(k, q, Fraction(1, 10**30)))
+        b = zeta_q_value(k, q, Fraction(1, 10**30))
         assert ta < Fraction(1, 10**8) and b.width <= Fraction(2, 10**30)
         assert b.gap(Enclosure.around(a, ta)) == 0
 
     def test_tail_bound_holds(self):
         for k, q in ((1, Fraction(1, 2)), (4, Fraction(-1, 3)), (3, Fraction(9, 10))):
-            short, longer = zeta_q_value(k, q, 60), zeta_q_value(k, q, 900)
+            short = zeta_q_value(k, q, Fraction(1, 10**3))
+            longer = zeta_q_value(k, q, Fraction(1, 10**30))
             assert short.lo <= longer.lo and longer.hi <= short.hi
 
     def test_terms_are_the_fewest_for_the_bound(self):
-        for k, q, eps in ((1, Fraction(1, 2), Fraction(1, 2**200)), (3, Fraction(9, 10), Fraction(1, 10**6))):
-            t = zeta_q_terms(k, q, eps)
-            assert zeta_q_value(k, q, t).width <= 2 * eps
-            try:
-                fewer = zeta_q_value(k, q, t - 1).width / 2
-            except ValueError:  # t - 1 terms bound no tail at all
-                continue
-            assert fewer > eps
+        # the radius is the tail bound at the least T whose bound is at most eps
+        cases = [
+            (1, Fraction(1, 2), Fraction(1, 2**200)),
+            (3, Fraction(9, 10), Fraction(1, 10**6)),
+            (2, Fraction(-1, 3), Fraction(1, 10)),
+            (4, Fraction(1, 2), Fraction(5)),
+        ]
+        for k, q, eps in cases:
+            t = next(t for t in count(1) if (b := tail_bound(k, q, t)) is not None and b <= eps)
+            z = zeta_q_value(k, q, eps)
+            assert z.width / 2 == tail_bound(k, q, t) <= eps
+            assert z.mid == sum(sigma(k, n) * q**n for n in range(1, t + 1))
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
-            zeta_q_value(2, 1, 5)
+            zeta_q_value(2, 1, Fraction(1, 10))
         with pytest.raises(ValueError):
-            zeta_q_value(2, 0, 5)
+            zeta_q_value(2, 0, Fraction(1, 10))
 
-    def test_rejects_too_few_terms_for_a_tail_bound(self):
-        # one term at q = 1/2, k = 2: the ratio (3/2)^2 / 2 of n^2 2^-n is >= 1
-        with pytest.raises(ValueError):
-            zeta_q_value(2, Fraction(1, 2), 1)
+    def test_rejects_a_radius_that_is_not_positive(self):
+        for eps in (0, Fraction(-1, 10)):
+            with pytest.raises(ValueError, match="eps > 0"):
+                zeta_q_value(2, Fraction(1, 2), eps)
 
     def test_arbitrary_rational_point(self):
-        z = zeta_q_value(2, Fraction(1, 3), 40)
+        z = zeta_q_value(2, Fraction(1, 3), Fraction(1, 10**15))
         direct = sum(sigma(2, n) * Fraction(1, 3) ** n for n in range(1, 200))
         assert abs(z.mid - direct) <= z.width / 2 + Fraction(200**2, 3**200)
 
