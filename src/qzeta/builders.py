@@ -1,7 +1,7 @@
 """The exact builder: a linear form A·zeta_q(k) − B from its parameters.
 
 build(params) is the one builder for both kinds.  Partial fractions of
-the summand S (linforms.summand) in x over Q(p) (p = 1/q) turn the t-sum
+the summand S (params.summand) in x over Q(p) (p = 1/q) turn the t-sum
 into A·zeta_q(1) − B (zeta1: simple poles and a polynomial part) or
 A·zeta_q(2) − B (zeta2: simple and double poles), with A, B exact rational
 functions of p (forms.RatFunc) whose denominators are products of
@@ -27,8 +27,7 @@ import math
 from operator import sub
 
 from .forms import LinearForm, RatFunc
-from .linforms import Summand, summand
-from .params import cvector
+from .params import Summand, cvector, summand
 from .parith import FactoredPPoly, PPoly, divisors
 
 
@@ -63,26 +62,24 @@ def _residue_unit(s: Summand, j: int) -> FactoredPPoly:
     return FactoredPPoly(exps, p_power, unit)
 
 
-def _log_derivative_at_pole(s: Summand, j: int) -> RatFunc:
-    """Lambda_j(p^j): logarithmic x-derivative of S·(1-q^j x)^{m_j} at x = p^j.
+def _one_minus_log_derivative(s: Summand, j: int) -> RatFunc:
+    """1 − p^j·Lambda_j = (1 − c_j) − sum_d coef_d/(p^d − 1), Lambda_j at x = p^j.
 
-    Terms: expo/x − sum_num q^i/(1−q^i x) + sum_{den, i != j} m_i q^i/(1−q^i x),
-    and q^i/(1 − q^i p^j) simplifies to −p^{-i}/(p^{j-i} − 1) for i < j and
-    p^{-j}/(p^{i-j} − 1) for i > j.
+    Lambda_j, the logarithmic x-derivative of S·(1-q^j x)^{m_j}, is
+    expo/x + sum_{i != j} w_i q^i/(1−q^i x) with w_i = −1 for a numerator
+    index and m_i for a pole.  At x = p^j, p^j·q^i/(1 − q^i p^j) is
+    −p^d/(p^d − 1) = −1 − 1/(p^d − 1) for d = j − i > 0 and 1/(p^d − 1)
+    for d = i − j > 0, so c_j = expo − sum_{i<j} w_i and the terms at one
+    distance d combine: coef_d = w_{j+d} − w_{j−d}.
     """
-
-    def simple(i: int, w: int) -> RatFunc:
-        if i < j:
-            return RatFunc(PPoly.const(-w), i, dict.fromkeys(divisors(j - i), 1))
-        return RatFunc(PPoly.const(w), j, dict.fromkeys(divisors(i - j), 1))
-
-    terms = [RatFunc(PPoly.const(s.expo), j)]
-    for i in s.num_i:
-        terms.append(simple(i, -1))
-    for i, m in s.mult:
-        if i != j:
-            terms.append(simple(i, m))
-    return RatFunc.sum(terms)
+    w = dict.fromkeys(s.num_i, -1)  # num_i holds no pole
+    w.update((i, m) for i, m in s.mult if i != j)
+    coef: dict[int, int] = {}
+    for i, wi in w.items():
+        coef[abs(i - j)] = coef.get(abs(i - j), 0) + (wi if i > j else -wi)
+    const = 1 - s.expo + sum(wi for i, wi in w.items() if i < j)
+    terms = [RatFunc(PPoly.const(-c), 0, dict.fromkeys(divisors(d), 1)) for d, c in coef.items()]
+    return RatFunc.sum([RatFunc(PPoly.const(const)), *terms])
 
 
 def _poly_part(s: Summand) -> list[PPoly]:
@@ -152,7 +149,7 @@ def build(params) -> LinearForm:
     """A·zeta_q(k) − B at params, k = params.k.
 
     Near pole j, S = f_j/(1 - q^j x)^2 + r1_j/(1 - q^j x) + ....  A double
-    pole (zeta2 only) has f_j = g_j and r1_j = f_j − Lambda_j·p^j·f_j, a
+    pole (zeta2 only) has f_j = g_j and r1_j = (1 − p^j·Lambda_j)·g_j, a
     simple one f_j = 0 and r1_j = g_j, g_j the residue unit.  The
     polynomial part c_0 + c_1 x + ... (zeta1 only) adds c_0 per term and
     c_i/(1 - q^i) in all.  The series converges only if c_0 + sum_j r1_j = 0.
@@ -180,7 +177,7 @@ def build(params) -> LinearForm:
         r1[j] = _ONE * g
         if m == 2:
             r2[j] = r1[j]
-            r1[j] -= _log_derivative_at_pole(s, j) * (FactoredPPoly(p_power=j) * g)
+            r1[j] = _one_minus_log_derivative(s, j) * g
     total1, b1 = _tail_sum_by_parts(r1, _t1_kernel)
     if not (c0 + total1).is_zero():
         raise AssertionError("c_0 + sum_j r1_j does not cancel; the series would diverge")

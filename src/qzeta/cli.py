@@ -21,11 +21,13 @@ cmd_series (`series`, `rho`, `mertens`, `eq3`, `jacobi`).  main builds the
 subparser of the named command alone, importing that command's module
 only (the whole parser, with every module, only for help and errors at the
 top level), and each handler imports only the library modules it runs, so
-a command compiles and loads its own code alone: `ord`, `dnp` and
-`cyclotomic` load neither `fractions` nor `decimal`, `group` and
-`stability` load no polynomial code, and a form read from the cache loads
-forms but not builders.  --kind looks the parameter class up
-in params.PARAMS; that class carries every fact that depends on the kind.
+a command compiles and loads its own code alone: `ord`, `dnp`,
+`cyclotomic`, `group`, `omega` and `inclusion --params` load neither
+`fractions` nor `decimal`, `group` and `stability` load no polynomial
+code, a form read from the cache loads forms but not builders, and a
+form built cold loads builders but neither linforms nor dyadic.  --kind
+looks the parameter class up in params.PARAMS; that class carries every
+fact that depends on the kind.
 Each command gets one store.Store, which keeps linear forms under a cache
 directory (--cache-dir, else $QZETA_CACHE, else ~/.cache/qzeta) as
 forms/<kind>-<params>.json.gz, one gzip member of JSON in format

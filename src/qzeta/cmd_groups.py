@@ -1,14 +1,16 @@
 """The transformation-group commands `group`, `omega` and `stability`.
 
 They load groups and params and no polynomial code: `omega` adds parith
-for its product, `stability` adds linforms and dyadic for the series.
+for Omega, its value at p and the exact orders its check divides out, and
+`stability` adds linforms and dyadic for the series and alone loads
+`fractions`.
 HANDLERS gives cli each command's handler and flags.
 """
 
 from __future__ import annotations
 
+import math
 import sys
-from fractions import Fraction
 
 from .cli import _check, _family, _log2, _parse_params
 
@@ -37,10 +39,12 @@ def cmd_group(args, store):
 def cmd_omega(args, store):
     from .groups import group_for, omega
     from .params import cvector
+    from .parith import cyclotomic_value, gauss_factorial
 
     params = _parse_params(args.kind, args.params)
     c = cvector(params)
-    res = omega(c, group_for(params.kind))
+    G = group_for(params.kind)
+    res = omega(c, G)
     nonzero = {str(l): e for l, e in sorted(res.nu.items()) if e}
     outputs = {
         "params": list(params),
@@ -48,10 +52,21 @@ def cmd_omega(args, store):
         "nu": nonzero,
     }
     if args.p is not None:
-        outputs["omega_at_p"] = res.omega.value_at(args.p)
+        # an integer: Omega has no negative exponent and no power of p
+        values = (cyclotomic_value(l, args.p) ** e for l, e in res.nu.items())
+        outputs["omega_at_p"] = math.prod(values)
         outputs["p"] = args.p
-    ok = all(e >= 0 for e in res.nu.values())
-    return outputs, [_check("exponents-nonnegative", ok, f"{len(nonzero)} nonzero exponents")]
+    # nu_l again from exact Phi_l-orders of [v]_p!, one division sweep per c-value v
+    ls, orders = range(c.m, 1, -1), {}
+    for v in set(c.values):
+        rest, orders[v] = gauss_factorial(v), {}
+        for l in ls:
+            orders[v][l], rest = rest.split_cyclotomic(l)
+    S = c.factorial_labels()
+    exact = {l: max(sum(orders[c[j]][l] - orders[c[g(j)]][l] for j in S) for g in G) for l in ls}
+    bad = [f"nu_{l} = {res.nu.get(l)}, exact {exact[l]}" for l in ls if exact[l] != res.nu.get(l)]
+    witness = bad[0] if bad else f"{len(ls)} exponents recomputed, {len(nonzero)} nonzero"
+    return outputs, [_check("nu-matches-exact-orders", not bad, witness)]
 
 
 def _status(q, base) -> str:
@@ -62,6 +77,8 @@ def _status(q, base) -> str:
 
 
 def cmd_stability(args, store):
+    from fractions import Fraction
+
     from .groups import group_for, stability_sweep
 
     if args.n is not None and args.family is None:

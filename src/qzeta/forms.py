@@ -2,12 +2,13 @@
 
 A RatFunc is num(p) / (p^dpow · prod_l Phi_l(p)^dphi[l]) with an exact
 PPoly numerator and a factored cyclotomic denominator.  RatFunc sums merge
-pairwise in a balanced tree and lift each side to the common denominator
-through the O(degree) binomials p^d - 1 (PPoly.times_cyclotomics), never
-through a dense cofactor; a product, always by a FactoredPPoly, first
-cancels the factor's Phi_l against the denominator and lifts the rest the
-same way.  RatFunc.reduced puts a RatFunc in lowest terms, the canonical
-form of a rational function, and every stored form is in lowest terms.
+pairwise in a balanced tree, neighbours by Phi-index set, and lift each
+side to the common denominator through the O(degree) binomials p^d - 1
+(PPoly.times_cyclotomics), never through a dense cofactor; a product,
+always by a FactoredPPoly, first cancels the factor's Phi_l against the
+denominator and lifts the rest the same way.  RatFunc.reduced puts a
+RatFunc in lowest terms, the canonical form of a rational function, and
+every stored form is in lowest terms.
 A LinearForm is A·zeta_q(k) − B with RatFunc coefficients, made from
 params, A and B alone: its kind is params.kind, and it derives its c-vector,
 M, the p-power that p^{-M}·D clears, and D from the params.k top c-values.
@@ -15,7 +16,8 @@ form_to_json and form_from_json write and read the checksummed form file
 that store.Store keeps on disk, and verify_inclusion checks the integrality
 of p^{-M}·D·Omega^{-1}·{A, B} exactly.  How a form is built lives in
 builders and how it is certified in linforms, so a command that reads its
-forms from disk loads neither.
+forms from disk loads neither; nor does it load `fractions`, which only a
+value at p (FactoredPPoly.value_at) imports.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import json
 import zlib
 from collections import namedtuple
-from fractions import Fraction
 
 from .params import cvector
 from .parith import FactoredPPoly, PPoly
@@ -101,11 +102,13 @@ class RatFunc:
         """Sum over p^dpow·prod_l Phi_l^dphi[l], each exponent the max over the nonzero terms.
 
         Numerators over one denominator are added first.  The groups are then
-        merged pairwise in a balanced tree (the sum tree of Bernstein, "Fast
-        multiplication and its applications", 2008): each merge lifts both
-        sides to their common denominator through PPoly.times_cyclotomics,
-        O(degree) per binomial p^d - 1.  A group whose numerators cancel
-        keeps its denominator, so the root already has the full one.
+        sorted by their Phi-index sets, so that neighbours share most of a
+        denominator, and merged pairwise in a balanced tree (the sum tree of
+        Bernstein, "Fast multiplication and its applications", 2008): each
+        merge lifts both sides to their common denominator through
+        PPoly.times_cyclotomics, O(degree) per binomial p^d - 1.  A group
+        whose numerators cancel keeps its denominator, so the root already
+        has the full one, whatever the order.
         """
         groups: dict[tuple, PPoly] = {}
         for t in terms:
@@ -114,7 +117,8 @@ class RatFunc:
                 groups[key] = groups[key] + t.num if key in groups else t.num
         if not groups:
             return RatFunc.zero()
-        level = [RatFunc(num, dpow, dict(dphi)) for (dpow, dphi), num in groups.items()]
+        order = sorted(groups, key=lambda key: ([l for l, _ in key[1]], key))
+        level = [RatFunc(groups[dpow, dphi], dpow, dict(dphi)) for dpow, dphi in order]
         while len(level) > 1:
             merged = [RatFunc._merge(a, b) for a, b in zip(level[::2], level[1::2])]
             level = merged + level[len(merged) * 2 :]
@@ -134,7 +138,8 @@ class RatFunc:
 
     # -- queries -----------------------------------------------------------
 
-    def value_at(self, p: int) -> Fraction:
+    def value_at(self, p: int):
+        """The value at the integer p, an exact Fraction."""
         return self.num(p) / FactoredPPoly(self.dphi, self.dpow).value_at(p)
 
     def ord_p(self) -> int:
@@ -176,7 +181,7 @@ class LinearForm:
         top = self.cvec.top
         return {l: sum(m >= l for m in top) for l in range(1, top[0] + 1)}
 
-    def d_value(self, p: int) -> Fraction:
+    def d_value(self, p: int):
         return FactoredPPoly(self.d_exponents()).value_at(p)
 
 

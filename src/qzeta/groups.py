@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
@@ -42,10 +41,6 @@ class Perm(namedtuple("Perm", "labels images")):
         if sorted(images) != sorted(labels):
             raise ValueError("not a bijection of the label set")
         return super().__new__(cls, labels, images)
-
-    @staticmethod
-    def identity(labels: tuple[str, ...]) -> "Perm":
-        return Perm(labels, labels)
 
     @staticmethod
     def from_cycles(labels: tuple[str, ...], cycles) -> "Perm":
@@ -111,27 +106,23 @@ class Group:
 
 
 def generate(generators) -> Group:
+    """Closure of the generators: the identity, then each breadth-first level
+    sorted by images.  Products are composed on index tuples, (g·h)[i] =
+    h[g[i]], and each element is made a Perm once."""
     generators = tuple(generators)
     if not generators:
         raise ValueError("need at least one generator")
     labels = generators[0].labels
     if any(g.labels != labels for g in generators):
         raise ValueError("generators act on different label sets")
-    ident = Perm.identity(labels)
-    seen = {ident.images}
-    frontier = [ident]
-    elements = [ident]
+    gens = [tuple(map(labels.index, g.images)) for g in generators]
+    frontier = seen = {tuple(range(len(labels)))}
+    elements = [Perm(labels, labels)]
     while frontier:
-        nxt = []
-        for h in frontier:
-            for g in generators:
-                prod = g * h
-                if prod.images not in seen:
-                    seen.add(prod.images)
-                    nxt.append(prod)
-        nxt.sort(key=lambda p: p.images)
-        elements.extend(nxt)
-        frontier = nxt
+        frontier = {tuple(h[i] for i in g) for h in frontier for g in gens} - seen
+        seen |= frontier
+        level = (Perm(labels, tuple(labels[i] for i in x)) for x in frontier)
+        elements += sorted(level, key=lambda p: p.images)
     return Group(tuple(elements), generators)
 
 
@@ -207,6 +198,8 @@ def stable_quantity(params, p: int, bits: int):
     With 1/|Pi| < 2^e, F is enclosed below 2^-(bits+e+1), and F/Pi is
     rounded outward at precision bits + 3, the same for all params.
     """
+    from fractions import Fraction
+
     from .linforms import numeric_form_value
 
     cv = cvector(params)

@@ -6,7 +6,7 @@ The basic object is the series
     S(x) = x^e · prod_i (1 - q^i x) / prod_j (1 - q^j x)^{m_j},
 
 a rewriting of the q-hypergeometric sum in which every Gamma_q ratio has
-been expanded into finite q-Pochhammer products; summand(params) gives S
+been expanded into finite q-Pochhammer products; params.summand gives S
 and C for either kind from params.expo and params.pole_runs().  The exact
 form A·zeta_q(k) − B that the series equals is built by builders.build.
 This module only sums the series: at q = 1/p every term C·S(q^t) is a
@@ -16,49 +16,23 @@ the gap from it to the Enclosure zeta_q(k)·A(p) − B(p) of a built form,
 both sized from the form's denominators.  It imports what it needs of
 parith and qseries in its body and never imports builders, so the checker
 does not run the code it checks, and a command that only sums the series
-(stability) compiles no polynomial code.  The parameter types and every per-kind
-formula live in params, the form as data and its file in forms.
+(stability) compiles no polynomial code.  The parameter types, the summand
+and every per-kind formula live in params, the form as data and its file in
+forms.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .dyadic import Enclosure
-from .params import PARAMS, ParamsZ1, ParamsZ2
+from .params import PARAMS, ParamsZ1, ParamsZ2, Summand, summand
 
 if TYPE_CHECKING:
     from .forms import LinearForm
-
-
-# --------------------------------------------------------------------------
-# the summand in product form
-
-
-# S(x) = x^expo · prod_{i in num_i}(1 - q^i x) / prod_j (1 - q^j x)^{m_j}; mult holds
-# the sorted (pole j, m_j), and C = prod (1-q^j) over prefactor_num / over prefactor_den
-Summand = namedtuple("Summand", "expo num_i mult prefactor_num prefactor_den")
-
-
-def summand(params) -> Summand:
-    """S and C of the series at params, from its runs a..b-1 of poles.
-
-    params.pole_runs() gives one run, (a2, b), for zeta1 and two, (a2, b2)
-    and (a3, b3), for zeta2, so an index in both is a double pole.  The
-    numerator indices 1..a1-1 cancel the poles they meet, one factor each.
-    """
-    runs = params.pole_runs()
-    num, den = range(1, params.a1), Counter(j for a, b in runs for j in range(a, b))
-    return Summand(
-        params.expo,
-        tuple(i for i in num if i not in den),
-        tuple(sorted((den - Counter(num)).items())),
-        tuple(j for a, b in runs for j in range(1, b - a)),
-        tuple(num),
-    )
 
 
 # --------------------------------------------------------------------------

@@ -10,13 +10,15 @@ alone; no other module compares kinds.  cvector gives the labeled
 parameter differences of an admissible tuple, on which the transformation
 groups act; params_from_cvector reads an image back.  This module
 imports no other qzeta module, so the group and form-file commands can
-read parameters without loading any polynomial code.
+read parameters without loading any polynomial code.  summand gives the
+series' summand in product form, which the builder and the series
+enclosure both start from; `fractions` is imported only where a Fraction
+is made, so reading parameters or building a form never loads it.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from fractions import Fraction
+from collections import Counter, namedtuple
 
 
 class ParamsZ1(namedtuple("ParamsZ1", "a0 a1 a2 b")):
@@ -53,7 +55,9 @@ class ParamsZ1(namedtuple("ParamsZ1", "a0 a1 a2 b")):
         return [(self.a2, self.b)]
 
     @staticmethod
-    def alpha(r0, r1, r2, rb) -> Fraction:
+    def alpha(r0, r1, r2, rb):
+        from fractions import Fraction
+
         return Fraction(2 * (r0 + r1 + r2) * rb - (r1**2 + r2**2 + rb**2), 2)
 
 
@@ -93,7 +97,9 @@ class ParamsZ2(namedtuple("ParamsZ2", "a1 a2 a3 b2 b3")):
         return [(self.a2, self.b2), (self.a3, self.b3)]
 
     @staticmethod
-    def alpha(r1, r2, r3, rb2, rb3) -> Fraction:
+    def alpha(r1, r2, r3, rb2, rb3):
+        from fractions import Fraction
+
         return Fraction(2 * rb2 * rb3 - (r1**2 + r2**2 + r3**2), 2)
 
 
@@ -151,8 +157,31 @@ def params_from_cvector(c: CVector):
     return cand if cand.c_values() == c.values else None
 
 
-def alpha_exponent(rates: tuple[int, ...], kind: str) -> Fraction:
-    """Coefficient-size exponent per n^2 for a parameter rate vector."""
+def alpha_exponent(rates: tuple[int, ...], kind: str):
+    """Coefficient-size exponent per n^2 for a parameter rate vector, a Fraction."""
     if kind not in PARAMS:
         raise ValueError(f"unknown kind {kind!r}")
     return PARAMS[kind].alpha(*rates)
+
+
+# S(x) = x^expo · prod_{i in num_i}(1 - q^i x) / prod_j (1 - q^j x)^{m_j}; mult holds
+# the sorted (pole j, m_j), and C = prod (1-q^j) over prefactor_num / over prefactor_den
+Summand = namedtuple("Summand", "expo num_i mult prefactor_num prefactor_den")
+
+
+def summand(params) -> Summand:
+    """S and C of the series at params, from its runs a..b-1 of poles.
+
+    params.pole_runs() gives one run, (a2, b), for zeta1 and two, (a2, b2)
+    and (a3, b3), for zeta2, so an index in both is a double pole.  The
+    numerator indices 1..a1-1 cancel the poles they meet, one factor each.
+    """
+    runs = params.pole_runs()
+    num, den = range(1, params.a1), Counter(j for a, b in runs for j in range(a, b))
+    return Summand(
+        params.expo,
+        tuple(i for i in num if i not in den),
+        tuple(sorted((den - Counter(num)).items())),
+        tuple(j for a, b in runs for j in range(1, b - a)),
+        tuple(num),
+    )

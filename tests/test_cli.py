@@ -613,6 +613,24 @@ class TestCommands:
         assert int(report["outputs"]["omega_at_p"]) >= 1
 
     @pytest.mark.parametrize(
+        "moved", [lambda nu, l: nu + (l == 3), lambda nu, l: 0], ids=["raised", "zeroed"]
+    )
+    def test_omega_check_recomputes_nu_from_exact_orders(self, capsys, monkeypatch, moved):
+        argv = ("omega", "--kind", "zeta1", "--params", "17,13,17,31")
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        assert report["checks"] == [
+            {"name": "nu-matches-exact-orders", "pass": True,
+             "witness": "16 exponents recomputed, 5 nonzero"}
+        ]  # fmt: skip
+        real = groups.nu_l
+        monkeypatch.setattr(groups, "nu_l", lambda c, G, l: moved(real(c, G, l), l))
+        code, report = run_json(capsys, *argv)
+        assert code == 1
+        (check,) = report["checks"]
+        assert not check["pass"] and re.fullmatch(r"nu_\d+ = \d+, exact \d+", check["witness"])
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["cyclotomic", "--l", "6", "--p", "1"],

@@ -51,13 +51,36 @@ def sigma_params(params: ParamsZ1) -> ParamsZ1:
     return ParamsZ1(a0, a2, a1, b)
 
 
+def _identity(labels) -> Perm:
+    return Perm(labels, labels)
+
+
+def _generate_by_products(generators) -> tuple[Perm, ...]:
+    """Oracle for generate's order: breadth-first over Perm products, each level
+    sorted by images after the identity."""
+    ident = _identity(generators[0].labels)
+    seen, frontier, elements = {ident.images}, [ident], [ident]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in generators:
+                prod = g * h
+                if prod.images not in seen:
+                    seen.add(prod.images)
+                    nxt.append(prod)
+        nxt.sort(key=lambda p: p.images)
+        elements.extend(nxt)
+        frontier = nxt
+    return tuple(elements)
+
+
 def _inverse(g: Perm) -> Perm:
     inv = {image: label for label, image in zip(g.labels, g.images)}
     return Perm(g.labels, tuple(inv[label] for label in g.labels))
 
 
 def _order(g: Perm) -> int:
-    power, n, ident = g, 1, Perm.identity(g.labels)
+    power, n, ident = g, 1, _identity(g.labels)
     while power != ident:
         power, n = power * g, n + 1
     return n
@@ -73,7 +96,7 @@ class TestPerm:
             Perm(("a", "b"), ("a", "a"))
 
     def test_compose_and_inverse(self):
-        ident = Perm.identity(LABELS_Z1)
+        ident = _identity(LABELS_Z1)
         assert TAU * _inverse(TAU) == ident
         assert _inverse(TAU * SIGMA) == _inverse(SIGMA) * _inverse(TAU)
 
@@ -92,6 +115,11 @@ class TestGroups:
         assert len(zeta1_group()) == 12
         assert len(zeta1_arith_group()) == 6
         assert len(zeta2_group()) == 120
+
+    @pytest.mark.parametrize("make", [zeta1_group, zeta1_arith_group, zeta2_group])
+    def test_generation_order_matches_perm_products(self, make):
+        G = make()
+        assert G.elements == _generate_by_products(G.generators)
 
     def test_generation_deterministic(self):
         a = [g.images for g in zeta2_group()]
@@ -194,7 +222,7 @@ class TestNu:
 
     def test_identity_group_gives_zero(self):
         cv = cvector(ParamsZ1(17, 13, 17, 31))
-        trivial = Group((Perm.identity(LABELS_Z1),), (Perm.identity(LABELS_Z1),))
+        trivial = Group((_identity(LABELS_Z1),), (_identity(LABELS_Z1),))
         assert all(nu_l(cv, trivial, l) == 0 for l in range(2, cv.m + 1))
 
     def test_zero_beyond_m(self):
@@ -256,7 +284,7 @@ class TestStability:
 
     def test_identity(self):
         base, rows = stability_sweep(ParamsZ1(9, 7, 9, 16), zeta1_group(), 2, 320)
-        assert rows[0] == (Perm.identity(LABELS_Z1), base)
+        assert rows[0] == (_identity(LABELS_Z1), base)
 
     def test_sigma_tight_width(self):
         x = ParamsZ1(9, 7, 9, 16)
@@ -314,7 +342,7 @@ class TestStability:
             monkeypatch.setattr(
                 groups, "stable_quantity", lambda y, p, bits: Enclosure(values[y], values[y])
             )
-            base, rows = stability_sweep(x, Group((Perm.identity(g.labels), g), (g,)), 2, 320)
+            base, rows = stability_sweep(x, Group((_identity(g.labels), g), (g,)), 2, 320)
             assert (dict(rows)[g].gap(base) == 0) is ok
 
     def test_zeta2_single_elements(self):

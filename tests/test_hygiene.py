@@ -110,8 +110,8 @@ SHARED_METHODS = {
     "admissible": "ParamsZ1's and ParamsZ2's alike by cvector and groups.stability_sweep",
     "c_values": "ParamsZ1's and ParamsZ2's alike by cvector and params_from_cvector",
     "from_cvector": "ParamsZ1's and ParamsZ2's alike by params_from_cvector, through PARAMS",
-    "expo": "ParamsZ1's and ParamsZ2's alike by linforms.summand",
-    "pole_runs": "ParamsZ1's and ParamsZ2's alike by linforms.summand",
+    "expo": "ParamsZ1's and ParamsZ2's alike by params.summand",
+    "pole_runs": "ParamsZ1's and ParamsZ2's alike by params.summand",
     "alpha": "ParamsZ1's and ParamsZ2's alike by params.alpha_exponent, through PARAMS",
 }
 

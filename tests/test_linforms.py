@@ -33,15 +33,13 @@ from qzeta.linforms import (
     THEOREM2,
     Family,
     Certification,
-    Summand,
     _log_abs,
     _sum_series,
     _tail_bound,
     certify,
     numeric_form_value,
-    summand,
 )
-from qzeta.params import ParamsZ1, ParamsZ2, cvector
+from qzeta.params import ParamsZ1, ParamsZ2, Summand, cvector, summand
 from qzeta.parith import FactoredPPoly, PPoly, cyclotomic, divisors, dnp
 from qzeta.qseries import zeta_q_value
 from qzeta.store import Store
@@ -323,6 +321,14 @@ class TestRatFuncSum:
         got, want = RatFunc.sum(terms), _flat_sum(terms)
         assert (got.num, got.dpow, got.dphi) == (want.num, want.dpow, want.dphi)
 
+    @settings(max_examples=150, deadline=None)
+    @given(ratfunc_lists(), st.randoms(use_true_random=False))
+    def test_shuffled_terms_give_the_same_sum(self, terms, rnd):
+        # the merge order follows the groups' Phi-index sets, not the input order
+        got, want = RatFunc.sum(rnd.sample(terms, len(terms))), RatFunc.sum(terms)
+        assert _key(got.reduced()) == _key(want.reduced())
+        assert _key(got) == _key(want)
+
     def test_cancelling_terms_keep_the_denominator(self):
         # 3/(p^2·Phi_4) cancels, 1/Phi_1 comes back over p^2·Phi_1·Phi_4
         t = RatFunc(PPoly.const(3), 2, {4: 1})
@@ -413,10 +419,9 @@ class TestTailSumByParts:
         for j, m in s.mult:
             g = builders._residue_unit(s, j)
             r1[j] = builders._ONE * g
-            if m == 2:  # f_j = g_j and e_j = -Lambda_j·p^j·f_j
+            if m == 2:  # f_j = g_j and r1_j = (1 − p^j·Lambda_j)·g_j
                 r2[j] = r1[j]
-                e = -(builders._log_derivative_at_pole(s, j) * (FactoredPPoly(p_power=j) * g))
-                r1[j] = r1[j] + e
+                r1[j] = builders._one_minus_log_derivative(s, j) * g
         zeta1_coeff, b1 = builders._tail_sum_by_parts(r1, builders._t1_kernel)
         total2, b2 = builders._tail_sum_by_parts(r2, builders._t2_kernel)
         t1, t2 = _dense_tail_tables(max(r1) + 1)
@@ -431,6 +436,53 @@ class TestTailSumByParts:
         shift = direct.dpow - got.dpow  # a common power of p, never a larger one
         assert shift >= 0
         assert got.num.shift(shift) == direct.num
+
+
+def _log_derivative_at_pole(s: Summand, j: int) -> RatFunc:
+    """Oracle: Lambda_j(p^j), the logarithmic x-derivative of S·(1-q^j x)^{m_j}
+    at x = p^j, one term per factor.
+
+    Terms: expo/x − sum_num q^i/(1−q^i x) + sum_{den, i != j} m_i q^i/(1−q^i x),
+    and q^i/(1 − q^i p^j) is −p^{-i}/(p^{j-i} − 1) for i < j and
+    p^{-j}/(p^{i-j} − 1) for i > j.
+    """
+
+    def simple(i: int, w: int) -> RatFunc:
+        if i < j:
+            return RatFunc(PPoly.const(-w), i, dict.fromkeys(divisors(j - i), 1))
+        return RatFunc(PPoly.const(w), j, dict.fromkeys(divisors(i - j), 1))
+
+    terms = [RatFunc(PPoly.const(s.expo), j)]
+    terms += [simple(i, -1) for i in s.num_i]
+    terms += [simple(i, m) for i, m in s.mult if i != j]
+    return RatFunc.sum(terms)
+
+
+class TestLogDerivativeByDistance:
+    """1 − p^j·Lambda_j with the terms at one distance combined, against the
+    per-term oracle."""
+
+    @staticmethod
+    def check(s: Summand):
+        for j, _ in s.mult:
+            want = builders._ONE - _log_derivative_at_pole(s, j) * FactoredPPoly(p_power=j)
+            got = builders._one_minus_log_derivative(s, j)
+            assert _key(got.reduced()) == _key(want.reduced())
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 5),
+        st.sets(st.integers(1, 14), max_size=6),
+        st.dictionaries(st.integers(1, 15), st.integers(1, 2), min_size=1, max_size=8),
+    )
+    @example(0, set(), {3: 2})  # a double pole alone: Lambda_j = 0
+    def test_matches_per_term_sum(self, expo, num_i, mult):
+        assume(2 in mult.values())
+        self.check(_summand(expo, num_i - set(mult), mult))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_on_theorem2(self, n):
+        self.check(summand(THEOREM2.params(n)))
 
 
 class TestResidueUnit:

@@ -40,7 +40,7 @@ def test_validation_raises_value_error(make):
         (ParamsZ1(8, 7, 9, 16), "a0"),
         (ParamsZ2(1, 1, 1, 2, 2), "b3"),
         (CVector("zeta1", (0, 0, 0, 0, 0, 0)), "values"),
-        (Perm.identity(LABELS_Z1), "images"),
+        (Perm(LABELS_Z1, LABELS_Z1), "images"),
         (BV, "rates"),
         (QSeries((1,), 1), "order"),
         (MFit(Fraction(3, 2), (5,), (), True), "stable"),

@@ -23,9 +23,8 @@ from qzeta.linforms import (
     _runs,
     _sum_series,
     numeric_form_value,
-    summand,
 )
-from qzeta.params import ParamsZ1, ParamsZ2
+from qzeta.params import ParamsZ1, ParamsZ2, summand
 
 # -- oracle -----------------------------------------------------------------
 

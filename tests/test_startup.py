@@ -28,6 +28,7 @@ MODULES = (
     "density", "dyadic", "forms", "groups", "linforms", "measures", "params", "parith", "qseries",
     "store",
 )  # fmt: skip
+RATIONALS = {"fractions", "decimal"}  # `fractions` imports `decimal`
 
 _CHILD = """
 import json, sys
@@ -118,8 +119,7 @@ def test_valuation_commands_load_no_form_code(tmp_path, argv):
     child = _command(tmp_path, *argv)
     assert child["code"] == 0
     heavy = {f"qzeta.{m}" for m in ("linforms", "groups", "measures", "qseries", "density")}
-    rationals = {"fractions", "decimal"}
-    assert not (heavy | rationals | {"dataclasses", "csv"}) & set(child["modules"])
+    assert not (heavy | RATIONALS | {"dataclasses", "csv"}) & set(child["modules"])
     # the store still creates its directory, so the cache dir is never left empty
     assert (tmp_path / "cache" / "forms").is_dir()
 
@@ -132,22 +132,28 @@ def test_group_loads_no_polynomial_code(tmp_path):
     child = _command(tmp_path, "group")
     assert child["code"] == 0
     assert _loaded(child) == {"cli", "cmd_groups", "store", "groups", "params"}
+    assert not RATIONALS & set(child["modules"])
 
 
 def test_omega_loads_no_form_code(tmp_path):
     child = _command(tmp_path, "omega", "--kind", "zeta2", "--params", "1,1,1,2,2", "--p", "2")
     assert child["code"] == 0
     assert not {"forms", "linforms", "qseries", "dyadic", "measures"} & _loaded(child)
+    assert not RATIONALS & set(child["modules"])
 
 
 def test_inclusion_loads_builders_only_on_a_miss(tmp_path):
     argv = ["inclusion", "--kind", "zeta1", "--params", "3,3,3,6"]
-    cold = _loaded(_command(tmp_path, *argv))
-    assert "builders" in cold and "qseries" not in cold
+    cold = _command(tmp_path, *argv)
+    assert "builders" in _loaded(cold)
+    # the builder reads its summand from params: no series code, no rationals
+    assert not {"linforms", "dyadic", "qseries"} & _loaded(cold)
+    assert not RATIONALS & set(cold["modules"])
     warm = _command(tmp_path, *argv)  # the cold run left the form file behind
     assert warm["code"] == 0
     assert "forms" in _loaded(warm)
     assert not {"builders", "linforms", "qseries", "dyadic", "groups"} & _loaded(warm)
+    assert not RATIONALS & set(warm["modules"])
 
 
 def test_linform_certifies_a_cached_form_without_the_builders(tmp_path):
@@ -159,17 +165,18 @@ def test_linform_certifies_a_cached_form_without_the_builders(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, certifies",
     [
-        ["inclusion", "--kind", "zeta1", "--params", "3,3,3,6"],
-        ["linform", "--kind", "zeta1", "--params", "2,2,2,4"],
+        (["inclusion", "--kind", "zeta1", "--params", "3,3,3,6"], False),
+        (["linform", "--kind", "zeta1", "--params", "2,2,2,4"], True),
     ],
     ids=["inclusion", "linform"],
 )
-def test_form_commands_load_no_group_code(tmp_path, argv):
+def test_form_commands_load_no_group_code(tmp_path, argv, certifies):
     child = _command(tmp_path, *argv)
     assert child["code"] == 0
-    assert "qzeta.linforms" in child["modules"]
+    # linforms holds the series the certificate sums; inclusion, cold or warm, needs none of it
+    assert ("qzeta.linforms" in child["modules"]) is certifies
     assert not {"qzeta.groups", "qzeta.measures"} & set(child["modules"])
 
 
