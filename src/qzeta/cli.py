@@ -17,17 +17,19 @@ This module holds the entry, the report plumbing, the shared --format and
 modules, grouped by what they load: cmd_orders (`cyclotomic`, `dnp`,
 `ord`), cmd_forms (`linform`, `inclusion`), cmd_groups (`group`, `omega`,
 `stability`), cmd_measures (`measure`, `empirical-mu`, `apery`) and
-cmd_series (`series`, `rho`, `mertens`, `eq3`, `jacobi`).  main builds the
-subparser of the named command alone, importing that command's module
-only (the whole parser, with every module, only for help and errors at the
-top level), and each handler imports only the library modules it runs, so
-a command compiles and loads its own code alone: `ord`, `dnp`,
-`cyclotomic`, `group`, `omega` and `inclusion --params` load neither
-`fractions` nor `decimal`, `group` and `stability` load no polynomial
-code, a form read from the cache loads forms but not builders, and a
-form built cold loads builders but neither linforms nor dyadic.  --kind
-looks the parameter class up in params.PARAMS; that class carries every
-fact that depends on the kind.
+cmd_series (`series`, `rho`, `mertens`, `eq3`, `jacobi`).  No parser is
+built: argv[0] picks the command, whose module alone is imported, and
+_parse reads the rest (`--flag VALUE` or `--flag=VALUE`, exact names, the
+last repeat winning) against its HANDLERS flags and the shared ones.  A
+malformed line prints usage and `qzeta <command>: error:` to stderr and
+exits 2; -h or --help prints help from the same table.  Each handler
+imports only the library modules it runs, so a command compiles and loads
+its own code alone: `ord`, `dnp`, `cyclotomic`, `group`, `omega` and
+`inclusion --params` load neither `fractions` nor `decimal`, `group` and
+`stability` load no polynomial code, a form read from the cache loads
+forms but not builders, and a form built cold loads builders but neither
+linforms nor dyadic.  --kind looks the parameter class up in
+params.PARAMS; that class carries every fact that depends on the kind.
 Each command gets one store.Store, which keeps linear forms under a cache
 directory (--cache-dir, else $QZETA_CACHE, else ~/.cache/qzeta) as
 forms/<kind>-<params>.json.gz, one gzip member of JSON in format
@@ -45,13 +47,13 @@ object the imports built, about 4 ms of a 35 ms command.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
 import time
 from importlib import import_module
+from types import SimpleNamespace  # loaded already: json imports re, which imports it
 
 from . import __version__
 from .store import Store
@@ -157,29 +159,70 @@ COMMANDS = (
 )
 
 
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The whole parser, or with `only` the top level and that one subcommand.
+# every command's flags ahead of its HANDLERS ones, each with add_argument's keywords
+SHARED_FLAGS = (("--format", dict(choices=("json", "csv"), default="json")),
+                ("--cache-dir", dict(help="cache root (else $QZETA_CACHE)")))  # fmt: skip
 
-    Each subparser imports its command module, so the whole parser loads
-    every handler and a named command only its own.
-    """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--cache-dir", default=None, help="cache root (else $QZETA_CACHE)")
 
-    parser = argparse.ArgumentParser(
-        prog="qzeta",
-        description="Exact q-zeta arithmetic: series, cyclotomic orders, linear forms, measures.",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, module, help_text in COMMANDS:
-        if only in (None, name):
-            fn, arguments = import_module(f"{__package__}.{module}").HANDLERS[name]
-            sp = sub.add_parser(name, parents=[common], help=help_text)
-            sp.set_defaults(fn=fn)
-            for flag, kw in arguments:
-                sp.add_argument(flag, **kw)
-    return parser
+def _parse(flags: dict, argv: list[str]):
+    """The flags by name, "-" as "_", or None for help; ValueError names a bad flag or token."""
+    values, tokens = {flag: kw.get("default") for flag, kw in flags.items()}, iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        flag, eq, value = token.partition("=")
+        if (kw := flags.get(flag)) is None:
+            raise ValueError(f"unknown argument {token!r}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise ValueError(f"{flag} needs a value")
+        try:
+            values[flag] = kw.get("type", str)(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(f"{flag}: invalid {kw['type'].__name__} value {value!r}") from None
+        if values[flag] not in kw.get("choices", (values[flag],)):
+            raise ValueError(f"{flag}: {value!r} is not one of {', '.join(kw['choices'])}")
+    if missing := [f for f, kw in flags.items() if kw.get("required") and values[f] is None]:
+        raise ValueError(f"the following flags are required: {', '.join(missing)}")
+    return SimpleNamespace(**{flag[2:].replace("-", "_"): v for flag, v in values.items()})
+
+
+# help and usage text, rendered only for a help request or a malformed command line
+_HELP_ROW = ("-h, --help", "show this help message and exit")
+
+
+def _spelled(flag: str, kw: dict) -> str:  # with argparse's metavar
+    choices = kw.get("choices")
+    meta = "{" + ",".join(choices) + "}" if choices else flag[2:].upper().replace("-", "_")
+    return f"{flag} {meta}"
+
+
+def _usage(name: str, flags: dict) -> str:
+    parts = ((_spelled(flag, kw), kw.get("required")) for flag, kw in flags.items())
+    return " ".join([f"usage: qzeta {name} [-h]", *(p if req else f"[{p}]" for p, req in parts)])
+
+
+def _rows(rows, width: int) -> list[str]:
+    """Help lines, each (left, text) row's text from column width + 4 as argparse sets it."""
+    wrap = "\n" + " " * (width + 4)
+    return [f"  {left:<{width}}{wrap if len(left) > width else '  '}{text}".rstrip()
+            for left, text in rows]  # fmt: skip
+
+
+def _top_level(argv: list[str]) -> int:
+    """`qzeta --help`, or the usage error of a missing or unknown command."""
+    usage = "usage: qzeta [-h] command ..."
+    if argv[:1] in (["-h"], ["--help"]):
+        about = "Exact q-zeta arithmetic: series, cyclotomic orders, linear forms, measures."
+        commands = _rows([(f"  {name}", text) for name, _, text in COMMANDS], 12)
+        print(usage, "", about, "", "positional arguments:", "  command", *commands, "",
+              "options:", *_rows([_HELP_ROW], 12), sep="\n")  # fmt: skip
+        return 0
+    print(usage, file=sys.stderr)
+    if argv:
+        choices = ", ".join(repr(name) for name, *_ in COMMANDS)
+        error = f"argument command: invalid choice: {argv[0]!r} (choose from {choices})"
+        print(f"qzeta: error: {error}", file=sys.stderr)
+    return 2
 
 
 def _cache_root(args) -> str:
@@ -214,15 +257,21 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    named = argv and argv[0] in {name for name, *_ in COMMANDS}
-    parser = _build_parser(argv[0] if named else None)
+    name, module, about = next((c for c in COMMANDS if argv[:1] == [c[0]]), (None,) * 3)
+    if name is None:
+        return _top_level(argv)
+    fn, own = import_module(f"{__package__}.{module}").HANDLERS[name]
+    flags = dict((*SHARED_FLAGS, *own))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "fn", None) is None:
-        parser.print_usage(sys.stderr)
+        args = _parse(flags, argv[1:])
+    except ValueError as exc:
+        print(_usage(name, flags), f"qzeta {name}: error: {exc}", sep="\n", file=sys.stderr)
         return 2
+    if args is None:
+        rows = [_HELP_ROW, *((_spelled(f, kw), kw.get("help", "")) for f, kw in flags.items())]
+        print(_usage(name, flags), "", about, "", "options:", *_rows(rows, 20), sep="\n")
+        return 0
+    args.command, args.fn = name, fn
     started = time.perf_counter()
     try:
         outputs, checks = args.fn(args, Store(_cache_root(args)))

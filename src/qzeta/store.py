@@ -30,8 +30,8 @@ class Store:
     when that file is one whole gzip member whose text form_from_json
     accepts, else builds the form and writes the file atomically (temp file
     + rename).  A file that fails either check is rebuilt and overwritten,
-    never served.  A <kind>-<params>.json of the uncompressed layout is
-    never read; it is deleted when its form is saved.  <root>/forms is
+    never served.  A file of any other name, such as a <kind>-<params>.json
+    of the uncompressed layout, is never read nor removed.  <root>/forms is
     created with the store.
     """
 
@@ -93,7 +93,3 @@ class Store:
         except BaseException:
             os.unlink(tmp)  # still there: the rename is the last step
             raise
-        try:
-            os.remove(path.removesuffix(".gz"))  # the uncompressed layout's file
-        except OSError:
-            pass  # none was left; one that stays is never read

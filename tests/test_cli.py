@@ -51,6 +51,14 @@ class TestExitCodes:
     def test_domain_error_is_input_error(self, capsys):
         assert main(["ord", "--l", "1", "--n", "5"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--u", "--v"])
+    def test_zero_denominator_is_input_error(self, capsys, flag):
+        # Fraction("1/0") raises ZeroDivisionError, which argparse let through as a traceback
+        assert main(["eq3", "--n", "40", flag, "1/0"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {flag}: invalid Fraction value '1/0'" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("n", ["0", "1"])
     def test_ord_sweep_without_moduli_is_input_error(self, capsys, n):
         # l ranges over 2..n: an empty sweep would be a vacuous pass
@@ -414,7 +422,7 @@ class TestCache:
         assert data[:2] == b"\x1f\x8b" and data[4:8] == bytes(4)  # gzip magic, mtime 0
         assert gzip.decompress(data).decode() == form_to_json(form)
 
-    def test_old_layout_file_is_rebuilt_and_removed(self, tmp_path, capsys, monkeypatch):
+    def test_old_layout_file_is_not_read_and_left_alone(self, tmp_path, capsys, monkeypatch):
         argv = SMALL_ARGV + ["--cache-dir", str(tmp_path)]
         code, cold = run_json(capsys, *argv)
         assert code == 0
@@ -422,7 +430,8 @@ class TestCache:
         good = path.read_bytes()
         path.unlink()
         old = tmp_path / "forms" / "zeta1-2-2-2-4.json"
-        old.write_text(gzip.decompress(good).decode())  # the uncompressed layout, valid v3
+        text = gzip.decompress(good).decode()  # the uncompressed layout, valid v3
+        old.write_text(text)
         built = []
         real = builders.build
         monkeypatch.setattr(builders, "build", lambda p: built.append(p) or real(p))
@@ -430,8 +439,9 @@ class TestCache:
         assert code == 0
         assert built == [SMALL]  # the old file was not read
         assert _stripped(again) == _stripped(cold)
-        assert sorted(f.name for f in (tmp_path / "forms").iterdir()) == [path.name]
+        assert sorted(f.name for f in (tmp_path / "forms").iterdir()) == [old.name, path.name]
         assert path.read_bytes() == good
+        assert old.read_text() == text
 
 
 @settings(max_examples=20, deadline=None)

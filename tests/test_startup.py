@@ -3,14 +3,18 @@
 Every module case runs one command in a fresh interpreter and reads back
 which modules that process had loaded, so an import added at module level
 (or a record type that pulls in `dataclasses` again) fails here by name.
-The parser cases check that building only the named command's subparser
-parses and prints help exactly as the full parser does.  The entry cases
+The parser cases check the flag parser against an argparse oracle built
+from the same flag tables, and pin its help and error text.  The entry cases
 check that a process run through `python -m qzeta` freezes the collector's
 heap before it exits, with the same report and exit code as main, and
 that main itself never freezes.
 """
 
+import argparse
+import contextlib
+import functools
 import gc
+import io
 import json
 import os
 import subprocess
@@ -19,8 +23,10 @@ from importlib import import_module
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qzeta.cli import COMMANDS, _build_parser, main
+from qzeta.cli import COMMANDS, SHARED_FLAGS, _parse, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = (
@@ -211,7 +217,7 @@ def test_no_module_loads_dataclasses(tmp_path):
     assert "dataclasses" not in child["modules"]
 
 
-# -- the one-subparser build ------------------------------------------------
+# -- the flag parser ----------------------------------------------------------
 
 # one argv per command, each setting every option the command has
 SAMPLES = {
@@ -264,18 +270,26 @@ options:
 USAGE = "usage: qzeta [-h] command ...\n"
 
 
-def _help(parser, argv, capsys) -> str:
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args(argv)
-    assert exc.value.code == 0
-    return capsys.readouterr().out
-
-
 @pytest.mark.parametrize("name", list(SAMPLES))
 def test_each_command_loads_its_own_command_module_alone(tmp_path, name):
     child = _command(tmp_path, name, *SAMPLES[name])
     module = {command: module for command, module, _ in COMMANDS}[name]
     assert {m for m in _loaded(child) if m.startswith("cmd_")} == {module}
+
+
+def test_no_command_loads_the_argparse_stack(tmp_path):
+    # argparse, with gettext and locale behind it, cost about 2 ms of every process
+    code = (
+        "import json, sys\n"
+        "from qzeta.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[2])]\n"
+        "json.dump({'codes': codes, 'modules': sorted(sys.modules)}, open(sys.argv[1], 'w'))\n"
+    )
+    cache = str(tmp_path / "cache")
+    child = _run(tmp_path, code, json.dumps([[name, *argv, "--cache-dir", cache]
+                                              for name, argv in SAMPLES.items()]))  # fmt: skip
+    assert child["codes"].count(0) == len(SAMPLES) - 1  # the inclusion sample is refused
+    assert not {"argparse", "gettext", "locale"} & set(child["modules"])
 
 
 def test_samples_cover_the_command_table():
@@ -290,18 +304,232 @@ def test_each_command_module_holds_exactly_its_commands():
         assert set(import_module(f"qzeta.{module}").HANDLERS) == want, module
 
 
+@functools.cache
+def _oracle(only: str | None = None) -> argparse.ArgumentParser:
+    """The argparse parser cli once built from the same tables: the whole
+    parser, or with `only` the top level and that one subcommand."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--cache-dir", default=None, help="cache root (else $QZETA_CACHE)")
+
+    parser = argparse.ArgumentParser(
+        prog="qzeta",
+        description="Exact q-zeta arithmetic: series, cyclotomic orders, linear forms, measures.",
+    )
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    for name, module, help_text in COMMANDS:
+        if only in (None, name):
+            fn, arguments = import_module(f"qzeta.{module}").HANDLERS[name]
+            sp = sub.add_parser(name, parents=[common], help=help_text)
+            sp.set_defaults(fn=fn)
+            for flag, kw in arguments:
+                sp.add_argument(flag, **kw)
+    return parser
+
+
+def _flags(name: str) -> dict:
+    module = {command: module for command, module, _ in COMMANDS}[name]
+    return dict((*SHARED_FLAGS, *import_module(f"qzeta.{module}").HANDLERS[name][1]))
+
+
+def _ours(argv) -> dict:
+    """The attributes cli's parse gives argv (command name first), as main sets them."""
+    module = {command: module for command, module, _ in COMMANDS}[argv[0]]
+    args = vars(_parse(_flags(argv[0]), argv[1:]))
+    fn = import_module(f"qzeta.{module}").HANDLERS[argv[0]][0]
+    return dict(args, command=argv[0], fn=fn)
+
+
+def _theirs(argv, only=None):
+    """The oracle's attributes for argv, or the exit code it stops with."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_oracle(only).parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
 @pytest.mark.parametrize("name", list(SAMPLES))
-def test_one_subparser_parses_like_the_full_parser(name):
+def test_parse_is_the_oracles(name):
     argv = [name, *SAMPLES[name]]
-    assert _build_parser(name).parse_args(argv) == _build_parser().parse_args(argv)
+    assert _ours(argv) == _theirs(argv) == _theirs(argv, only=name)
+
+
+def _value(flag: str, kw: dict):
+    """Strategy for one well-formed value; space-form values start with no "-"
+    unless they are negative ints, which argparse takes as values."""
+    if "choices" in kw:
+        return st.sampled_from(kw["choices"])
+    if kw.get("type") is int:
+        return st.integers(-60, 60).map(str)
+    if kw.get("type") is not None:  # Fraction
+        return st.builds(lambda n, d: f"{n}/{d}", st.integers(0, 9), st.integers(1, 9))
+    return st.text("abz019,=/", max_size=6).filter(lambda v: not v.startswith("-"))
+
+
+@st.composite
+def _well_formed(draw, name: str):
+    flags = _flags(name)
+    chosen = [f for f in flags if flags[f].get("required")] + draw(
+        st.lists(st.sampled_from(list(flags)), max_size=5)
+    )
+    tokens = []
+    for flag in draw(st.permutations(chosen)):
+        value = draw(_value(flag, flags[flag]))
+        tokens += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return [name, *tokens]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(SAMPLES)).flatmap(_well_formed))
+def test_well_formed_argv_parses_as_the_oracle(argv):
+    assert _ours(argv) == _theirs(argv)
+
+
+# the flags of `name` that can carry each kind of fault
+def _carriers(name: str, kind: str) -> list[str]:
+    flags = _flags(name)
+    if kind in ("unknown-flag", "missing-value"):
+        return list(flags)
+    return [
+        flag
+        for flag, kw in flags.items()
+        if {
+            "bad-int": kw.get("type") is int,
+            "bad-fraction": kw.get("type") not in (None, int),
+            "bad-choice": "choices" in kw,
+            "missing-required": kw.get("required", False),
+        }[kind]
+    ]
+
+
+BAD_VALUES = {"bad-int": ["x", "1.5", ""], "bad-fraction": ["x", "1/2/3"], "bad-choice": ["nope"]}
+
+
+@st.composite
+def _malformed(draw, name: str, kind: str):
+    """An argv of `name` with one fault of the given kind."""
+    argv = draw(_well_formed(name))
+    flag = draw(st.sampled_from(_carriers(name, kind)))
+    if kind == "unknown-flag":
+        at = draw(st.integers(1, len(argv)))
+        unknown = draw(st.sampled_from(["--bogus", "--threads", "--zz"]))
+        return [*argv[:at], unknown, "1", *argv[at:]]
+    if kind == "missing-value":
+        return [*argv, flag]
+    if kind == "missing-required":
+        kept, tokens = [], iter(argv[1:])
+        for token in tokens:
+            if token.partition("=")[0] != flag:
+                kept.append(token)
+            elif "=" not in token:
+                next(tokens)  # its value
+        return [name, *kept]
+    return [*argv, f"{flag}={draw(st.sampled_from(BAD_VALUES[kind]))}"]
+
+
+@pytest.mark.parametrize(
+    "kind", ["unknown-flag", "missing-value", "bad-int", "bad-fraction", "bad-choice",
+             "missing-required"],
+)  # fmt: skip
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_malformed_argv_exits_2_like_the_oracle(kind, data):
+    names = [name for name in SAMPLES if _carriers(name, kind)]
+    argv = data.draw(st.sampled_from(names).flatmap(lambda name: _malformed(name, kind)))
+    with pytest.raises(ValueError):
+        _ours(argv)
+    assert _theirs(argv) == 2
+
+
+ERRORS = {
+    "unknown-flag": (["ord", "--n", "5", "--bogus", "1"], "unknown argument '--bogus'"),
+    "stray-token": (["ord", "--n", "5", "7"], "unknown argument '7'"),
+    "missing-value": (["ord", "--n"], "--n needs a value"),
+    "bad-int": (["ord", "--n", "x"], "--n: invalid int value 'x'"),
+    "bad-fraction": (["eq3", "--n", "40", "--u", "1/0"], "--u: invalid Fraction value '1/0'"),
+    "bad-choice": (
+        ["group", "--kind", "zeta3"],
+        "--kind: 'zeta3' is not one of zeta1, zeta1-arith, zeta2",
+    ),
+    "missing-required": (
+        ["linform", "--p", "3"],
+        "the following flags are required: --kind, --params",
+    ),
+    "abbreviation": (["measure", "--family", "bv", "--fit", "6"], "unknown argument '--fit'"),
+}
+USAGES = {
+    "ord": "usage: qzeta ord [-h] [--format {json,csv}] [--cache-dir CACHE_DIR] --n N [--l L]",
+    "eq3": "usage: qzeta eq3 [-h] [--format {json,csv}] [--cache-dir CACHE_DIR] [--n N] [--p P]"
+    " [--u U] [--v V]",
+    "group": "usage: qzeta group [-h] [--format {json,csv}] [--cache-dir CACHE_DIR]"
+    " [--kind {zeta1,zeta1-arith,zeta2}]",
+    "linform": "usage: qzeta linform [-h] [--format {json,csv}] [--cache-dir CACHE_DIR]"
+    " --kind {zeta1,zeta2} --params PARAMS [--p P]",
+    "measure": "usage: qzeta measure [-h] [--format {json,csv}] [--cache-dir CACHE_DIR]"
+    " --family FAMILY [--fit-n-max FIT_N_MAX]",
+}
+
+
+@pytest.mark.parametrize("argv, message", ERRORS.values(), ids=list(ERRORS))
+def test_parse_errors_are_pinned(capsys, argv, message):
+    # unique-prefix abbreviations, which argparse took, are unknown flags
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{USAGES[argv[0]]}\nqzeta {argv[0]}: error: {message}\n"
+
+
+HELP = {
+    "ord": """\
+usage: qzeta ord [-h] [--format {json,csv}] [--cache-dir CACHE_DIR] --n N [--l L]
+
+cyclotomic order of the q-factorial, against exact division
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,csv}
+  --cache-dir CACHE_DIR
+                        cache root (else $QZETA_CACHE)
+  --n N
+  --l L                 single modulus; omit to sweep 2..n
+""",
+    "stability": """\
+usage: qzeta stability [-h] [--format {json,csv}] [--cache-dir CACHE_DIR] [--family FAMILY] \
+[--n N] [--p P] [--prec PREC] [--terms TERMS]
+
+invariance of the normalized series under the group
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,csv}
+  --cache-dir CACHE_DIR
+                        cache root (else $QZETA_CACHE)
+  --family FAMILY
+  --n N
+  --p P
+  --prec PREC           enclosures narrower than 2^-PREC
+  --terms TERMS         ignored; accepted so old command lines still run
+""",
+}
+
+
+@pytest.mark.parametrize("name", list(HELP))
+def test_command_help_is_pinned(capsys, name):
+    for argv in ([name, "--help"], [name, "-h"], [name, "--format", "csv", "-h"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == HELP[name]
 
 
 @pytest.mark.parametrize("name", list(SAMPLES))
-def test_command_help_is_the_full_parsers(name, capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    want = _help(_build_parser(), [name, "--help"], capsys)
-    assert main([name, "--help"]) == 0
-    assert capsys.readouterr().out == want
+def test_command_help_lists_every_flag(capsys, name):
+    # help needs no required flag and stops at the first -h, whatever follows it
+    assert main([name, "-h", "--bogus"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"usage: qzeta {name} [-h] ")
+    for flag, kw in _flags(name).items():
+        assert f"\n  {flag} " in text
+        assert kw.get("help", "") in text
 
 
 def test_top_level_help_and_errors_are_pinned(capsys, monkeypatch):
