@@ -350,7 +350,8 @@ def _theirs(argv, only=None):
 
 
 @pytest.mark.parametrize("name", list(SAMPLES))
-def test_parse_is_the_oracles(name):
+def test_one_subparser_parses_like_the_full_parser(name):
+    # the oracle's one-subparser and full builds, and cli's own parse, agree
     argv = [name, *SAMPLES[name]]
     assert _ours(argv) == _theirs(argv) == _theirs(argv, only=name)
 
@@ -522,7 +523,7 @@ def test_command_help_is_pinned(capsys, name):
 
 
 @pytest.mark.parametrize("name", list(SAMPLES))
-def test_command_help_lists_every_flag(capsys, name):
+def test_command_help_is_the_full_parsers(capsys, monkeypatch, name):
     # help needs no required flag and stops at the first -h, whatever follows it
     assert main([name, "-h", "--bogus"]) == 0
     text = capsys.readouterr().out
@@ -530,6 +531,15 @@ def test_command_help_lists_every_flag(capsys, name):
     for flag, kw in _flags(name).items():
         assert f"\n  {flag} " in text
         assert kw.get("help", "") in text
+    # the full parser's help, but for the unwrapped usage line and the
+    # description that follows it: same usage words, same options block
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        _oracle().parse_args([name, "--help"])
+    assert exc.value.code == 0
+    want = capsys.readouterr().out
+    assert text.split("\n\n")[0].split() == want.split("\n\n")[0].split()
+    assert text.split("\noptions:\n")[1] == want.split("\noptions:\n")[1]
 
 
 def test_top_level_help_and_errors_are_pinned(capsys, monkeypatch):
