@@ -8,8 +8,9 @@ they routinely exceed the range JSON numbers can carry losslessly.
 Exit status: 0 when every check in the report passed, 1 when at least one
 failed, 2 for invalid input (unknown command, malformed parameters, a
 value outside an operation's domain, or a range that leaves nothing to
-check).  Exact values print in full at any length: main lifts the
-interpreter's int <-> str digit limit for its own run.
+check) and when no form can be saved under the cache root.  Exact values
+print in full at any length: main lifts the interpreter's int <-> str
+digit limit for its own run.
 
 This module holds the entry, the report plumbing, the shared --format and
 --cache-dir flags and COMMANDS, the ordered table of command name ->
@@ -31,8 +32,9 @@ forms but not builders, and a form built cold loads builders but neither
 linforms nor dyadic.  --kind looks the parameter class up in
 params.PARAMS; that class carries every fact that depends on the kind.
 Each command gets one store.Store, which keeps linear forms under a cache
-directory (--cache-dir, else $QZETA_CACHE, else ~/.cache/qzeta) as
-forms/<kind>-<params>.json.gz, one gzip member of JSON in format
+directory (--cache-dir, which must not be empty, else $QZETA_CACHE
+unless empty, else ~/.cache/qzeta) as forms/<kind>-<params>.json.gz,
+one gzip member of JSON in format
 qzeta-form-v3, A and B in lowest terms; a file that fails verification on
 load, a v2 file among them, is rebuilt and atomically overwritten.
 Reports themselves are deterministic: identical invocations give
@@ -226,15 +228,13 @@ def _top_level(argv: list[str]) -> int:
 
 
 def _cache_root(args) -> str:
-    if args.cache_dir:
-        return args.cache_dir
-    env = os.environ.get("QZETA_CACHE")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "qzeta")
+    if args.cache_dir == "":
+        raise ValueError("--cache-dir is empty; name a directory or leave the flag out")
+    home_cache = os.path.join(os.path.expanduser("~"), ".cache", "qzeta")
+    return args.cache_dir or os.environ.get("QZETA_CACHE") or home_cache
 
 
-_ECHO_SKIP = {"command", "fn", "format", "cache_dir"}
+_ECHO_SKIP = {"format", "cache_dir"}
 
 
 def main(argv=None) -> int:
@@ -271,12 +271,16 @@ def _run(argv) -> int:
         rows = [_HELP_ROW, *((_spelled(f, kw), kw.get("help", "")) for f, kw in flags.items())]
         print(_usage(name, flags), "", about, "", "options:", *_rows(rows, 20), sep="\n")
         return 0
-    args.command, args.fn = name, fn
     started = time.perf_counter()
     try:
-        outputs, checks = args.fn(args, Store(_cache_root(args)))
+        root = _cache_root(args)
+        outputs, checks = fn(args, Store(root))
     except ValueError as exc:
         print(f"qzeta: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # only a form save writes: the cache root cannot hold forms/
+        why = exc.strerror or exc
+        print(f"qzeta: error: cannot save a form under {root}: {why}", file=sys.stderr)
         return 2
     if not checks:  # an empty range would otherwise pass vacuously
         print("qzeta: error: nothing was checked", file=sys.stderr)
@@ -285,7 +289,7 @@ def _run(argv) -> int:
         k: _enc(v) for k, v in sorted(vars(args).items()) if k not in _ECHO_SKIP and v is not None
     }
     report = {
-        "command": args.command,
+        "command": name,
         "version": __version__,
         "inputs": inputs,
         "outputs": _enc(outputs),

@@ -44,16 +44,15 @@ def cmd_omega(args, store):
     params = _parse_params(args.kind, args.params)
     c = cvector(params)
     G = group_for(params.kind)
-    res = omega(c, G)
-    nonzero = {str(l): e for l, e in sorted(res.nu.items()) if e}
+    nu = omega(c, G).exponents  # sorted, zeros dropped
     outputs = {
         "params": list(params),
         "c_values": c.as_dict(),
-        "nu": nonzero,
+        "nu": {str(l): e for l, e in nu.items()},
     }
     if args.p is not None:
         # an integer: Omega has no negative exponent and no power of p
-        values = (cyclotomic_value(l, args.p) ** e for l, e in res.nu.items())
+        values = (cyclotomic_value(l, args.p) ** e for l, e in nu.items())
         outputs["omega_at_p"] = math.prod(values)
         outputs["p"] = args.p
     # nu_l again from exact Phi_l-orders of [v]_p!, one division sweep per c-value v
@@ -64,8 +63,8 @@ def cmd_omega(args, store):
             orders[v][l], rest = rest.split_cyclotomic(l)
     S = c.factorial_labels()
     exact = {l: max(sum(orders[c[j]][l] - orders[c[g(j)]][l] for j in S) for g in G) for l in ls}
-    bad = [f"nu_{l} = {res.nu.get(l)}, exact {exact[l]}" for l in ls if exact[l] != res.nu.get(l)]
-    witness = bad[0] if bad else f"{len(ls)} exponents recomputed, {len(nonzero)} nonzero"
+    bad = [f"nu_{l} = {nu.get(l, 0)}, exact {exact[l]}" for l in ls if exact[l] != nu.get(l, 0)]
+    witness = bad[0] if bad else f"{len(ls)} exponents recomputed, {len(nu)} nonzero"
     return outputs, [_check("nu-matches-exact-orders", not bad, witness)]
 
 

@@ -163,29 +163,30 @@ def group_for(kind: str) -> Group:
 # the arithmetic factor Omega
 
 
+def gain(c: CVector, G: Group, num: int, den: int) -> int:
+    """max_g sum_{j in S}(floor(x·c_j) - floor(x·(gc)_j)) at x = num/den, S the factorial labels.
+
+    In integers only, so a caller needs no Fraction; >= 0, as G holds the identity.
+    """
+    S = c.factorial_labels()
+    floor = dict(zip(c.labels, (num * v // den for v in c.values)))
+    at = [c.labels.index(j) for j in S]  # g(j) is g.images[i], i the index of j
+    anchor = sum(floor[j] for j in S)
+    return max(anchor - sum(floor[g.images[i]] for i in at) for g in G)
+
+
 def nu_l(c: CVector, G: Group, l: int) -> int:
-    """max_g sum_{j in S}(floor(c_j/l) - floor((gc)_j/l)), S the factorial labels, l >= 2."""
+    """The Phi_l-order Omega gains: the gain at x = 1/l, l >= 2."""
     if l < 2:
         raise ValueError("nu_l needs l >= 2 (the l = 1 order is fixed at 0)")
-    S = c.factorial_labels()
-    anchor = sum(c[j] // l for j in S)
-    best = 0
-    for g in G:
-        moved = sum(c[g(j)] // l for j in S)
-        if anchor - moved > best:
-            best = anchor - moved
-    return best
+    return gain(c, G, 1, l)
 
 
-OmegaResult = namedtuple("OmegaResult", "omega nu")
-
-
-def omega(c: CVector, G: Group) -> OmegaResult:
-    """Omega(p) = prod_{l=2}^m Phi_l(p)^{nu_l}; nu_1 = 0 by convention."""
+def omega(c: CVector, G: Group):
+    """Omega(p) = prod_{l=2}^m Phi_l(p)^{nu_l}, a FactoredPPoly; nu_1 = 0 by convention."""
     from .parith import FactoredPPoly
 
-    nu = {l: nu_l(c, G, l) for l in range(2, c.m + 1)}
-    return OmegaResult(FactoredPPoly(nu), nu)
+    return FactoredPPoly({l: nu_l(c, G, l) for l in range(2, c.m + 1)})
 
 
 # --------------------------------------------------------------------------

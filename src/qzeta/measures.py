@@ -9,8 +9,8 @@ coefficients:
 
   alpha   termwise bound on the coefficient size |A| (params.alpha_exponent),
   d_exp   density of the denominator product D, over its k layers,
-  omega   mod-1 profile of the cyclotomic gain, integrated against
-          the trigamma measure,
+  omega   mod-1 profile of the cyclotomic gain (groups.gain), integrated
+          against the trigamma measure,
   M_coeff exact p-power sequence M(n), fitted by second differences.
 
 They combine into mu = alpha / (M_coeff - d_exp + omega), valid whenever
@@ -24,13 +24,12 @@ apery_numbers exactly.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 
 from .density import DENSITY, trigamma
 from .forms import LinearForm
-from .groups import Group, group_for, omega
+from .groups import Group, gain, group_for, omega
 from .linforms import Family, _log_abs, numeric_form_value
 from .params import CVector, alpha_exponent, cvector
 from .parith import cyclotomic_value
@@ -55,76 +54,41 @@ def direction(family: Family) -> CVector:
     return CVector(family.kind, eta)
 
 
-class NuProfile(namedtuple("NuProfile", "breakpoints values")):
-    """The cyclotomic gain at modulus l, as a step function of x = {n/l}.
+def nu_profile(d: CVector, G: Group) -> tuple[tuple[Fraction, Fraction, int], ...]:
+    """The gain at modulus l as a step function of x = {n/l}: (lo, hi, value) segments of [0, 1).
 
-    For l in the bulk (both l and n/l large) the exact gain depends on n
-    and l only through the fractional part {n/l}: the floor sums defining
-    it become sums of floor(eta_j x).  The profile stores that limit
-    function — right-continuous, piecewise constant between breakpoints
-    k/eta_j, zero near 0, and >= 0 everywhere because the group contains
-    the identity.  values has len(breakpoints) + 1 entries; breakpoints
-    keeps only the k/eta_j where phi jumps.
+    For l in the bulk (both l and n/l large) the exact gain depends on n and
+    l only through {n/l}, and tends to groups.gain of the direction d at x:
+    right-continuous, jumping only at points k/eta_j, zero near 0 and >= 0.
+    Equal neighbours are merged.  Every group element must carry the
+    factorial labels to a set of equal total eta-weight — that kills the
+    linear term and makes the gain periodic mod 1.  Exact gains at finite n
+    agree with the profile except possibly where {n/l} sits exactly on a
+    point k/eta_j, where the per-n offsets can tip a floor either way.
     """
-
-    __slots__ = ()
-
-    def phi(self, x) -> int:
-        """Profile value at x, reduced mod 1."""
-        x = Fraction(x) % 1
-        return self.values[bisect_right(self.breakpoints, x)]
-
-    @property
-    def segments(self) -> tuple[tuple[Fraction, Fraction, int], ...]:
-        """(lo, hi, value) triples covering [0, 1)."""
-        pts = (Fraction(0), *self.breakpoints, Fraction(1))
-        return tuple(zip(pts, pts[1:], self.values))
-
-
-def nu_profile(d: CVector, G: Group, base: tuple[str, ...] | None = None) -> NuProfile:
-    """Asymptotic gain profile phi(x) = max_g sum_base (floor(eta_j x) - floor(eta_g(j) x)).
-
-    `base` is the label set whose factorials are being normalized away; it
-    defaults to the factorial labels of the kind.  Every group element must
-    carry the base to a set of equal total eta-weight — that is what kills
-    the linear term and makes phi periodic mod 1.  Exact gains at finite n
-    agree with phi({n/l}) except possibly where {n/l} sits exactly on a
-    breakpoint, where the per-n offsets can tip a floor either way.
-    """
-    labels = d.labels
-    if G.generators[0].labels != labels:
+    if G.generators[0].labels != d.labels:
         raise ValueError("group acts on a different label set")
-    if base is None:
-        base = d.factorial_labels()
-    if any(j not in labels for j in base):
-        raise ValueError(f"unknown base labels in {base}")
-    rate = d.as_dict()
-    weight = sum(rate[j] for j in base)
+    S = d.factorial_labels()
+    weight = sum(d[j] for j in S)
     for g in G:
-        if sum(rate[g(j)] for j in base) != weight:
-            raise ValueError(f"{g!r} does not preserve the base eta-weight")
-    bps = sorted(
-        {Fraction(k, rate[j]) for j in labels if rate[j] for k in range(1, rate[j])}
-    )
-    pts = [Fraction(0), *bps, Fraction(1)]
-    vals = []
+        if sum(d[g(j)] for j in S) != weight:
+            raise ValueError(f"{g!r} does not preserve the factorial eta-weight")
+    cuts = {Fraction(k, eta) for eta in d.values for k in range(1, eta)}
+    pts = [Fraction(0), *sorted(cuts), Fraction(1)]
+    segments = []
     for lo, hi in zip(pts, pts[1:]):
         x = (lo + hi) / 2
-        anchor = sum(math.floor(rate[j] * x) for j in base)
-        vals.append(
-            max(anchor - sum(math.floor(rate[g(j)] * x) for j in base) for g in G)
-        )
-    if vals[0] != 0:
+        value = gain(d, G, x.numerator, x.denominator)
+        if segments and segments[-1][2] == value:
+            segments[-1] = (segments[-1][0], hi, value)
+        else:
+            segments.append((lo, hi, value))
+    if segments[0][2] != 0:
         raise AssertionError("profile must vanish near 0")
-    kept_b, kept_v = [], [vals[0]]
-    for b, v in zip(bps, vals[1:]):
-        if v != kept_v[-1]:
-            kept_b.append(b)
-            kept_v.append(v)
-    return NuProfile(tuple(kept_b), tuple(kept_v))
+    return tuple(segments)
 
 
-def omega_exponent(profile: NuProfile) -> float:
+def omega_exponent(segments) -> float:
     """n^2-coefficient of log_|p| Omega: (3/pi^2) * sum_i phi_i (psi'(u_i) - psi'(v_i)).
 
     Moduli l with {n/l} in [u, v) contribute log Phi_l ~ with density
@@ -133,7 +97,7 @@ def omega_exponent(profile: NuProfile) -> float:
     the result accurate to ~1e-12, far below any tolerance used downstream.
     """
     total = 0.0
-    for lo, hi, val in profile.segments:
+    for lo, hi, val in segments:
         if val:
             total += val * (float(trigamma(lo).mid) - float(trigamma(hi).mid))
     return DENSITY * total
@@ -223,13 +187,12 @@ def mu_bound(alpha, d_exp: float, omega_exp: float, M_coeff) -> MeasureReport:
     )
 
 
-# Profile base per family.  Any set in the orbit of the factorial labels
-# under the group normalizes the same product up to a unit and a p-power,
-# so each choice is legitimate; the asymptotic split between M and omega
-# it induces differs, and with it the bound.  The theorem families use the
-# orbit representative under which their sharpest constant is attained;
-# everything finite-n (inclusion certificates, Delta) stays anchored at
-# the factorial labels themselves.
+# Profile base per family: omega is read at the direction g·d for the g in
+# the group that carries the factorial labels S onto the base, and measure
+# raises if no g does.  The theorem families use the orbit representative
+# under which their sharpest constant is attained.  M stays the family's
+# own, fitted from its forms at S: the bound pairs omega at the base with
+# M at S.  Everything finite-n (inclusion, Delta, empirical-mu) is at S.
 MEASURE_BASES: dict[str, tuple[str, ...]] = {
     "theorem1": ("01", "11", "12"),
     "theorem2": ("13", "22", "31", "32", "33"),
@@ -242,19 +205,26 @@ def measure(family: Family, store: Store, fit_n_max: int | None = None) -> Measu
     """Full exponent report for a family.
 
     alpha comes from the parameter rates, d_exp from the top c-rates, omega
-    from the gain profile over the family's measure base, and M_coeff from
+    from the gain profile at the family's measure base, and M_coeff from
     the exact forms at n <= fit_n_max (default 6, BV 12, apery 8: its
     second differences alternate, and a period-2 fit needs the forms up to
-    n = 8); the report keeps that fit as M_fit.
+    n = 8); the report keeps that fit as M_fit.  Raises ValueError if the
+    base is not in the orbit of the factorial labels.
     """
-    d = direction(family)
-    prof = nu_profile(d, group_for(family.kind), MEASURE_BASES.get(family.name))
+    d, G = direction(family), group_for(family.kind)
+    image = d
+    if (base := MEASURE_BASES.get(family.name)) is not None:
+        S = d.factorial_labels()
+        g = next((g for g in G if sorted(map(g, S)) == sorted(base)), None)
+        if g is None:
+            raise ValueError(f"measure base {base} is not in the orbit of the factorial labels {S}")
+        image = g.apply(d)
+    omega_exp = omega_exponent(nu_profile(image, G))
     if fit_n_max is None:
         fit_n_max = _FIT_RANGE.get(family.name, 6)
     fit = fit_M_coeff(family, fit_n_max, store)
-    rep = mu_bound(
-        alpha_exponent(family.rates, family.kind), d_exponent(d), omega_exponent(prof), fit.coeff
-    )
+    # omega at the base image, M from the family's own forms
+    rep = mu_bound(alpha_exponent(family.rates, family.kind), d_exponent(d), omega_exp, fit.coeff)
     return rep._replace(M_fit=fit)
 
 
@@ -294,8 +264,8 @@ def empirical_mu(family: Family, p: int, n_max: int, store: Store) -> EmpiricalM
     estimates, decay = [], []
     for n in range(1, n_max + 1):
         form = store.form(family.params(n))
-        gain = omega(form.cvec, G).omega.value_at(p)
-        delta = Fraction(p) ** (-form.M) * form.d_value(p) / gain
+        om = omega(form.cvec, G).value_at(p)
+        delta = Fraction(p) ** (-form.M) * form.d_value(p) / om
         a_n = delta * form.A.value_at(p)
         b_n = delta * form.B.value_at(p)
         for name, x in (("a", a_n), ("b", b_n)):

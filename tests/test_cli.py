@@ -397,6 +397,28 @@ class TestCache:
         root = tmp_path / "a-file"
         root.write_text("")
         assert main(["rho", "--k", "3", "--cache-dir", str(root)]) == 0
+        capsys.readouterr()
+        # a form save is an input error with one line, not a traceback, and leaves no temp file
+        assert main([*SMALL_ARGV, "--cache-dir", str(root)]) == 2
+        err = f"qzeta: error: cannot save a form under {root}: Not a directory\n"
+        assert capsys.readouterr() == ("", err)
+        assert list(tmp_path.iterdir()) == [root] and root.read_text() == ""
+
+    @pytest.mark.parametrize("spelled", [["--cache-dir", ""], ["--cache-dir="]], ids=["space", "eq"])
+    def test_empty_cache_dir_is_input_error(self, tmp_path, monkeypatch, capsys, spelled):
+        # before, it fell back to $QZETA_CACHE (tmp_path/cache here) or ~/.cache/qzeta
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert main([*SMALL_ARGV, *spelled]) == 2
+        err = "qzeta: error: --cache-dir is empty; name a directory or leave the flag out\n"
+        assert capsys.readouterr() == ("", err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_env_var_means_unset(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QZETA_CACHE", "")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        code, _ = run_json(capsys, *SMALL_ARGV)
+        assert code == 0
+        assert (tmp_path / "home" / ".cache" / "qzeta" / FORM_FILE).exists()
 
     def test_file_is_compact_and_holds_no_M(self, store, tmp_path):
         Store(str(tmp_path)).form(SMALL)

@@ -7,18 +7,24 @@ of test_startup and a few --format csv runs.  Each runs through cli.main
 twice on one cache, first cold and then warm, and must give the pinned exit
 code and, byte for byte, the pinned stdout with its elapsed_ms line removed.
 A report change shows here as a diff; tools/regen_goldens.py rewrites the
-goldens after an intended one.
+goldens after an intended one.  tests/golden/forms.json pins every form
+file the runs write, by the sha256 of its decompressed text.
 """
 
+import gzip
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from qzeta.cli import main
+from qzeta.params import PARAMS
+from qzeta.store import Store
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
+FORMS = json.loads((GOLDEN / "forms.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +50,17 @@ def test_cases_are_named_once_with_a_golden_each():
     names = [case["name"] for case in CASES]
     assert len(set(names)) == len(names)
     assert {f"{name}.out" for name in names} == {p.name for p in GOLDEN.glob("*.out")}
+
+
+def test_form_files_are_the_pinned_ones(cache):
+    # a file the runs have not written yet is built here, so the test also passes alone
+    store, forms = Store(cache), Path(cache, "forms")
+    for name in FORMS:
+        kind, *params = name.removesuffix(".json.gz").split("-")
+        if not (forms / name).exists():
+            store.form(PARAMS[kind](*map(int, params)))
+    found = {
+        path.name: hashlib.sha256(gzip.decompress(path.read_bytes())).hexdigest()
+        for path in forms.iterdir()
+    }
+    assert found == FORMS

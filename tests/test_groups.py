@@ -25,7 +25,7 @@ from qzeta.groups import (
 from qzeta.forms import verify_inclusion
 from qzeta.linforms import THEOREM1, THEOREM2, numeric_form_value
 from qzeta.params import LABELS_Z1, CVector, ParamsZ1, ParamsZ2, cvector
-from qzeta.parith import PPoly
+from qzeta.parith import FactoredPPoly, PPoly
 
 
 def q_factorial_value(n: int, p: int) -> Fraction:
@@ -254,27 +254,29 @@ class TestNu:
 class TestOmega:
     def test_bv_trivial(self):
         om = omega(cvector(ParamsZ1(2, 2, 2, 4)), zeta1_arith_group())
-        assert om.omega.exponents == {}
-        assert all(v == 0 for v in om.nu.values())
+        assert om == FactoredPPoly()
 
     def test_theorem1_n2_nontrivial_and_divides(self, store):
         params = THEOREM1.params(2)
         om = omega(cvector(params), zeta1_arith_group())
-        assert om.omega.exponents
+        assert om.exponents
         f = linform(store, params, certify_at=None)
-        assert verify_inclusion(f, om.omega)
+        assert verify_inclusion(f, om)
 
     def test_theorem2_n1_nontrivial_and_divides(self, store):
         params = THEOREM2.params(1)
         om = omega(cvector(params), zeta2_group())
-        assert om.omega.exponents
+        assert om.exponents
         f = linform(store, params, certify_at=None)
-        assert verify_inclusion(f, om.omega)
+        assert verify_inclusion(f, om)
 
-    def test_nu_map_covers_all_l(self):
-        cv = cvector(THEOREM1.params(2))
-        om = omega(cv, zeta1_arith_group())
-        assert sorted(om.nu) == list(range(2, cv.m + 1))
+    def test_exponents_are_nu_l_for_every_l(self):
+        for family, G in ((THEOREM1, zeta1_arith_group()), (THEOREM2, zeta2_group())):
+            cv = cvector(family.params(2))
+            om, ls = omega(cv, G), range(2, cv.m + 1)
+            assert om.p_power == 0 and om.unit == 1 and set(om.exponents) <= set(ls)
+            assert all(om.exponents.get(l, 0) == nu_l(cv, G, l) for l in ls)
+            assert len(om.exponents) >= 3
 
 
 class TestStability:

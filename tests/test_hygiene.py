@@ -52,7 +52,6 @@ def test_no_unused_imports(path):
 KEPT_FOR_THE_PAPER = {
     "log2_q_series": "the paper's q-analogue of log 2, both Lambert groupings",
     "limit_check": "the classical limit (1-q)^k zeta_q(k) -> (k-1)! zeta(k) as q -> 1",
-    "NuProfile.phi": "the gain profile phi(x) itself; the library reads its steps as segments",
 }
 
 

@@ -6,16 +6,17 @@ from itertools import chain, product, starmap
 
 import pytest
 
+from qzeta import measures
 from qzeta.cli import main
-from qzeta.forms import LinearForm, RatFunc
-from qzeta.groups import nu_l, zeta1_group
+from qzeta.forms import LinearForm, RatFunc, verify_inclusion
+from qzeta.groups import nu_l, omega, zeta1_group
 from qzeta.linforms import APERY, BV, THEOREM1, THEOREM2, Family
 from qzeta.params import CVector, ParamsZ1, ParamsZ2, cvector
 from qzeta.measures import (
     MEASURE_BASES,
     EmpiricalMu,
+    MFit,
     _limit_value_at_one,
-    NuProfile,
     alpha_exponent,
     apery_numbers,
     d_exponent,
@@ -28,6 +29,7 @@ from qzeta.measures import (
     nu_profile,
     omega_exponent,
 )
+from qzeta.store import Store
 
 BV_MU = 2 * math.pi**2 / (math.pi**2 - 2)
 
@@ -71,34 +73,63 @@ class TestDirection:
             direction(bad)
 
 
+def phi(segments, x) -> int:
+    """A profile's value at x, reduced mod 1."""
+    x = Fraction(x) % 1
+    return next(value for lo, hi, value in segments if lo <= x < hi)
+
+
+def base_profile(d: CVector, G, base) -> tuple:
+    """The gain profile over any label set `base`, as nu_profile computed it
+    when it took one: phi(x) = max_g sum_base (floor(eta_j x) - floor(eta_g(j) x)),
+    in segments.  The reference for measure's image directions."""
+    rate = d.as_dict()
+    pts = [Fraction(0), *sorted({Fraction(k, r) for r in d.values for k in range(1, r)}), 1]
+    segments = []
+    for lo, hi in zip(pts, pts[1:]):
+        x = (lo + hi) / 2
+        floor = {j: math.floor(r * x) for j, r in rate.items()}
+        value = max(sum(floor[j] - floor[g(j)] for j in base) for g in G)
+        if segments and segments[-1][2] == value:
+            segments[-1] = (segments[-1][0], hi, value)
+        else:
+            segments.append((lo, hi, value))
+    return tuple(segments)
+
+
+def carriers(family: Family) -> list:
+    """The g in the family's group that carry its factorial labels onto its measure base."""
+    S, base = direction(family).factorial_labels(), sorted(MEASURE_BASES[family.name])
+    return [g for g in group_for(family.kind) if sorted(map(g, S)) == base]
+
+
 class TestNuProfile:
     def test_bv_profile_vanishes(self):
         prof = nu_profile(direction(BV), group_for("zeta1"))
-        assert prof.breakpoints == () and prof.values == (0,)
-        assert prof.phi(Fraction(7, 13)) == 0
+        assert prof == ((0, 1, 0),)
+        assert phi(prof, Fraction(7, 13)) == 0
 
     def test_zero_near_zero_and_nonnegative(self):
         prof = nu_profile(direction(THEOREM1), group_for("zeta1"))
-        assert prof.values[0] == 0
-        assert min(prof.values) >= 0
-        assert all(0 < b < 1 for b in prof.breakpoints)
+        assert prof[0][2] == 0
+        assert min(value for _, _, value in prof) >= 0
+        assert all(0 < lo < 1 for lo, _, _ in prof[1:])
 
     def test_right_continuity(self):
         prof = nu_profile(direction(THEOREM1), group_for("zeta1"))
-        b = prof.breakpoints[0]
+        b = prof[1][0]
         eps = Fraction(1, 10**9)
-        assert prof.phi(b) == prof.phi(b + eps)
-        assert prof.phi(b) != prof.phi(b - eps)
+        assert phi(prof, b) == phi(prof, b + eps)
+        assert phi(prof, b) != phi(prof, b - eps)
 
     def test_phi_is_periodic(self):
         prof = nu_profile(direction(THEOREM1), group_for("zeta1"))
-        assert prof.phi(Fraction(22, 7)) == prof.phi(Fraction(1, 7))
+        assert phi(prof, Fraction(22, 7)) == phi(prof, Fraction(1, 7))
 
     def test_segments_tile_unit_interval(self):
-        prof = nu_profile(direction(THEOREM2), group_for("zeta2"))
-        segs = prof.segments
+        segs = nu_profile(direction(THEOREM2), group_for("zeta2"))
         assert segs[0][0] == 0 and segs[-1][1] == 1
-        assert all(a[1] == b[0] for a, b in zip(segs, segs[1:]))
+        assert all(a[1] == b[0] and a[2] != b[2] for a, b in zip(segs, segs[1:]))
 
     def test_weight_violation_rejected(self):
         # tau alone does not preserve the factorial weight of the Theorem-1
@@ -106,9 +137,51 @@ class TestNuProfile:
         with pytest.raises(ValueError):
             nu_profile(direction(THEOREM1), zeta1_group())
 
-    def test_unknown_base_rejected(self):
-        with pytest.raises(ValueError):
-            nu_profile(direction(BV), group_for("zeta1"), base=("01", "99"))
+    def test_unknown_base_rejected(self, monkeypatch):
+        # ("00", "01", "11") is no image of the factorial labels ("01", "21", "22")
+        monkeypatch.setitem(MEASURE_BASES, "theorem1", ("00", "01", "11"))
+        with pytest.raises(ValueError, match="not in the orbit of the factorial labels"):
+            measure(THEOREM1, Store())
+
+
+class TestMeasureBase:
+    """measure reads omega at g·d, for the g that carry the factorial labels onto its base.
+
+    These pin what the base means: the image direction's factorial-label
+    profile is the base profile, and the Omega of the base labels is not a
+    divisor the exact forms allow, while the factorial labels' Omega is.
+    """
+
+    @pytest.mark.parametrize("family, count", [(THEOREM1, 2), (THEOREM2, 10)], ids=["t1", "t2"])
+    def test_image_profile_is_the_base_profile(self, family, count):
+        d, G = direction(family), group_for(family.kind)
+        reference = base_profile(d, G, MEASURE_BASES[family.name])
+        assert len(carriers(family)) == count
+        assert all(nu_profile(g.apply(d), G) == reference for g in carriers(family))
+
+    @pytest.mark.parametrize(
+        "family, pinned",
+        [(THEOREM1, "0x1.b79c0ea7404d1p+3"), (THEOREM2, "0x1.b2da59290f7b4p+4")],
+        ids=["t1", "t2"],
+    )
+    def test_omega_exp_is_pinned(self, family, pinned, monkeypatch):
+        d, G = direction(family), group_for(family.kind)
+        assert omega_exponent(base_profile(d, G, MEASURE_BASES[family.name])).hex() == pinned
+        # omega needs no form: a stub fit keeps the check fast
+        monkeypatch.setattr(measures, "fit_M_coeff", lambda *_: MFit(Fraction(80), (), (), True))
+        assert measure(family, Store()).omega_exp.hex() == pinned
+
+    @pytest.mark.parametrize(
+        "family, n, deficit",
+        [(THEOREM1, 2, "Phi_17 exponent deficit in B"), (THEOREM2, 1, "Phi_7 exponent deficit in B")],
+        ids=["t1", "t2"],
+    )
+    def test_base_label_omega_fails_inclusion(self, store, family, n, deficit):
+        form, G = store.form(family.params(n)), group_for(family.kind)
+        assert verify_inclusion(form, omega(form.cvec, G))
+        for g in carriers(family):
+            found = verify_inclusion(form, omega(g.apply(form.cvec), G))
+            assert not found and found.witness.startswith(deficit), found
 
 
 class TestProfileExactAgreement:
@@ -120,22 +193,20 @@ class TestProfileExactAgreement:
     """
 
     def check(self, family, n, base):
-        d = direction(family)
-        prof = nu_profile(d, group_for(family.kind), base)
-        c = cvector(family.params(n))
-        G = group_for(family.kind)
+        d, c, G = direction(family), cvector(family.params(n)), group_for(family.kind)
         if base is not None:
             # the exact gain over base = g0(S), g0 in G, is nu_l of g0·c over
             # the factorial labels S: g·g0 runs over G as g does
             g0 = next(g for g in G if sorted(map(g, c.factorial_labels())) == sorted(base))
-            c = g0.apply(c)
+            d, c = g0.apply(d), g0.apply(c)
+        prof = nu_profile(d, G)
         for l in range(10, n + 1):
             x = Fraction(n, l) % 1
             exact = nu_l(c, G, l)
             if _on_lattice(d, x):
-                assert abs(exact - prof.phi(x)) <= 1, (l, exact, prof.phi(x))
+                assert abs(exact - phi(prof, x)) <= 1, (l, exact, phi(prof, x))
             else:
-                assert exact == prof.phi(x), (l, exact, prof.phi(x))
+                assert exact == phi(prof, x), (l, exact, phi(prof, x))
 
     def test_theorem1_at_60_factorial_base(self):
         self.check(THEOREM1, 60, None)
@@ -156,7 +227,7 @@ class TestProfileExactAgreement:
         c = cvector(THEOREM2.params(40))
         G = group_for("zeta2")
         for l in range(2, 41):
-            assert nu_l(c, G, l) == prof.phi(Fraction(40, l)), l
+            assert nu_l(c, G, l) == phi(prof, Fraction(40, l)), l
 
 
 class TestOmegaExponent:
@@ -165,8 +236,8 @@ class TestOmegaExponent:
 
     def test_indicator_of_upper_half(self):
         # (3/pi^2)(psi'(1/2) - psi'(1)) = (3/pi^2)(pi^2/2 - pi^2/6) = 1
-        prof = NuProfile((Fraction(1, 2),), (0, 1))
-        assert omega_exponent(prof) == pytest.approx(1.0, abs=1e-12)
+        half = Fraction(1, 2)
+        assert omega_exponent(((0, half, 0), (half, 1, 1))) == pytest.approx(1.0, abs=1e-12)
 
     def test_quadratic_scaling(self):
         # phi_{t*eta}(x) = phi_eta({t x}) plus the trigamma multiplication
