@@ -2,7 +2,9 @@
 
 These commands load parith and nothing else of the library; with cli and
 store that is their whole footprint, and none of it imports `fractions`
-or `decimal`.  HANDLERS gives cli each command's handler and flags.
+or `decimal`.  `ord` counts each Phi_l in [n]_p! by exact division; `dnp`
+certifies D_n without dividing (cmd_dnp says why that is enough).
+HANDLERS gives cli each command's handler and flags.
 """
 
 from __future__ import annotations
@@ -34,26 +36,27 @@ def cmd_cyclotomic(args, store):
 
 
 def cmd_dnp(args, store):
-    from .parith import PPoly, dnp, totient
+    from .parith import dnp, totient
 
     n = args.n
     d = dnp(n)
     expanded = d.expand()
     # [v]_p | D_n  iff  (p^v - 1) | D_n·(p - 1)
     shifted = expanded.mul_binomial(1)
-    divisible = all(shifted.div_binomial(v) is not None for v in range(1, n + 1))
-    # Phi_n .. Phi_2 divided out of one shrinking cofactor, which leaves Phi_1
-    orders_ok, rest = True, expanded
-    for l in range(n, 1, -1):
-        k, rest = rest.split_cyclotomic(l, cap=2)
-        orders_ok &= k == 1
-    orders_ok &= rest == PPoly((-1, 1))
+    divisible = all(shifted.divisible_by_binomial(v) for v in range(1, n + 1))
     degree_ok = expanded.degree == sum(totient(l) for l in range(1, n + 1))
+    # Unique factorization in Z[p]: [l]_p | D_n puts Phi_l in D_n for 2 <= l <= n,
+    # distinct monic irreducibles, so (Gauss's lemma) their product, of degree
+    # sum phi(l) - 1, divides D_n over Z.  At val 0 and degree sum phi(l) the
+    # cofactor is linear; D_n(1) = 0, where no such Phi_l vanishes, makes it
+    # a·(p - 1), and the leading coefficient 1 makes a = 1: each Phi_l once.
+    minimal = divisible and degree_ok and expanded.val == 0
+    minimal = minimal and expanded(1) == 0 and expanded.body[-1] == 1
     checks = [
         _check("divisible-by-every-q-integer", divisible, f"[v]_p | D_{n} for v <= {n}"),
         _check(
             "lcm-minimality",
-            orders_ok and degree_ok,
+            minimal,
             "each Phi_l appears exactly once and the degree matches",
         ),
     ]
@@ -74,8 +77,8 @@ def cmd_ord(args, store):
         raise ValueError("ord sweep needs n >= 2")
     else:
         ls = list(range(2, n + 1))
-    rest = gauss_factorial(n)
     want = {l: ord_phi_factorial(l, n) for l in ls}
+    rest = gauss_factorial(n)
     got = {}
     for l in reversed(ls):  # largest l first, on one shrinking cofactor
         got[l], rest = rest.split_cyclotomic(l, cap=want[l] + 2)

@@ -18,9 +18,10 @@ denominator.  Gaussian factorials grow by f·[v]_p = f·(p^v - 1)/(p - 1).
 
 split_cyclotomic divides Phi_l out while it divides and returns the count
 with the cofactor; ord_at is that count, and forms' RatFunc.reduced cancels
-with it.  The Phi_l are pairwise coprime, so the ord sweep and dnp's
-certificate pass one shrinking cofactor from the largest l down: the small
-l, which divide most often, act on the smallest polynomial.
+with it.  The Phi_l are pairwise coprime, so the ord sweep passes one
+shrinking cofactor from the largest l down: the small l, which divide most
+often, act on the smallest polynomial.  dnp's certificate divides nothing:
+divisible_by_binomial is div_binomial's test alone.
 
 Products ±p^a·prod_l Phi_l(p)^e_l with signed exponents are FactoredPPoly,
 the one factored type used for D_n, Omega, residues and prefactors.
@@ -216,6 +217,12 @@ class PPoly:
                 return None
             quot[r::d] = sums[-2::-1]
         return PPoly._of(self.val, quot)
+
+    def divisible_by_binomial(self, d: int) -> bool:
+        """Whether p^d - 1 divides self: div_binomial's class sums, no quotient."""
+        if d < 1:
+            raise ValueError("exponent must be positive")
+        return all(not sum(self.body[r::d]) for r in range(d))
 
     def div_cyclotomic(self, l: int):
         """Exact quotient self/Phi_l if it exists in Z[p], else None.

@@ -575,6 +575,41 @@ class TestWitnessNumbers:
             assert check["witness"].endswith(f"widest enclosure < 2^-{prec + 2}")
 
 
+def _dnp_verdicts_by_division(f, n):
+    """dnp's two verdicts by division, the oracle for cmd_dnp's: a quotient
+    by each p^v - 1, then Phi_n .. Phi_2 divided out of one shrinking
+    cofactor, which must leave exactly p - 1."""
+    shifted = f.mul_binomial(1)
+    divisible = all(shifted.div_binomial(v) is not None for v in range(1, n + 1))
+    orders_ok, rest = True, f
+    for l in range(n, 1, -1):
+        k, rest = rest.split_cyclotomic(l, cap=2)
+        orders_ok &= k == 1
+    orders_ok &= rest == PPoly((-1, 1))
+    degree_ok = f.degree == sum(parith.totient(l) for l in range(1, n + 1))
+    return {"divisible-by-every-q-integer": divisible, "lcm-minimality": orders_ok and degree_ok}
+
+
+# name: mutant of D_n for each n it applies to, as (n, f) -> PPoly or None
+DNP_MUTANTS = {
+    "D_n": lambda n, f: f,
+    "times-phi-1": lambda n, f: f.times_cyclotomics({1: 1}),
+    "times-phi-2": lambda n, f: f.times_cyclotomics({2: 1}),
+    "times-phi-n": lambda n, f: f.times_cyclotomics({n: 1}),
+    "times-phi-n+1": lambda n, f: f.times_cyclotomics({n + 1: 1}),
+    "over-phi-1": lambda n, f: f.div_cyclotomic(1),
+    "over-phi-2": lambda n, f: f.div_cyclotomic(2) if n >= 2 else None,
+    "over-phi-n": lambda n, f: f.div_cyclotomic(n),
+    # Phi_7 and Phi_9 both have degree 6: the degree still matches
+    "phi-7-for-phi-9": lambda n, f: (
+        f.times_cyclotomics({9: 1}).div_cyclotomic(7) if n >= 7 else None
+    ),
+    "negated": lambda n, f: -f,
+    "doubled": lambda n, f: f + f,
+    "p-minus-2-for-p-minus-1": lambda n, f: (lambda g: g.shift(1) - g - g)(f.div_binomial(1)),
+}
+
+
 class TestCommands:
     def test_series_cross_check(self, capsys):
         code, report = run_json(capsys, "series", "--k", "3", "--order", "30")
@@ -741,6 +776,32 @@ class TestCommands:
         assert code == 1
         verdicts = {c["name"]: c["pass"] for c in report["checks"]}
         assert verdicts == {"divisible-by-every-q-integer": True, "lcm-minimality": False}
+
+    @pytest.mark.parametrize("mutant", list(DNP_MUTANTS))
+    def test_dnp_certificate_agrees_with_division(self, capsys, monkeypatch, mutant):
+        # both verdicts against the division-based certificate, on D_n and its mutants
+        real, mutate = FactoredPPoly.expand, DNP_MUTANTS[mutant]
+        for n in range(1, 31):
+            f = mutate(n, real(parith.dnp(n)))
+            if f is None:
+                continue
+            monkeypatch.setattr(FactoredPPoly, "expand", lambda self, f=f: f)
+            code, report = run_json(capsys, "dnp", "--n", str(n))
+            verdicts = {c["name"]: c["pass"] for c in report["checks"]}
+            assert verdicts == _dnp_verdicts_by_division(f, n), (mutant, n)
+            assert verdicts["lcm-minimality"] is (mutant == "D_n"), (mutant, n)
+            assert code == (0 if all(verdicts.values()) else 1)
+
+    def test_ord_checks_its_input_before_building_the_factorial(self, capsys, monkeypatch):
+        # [400]_p! took seconds to build before l = 1 was refused
+        def refuse(n):
+            raise AssertionError(f"built [{n}]_p! for an input ord refuses")
+
+        monkeypatch.setattr(parith, "gauss_factorial", refuse)
+        assert main(["ord", "--n", "400", "--l", "1"]) == 2
+        assert capsys.readouterr().err == "qzeta: error: ord_phi_factorial needs l >= 2\n"
+        assert main(["ord", "--n", "-1", "--l", "2"]) == 2
+        assert capsys.readouterr().err == "qzeta: error: n must be nonnegative\n"
 
     def test_eq3_fraction_band(self, capsys):
         code, report = run_json(

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import cache, reduce
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qzeta.density import mertens_ratio, phi_block_sum, trigamma
@@ -170,6 +170,24 @@ def test_binomial_rejects_nonpositive_exponent():
 
 
 _laurent = st.tuples(st.lists(st.integers(-5, 5), max_size=8), st.integers(-6, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laurent, st.integers(-2, 10), st.booleans())
+@example(([], 0), 3, False)  # zero divides by anything
+@example(([1, -1], -4), 2, False)  # a body no longer than d
+@example(([2, 0, -1], 5), 1, True)
+@example(([1], 0), 0, False)
+def test_divisible_by_binomial_matches_div_binomial(f, d, times):
+    F = PPoly(*f)
+    if d < 1:
+        for op in (PPoly.div_binomial, PPoly.divisible_by_binomial):
+            with pytest.raises(ValueError, match="exponent must be positive"):
+                op(F, d)
+        return
+    if times:  # f·(p^d - 1) puts the divisible case among the draws
+        F = F.mul_binomial(d)
+    assert F.divisible_by_binomial(d) == (F.div_binomial(d) is not None)
 
 
 def _terms(f: PPoly) -> dict[int, int]:
