@@ -31,7 +31,7 @@ from .params import Summand, cvector, summand
 from .parith import FactoredPPoly, PPoly, divisors
 
 
-_ONE = RatFunc(PPoly.const(1))  # _ONE * u turns a FactoredPPoly u into a RatFunc
+_ONE = RatFunc(PPoly((1,)))  # _ONE * u turns a FactoredPPoly u into a RatFunc
 
 
 def _prefactor(s: Summand) -> FactoredPPoly:
@@ -78,8 +78,8 @@ def _one_minus_log_derivative(s: Summand, j: int) -> RatFunc:
     for i, wi in w.items():
         coef[abs(i - j)] = coef.get(abs(i - j), 0) + (wi if i > j else -wi)
     const = 1 - s.expo + sum(wi for i, wi in w.items() if i < j)
-    terms = [RatFunc(PPoly.const(-c), 0, dict.fromkeys(divisors(d), 1)) for d, c in coef.items()]
-    return RatFunc.sum([RatFunc(PPoly.const(const)), *terms])
+    terms = [RatFunc(PPoly((-c,)), 0, dict.fromkeys(divisors(d), 1)) for d, c in coef.items()]
+    return RatFunc.sum([RatFunc(PPoly((const,))), *terms])
 
 
 def _poly_part(s: Summand) -> list[PPoly]:
@@ -107,7 +107,7 @@ def _poly_part(s: Summand) -> list[PPoly]:
 
 def _expand_factors(indices) -> list[PPoly]:
     """The x-coefficients of prod_i (1 - q^i x), ascending."""
-    coeffs = [PPoly.const(1)]
+    coeffs = [PPoly((1,))]
     for i in indices:
         coeffs = list(map(sub, coeffs + [PPoly()], [PPoly()] + [c.shift(-i) for c in coeffs]))
     return coeffs

@@ -8,9 +8,10 @@ they routinely exceed the range JSON numbers can carry losslessly.
 Exit status: 0 when every check in the report passed, 1 when at least one
 failed, 2 for invalid input (unknown command, malformed parameters, a
 value outside an operation's domain, or a range that leaves nothing to
-check) and when no form can be saved under the cache root.  Exact values
-print in full at any length: main lifts the interpreter's int <-> str
-digit limit for its own run.
+check) and when no form can be saved under the cache root.  A process
+whose stdout is closed by its reader before the report is written exits 1
+without a traceback (run).  Exact values print in full at any length: main
+lifts the interpreter's int <-> str digit limit for its own run.
 
 This module holds the entry, the report plumbing, the shared --format and
 --cache-dir flags and COMMANDS, the ordered table of command name ->
@@ -309,8 +310,17 @@ def run() -> None:
     atexit handlers and stream shutdown still run.  main never freezes:
     a caller that runs it in process many times would have its garbage
     pinned for good.
+
+    A reader that closes stdout early (`| head -c 1`) makes a write or the
+    flush raise BrokenPipeError; as the Python docs advise for SIGPIPE,
+    stdout then points at devnull, so exit cannot raise it again, status 1.
     """
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     gc.freeze()
     sys.exit(code)
 

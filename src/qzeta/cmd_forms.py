@@ -17,8 +17,10 @@ def cmd_linform(args, store):
     from .linforms import certify
 
     params = _parse_params(args.kind, args.params)
-    form = store.form(params)
     p = args.p if args.p is not None else 2
+    if abs(p) < 2:  # certify's own check, made before a form is built and saved
+        raise ValueError("need |p| >= 2")
+    form = store.form(params)
     cert = certify(form, p)
     outputs = {
         "kind": form.kind,

@@ -20,11 +20,11 @@ def cmd_series(args, store):
     checks = []
     for k in range(1, args.k + 1):
         ref = zeta_q_series(k, args.order, "divisor-sum")
-        same = all(zeta_q_series(k, args.order, r).coeffs == ref.coeffs for r in reps[1:])
+        same = all(zeta_q_series(k, args.order, r) == ref for r in reps[1:])
         checks.append(
             _check(f"representations-agree-k{k}", same, f"3 routes, order {args.order}")
         )
-    shown = zeta_q_series(args.k, args.order).coeffs[: min(args.order, 16)]
+    shown = zeta_q_series(args.k, args.order)[: min(args.order, 16)]
     outputs = {"k": args.k, "order": args.order, "leading_coefficients": shown}
     return outputs, checks
 

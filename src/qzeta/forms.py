@@ -266,7 +266,7 @@ def verify_inclusion(form: LinearForm, omega: FactoredPPoly | None = None) -> In
 
     Only a Phi_l whose exponent in the stored denominator, with Omega's,
     exceeds D's is looked for in the numerator.  Stored forms are in lowest
-    terms, so with no Omega a passing form makes no ord_at call.
+    terms, so with no Omega a passing form divides by no Phi_l.
     """
     d_exp = form.d_exponents()
     o_exp = dict(omega.exponents) if omega is not None else {}
@@ -282,7 +282,7 @@ def verify_inclusion(form: LinearForm, omega: FactoredPPoly | None = None) -> In
             need = coeff.dphi.get(l, 0) + o_exp.get(l, 0) - d_exp.get(l, 0)
             if need <= 0:
                 continue
-            have = coeff.num.ord_at(l, cap=need)
+            have = coeff.num.split_cyclotomic(l, need)[0]
             if have < need:
                 return InclusionResult(
                     False, f"Phi_{l} exponent deficit in {name}: need {need}, have {have}"

@@ -101,9 +101,6 @@ class Group:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, g: Perm) -> bool:
-        return g in self.elements
-
 
 def generate(generators) -> Group:
     """Closure of the generators: the identity, then each breadth-first level

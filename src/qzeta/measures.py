@@ -7,7 +7,7 @@ irrationality exponent of the approximated value.  Every ingredient of that
 race grows like |p|^{(coefficient) n^2}, and this module extracts the four
 coefficients:
 
-  alpha   termwise bound on the coefficient size |A| (params.alpha_exponent),
+  alpha   termwise bound on the coefficient size |A| (the kind's alpha, by PARAMS),
   d_exp   density of the denominator product D, over its k layers,
   omega   mod-1 profile of the cyclotomic gain (groups.gain), integrated
           against the trigamma measure,
@@ -31,7 +31,7 @@ from .density import DENSITY, trigamma
 from .forms import LinearForm
 from .groups import Group, gain, group_for, omega
 from .linforms import Family, _log_abs, numeric_form_value
-from .params import CVector, alpha_exponent, cvector
+from .params import PARAMS, CVector, cvector
 from .parith import cyclotomic_value
 from .store import Store
 
@@ -224,7 +224,7 @@ def measure(family: Family, store: Store, fit_n_max: int | None = None) -> Measu
         fit_n_max = _FIT_RANGE.get(family.name, 6)
     fit = fit_M_coeff(family, fit_n_max, store)
     # omega at the base image, M from the family's own forms
-    rep = mu_bound(alpha_exponent(family.rates, family.kind), d_exponent(d), omega_exp, fit.coeff)
+    rep = mu_bound(PARAMS[family.kind].alpha(*family.rates), d_exponent(d), omega_exp, fit.coeff)
     return rep._replace(M_fit=fit)
 
 

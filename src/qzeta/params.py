@@ -157,13 +157,6 @@ def params_from_cvector(c: CVector):
     return cand if cand.c_values() == c.values else None
 
 
-def alpha_exponent(rates: tuple[int, ...], kind: str):
-    """Coefficient-size exponent per n^2 for a parameter rate vector, a Fraction."""
-    if kind not in PARAMS:
-        raise ValueError(f"unknown kind {kind!r}")
-    return PARAMS[kind].alpha(*rates)
-
-
 # S(x) = x^expo · prod_{i in num_i}(1 - q^i x) / prod_j (1 - q^j x)^{m_j}; mult holds
 # the sorted (pole j, m_j), and C = prod (1-q^j) over prefactor_num / over prefactor_den
 Summand = namedtuple("Summand", "expo num_i mult prefactor_num prefactor_den")

@@ -17,19 +17,18 @@ FactoredPPoly and lifts the terms of forms' RatFunc sums to a common
 denominator.  Gaussian factorials grow by f·[v]_p = f·(p^v - 1)/(p - 1).
 
 split_cyclotomic divides Phi_l out while it divides and returns the count
-with the cofactor; ord_at is that count, and forms' RatFunc.reduced cancels
-with it.  The Phi_l are pairwise coprime, so the ord sweep passes one
-shrinking cofactor from the largest l down: the small l, which divide most
-often, act on the smallest polynomial.  dnp's certificate divides nothing:
+with the cofactor, which forms' RatFunc.reduced and verify_inclusion read.
+The Phi_l are pairwise coprime, so the ord sweep passes one shrinking
+cofactor from the largest l down: the small l, which divide most often,
+act on the smallest polynomial.  dnp's certificate divides nothing:
 divisible_by_binomial is div_binomial's test alone.
 
 Products ±p^a·prod_l Phi_l(p)^e_l with signed exponents are FactoredPPoly,
 the one factored type used for D_n, Omega, residues and prefactors.
 
 Everything here is integer arithmetic, so the module imports no
-`fractions`: only the two methods that can return a rational,
-PPoly.__call__ at a negative power of p and FactoredPPoly.value_at, import
-Fraction when they run, and `ord`, `dnp` and `cyclotomic` never load it.
+`fractions`: only FactoredPPoly.value_at, which returns a rational, imports
+Fraction when it runs, so `ord`, `dnp` and `cyclotomic` never load it.
 The 3/pi^2 density and trigamma live in density.
 """
 
@@ -76,7 +75,6 @@ def mobius(n: int) -> int:
     return -1 if k % 2 else 1
 
 
-@lru_cache(maxsize=None)
 def totient(n: int) -> int:
     """Euler's totient."""
     result, m, d = n, n, 2
@@ -125,12 +123,6 @@ class PPoly:
         f = object.__new__(cls)
         f.val, f.body = val, body
         return f
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def const(c: int) -> "PPoly":
-        return PPoly((c,))
 
     # -- structure ---------------------------------------------------------
 
@@ -287,21 +279,15 @@ class PPoly:
             k, cur = k + 1, q
         return k, cur
 
-    def ord_at(self, l: int, cap: int | None = None) -> int:
-        """Multiplicity of Phi_l in self, at most cap (split_cyclotomic's k)."""
-        return self.split_cyclotomic(l, cap)[0]
-
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x):
+        if self.val < 0:  # as for coeffs
+            raise ValueError("a negative power of p has no value as a polynomial")
         acc = 0
         for c in reversed(self.body):
             acc = acc * x + c
-        if self.val >= 0:
-            return acc * x**self.val
-        from fractions import Fraction  # only a negative power of p makes a rational
-
-        return acc / Fraction(x) ** -self.val
+        return acc * x**self.val
 
 
 # ---------------------------------------------------------------------------

@@ -57,25 +57,11 @@ def rho(k: int) -> PPoly:
     return PPoly(out)
 
 
-class QSeries(namedtuple("QSeries", "coeffs order")):
-    """Truncated power series in q: coefficient of q^n for 0 <= n < order."""
-
-    __slots__ = ()
-
-    def __new__(cls, coeffs, order):
-        if len(coeffs) != order:
-            raise ValueError("coefficient list does not match truncation order")
-        return super().__new__(cls, coeffs, order)
-
-    def __getitem__(self, n: int):
-        return self.coeffs[n]
-
-
 _REPRESENTATIONS = ("divisor-sum", "lambert", "rho")
 
 
-def zeta_q_series(k: int, order: int, representation: str = "divisor-sum") -> QSeries:
-    """Expansion of zeta_q(k) to the given order, by any of three routes."""
+def zeta_q_series(k: int, order: int, representation: str = "divisor-sum") -> tuple[int, ...]:
+    """Coefficients of q^n, 0 <= n < order, in zeta_q(k), by any of three routes."""
     if k < 1:
         raise ValueError("zeta_q(k) needs k >= 1")
     if order < 1:
@@ -107,14 +93,15 @@ def zeta_q_series(k: int, order: int, representation: str = "divisor-sum") -> QS
                     c[e] += ri * math.comb(m + k - 1, k - 1)
                     m += 1
                     e += nu
-    return QSeries(tuple(c), order)
+    return tuple(c)
 
 
-def log2_q_series(order: int) -> QSeries:
+def log2_q_series(order: int) -> tuple[int, ...]:
     """q-analogue of log 2: the alternating Lambert series, both groupings.
 
     Computes sum_nu (-1)^(nu-1) q^nu / (1 - q^nu) and, independently,
-    sum_nu q^nu / (1 + q^nu), and insists they agree before returning.
+    sum_nu q^nu / (1 + q^nu), and insists they agree before returning
+    the coefficients of q^n, 0 <= n < order.
     """
     if order < 1:
         raise ValueError("order must be positive")
@@ -131,7 +118,7 @@ def log2_q_series(order: int) -> QSeries:
             sign = -sign
     if a != b:
         raise AssertionError("the two lambda_q(2) expansions disagree")
-    return QSeries(tuple(a), order)
+    return tuple(a)
 
 
 def jacobi_check(order: int) -> bool:
@@ -193,7 +180,7 @@ def zeta_q_value(k: int, q, eps) -> Enclosure:
     while terms - lo > 1:
         mid = (lo + terms) // 2
         lo, terms = (lo, mid) if enough(mid) else (mid, terms)
-    coeffs = zeta_q_series(k, terms + 1, "lambert").coeffs  # the divisor sums, by sieve
+    coeffs = zeta_q_series(k, terms + 1, "lambert")  # the divisor sums, by sieve
     num, den = q.numerator, q.denominator
     acc, power = 0, 1
     for c in coeffs[1:]:

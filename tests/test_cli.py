@@ -16,7 +16,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_linforms import linform
 
 from qzeta import builders, forms, groups, measures, parith
 from qzeta.cli import _log2, main
@@ -192,6 +191,17 @@ class TestExitCodes:
     def test_malformed_params(self, capsys):
         assert main(["linform", "--kind", "zeta1", "--params", "1,2"]) == 2
 
+    @pytest.mark.parametrize("p", ["1", "0"])
+    def test_linform_checks_p_before_it_builds(self, capsys, tmp_path, monkeypatch, p):
+        def refuse(params):
+            raise AssertionError("linform built a form for a p it rejects")
+
+        monkeypatch.setattr(builders, "build", refuse)
+        argv = ["linform", "--kind", "zeta2", "--params", "31,37,43,86,92", "--p", p]
+        assert main([*argv, "--cache-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "qzeta: error: need |p| >= 2\n"
+        assert not any((tmp_path / "forms").iterdir())
+
     def test_failed_check_is_exit_one(self, capsys):
         code, report = run_json(capsys, "mertens", "--n", "4")
         assert code == 1
@@ -329,7 +339,7 @@ BYTE_CORRUPTIONS = {
 class TestCache:
     def test_form_round_trip(self, store, tmp_path, monkeypatch):
         params = FAMILIES["bv"].params(4)
-        fresh = linform(store, params, certify_at=None)
+        fresh = store.form(params)
         Store(str(tmp_path)).form(params)
         monkeypatch.setattr(builders, "build", None)  # a second store must load
         _same_form(Store(str(tmp_path)).form(params), fresh)
@@ -424,7 +434,7 @@ class TestCache:
         Store(str(tmp_path)).form(SMALL)
         data = json.loads(gzip.decompress((tmp_path / FORM_FILE).read_bytes()))
         assert sorted(data) == ["A", "B", "crc32", "format", "params"]
-        assert form_to_json(linform(store, SMALL, None)) == json.dumps(
+        assert form_to_json(store.form(SMALL)) == json.dumps(
             data, sort_keys=True, separators=(",", ":")
         )
 
@@ -733,7 +743,7 @@ class TestCommands:
         def refuse(self, l, cap=None):
             raise AssertionError(f"inclusion divided by Phi_{l}")
 
-        monkeypatch.setattr(PPoly, "ord_at", refuse)
+        monkeypatch.setattr(PPoly, "split_cyclotomic", refuse)
         code, report = run_json(capsys, *argv)
         assert code == 0
         assert len(report["checks"]) == n_max and all(c["pass"] for c in report["checks"])
@@ -744,7 +754,7 @@ class TestCommands:
         argv = ["linform", "--kind", params.kind, "--params", ",".join(map(str, params))]
         code, report = run_json(capsys, *argv)
         assert code == 0
-        out, form = report["outputs"], linform(store, params, certify_at=None)
+        out, form = report["outputs"], store.form(params)
         assert out["A_denominator"]["phi"] == {}  # A is in Z[p, 1/p] on the families
         for name, f in (("A", form.A), ("B", form.B)):
             want = {"p": str(f.dpow), "phi": {str(l): str(e) for l, e in f.dphi.items()}}

@@ -111,7 +111,7 @@ SHARED_METHODS = {
     "from_cvector": "ParamsZ1's and ParamsZ2's alike by params_from_cvector, through PARAMS",
     "expo": "ParamsZ1's and ParamsZ2's alike by params.summand",
     "pole_runs": "ParamsZ1's and ParamsZ2's alike by params.summand",
-    "alpha": "ParamsZ1's and ParamsZ2's alike by params.alpha_exponent, through PARAMS",
+    "alpha": "ParamsZ1's and ParamsZ2's alike by measures.measure, through PARAMS",
 }
 
 
@@ -199,7 +199,6 @@ def test_every_shared_method_is_called(tmp_path, capsys):
 PURE_CACHED = {
     "parith.divisors": "the divisors of an integer",
     "parith.mobius": "the Moebius function of an integer",
-    "parith.totient": "Euler's totient of an integer",
     "parith._mobius_binomials": "the divisors of l split by the sign of mu(l/d)",
     "parith.cyclotomic_value": "the integer Phi_l(p)",
     "qseries.rho": "the fixed polynomial rho_k",

@@ -11,13 +11,12 @@ from qzeta.cli import main
 from qzeta.forms import LinearForm, RatFunc, verify_inclusion
 from qzeta.groups import nu_l, omega, zeta1_group
 from qzeta.linforms import APERY, BV, THEOREM1, THEOREM2, Family
-from qzeta.params import CVector, ParamsZ1, ParamsZ2, cvector
+from qzeta.params import PARAMS, CVector, ParamsZ1, ParamsZ2, cvector
 from qzeta.measures import (
     MEASURE_BASES,
     EmpiricalMu,
     MFit,
     _limit_value_at_one,
-    alpha_exponent,
     apery_numbers,
     d_exponent,
     direction,
@@ -251,17 +250,13 @@ class TestOmegaExponent:
 
 class TestAlphaD:
     def test_alpha_theorem1(self):
-        assert alpha_exponent((8, 6, 8, 15), "zeta1") == Fraction(335, 2)
+        assert PARAMS["zeta1"].alpha(8, 6, 8, 15) == Fraction(335, 2)
 
     def test_alpha_bv(self):
-        assert alpha_exponent((1, 1, 1, 2), "zeta1") == 3
+        assert PARAMS["zeta1"].alpha(1, 1, 1, 2) == 3
 
     def test_alpha_theorem2(self):
-        assert alpha_exponent((5, 6, 7, 14, 15), "zeta2") == 155
-
-    def test_alpha_unknown_kind(self):
-        with pytest.raises(ValueError):
-            alpha_exponent((1, 2, 3), "zeta3")
+        assert PARAMS["zeta2"].alpha(5, 6, 7, 14, 15) == 155
 
     def test_d_single_layer(self):
         assert d_exponent(direction(THEOREM1)) == pytest.approx(81 * 3 / math.pi**2)

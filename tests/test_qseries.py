@@ -8,7 +8,6 @@ import pytest
 
 from qzeta.dyadic import Enclosure
 from qzeta.qseries import (
-    QSeries,
     jacobi_check,
     limit_check,
     log2_q_series,
@@ -93,8 +92,7 @@ class TestRho:
 
 class TestZetaQSeries:
     def test_divisor_counts_for_k1(self):
-        s = zeta_q_series(1, 8)
-        assert s.coeffs == (0, 1, 2, 2, 3, 2, 4, 2)
+        assert zeta_q_series(1, 8) == (0, 1, 2, 2, 3, 2, 4, 2)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_representations_agree(self, k):
@@ -107,15 +105,10 @@ class TestZetaQSeries:
         with pytest.raises(ValueError):
             zeta_q_series(2, 10, "euler-product")
 
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            QSeries((0, 1), 3)
-
 
 class TestLog2Series:
     def test_leading_coefficients(self):
-        s = log2_q_series(6)
-        assert s.coeffs == (0, 1, 0, 2, -1, 2)
+        assert log2_q_series(6) == (0, 1, 0, 2, -1, 2)
 
     def test_matches_divisor_parity_formula(self):
         s = log2_q_series(120)

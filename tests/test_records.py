@@ -11,7 +11,6 @@ from qzeta.linforms import BV
 from qzeta.measures import MFit
 from qzeta.params import LABELS_Z1, CVector, ParamsZ1, ParamsZ2
 from qzeta.parith import FactoredPPoly
-from qzeta.qseries import QSeries
 from qzeta.store import Store
 
 
@@ -22,12 +21,10 @@ from qzeta.store import Store
         lambda: ParamsZ1(1, 1, 1, -2),
         lambda: ParamsZ2(1, 1, 0, 2, 2),
         lambda: Perm(("a", "b"), ("a", "a")),
-        lambda: QSeries((1, 2), 3),
         lambda: trigamma(Fraction(1, 32)),
         lambda: Enclosure(Fraction(1), Fraction(0)),
     ],
-    ids=["z1-zero", "z1-neg", "z2-zero", "perm-not-bijective", "qseries-length", "trigamma-err",
-         "enclosure-empty"],  # fmt: skip
+    ids=["z1-zero", "z1-neg", "z2-zero", "perm-not-bijective", "trigamma-err", "enclosure-empty"],
 )
 def test_validation_raises_value_error(make):
     with pytest.raises(ValueError):
@@ -42,11 +39,10 @@ def test_validation_raises_value_error(make):
         (CVector("zeta1", (0, 0, 0, 0, 0, 0)), "values"),
         (Perm(LABELS_Z1, LABELS_Z1), "images"),
         (BV, "rates"),
-        (QSeries((1,), 1), "order"),
         (MFit(Fraction(3, 2), (5,), (), True), "stable"),
         (Enclosure(0, 1), "hi"),
     ],
-    ids=["ParamsZ1", "ParamsZ2", "CVector", "Perm", "Family", "QSeries", "MFit", "Enclosure"],
+    ids=["ParamsZ1", "ParamsZ2", "CVector", "Perm", "Family", "MFit", "Enclosure"],
 )
 def test_frozen_fields_reject_assignment(record, field):
     with pytest.raises(AttributeError):

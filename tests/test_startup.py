@@ -7,7 +7,8 @@ The parser cases check the flag parser against an argparse oracle built
 from the same flag tables, and pin its help and error text.  The entry cases
 check that a process run through `python -m qzeta` freezes the collector's
 heap before it exits, with the same report and exit code as main, and
-that main itself never freezes.
+that main itself never freezes; a closed stdout ends such a process with
+status 1 and no traceback.
 """
 
 import argparse
@@ -45,14 +46,18 @@ with open(sys.argv[1], "w") as fh:
 """
 
 
-def _run(tmp_path, code: str, *args, flags=()) -> dict:
-    out = tmp_path / "child.json"
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def _run(tmp_path, code: str, *args, flags=()) -> dict:
+    out = tmp_path / "child.json"
     subprocess.run(
         [sys.executable, *flags, "-c", code, str(out), *args],
         cwd=tmp_path,
-        env=env,
+        env=_env(),
         stdout=subprocess.DEVNULL,
         check=True,
         timeout=120,
@@ -113,6 +118,24 @@ def test_module_entry_freezes_and_exits_like_main(tmp_path, capsys, argv, code):
     want = capsys.readouterr()
     assert _without_elapsed(child["stdout"]) == _without_elapsed(want.out)
     assert child["stderr"] == want.err
+
+
+@pytest.mark.parametrize("argv", [["group"], ["ord", "--n", "60"]], ids=["group", "ord"])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, argv):
+    # the read end is closed before the child starts, so writing its report fails with EPIPE
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "qzeta", *argv, "--cache-dir", str(tmp_path)],
+            env=_env(),
+            stdout=write,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (1, b"")
 
 
 @pytest.mark.parametrize(
