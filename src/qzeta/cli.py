@@ -323,7 +323,3 @@ def run() -> None:
         code = 1
     gc.freeze()
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    run()

@@ -214,16 +214,20 @@ def stable_quantity(params, p: int, bits: int):
 def stability_sweep(params, G: Group, p: int, bits: int):
     """Q at params and at every image under G, each enclosure narrower than 2^-bits.
 
-    Returns (Q at params, [(g, Q at g·params, or None when no admissible
-    tuple realizes the image)]) in G's order; Q is invariant where the two
-    enclosures meet.  Each distinct tuple is enclosed once.  Raises
-    ValueError outside the domain |p| >= 2, bits >= 1, and for inadmissible
-    params.
+    Returns (Q at params, [(g, Q at g·params)]) in G's order; Q is invariant
+    where the two enclosures meet.  Each distinct tuple is enclosed once.
+    Under group_for's groups every image is an admissible tuple: they keep
+    the linear relations among the c-values that make a c-vector
+    realizable, for zeta1 c11 + c12 = c21 + c22 and c00 + c22 = c01 + c11,
+    and zeta1_arith_group keeps their common difference c22 - c11 =
+    c01 - c00 = b - a1 - a2, which admissibility needs >= 0 (a property
+    test in test_groups checks every image of tuples of both kinds).  The full
+    order-12 zeta1_group negates it; an inadmissible image raises
+    ValueError, as do |p| < 2, bits < 1 and inadmissible params.
     """
     if abs(p) < 2 or bits < 1:
         raise ValueError("stability needs |p| >= 2 and prec >= 1")
     cv = cvector(params)
     images = [(g, params_from_cvector(g.apply(cv))) for g in G]
-    tuples = dict.fromkeys(x for _, x in images if x is not None and x.admissible)
-    known = {x: stable_quantity(x, p, bits) for x in tuples}
-    return known[params], [(g, known.get(x)) for g, x in images]
+    known = {x: stable_quantity(x, p, bits) for x in dict.fromkeys(x for _, x in images)}
+    return known[params], [(g, known[x]) for g, x in images]

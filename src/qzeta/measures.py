@@ -32,7 +32,6 @@ from .forms import LinearForm
 from .groups import Group, gain, group_for, omega
 from .linforms import Family, _log_abs, numeric_form_value
 from .params import PARAMS, CVector, cvector
-from .parith import cyclotomic_value
 from .store import Store
 
 # every empirical estimate's enclosure of F is narrower than 2^-_MU_BITS
@@ -296,21 +295,18 @@ def apery_numbers(n_max: int) -> list[int]:
 
 
 def _limit_value_at_one(form: LinearForm) -> Fraction:
-    """Value of A at p = 1, normalized by the unique power of (p - 1).
+    """Value of A at p = 1 with its zero there stripped: A's numerator over
+    the exact power of (p - 1) that divides it, at p = 1 (p^dpow -> 1).
 
-    A has a zero or pole at p = 1 of some finite order; stripping exactly
-    that order leaves a finite nonzero rational.  Raises if the numerator
-    vanishes identically.
+    Raises if A is zero, or if A's denominator holds a Phi_l, as no apery
+    form's does.
     """
     num = form.A.num
     if not num:
         raise ValueError("zero coefficient has no limit value")
+    if form.A.dphi:
+        raise ValueError("A has a cyclotomic denominator")
     num = num.split_cyclotomic(1)[1]
     if num(1) == 0:
         raise AssertionError("nonzero polynomial still vanishing after stripping")
-    val = Fraction(num(1))
-    for l, e in form.A.dphi.items():
-        if l == 1:
-            continue  # the (p - 1)-order is stripped by definition
-        val /= Fraction(cyclotomic_value(l, 1)) ** e
-    return val  # p^dpow -> 1
+    return Fraction(num(1))  # p^dpow -> 1

@@ -136,11 +136,7 @@ class CVector(namedtuple("CVector", "kind values")):
 
 
 def cvector(params) -> CVector:
-    """Labeled c-values of a parameter tuple; rejects inadmissible input.
-
-    A group image that may leave the admissible region is read back with
-    params_from_cvector and tested with .admissible, never passed here.
-    """
+    """Labeled c-values of a parameter tuple; rejects inadmissible input."""
     if not isinstance(params, (ParamsZ1, ParamsZ2)):
         raise TypeError("params must be ParamsZ1 or ParamsZ2")
     if not params.admissible:
@@ -149,12 +145,13 @@ def cvector(params) -> CVector:
 
 
 def params_from_cvector(c: CVector):
-    """Invert a c-vector back to parameters; None if no tuple realizes it."""
-    try:
-        cand = PARAMS[c.kind].from_cvector(c)
-    except ValueError:
-        return None
-    return cand if cand.c_values() == c.values else None
+    """The parameter tuple whose c-values are c's; ValueError, as in cvector,
+    if no tuple of positive integers realizes c.  Whether the tuple is
+    admissible is cvector's question."""
+    cand = PARAMS[c.kind].from_cvector(c)
+    if cand.c_values() != c.values:
+        raise ValueError(f"no {c.kind} parameters realize the c-values {c.values}")
+    return cand
 
 
 # S(x) = x^expo · prod_{i in num_i}(1 - q^i x) / prod_j (1 - q^j x)^{m_j}; mult holds

@@ -144,9 +144,6 @@ class PPoly:
     def __eq__(self, other):
         return isinstance(other, PPoly) and (self.val, self.body) == (other.val, other.body)
 
-    def __repr__(self):
-        return f"PPoly({self.body}, val={self.val})"
-
     # -- ring operations ----------------------------------------------------
 
     def _combine(self, other: "PPoly", op) -> "PPoly":
@@ -300,7 +297,7 @@ class FactoredPPoly:
     The one factored type of the package: D_n, Omega, and the residues and
     prefactors of the linear forms.  With a negative exponent it is a unit
     of Z[p, 1/p, 1/Phi_l] rather than a polynomial.  Zero exponents are
-    dropped and the rest kept sorted, so equal products compare equal.
+    dropped and the rest kept sorted, so equal products have equal fields.
     """
 
     __slots__ = ("exponents", "p_power", "unit")
@@ -311,17 +308,6 @@ class FactoredPPoly:
         self.exponents = {l: e for l, e in sorted((exponents or {}).items()) if e}
         self.p_power = p_power
         self.unit = unit
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        same = self.exponents == other.exponents and self.p_power == other.p_power
-        return same and self.unit == other.unit
-
-    def __repr__(self):
-        return (
-            f"FactoredPPoly(exponents={self.exponents}, p_power={self.p_power}, unit={self.unit})"
-        )
 
     @staticmethod
     def one_minus_q_power(j: int) -> "FactoredPPoly":

@@ -109,8 +109,7 @@ def test_c07_stability_of_normalized_series():
     for fam, n in ((THEOREM1, 1), (THEOREM1, 2), (THEOREM2, 1)):
         base, rows = stability_sweep(fam.params(n), group_for(fam.kind), p=2, bits=320)
         for _, q in rows:
-            if q is not None:  # None: the image is inadmissible
-                ok = ok and q.gap(base) == 0 and q.width < tol
+            ok = ok and q.gap(base) == 0 and q.width < tol
     _line(7, ok, "group invariance at p = 2 with enclosure width below 1e-20")
 
 

@@ -132,7 +132,7 @@ class TestExitCodes:
         ids=["p1", "p0", "p-neg1", "default-p1", "prec-neg", "prec-zero"],
     )
     def test_stability_outside_domain_is_input_error(self, capsys, extra):
-        # every enclosure would fail, so every image would read as skipped
+        # no enclosure could be made: an input error, raised before any image is read back
         assert main(["stability", *extra]) == 2
         captured = capsys.readouterr()
         assert "stability needs |p| >= 2 and prec >= 1" in captured.err

@@ -2,13 +2,15 @@
 
 tests/golden/cases.json is the one list of pinned command lines: the
 `ci-*` reports, which cover every command, one argv per perfbench op kind,
-every per-command sample argv of test_startup, a few --format csv runs and
-one report that exits 1.  Each runs through cli.main twice on one cache,
-first cold and then warm, and must give the pinned exit code, the pinned
-stderr and, byte for byte, the pinned stdout with its elapsed_ms line
-removed.  A report change shows here as a diff; tools/regen_goldens.py
-rewrites the goldens after an intended one.  tests/golden/forms.json pins
-every form file the runs write, by the sha256 of its decompressed text.
+every per-command sample argv of test_startup, a few --format csv runs,
+one report that exits 1 and the `reach-*` cases, which run library
+statements no other case reaches (test_hygiene's reachability test).
+Each runs through cli.main twice on one cache, first cold and then warm,
+and must give the pinned exit code, the pinned stderr and, byte for byte,
+the pinned stdout with its elapsed_ms line removed.  A report change
+shows here as a diff; tools/regen_goldens.py rewrites the goldens after an
+intended one.  tests/golden/forms.json pins every form file the runs
+write, by the sha256 of its decompressed text.
 """
 
 import gzip

@@ -2,9 +2,16 @@
 every public top-level name and public method is used by library code or
 kept on purpose, and a public method name is defined on one class only,
 unless it is listed with the library code that reads each class's method
-and a few command runs call each of those methods."""
+and a few command runs call each of those methods, and every library
+statement but a `raise` runs under a golden case, unless UNREACHED counts
+it with a reason."""
 
 import ast
+import contextlib
+import io
+import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -106,7 +113,7 @@ def test_kept_names_are_still_unused_library_names():
 SHARED_METHODS = {
     "value_at": "FactoredPPoly's by LinearForm.d_value and certify (the stored denominators), "
     "RatFunc's by certify, cmd_linform and empirical_mu (A and B at p)",
-    "admissible": "ParamsZ1's and ParamsZ2's alike by cvector and groups.stability_sweep",
+    "admissible": "ParamsZ1's and ParamsZ2's alike by cvector",
     "c_values": "ParamsZ1's and ParamsZ2's alike by cvector and params_from_cvector",
     "from_cvector": "ParamsZ1's and ParamsZ2's alike by params_from_cvector, through PARAMS",
     "expo": "ParamsZ1's and ParamsZ2's alike by params.summand",
@@ -361,3 +368,186 @@ def test_kind_comparison_guard_sees_each_form():
         'e = table["zeta1"]\n'
     )
     assert sorted(_kind_comparisons(tree)) == [1, 2, 3, 4]
+
+
+
+# Every library statement runs under a golden case.  The cases of
+# tests/golden/cases.json run cold and then warm on one cache in a fresh
+# interpreter, imports and first calls of the lru_caches included, under a
+# line tracer limited to frames under src/qzeta.  A statement is an AST
+# statement whose first line holds bytecode (co_lines).  A `raise` may stay
+# unreached: it is an error exit, which the tests pin.  Any other statement
+# no case reaches is deleted, pinned by a new golden case, or counted here
+# under its function (module.function, module.Class.method or
+# module.<module>) with the reason it stays; the functions of
+# KEPT_FOR_THE_PAPER stay whole.
+_HELP = "help, usage and parse-error text, which test_startup's child processes pin"
+_ENTRY = "the process entry, run by test_startup's `python -m qzeta` and CI's console script"
+UNREACHED = {
+    "__main__.<module>": (4, _ENTRY),
+    "cli.run": (7, _ENTRY),
+    "cli.main": (1, "Python before 3.10.7, a supported version, has no digit limit to lift"),
+    "cli._parse": (1, _HELP),
+    "cli._spelled": (3, _HELP),
+    "cli._usage": (2, _HELP),
+    "cli._rows": (2, _HELP),
+    "cli._top_level": (12, _HELP),
+    "cli._run": (11, f"{_HELP}; the exits for a cache root that cannot hold forms/ and "
+                 "for an empty range, which test_cli pins"),  # fmt: skip
+    "store.Store.__init__": (1, "a read-only cache root, whose save exits 2 (test_cli)"),
+    "store.Store._load": (2, "a memory-only Store(), the library's in-process use (README), "
+                          "and a truncated form file, which test_cli pins"),  # fmt: skip
+    "store.Store._save": (2, "a memory-only Store(), and a failed write's temp file (test_cli)"),
+    "linforms.<module>": (1, "the TYPE_CHECKING import, which only a type checker reads"),
+    "forms.verify_inclusion": (5, "the Omega branch, which `inclusion` gets with ROADMAP item 1, "
+                               "step 3; without Omega a Phi_l deficit means a form D does not "
+                               "clear, which no build gives"),  # fmt: skip
+    "forms.RatFunc.__init__": (1, "a Laurent numerator, which build may pass: the polynomial "
+                               "part's coefficients are Laurent in p (_expand_factors shifts "
+                               "by -i)"),  # fmt: skip
+    "parith.PPoly.mul_binomial": (1, "the zero polynomial, which RatFunc._merge lifts when a "
+                                  "group's numerators cancel"),  # fmt: skip
+    "parith.PPoly.div_binomial": (1, "the zero polynomial, as in mul_binomial"),
+    "linforms._runs": (2, "a gap in a multiplicity layer: no family tuple has one, but the "
+                       "series enclosure is proved for any summand"),  # fmt: skip
+    "dyadic.Enclosure._make": (1, "namedtuple's _make and _replace would skip __new__'s "
+                               "lo <= hi check; no library code calls them"),  # fmt: skip
+    "qseries.zeta_ref": (6, "the (k-1)! zeta(k) target of limit_check, kept for the paper"),
+}
+
+
+def _child_statements(node):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.stmt):
+            yield child
+        else:  # an except handler or a match case holds statements
+            yield from _child_statements(child)
+
+
+def _statements(path):
+    """(scope, line, is_raise, last) of each statement of the file whose first
+    line holds bytecode.  A frame can still run the statement only while it
+    is at or before line `last`: the statement's last line, or that of the
+    outermost loop around it in its function (control flow jumps back only
+    in a loop)."""
+    text = path.read_text()
+    lines, codes = set(), [compile(text, str(path), "exec")]
+    while codes:
+        code = codes.pop()
+        lines |= {line for _, _, line in code.co_lines() if line is not None}
+        codes += [c for c in code.co_consts if hasattr(c, "co_lines")]
+    todo = [(node, "<module>", None) for node in ast.parse(text).body]
+    while todo:
+        node, scope, loop_end = todo.pop()
+        if node.lineno in lines:
+            last = loop_end or node.end_lineno
+            yield f"{path.stem}.{scope}", node.lineno, isinstance(node, ast.Raise), last
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+            loop_end = None
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            loop_end = loop_end or node.end_lineno
+        todo += [(child, scope, loop_end) for child in _child_statements(node)]
+
+
+def _trace_goldens(cache: str) -> dict[str, list[int]]:
+    """{file: lines} of the non-raise statements of src/qzeta that the golden
+    cases reach, run through cli.main cold and then warm on cache.
+
+    A code object's frames are traced only until each of its statement lines
+    has run once, and a frame only until it is past every line from which
+    one not run yet could still be reached, so a covered loop runs at nearly
+    full speed.
+    """
+    wanted = {
+        str(p): {line: last for _, line, is_raise, last in _statements(p) if not is_raise}
+        for p in SRC
+    }
+    # id(code) -> {line: last} of its statements not reached yet; a code object
+    # hashes its constants on every lookup, and `codes` keeps each id in use
+    left, codes = {}, []
+
+    def trace_lines(frame, event, arg):
+        todo = left[id(frame.f_code)]
+        todo.pop(frame.f_lineno, None)
+        if not todo or frame.f_lineno > max(todo.values()):
+            frame.f_trace_lines = False  # stops its line events; returning None would not
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        todo = left.get(id(frame.f_code))
+        if todo is None:
+            code = frame.f_code
+            lines = wanted.get(os.path.realpath(code.co_filename), {})
+            todo = left[id(code)] = {l: lines[l] for _, _, l in code.co_lines() if l in lines}
+            codes.append((code, set(todo)))
+        if todo:  # false for most calls: other code, or code already covered
+            todo.pop(frame.f_lineno, None)  # the first line, or where a generator resumes
+            if todo:
+                frame.f_trace_lines = True  # a resumed generator may have had them stopped
+                return trace_lines
+        return None
+
+    cases = json.loads((Path(__file__).resolve().parent / "golden" / "cases.json").read_text())
+    sys.settrace(trace_calls)
+    try:
+        from qzeta.cli import main
+
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for case in cases * 2:  # cold, then warm
+                main([*case["argv"], "--cache-dir", cache])
+    finally:
+        sys.settrace(None)
+    reached = {}
+    for code, lines in codes:
+        path = os.path.realpath(code.co_filename)
+        reached.setdefault(path, set()).update(lines - left[id(code)].keys())
+    return {path: sorted(lines) for path, lines in reached.items()}
+
+
+_TRACE_CHILD = (
+    "import json, sys\n"
+    "from test_hygiene import _trace_goldens\n"
+    "json.dump(_trace_goldens(sys.argv[1]), sys.stdout)\n"
+)
+
+
+def start_golden_trace(cache: Path) -> subprocess.Popen:
+    """_trace_goldens(cache) in a fresh interpreter, whose stdout is its JSON.
+
+    conftest starts it with the session, so that it runs beside the other
+    tests; test_every_statement_runs_under_a_golden_case reads it.
+    """
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(here.parent / "src"), str(here), env.get("PYTHONPATH")])
+    )
+    argv = [sys.executable, "-c", _TRACE_CHILD, str(cache)]
+    return subprocess.Popen(
+        argv, cwd=cache, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+
+
+def test_every_statement_runs_under_a_golden_case(golden_trace):
+    out, err = golden_trace.communicate(timeout=300)
+    assert golden_trace.returncode == 0, err
+    reached = {path: set(lines) for path, lines in json.loads(out).items()}
+    unreached = {}
+    for path in SRC:
+        source = path.read_text().splitlines()
+        for scope, line, is_raise, _ in _statements(path):
+            if is_raise or line in reached.get(str(path), ()):
+                continue
+            if scope.rsplit(".", 1)[-1] not in KEPT_FOR_THE_PAPER:
+                unreached.setdefault(scope, []).append((line, source[line - 1].strip()))
+    wrong = []
+    for scope in sorted(set(unreached) | set(UNREACHED)):
+        found, (allowed, _) = sorted(unreached.get(scope, [])), UNREACHED.get(scope, (0, ""))
+        if len(found) != allowed:
+            wrong.append(f"{scope}: {len(found)} unreached, {allowed} allowed")
+            wrong += [f"    {scope.split('.')[0]}.py:{line}  {text}" for line, text in found]
+    assert not wrong, (
+        "statements no golden case reaches (delete them, add a golden case, or count "
+        "them in UNREACHED with a reason):\n" + "\n".join(wrong)
+    )

@@ -177,10 +177,10 @@ class TestMeasureBase:
     )
     def test_base_label_omega_fails_inclusion(self, store, family, n, deficit):
         form, G = store.form(family.params(n)), group_for(family.kind)
-        assert verify_inclusion(form, omega(form.cvec, G))
+        assert verify_inclusion(form, omega(form.cvec, G)).ok
         for g in carriers(family):
             found = verify_inclusion(form, omega(g.apply(form.cvec), G))
-            assert not found and found.witness.startswith(deficit), found
+            assert not found.ok and found.witness.startswith(deficit), found
 
 
 class TestProfileExactAgreement:

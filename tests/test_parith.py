@@ -367,7 +367,8 @@ class TestFactoredPPoly:
 
     @given(units)
     def test_times_inverse_is_one(self, u):
-        assert u * u.inv() == FactoredPPoly()
+        one = u * u.inv()
+        assert (one.exponents, one.p_power, one.unit) == ({}, 0, 1)
 
     @settings(deadline=None)
     @given(polynomial_units, points)
@@ -391,7 +392,7 @@ class TestFactoredPPoly:
             FactoredPPoly({3: 1}, p_power=-1).expand()
 
     def test_zero_exponents_are_dropped(self):
-        assert FactoredPPoly({2: 0, 3: 1}) == FactoredPPoly({3: 1})
+        assert FactoredPPoly({2: 0, 3: 1}).exponents == {3: 1}
 
 
 # ---------------------------------------------------------------------------

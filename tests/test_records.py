@@ -61,5 +61,8 @@ def test_repr_names_every_field():
 
 
 def test_factored_ppoly_drops_zero_exponents_before_comparing():
-    assert FactoredPPoly({2: 0, 3: 1}) == FactoredPPoly({3: 1})
-    assert FactoredPPoly({3: 1}) != FactoredPPoly({3: 1}, 0, -1)
+    def fields(u):  # FactoredPPoly has no __eq__: no library code compares two
+        return u.exponents, u.p_power, u.unit
+
+    assert fields(FactoredPPoly({2: 0, 3: 1})) == fields(FactoredPPoly({3: 1}))
+    assert fields(FactoredPPoly({3: 1})) != fields(FactoredPPoly({3: 1}, 0, -1))
