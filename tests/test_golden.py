@@ -3,12 +3,15 @@
 tests/golden/cases.json is the one list of pinned command lines: the
 `ci-*` reports, which cover every command, one argv per perfbench op kind,
 every per-command sample argv of test_startup, a few --format csv runs,
-one report that exits 1 and the `reach-*` cases, which run library
-statements no other case reaches (test_hygiene's reachability test).
-Each runs through cli.main twice on one cache, first cold and then warm,
-and must give the pinned exit code, the pinned stderr and, byte for byte,
-the pinned stdout with its elapsed_ms line removed.  A report change
-shows here as a diff; tools/regen_goldens.py rewrites the goldens after an
+the `help-*` texts, the `exit0-*`, `exit1-*` and `exit2-*` cases (small
+reports, failed checks, usage and parse errors, refused input) and the
+`reach-*` cases, which run library statements no other case reaches
+(test_hygiene's reachability test).  Each runs through cli.main with
+`--cache-dir <cache>` appended, twice on one cache, first cold and then
+warm, and must give the pinned exit code, the pinned stderr and, byte for
+byte, the pinned stdout with its elapsed_ms line removed; a line that the
+appended flag would change stays a Python test.  A report change shows
+here as a diff; tools/regen_goldens.py rewrites the goldens after an
 intended one.  tests/golden/forms.json pins every form file the runs
 write, by the sha256 of its decompressed text.
 """

@@ -1,10 +1,7 @@
-"""Source hygiene: every name a qzeta module or test file imports is used there,
-every public top-level name and public method is used by library code or
-kept on purpose, and a public method name is defined on one class only,
-unless it is listed with the library code that reads each class's method
-and a few command runs call each of those methods, and every library
-statement but a `raise` runs under a golden case, unless UNREACHED counts
-it with a reason."""
+"""Source hygiene: every name a qzeta module, test file or tool imports is
+used there, every public top-level name is used by library code or kept on
+purpose, and every library statement but a `raise` runs under a golden
+case, unless UNREACHED counts it with a reason."""
 
 import ast
 import contextlib
@@ -13,13 +10,13 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "qzeta").glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+TOOLS = sorted((Path(__file__).resolve().parent.parent / "tools").glob("*.py"))
 
 
 def _imported(tree):
@@ -46,7 +43,7 @@ def _used(tree):
     return names
 
 
-@pytest.mark.parametrize("path", SRC + TESTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SRC + TESTS + TOOLS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used(tree)
@@ -54,43 +51,30 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
-# Public top-level names and methods kept in the library although no library
-# code calls them, each a reproduction of a result of the paper.
+# Public top-level names kept in the library although no library code calls
+# them, each a reproduction of a result of the paper.
 KEPT_FOR_THE_PAPER = {
     "log2_q_series": "the paper's q-analogue of log 2, both Lambert groupings",
     "limit_check": "the classical limit (1-q)^k zeta_q(k) -> (k-1)! zeta(k) as q -> 1",
 }
 
 
-def _attribute_reads(node):
-    return Counter(
-        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-    )
-
-
 def _unused_public_names():
     """Public top-level defs and classes in src/qzeta that no other top-level
-    statement in src/qzeta reads, and public methods (as Class.name) whose
-    name no library code outside the method itself reads as an attribute."""
-    defs, readers, trees = [], {}, []
+    statement in src/qzeta reads.
+
+    A method no command runs fails the statement trace below, whatever its
+    name; a top-level def or class line runs at import, so only a reader
+    can show that the name is used.
+    """
+    defs, readers = [], {}
     for path in SRC:
-        trees.append(ast.parse(path.read_text(), filename=str(path)))
-        for i, node in enumerate(trees[-1].body):
+        for i, node in enumerate(ast.parse(path.read_text(), filename=str(path)).body):
             for name in _used(node):
                 readers.setdefault(name, set()).add((path.name, i))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defs.append((path.name, node.name, i))
-    unused = {name for module, name, i in defs if not readers.get(name, set()) - {(module, i)}}
-    reads = sum(map(_attribute_reads, trees), Counter())
-    return unused | {
-        f"{cls.name}.{m.name}"
-        for tree in trees
-        for cls in tree.body
-        if isinstance(cls, ast.ClassDef)
-        for m in cls.body
-        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
-        if reads[m.name] == _attribute_reads(m)[m.name]
-    }
+    return {name for module, name, i in defs if not readers.get(name, set()) - {(module, i)}}
 
 
 def test_no_test_only_library_names():
@@ -104,99 +88,6 @@ def test_no_test_only_library_names():
 def test_kept_names_are_still_unused_library_names():
     stale = sorted(set(KEPT_FOR_THE_PAPER) - _unused_public_names())
     assert not stale, f"KEPT_FOR_THE_PAPER lists names now gone or used: {', '.join(stale)}"
-
-
-# The check above matches attribute reads by name alone, so a test-only method
-# would pass behind a used method of the same name on another class.  A public
-# method name may be defined on two or more classes only if it is listed here,
-# with the library code that reads each class's method.
-SHARED_METHODS = {
-    "value_at": "FactoredPPoly's by LinearForm.d_value and certify (the stored denominators), "
-    "RatFunc's by certify, cmd_linform and empirical_mu (A and B at p)",
-    "admissible": "ParamsZ1's and ParamsZ2's alike by cvector",
-    "c_values": "ParamsZ1's and ParamsZ2's alike by cvector and params_from_cvector",
-    "from_cvector": "ParamsZ1's and ParamsZ2's alike by params_from_cvector, through PARAMS",
-    "expo": "ParamsZ1's and ParamsZ2's alike by params.summand",
-    "pole_runs": "ParamsZ1's and ParamsZ2's alike by params.summand",
-    "alpha": "ParamsZ1's and ParamsZ2's alike by measures.measure, through PARAMS",
-}
-
-
-def _shared_method_names():
-    """{public method name: classes} for names defined on two or more classes."""
-    owners = {}
-    for path in SRC:
-        for cls in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(cls, ast.ClassDef):
-                for m in cls.body:
-                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
-                        owners.setdefault(m.name, []).append(cls.name)
-    return {name: classes for name, classes in owners.items() if len(classes) > 1}
-
-
-def test_shared_method_names_are_listed():
-    shared = _shared_method_names()
-    unlisted = sorted(f"{n} ({', '.join(shared[n])})" for n in set(shared) - set(SHARED_METHODS))
-    assert not unlisted, (
-        "public method names defined on several classes (rename or delete one, or list "
-        f"the name in SHARED_METHODS with who reads each): {'; '.join(unlisted)}"
-    )
-
-
-def test_shared_methods_are_still_shared():
-    stale = sorted(set(SHARED_METHODS) - set(_shared_method_names()))
-    assert not stale, f"SHARED_METHODS lists names no longer shared: {', '.join(stale)}"
-
-
-# Commands whose runs, together, call every class's method of each SHARED_METHODS
-# name: forms of both kinds built and certified, both kinds' alpha, both kinds'
-# group images, and the forms' values at p.
-READER_RUNS = (
-    ["linform", "--kind", "zeta1", "--params", "2,2,2,4"],
-    ["linform", "--kind", "zeta2", "--params", "1,1,1,2,2"],
-    ["measure", "--family", "bv", "--fit-n-max", "6"],
-    ["measure", "--family", "apery"],
-    ["stability"],
-    ["empirical-mu", "--family", "bv", "--n-max", "3"],
-)
-
-
-def _shared_method_codes():
-    """{(file, first line): "Class.method"} for every class's method of a listed name.
-
-    A code object's first line is its first decorator's, if it has any.
-    Matching by file and line needs no co_qualname, which Python 3.10 lacks.
-    """
-    codes = {}
-    for path in SRC:
-        for cls in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(cls, ast.ClassDef):
-                for m in cls.body:
-                    if isinstance(m, ast.FunctionDef) and m.name in SHARED_METHODS:
-                        first = min([m.lineno] + [d.lineno for d in m.decorator_list])
-                        codes[(str(path), first)] = f"{cls.name}.{m.name}"
-    return codes
-
-
-def test_every_shared_method_is_called(tmp_path, capsys):
-    from qzeta.cli import main
-
-    called = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
-
-    sys.setprofile(profile)
-    try:
-        codes = [main([*argv, "--cache-dir", str(tmp_path)]) for argv in READER_RUNS]
-    finally:
-        sys.setprofile(None)
-    capsys.readouterr()
-    assert codes == [0] * len(READER_RUNS)
-    called = {(str(Path(f).resolve()), line) for f, line in called}
-    uncalled = sorted(name for code, name in _shared_method_codes().items() if code not in called)
-    assert not uncalled, f"shared methods no command run calls: {', '.join(uncalled)}"
 
 
 # The memo of computed results is the Store a caller passes in.  A module-level
@@ -370,7 +261,6 @@ def test_kind_comparison_guard_sees_each_form():
     assert sorted(_kind_comparisons(tree)) == [1, 2, 3, 4]
 
 
-
 # Every library statement runs under a golden case.  The cases of
 # tests/golden/cases.json run cold and then warm on one cache in a fresh
 # interpreter, imports and first calls of the lru_caches included, under a
@@ -381,19 +271,13 @@ def test_kind_comparison_guard_sees_each_form():
 # under its function (module.function, module.Class.method or
 # module.<module>) with the reason it stays; the functions of
 # KEPT_FOR_THE_PAPER stay whole.
-_HELP = "help, usage and parse-error text, which test_startup's child processes pin"
 _ENTRY = "the process entry, run by test_startup's `python -m qzeta` and CI's console script"
 UNREACHED = {
     "__main__.<module>": (4, _ENTRY),
     "cli.run": (7, _ENTRY),
     "cli.main": (1, "Python before 3.10.7, a supported version, has no digit limit to lift"),
-    "cli._parse": (1, _HELP),
-    "cli._spelled": (3, _HELP),
-    "cli._usage": (2, _HELP),
-    "cli._rows": (2, _HELP),
-    "cli._top_level": (12, _HELP),
-    "cli._run": (11, f"{_HELP}; the exits for a cache root that cannot hold forms/ and "
-                 "for an empty range, which test_cli pins"),  # fmt: skip
+    "cli._run": (3, "the exit for a cache root that cannot hold forms/, which test_cli "
+                 "pins on a root of its own"),  # fmt: skip
     "store.Store.__init__": (1, "a read-only cache root, whose save exits 2 (test_cli)"),
     "store.Store._load": (2, "a memory-only Store(), the library's in-process use (README), "
                           "and a truncated form file, which test_cli pins"),  # fmt: skip

@@ -4,7 +4,10 @@ Every module case runs one command in a fresh interpreter and reads back
 which modules that process had loaded, so an import added at module level
 (or a record type that pulls in `dataclasses` again) fails here by name.
 The parser cases check the flag parser against an argparse oracle built
-from the same flag tables, and pin its help and error text.  The entry cases
+from the same flag tables; the exact help and error text of a command line
+is a `help-*` or `exit2-*` golden case (test_golden), an abbreviated flag
+such as `measure --fit 6` among them, and only a line the golden harness
+cannot run stays here.  The entry cases
 check that a process run through `python -m qzeta` freezes the collector's
 heap before it exits, with the same report and exit code as main, and
 that main itself never freezes; a closed stdout ends such a process with
@@ -262,37 +265,6 @@ SAMPLES = {
     "jacobi": ["--order", "100"],
 }
 
-TOP_HELP = """\
-usage: qzeta [-h] command ...
-
-Exact q-zeta arithmetic: series, cyclotomic orders, linear forms, measures.
-
-positional arguments:
-  command
-    series      q-expansion of zeta_q(k); cross-checks all representations
-    rho         numerator polynomial rho_k and its value at 1
-    cyclotomic  coefficients and values of Phi_l
-    dnp         the common multiple D_n(p) with its lcm certificate
-    ord         cyclotomic order of the q-factorial, against exact division
-    mertens     normalized size of D_n against the 3/pi^2 density
-    eq3         cyclotomic block sums against the trigamma limit
-    linform     exact linear form for explicit parameters
-    inclusion   integrality of the scaled coefficients
-    group       transformation groups and their orders
-    omega       removable cyclotomic factors for explicit parameters
-    stability   invariance of the normalized series under the group
-    measure     irrationality-measure report for a family
-    empirical-mu
-                exponent estimates from the exact forms
-    apery       classical limit of the second-kind coefficients
-    jacobi      four-square identity as a q-series cross-check
-
-options:
-  -h, --help    show this help message and exit
-"""
-USAGE = "usage: qzeta [-h] command ...\n"
-
-
 @pytest.mark.parametrize("name", list(SAMPLES))
 def test_each_command_loads_its_own_command_module_alone(tmp_path, name):
     child = _command(tmp_path, name, *SAMPLES[name])
@@ -466,83 +438,11 @@ def test_malformed_argv_exits_2_like_the_oracle(kind, data):
     assert _theirs(argv) == 2
 
 
-ERRORS = {
-    "unknown-flag": (["ord", "--n", "5", "--bogus", "1"], "unknown argument '--bogus'"),
-    "stray-token": (["ord", "--n", "5", "7"], "unknown argument '7'"),
-    "missing-value": (["ord", "--n"], "--n needs a value"),
-    "bad-int": (["ord", "--n", "x"], "--n: invalid int value 'x'"),
-    "bad-fraction": (["eq3", "--n", "40", "--u", "1/0"], "--u: invalid Fraction value '1/0'"),
-    "bad-choice": (
-        ["group", "--kind", "zeta3"],
-        "--kind: 'zeta3' is not one of zeta1, zeta1-arith, zeta2",
-    ),
-    "missing-required": (
-        ["linform", "--p", "3"],
-        "the following flags are required: --kind, --params",
-    ),
-    "abbreviation": (["measure", "--family", "bv", "--fit", "6"], "unknown argument '--fit'"),
-}
-USAGES = {
-    "ord": "usage: qzeta ord [-h] [--format {json,csv}] [--cache-dir CACHE_DIR] --n N [--l L]",
-    "eq3": "usage: qzeta eq3 [-h] [--format {json,csv}] [--cache-dir CACHE_DIR] [--n N] [--p P]"
-    " [--u U] [--v V]",
-    "group": "usage: qzeta group [-h] [--format {json,csv}] [--cache-dir CACHE_DIR]"
-    " [--kind {zeta1,zeta1-arith,zeta2}]",
-    "linform": "usage: qzeta linform [-h] [--format {json,csv}] [--cache-dir CACHE_DIR]"
-    " --kind {zeta1,zeta2} --params PARAMS [--p P]",
-    "measure": "usage: qzeta measure [-h] [--format {json,csv}] [--cache-dir CACHE_DIR]"
-    " --family FAMILY [--fit-n-max FIT_N_MAX]",
-}
-
-
-@pytest.mark.parametrize("argv, message", ERRORS.values(), ids=list(ERRORS))
-def test_parse_errors_are_pinned(capsys, argv, message):
-    # unique-prefix abbreviations, which argparse took, are unknown flags
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"{USAGES[argv[0]]}\nqzeta {argv[0]}: error: {message}\n"
-
-
-HELP = {
-    "ord": """\
-usage: qzeta ord [-h] [--format {json,csv}] [--cache-dir CACHE_DIR] --n N [--l L]
-
-cyclotomic order of the q-factorial, against exact division
-
-options:
-  -h, --help            show this help message and exit
-  --format {json,csv}
-  --cache-dir CACHE_DIR
-                        cache root (else $QZETA_CACHE)
-  --n N
-  --l L                 single modulus; omit to sweep 2..n
-""",
-    "stability": """\
-usage: qzeta stability [-h] [--format {json,csv}] [--cache-dir CACHE_DIR] [--family FAMILY] \
-[--n N] [--p P] [--prec PREC] [--terms TERMS]
-
-invariance of the normalized series under the group
-
-options:
-  -h, --help            show this help message and exit
-  --format {json,csv}
-  --cache-dir CACHE_DIR
-                        cache root (else $QZETA_CACHE)
-  --family FAMILY
-  --n N
-  --p P
-  --prec PREC           enclosures narrower than 2^-PREC
-  --terms TERMS         ignored; accepted so old command lines still run
-""",
-}
-
-
-@pytest.mark.parametrize("name", list(HELP))
-def test_command_help_is_pinned(capsys, name):
-    for argv in ([name, "--help"], [name, "-h"], [name, "--format", "csv", "-h"]):
-        assert main(argv) == 0
-        assert capsys.readouterr().out == HELP[name]
+def test_trailing_flag_without_value_is_pinned(capsys):
+    # a golden case would give --n its appended --cache-dir as the value
+    assert main(["ord", "--n"]) == 2
+    usage = "usage: qzeta ord [-h] [--format {json,csv}] [--cache-dir CACHE_DIR] --n N [--l L]"
+    assert capsys.readouterr() == ("", f"{usage}\nqzeta ord: error: --n needs a value\n")
 
 
 @pytest.mark.parametrize("name", list(SAMPLES))
@@ -564,14 +464,3 @@ def test_command_help_is_the_full_parsers(capsys, monkeypatch, name):
     assert text.split("\n\n")[0].split() == want.split("\n\n")[0].split()
     assert text.split("\noptions:\n")[1] == want.split("\noptions:\n")[1]
 
-
-def test_top_level_help_and_errors_are_pinned(capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    assert main(["--help"]) == 0
-    assert capsys.readouterr().out == TOP_HELP
-    assert main([]) == 2
-    assert capsys.readouterr().err == USAGE
-    assert main(["bogus"]) == 2
-    choices = ", ".join(f"'{name}'" for name in SAMPLES)
-    err = f"qzeta: error: argument command: invalid choice: 'bogus' (choose from {choices})\n"
-    assert capsys.readouterr().err == USAGE + err
